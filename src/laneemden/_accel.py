@@ -1,47 +1,4 @@
-"""Numba acceleration switch.
+"""Kernel backend flag: every kernel in this package is plain numpy."""
 
-Hot numerical kernels in this package are written as numpy-vectorized
-functions and passed through :func:`maybe_njit`.  By default they are
-compiled with ``numba.njit``; setting the environment variable
-``LANEEMDEN_NO_NUMBA=1`` (or running without numba installed) selects the
-plain-numpy fallback path.  Both paths execute the same source, so results
-are identical up to floating-point rounding of the compiler's choosing.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
-"""
-
-import os
-
-DISABLE = os.environ.get("LANEEMDEN_NO_NUMBA", "").strip() not in ("", "0")
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    numba = None
-    HAVE_NUMBA = False
-
-USING_NUMBA = HAVE_NUMBA and not DISABLE
-
-_JIT_OPTS = {"cache": True, "fastmath": False}
-
-
-def maybe_njit(func):
-    """Compile with numba unless the fallback path is selected."""
-    if USING_NUMBA:
-        return numba.njit(**_JIT_OPTS)(func)
-    return func
-
-
-def jit_pair(func):
-    """Return (plain, jitted-or-plain) versions of a kernel for benchmarks."""
-    if HAVE_NUMBA:
-        return func, numba.njit(**_JIT_OPTS)(func)
-    return func, func
-
-
-def set_threads(n):
-    """Set numba's thread count. No-op on the fallback path."""
-    if USING_NUMBA and n:
-        numba.set_num_threads(int(n))
+# Read by the benchmark probe (perfbench/worker.py), which records it per run.
+USING_NUMBA = False

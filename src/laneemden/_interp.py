@@ -5,10 +5,31 @@ evaluated by the hot kernels below; beyond the last breakpoint the stored
 power-law tail takes over, rescaled so the value is continuous there.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._accel import maybe_njit
+
+class InterpPack(NamedTuple):
+    """Cubic coefficients of (U, dU, V, dV) and the power-law tails beyond r_top.
+
+    Beyond r_top, U = au*r^-eu + cu2*r^-e2 (cu2 = 0 for a single-power tail)
+    and V = bv*r^-ev.  Field order is the argument order of profile_eval.
+    """
+
+    breaks: np.ndarray
+    cu: np.ndarray
+    cdu: np.ndarray
+    cv: np.ndarray
+    cdv: np.ndarray
+    r_top: float
+    au: float
+    cu2: float
+    eu: float
+    e2: float
+    bv: float
+    ev: float
 
 
 def pack_pchip(x, y):
@@ -17,17 +38,14 @@ def pack_pchip(x, y):
     return ip.x.copy(), np.ascontiguousarray(ip.c)
 
 
-def _ppoly_eval(breaks, c, xq):
+def ppoly_eval(breaks, c, xq):
     idx = np.searchsorted(breaks, xq) - 1
     idx = np.minimum(np.maximum(idx, 0), breaks.shape[0] - 2)
     dx = xq - breaks[idx]
     return ((c[0][idx] * dx + c[1][idx]) * dx + c[2][idx]) * dx + c[3][idx]
 
 
-ppoly_eval = maybe_njit(_ppoly_eval)
-
-
-def _deriv_component_eval(r, breaks, cd, r_top, amp1, expo1, amp2, expo2):
+def deriv_component_eval(r, breaks, cd, r_top, amp1, expo1, amp2, expo2):
     """One derivative component: cubic inside, two-power tail beyond r_top."""
     r = np.abs(r)
     inside = r <= r_top
@@ -38,11 +56,8 @@ def _deriv_component_eval(r, breaks, cd, r_top, amp1, expo1, amp2, expo2):
     return np.where(inside, d, tail)
 
 
-deriv_component_eval = maybe_njit(_deriv_component_eval)
-
-
-def _profile_eval(r, breaks, cu, cdu, cv, cdv,
-                  r_top, au, cu2, eu, e2, bv, ev):
+def profile_eval(r, breaks, cu, cdu, cv, cdv,
+                 r_top, au, cu2, eu, e2, bv, ev):
     """Evaluate (U, dU, V, dV) at radii r >= 0.
 
     Inside [0, r_top]: piecewise cubics. Beyond: U = au*r^-eu + cu2*r^-e2,
@@ -65,6 +80,3 @@ def _profile_eval(r, breaks, cu, cdu, cv, cdv,
     V = np.where(inside, V, pv)
     dV = np.where(inside, dV, dpv)
     return U, dU, V, dV
-
-
-profile_eval = maybe_njit(_profile_eval)

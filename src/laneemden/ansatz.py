@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import maybe_njit
 from ._interp import profile_eval
 from .errors import DomainError, QuadratureAsymmetry
 from .halfspace import HalfSpaceCorrection
@@ -33,16 +32,11 @@ PW2_APPROX = "PW2_APPROX"
 DELTA_CAP = 0.2  # keeps the bubble halves of the ball separated
 
 
-def _bubble_uv(s, t, center_t, delta, pack, su, sv):
+def bubble_uv(s, t, center_t, delta, pack, su, sv):
     """Scaled bubble components centred at (0, center_t), over (s,t) arrays."""
     d = np.sqrt(s * s + (t - center_t) * (t - center_t)) / delta
-    U, _, V, _ = profile_eval(d, pack[0], pack[1], pack[2], pack[3], pack[4],
-                              pack[5], pack[6], pack[7], pack[8], pack[9],
-                              pack[10], pack[11])
+    U, _, V, _ = profile_eval(d, *pack)
     return delta ** (-su) * U, delta ** (-sv) * V
-
-
-bubble_uv = maybe_njit(_bubble_uv)
 
 
 def bubble_eval(profile: RadialProfile, xi, delta: float, x):
@@ -52,9 +46,9 @@ def bubble_eval(profile: RadialProfile, xi, delta: float, x):
     xi = np.asarray(xi, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     r = float(np.linalg.norm(x - xi)) / delta
-    n, q, p = profile.params.n, profile.params.q, profile.params.p
+    pp = profile.params
     U, _, V, _ = profile.evaluate(r)
-    return delta ** (-n / (q + 1.0)) * U, delta ** (-n / (p + 1.0)) * V
+    return delta ** (-pp.su) * U, delta ** (-pp.sv) * V
 
 
 @dataclass
@@ -77,9 +71,8 @@ class AnsatzField:
             raise DomainError("PW1_APPROX needs the first correction")
         if self.kind == PW2_APPROX and self.phi2 is None:
             raise DomainError("PW2_APPROX needs the second correction")
-        p = self.profile.params
-        self._su = p.n / (p.q + 1.0)
-        self._sv = p.n / (p.p + 1.0)
+        self._su = self.profile.params.su
+        self._sv = self.profile.params.sv
         ext = self.table_extent if self.table_extent else 2.2 / self.delta
         self._tab = None
         if self.kind == PW1_APPROX:

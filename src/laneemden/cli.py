@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._accel import USING_NUMBA, set_threads
 from .constants import compute_constants
 from .errors import ConfigError
 from .halfspace import PHI1, PHI2, HalfSpaceCorrection
@@ -47,20 +46,17 @@ class RunConfig:
     eps: tuple = (0.04, 0.02, 0.01)
     d: float = 0.2
     ode_tol: float = 3e-14
-    quad_tol: float = 1e-6
-    fit_tol: float = 0.05
     r_max: float = 1e4
     mesh_level: int = 1
     out: str = "out"
     checks: tuple = V.CHECK_NAMES
     b_mode: str = "LIMIT"
     b_delta: float = 0.01
-    threads: int = 0
     seed_free: bool = False
 
     def validate(self):
-        if self.ode_tol <= 0 or self.quad_tol <= 0 or self.fit_tol <= 0:
-            raise ConfigError("tolerances must be positive")
+        if self.ode_tol <= 0:
+            raise ConfigError("ode_tol must be positive")
         if any(d <= 0 or d > 0.2 for d in self.deltas):
             raise ConfigError("delta samples must lie in (0, 0.2]")
         if any(e <= 0 or e > 0.1 for e in self.eps):
@@ -84,9 +80,8 @@ class RunConfig:
         return d
 
 
-_FLOAT_KEYS = {"p", "alpha", "beta", "d", "ode_tol", "quad_tol", "fit_tol",
-               "r_max", "b_delta"}
-_INT_KEYS = {"n", "mesh_level", "threads"}
+_FLOAT_KEYS = {"p", "alpha", "beta", "d", "ode_tol", "r_max", "b_delta"}
+_INT_KEYS = {"n", "mesh_level"}
 _LIST_KEYS = {"deltas", "eps", "checks"}
 _BOOL_KEYS = {"seed_free"}
 
@@ -128,8 +123,8 @@ def build_config(args) -> RunConfig:
     if args.config:
         cfg = replace(cfg, **load_config(args.config))
     overrides = {}
-    for key in ("n", "p", "alpha", "beta", "d", "ode_tol", "quad_tol", "fit_tol",
-                "r_max", "mesh_level", "out", "b_mode", "b_delta", "threads"):
+    for key in ("n", "p", "alpha", "beta", "d", "ode_tol", "r_max", "mesh_level",
+                "out", "b_mode", "b_delta"):
         v = getattr(args, key.replace("-", "_"), None)
         if v is not None:
             overrides[key] = _coerce(key, v) if isinstance(v, str) else v
@@ -145,8 +140,7 @@ def build_config(args) -> RunConfig:
 
 
 def _meta(cfg):
-    return {"config": cfg.as_dict(), "version": __version__,
-            "accelerated": bool(USING_NUMBA)}
+    return {"config": cfg.as_dict(), "version": __version__}
 
 
 def _ground_state(cfg):
@@ -296,7 +290,6 @@ def make_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="key = value file")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--threads", type=int, default=None)
     common.add_argument("--seed-free", dest="seed_free", action="store_true",
                         help="assert that the run draws no random numbers")
     common.add_argument("--n", type=int, default=None)
@@ -306,8 +299,6 @@ def make_parser():
     common.add_argument("--beta", type=float, default=None)
     common.add_argument("--r-max", dest="r_max", type=float, default=None)
     common.add_argument("--ode-tol", dest="ode_tol", type=float, default=None)
-    common.add_argument("--quad-tol", dest="quad_tol", type=float, default=None)
-    common.add_argument("--fit-tol", dest="fit_tol", type=float, default=None)
     common.add_argument("--mesh-level", dest="mesh_level", type=int, default=None)
 
     sub.add_parser("ground-state", parents=[common])
@@ -338,8 +329,6 @@ def main(argv=None):
     except (ConfigError, ValueError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    if cfg.threads:
-        set_threads(cfg.threads)
     rng_state = np.random.get_state()[1].copy() if cfg.seed_free else None
     try:
         handler = {"ground-state": cmd_ground_state, "constants": cmd_constants,

@@ -86,8 +86,8 @@ def _power_log_tail(r_max, m):
 
 
 def _tail_params(profile):
-    (_, _, _, _, _, r_top, au, cu2, eu, e2, bv, ev) = profile.interp_pack
-    return r_top, au, cu2, eu, e2, bv, ev
+    pk = profile.interp_pack
+    return pk.r_top, pk.au, pk.cu2, pk.eu, pk.e2, pk.bv, pk.ev
 
 
 def compute_A_D(profile: RadialProfile):

@@ -23,7 +23,6 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gamma, roots_legendre
 
-from ._accel import maybe_njit
 from ._interp import deriv_component_eval
 from .errors import DomainError, QuadratureNonConvergent
 from .radial import RadialProfile
@@ -40,21 +39,17 @@ def sphere_measure(k):
     return 2.0 * np.pi ** (k / 2.0) / gamma(k / 2.0)
 
 
-def _g_of_rho(rho, pack, which_v):
-    # pack = (breaks, cu, cdu, cv, cdv, r_top, au, cu2, eu, e2, bv, ev)
+def g_of_rho(rho, pack, which_v):
     if which_v:
-        d = deriv_component_eval(rho, pack[0], pack[4], pack[5],
-                                 pack[10], pack[11], 0.0, 1.5)
+        d = deriv_component_eval(rho, pack.breaks, pack.cdv, pack.r_top,
+                                 pack.bv, pack.ev, 0.0, 1.5)
     else:
-        d = deriv_component_eval(rho, pack[0], pack[2], pack[5],
-                                 pack[6], pack[8], pack[7], pack[9])
+        d = deriv_component_eval(rho, pack.breaks, pack.cdu, pack.r_top,
+                                 pack.au, pack.eu, pack.cu2, pack.e2)
     return -(rho / 2.0) * d
 
 
-g_of_rho = maybe_njit(_g_of_rho)
-
-
-def _panel_edges(sig, tau, rho_big):
+def panel_edges(sig, tau, rho_big):
     """Quadrature panel edges on [0, rho_big], refined toward rho = sig."""
     base = np.empty(220)
     nb = 0
@@ -101,12 +96,9 @@ def _panel_edges(sig, tau, rho_big):
     return out[:m]
 
 
-panel_edges = maybe_njit(_panel_edges)
-
-
-def _phi4_point(sig, tau, pack, which_v, tail_amp, tail_expo, glx, glw):
+def phi4_point(sig, tau, pack, which_v, tail_amp, tail_expo, glx, glw):
     """n = 4 evaluation at one point (sigma, tau) of the closed half-space."""
-    r_top = pack[5]
+    r_top = pack.r_top
     big = 60.0 * (sig + tau + 1.0)
     if big < 2.0 * r_top:
         big = 2.0 * r_top
@@ -144,10 +136,7 @@ def _phi4_point(sig, tau, pack, which_v, tail_amp, tail_expo, glx, glw):
     return val + tail * (2.0 / np.pi)
 
 
-phi4_point = maybe_njit(_phi4_point)
-
-
-def _phi4_many(sigs, taus, pack, which_v, tail_amp, tail_expo, glx, glw):
+def phi4_many(sigs, taus, pack, which_v, tail_amp, tail_expo, glx, glw):
     out = np.empty(sigs.shape[0])
     for i in range(sigs.shape[0]):
         out[i] = phi4_point(sigs[i], taus[i], pack, which_v, tail_amp, tail_expo,
@@ -155,10 +144,7 @@ def _phi4_many(sigs, taus, pack, which_v, tail_amp, tail_expo, glx, glw):
     return out
 
 
-phi4_many = maybe_njit(_phi4_many)
-
-
-def _catmull_weights(t):
+def catmull_weights(t):
     w = np.empty((4, t.shape[0]))
     w[0] = ((-0.5 * t + 1.0) * t - 0.5) * t
     w[1] = (1.5 * t - 2.5) * t * t + 1.0
@@ -167,10 +153,7 @@ def _catmull_weights(t):
     return w
 
 
-catmull_weights = maybe_njit(_catmull_weights)
-
-
-def _table_eval(tab, m, du, dv, uu, vv):
+def table_eval(tab, m, du, dv, uu, vv):
     """Separable cubic-convolution interpolation on the uniform (u,v) grid."""
     x = uu / du
     y = vv / dv
@@ -187,9 +170,6 @@ def _table_eval(tab, m, du, dv, uu, vv):
             ib = np.minimum(np.maximum(iy + (b - 1), 0), m - 1)
             out = out + wx[a] * wy[b] * tab[ia * m + ib]
     return out
-
-
-table_eval = maybe_njit(_table_eval)
 
 
 @dataclass
@@ -231,13 +211,13 @@ class HalfSpaceCorrection:
         return self.profile.interp_pack
 
     def _tail_terms(self):
-        (_, _, _, _, _, _, au, cu2, eu, e2, bv, ev) = self._pack
+        pk = self._pack
         if self._which_v:
-            amp = np.array([ev * bv / 2.0, 0.0])
-            expo = np.array([ev, ev + 1.0])
+            amp = np.array([pk.ev * pk.bv / 2.0, 0.0])
+            expo = np.array([pk.ev, pk.ev + 1.0])
         else:
-            amp = np.array([eu * au / 2.0, e2 * cu2 / 2.0])
-            expo = np.array([eu, e2])
+            amp = np.array([pk.eu * pk.au / 2.0, pk.e2 * pk.cu2 / 2.0])
+            expo = np.array([pk.eu, pk.e2])
         return amp, expo
 
     def boundary_data(self, rho):

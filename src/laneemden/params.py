@@ -96,6 +96,16 @@ class ProblemParams:
         return self.q + self.beta * self.epsilon
 
     @property
+    def su(self):
+        """Bubble scaling exponent of the first component, n/(q+1)."""
+        return self.n / (self.q + 1.0)
+
+    @property
+    def sv(self):
+        """Bubble scaling exponent of the second component, n/(p+1)."""
+        return self.n / (self.p + 1.0)
+
+    @property
     def exp_u_decay(self):
         """Leading power-law decay exponent of the first component."""
         if self.case_tag == CASE_SUB:
@@ -129,7 +139,4 @@ def check_condition_P(params: ProblemParams):
 
 def scaling_exponents(params: ProblemParams):
     """Bubble scaling exponents {su: n/(q+1), sv: n/(p+1)}; su + sv = n - 2."""
-    return {
-        "su": params.n / (params.q + 1.0),
-        "sv": params.n / (params.p + 1.0),
-    }
+    return {"su": params.su, "sv": params.sv}

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
-from ._interp import pack_pchip, profile_eval
+from ._interp import InterpPack, pack_pchip, profile_eval
 from .errors import (BracketingFailure, DomainError, MonotonicityViolation,
                      PoorFit, StepFailure, WindowTooNarrow)
 from .params import CASE_BORDER, CASE_SUB, ProblemParams, check_condition_P
@@ -36,6 +36,7 @@ DIVERGENCE_GUARD = 1.0e3
 R_START = 1e-4  # Taylor start; truncation of the series is O(R_START^4)
 GRID_PTS_PER_DECADE = 800
 DEFAULT_SOLVE_FACTOR = 20.0
+MAX_TAIL_FIT_RESIDUAL = 0.05  # relative; fit_tail raises PoorFit above it
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class RadialProfile:
     r_max: float
     ode_tol: float
     tail: TailFit | None = None
-    _pack: tuple = None
+    _pack: InterpPack | None = None
 
     def with_tail(self, tail):
         return replace(self, tail=tail, _pack=self._build_pack(tail))
@@ -92,9 +93,9 @@ class RadialProfile:
         au = tail.a * (u_end / raw_u)
         cu2 = tail.c2 * (u_end / raw_u)
         bv = v_end * self.r_max ** tail.exp_V
-        return (breaks, cu, cdu, cv, cdv, float(self.r_max),
-                float(au), float(cu2), float(eu), float(e2),
-                float(bv), float(tail.exp_V))
+        return InterpPack(breaks, cu, cdu, cv, cdv, float(self.r_max),
+                          float(au), float(cu2), float(eu), float(e2),
+                          float(bv), float(tail.exp_V))
 
     def eval_many(self, r):
         """(U, dU, V, dV) arrays at radii r (tail extrapolation beyond r_max)."""
@@ -363,13 +364,31 @@ def fit_tail(profile: RadialProfile, window) -> TailFit:
     resid_u = float(np.max(np.abs(model / Uf - 1.0)))
     resid_v = float(np.max(np.abs(b * rf ** -e2 / Vf - 1.0)))
     fit_residual = max(resid_u, resid_v)
-    if fit_residual > 0.05:
-        raise PoorFit(f"tail fit residual {fit_residual:.3%} exceeds 5%")
+    if fit_residual > MAX_TAIL_FIT_RESIDUAL:
+        raise PoorFit(f"tail fit residual {fit_residual:.3%} exceeds "
+                      f"{MAX_TAIL_FIT_RESIDUAL:.0%}")
     if a <= 0 or b <= 0:
         raise PoorFit("tail coefficients must be positive")
     return TailFit(a=a, b=b, exp_U=float(exp_U), exp_V=float(exp_V),
                    exp_U_err=float(exp_U_err), exp_V_err=float(errV), c2=c2,
                    fit_window=(r_lo, r_hi), fit_residual=fit_residual)
+
+
+def fd_derivs_on_grid(g, y, idx):
+    """(y', y'') at grid indices via local quartic fits (5-point stencils).
+
+    Offsets are scaled by the stencil width before fitting; the raw
+    Vandermonde would be catastrophically ill-conditioned on fine grids.
+    """
+    d1 = np.empty(idx.size)
+    d2 = np.empty(idx.size)
+    for k, i in enumerate(idx):
+        xs = g[i - 2:i + 3] - g[i]
+        h = np.max(np.abs(xs))
+        c = np.polyfit(xs / h, y[i - 2:i + 3], 4)
+        d1[k] = c[3] / h
+        d2[k] = 2.0 * c[2] / h ** 2
+    return d1, d2
 
 
 def ode_residual(profile: RadialProfile, r_lo=1e-2, r_hi=10.0):
@@ -386,14 +405,7 @@ def ode_residual(profile: RadialProfile, r_lo=1e-2, r_hi=10.0):
     n, p, q = profile.params.n, profile.params.p, profile.params.q
     worst = 0.0
     for arr, src in ((profile.U, profile.V ** p), (profile.V, profile.U ** q)):
-        d1 = np.empty(sel.size)
-        d2 = np.empty(sel.size)
-        for k, i in enumerate(sel):
-            xs = g[i - 2:i + 3] - g[i]
-            h = np.max(np.abs(xs))
-            c = np.polyfit(xs / h, arr[i - 2:i + 3], 4)
-            d1[k] = c[3] / h
-            d2[k] = 2.0 * c[2] / h ** 2
+        d1, d2 = fd_derivs_on_grid(g, arr, sel)
         lhs = -d2 - (n - 1.0) / g[sel] * d1
         rhs = src[sel]
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
@@ -403,8 +415,7 @@ def ode_residual(profile: RadialProfile, r_lo=1e-2, r_hi=10.0):
 def derivative_bound_constant(profile: RadialProfile):
     """sup_r |n U/(q+1) + r U'| / U  (finite; the scaling-derivative bound)."""
     g, U, dU = profile.grid, profile.U, profile.dU
-    su = profile.params.n / (profile.params.q + 1.0)
-    return float(np.max(np.abs(su * U + g * dU) / U))
+    return float(np.max(np.abs(profile.params.su * U + g * dU) / U))
 
 
 def load_profile(csv_path, json_path) -> RadialProfile:

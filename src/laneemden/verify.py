@@ -20,6 +20,7 @@ from .ballquad import get_quadrature
 from .constants import EnergyConstants
 from .errors import DomainError
 from .halfspace import HalfSpaceCorrection
+from .radial import fd_derivs_on_grid
 
 MIN_SHRINK = 1.5
 
@@ -134,11 +135,9 @@ def aubin_talenti(n):
 def _bubble_power(profile, sign, delta, power, component_v):
     pack = profile.interp_pack
     pp = profile.params
-    su = pp.n / (pp.q + 1.0)
-    sv = pp.n / (pp.p + 1.0)
 
     def f(s, t):
-        U, V = bubble_uv(s, t, sign, delta, pack, su, sv)
+        U, V = bubble_uv(s, t, sign, delta, pack, pp.su, pp.sv)
         base = V if component_v else U
         return base ** power
 
@@ -180,13 +179,11 @@ def check_cross_terms(profile, deltas, level=1, min_shrink=MIN_SHRINK):
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
     pack = profile.interp_pack
-    su = pp.n / (pp.q + 1.0)
-    sv = pp.n / (pp.p + 1.0)
 
     def cross(d, component_v):
         def f(s, t):
-            Up, Vp = bubble_uv(s, t, 1.0, d, pack, su, sv)
-            Um, Vm = bubble_uv(s, t, -1.0, d, pack, su, sv)
+            Up, Vp = bubble_uv(s, t, 1.0, d, pack, pp.su, pp.sv)
+            Um, Vm = bubble_uv(s, t, -1.0, d, pack, pp.su, pp.sv)
             if component_v:
                 return Vp * Vm ** pp.p
             return Up * Um ** pp.q
@@ -208,11 +205,9 @@ def check_cross_terms(profile, deltas, level=1, min_shrink=MIN_SHRINK):
 def _table_times_bubble_power(profile, tab, delta, mirror, power, component_v, ex):
     pack = profile.interp_pack
     pp = profile.params
-    su = pp.n / (pp.q + 1.0)
-    sv = pp.n / (pp.p + 1.0)
 
     def f(s, t):
-        U, V = bubble_uv(s, t, 1.0, delta, pack, su, sv)
+        U, V = bubble_uv(s, t, 1.0, delta, pack, pp.su, pp.sv)
         base = V if component_v else U
         arg_t = (1.0 + t) / delta if mirror else (1.0 - t) / delta
         return tab.eval_many(s / delta, arg_t) * base ** power
@@ -231,8 +226,6 @@ def check_phi_pairing(profile, corr1: HalfSpaceCorrection, corr2: HalfSpaceCorre
     """
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
-    su = pp.n / (pp.q + 1.0)
-    sv = pp.n / (pp.p + 1.0)
     ext = 2.2 / min(deltas)
     tab1 = corr1.table(ext)
     tab2 = corr2.table(ext)
@@ -242,10 +235,10 @@ def check_phi_pairing(profile, corr1: HalfSpaceCorrection, corr2: HalfSpaceCorre
         f = _table_times_bubble_power(profile, tab, d, mirror, power, component_v, ex)
         return -(d ** (1.0 - ex)) * quad.integrate(f)
 
-    m1 = np.array([pairing(tab1, d, False, False, su) for d in deltas])
-    m2 = np.array([pairing(tab2, d, False, True, sv) for d in deltas])
-    x1 = np.array([pairing(tab1, d, True, False, su) for d in deltas])
-    x2 = np.array([pairing(tab2, d, True, True, sv) for d in deltas])
+    m1 = np.array([pairing(tab1, d, False, False, pp.su) for d in deltas])
+    m2 = np.array([pairing(tab2, d, False, True, pp.sv) for d in deltas])
+    x1 = np.array([pairing(tab1, d, True, False, pp.su) for d in deltas])
+    x2 = np.array([pairing(tab2, d, True, True, pp.sv) for d in deltas])
 
     s1 = richardson_pair(deltas, m1)
     s2 = richardson_pair(deltas, m2)
@@ -277,8 +270,6 @@ def check_gradient_expansion(profile, corr1, corr2, constants: EnergyConstants,
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
     pack = profile.interp_pack
-    su = pp.n / (pp.q + 1.0)
-    sv = pp.n / (pp.p + 1.0)
     ext = 2.2 / min(deltas)
     vals, comps = [], []
     for d in deltas:
@@ -286,8 +277,8 @@ def check_gradient_expansion(profile, corr1, corr2, constants: EnergyConstants,
                           table_extent=ext)
 
         def src(s, t):
-            Up, _ = bubble_uv(s, t, 1.0, d, pack, su, sv)
-            Um, _ = bubble_uv(s, t, -1.0, d, pack, su, sv)
+            Up, _ = bubble_uv(s, t, 1.0, d, pack, pp.su, pp.sv)
+            Um, _ = bubble_uv(s, t, -1.0, d, pack, pp.su, pp.sv)
             return Up ** pp.q - Um ** pp.q
 
         total = quad.integrate(lambda s, t: fld.eval_st(s, t) * src(s, t))
@@ -400,23 +391,6 @@ def check_nonlinear_expansion(profile, corr2, constants: EnergyConstants,
         tol=tol, verdict=_verdict(ok), details={"d": d, "alpha": alpha})
 
 
-def _fd_derivs_on_grid(g, y, idx):
-    """(y', y'') at grid indices via local quartic fits (5-point stencils).
-
-    Offsets are scaled by the stencil width before fitting; the raw
-    Vandermonde would be catastrophically ill-conditioned on fine grids.
-    """
-    d1 = np.empty(idx.size)
-    d2 = np.empty(idx.size)
-    for k, i in enumerate(idx):
-        xs = g[i - 2:i + 3] - g[i]
-        h = np.max(np.abs(xs))
-        c = np.polyfit(xs / h, y[i - 2:i + 3], 4)
-        d1[k] = c[3] / h
-        d2[k] = 2.0 * c[2] / h ** 2
-    return d1, d2
-
-
 def check_kernel(profile, mode="fd", r_window=(0.05, 10.0), tol=None):
     """Residual of the linearized system on the scaling/translation kernels.
 
@@ -426,8 +400,7 @@ def check_kernel(profile, mode="fd", r_window=(0.05, 10.0), tol=None):
     """
     pp = profile.params
     n, p, q = pp.n, pp.p, pp.q
-    su = n / (q + 1.0)
-    sv = n / (p + 1.0)
+    su, sv = pp.su, pp.sv
     if tol is None:
         tol = 1e-4 if mode == "fd" else 1e-6
     if mode == "analytic":
@@ -457,8 +430,8 @@ def check_kernel(profile, mode="fd", r_window=(0.05, 10.0), tol=None):
         U, V = profile.U, profile.V
         psi = g * profile.dU + su * U
         phi = g * profile.dV + sv * V
-        dpsi, d2psi = _fd_derivs_on_grid(g, psi, idx)
-        dphi, d2phi = _fd_derivs_on_grid(g, phi, idx)
+        dpsi, d2psi = fd_derivs_on_grid(g, psi, idx)
+        dphi, d2phi = fd_derivs_on_grid(g, phi, idx)
         res_scaling = 0.0
         for lap_pair, coeff, kern in (((dpsi, d2psi), p * V[idx] ** (p - 1.0), phi[idx]),
                                       ((dphi, d2phi), q * U[idx] ** (q - 1.0), psi[idx])):
@@ -471,7 +444,7 @@ def check_kernel(profile, mode="fd", r_window=(0.05, 10.0), tol=None):
         res_translation = 0.0
         for y, coeff, kern in ((profile.dU, p * V[idx] ** (p - 1.0), profile.dV[idx]),
                                (profile.dV, q * U[idx] ** (q - 1.0), profile.dU[idx])):
-            d1, d2_ = _fd_derivs_on_grid(g, y, idx)
+            d1, d2_ = fd_derivs_on_grid(g, y, idx)
             lhs = -d2_ - (n - 1.0) / r * d1 + (n - 1.0) / r ** 2 * y[idx]
             rhs = coeff * kern
             den = np.maximum(np.abs(rhs), 1e-3 * np.max(np.abs(rhs)))
@@ -497,9 +470,8 @@ _ROWS = {
 
 
 def _row_params(params, row):
-    n, p, q = params.n, params.p, params.q
-    su = n / (q + 1.0)
-    sv = n / (p + 1.0)
+    n, p = params.n, params.p
+    su, sv = params.su, params.sv
     a_key, c_key = _ROWS[row]
     a = {"su": su, "sv": sv, "su-1": su - 1.0, "sv-1": sv - 1.0}[a_key]
     c = {"n-2": n - 2.0, "(n-2)p-2": (n - 2.0) * p - 2.0,

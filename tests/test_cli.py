@@ -1,7 +1,7 @@
 import json
 import pytest
 
-from laneemden.cli import RunConfig, build_config, load_config, main, make_parser
+from laneemden.cli import RunConfig, _meta, build_config, load_config, main, make_parser
 from laneemden.errors import ConfigError
 from laneemden.verify import CHECK_NAMES, ExpansionReport
 
@@ -30,6 +30,10 @@ def test_config_unknown_key(tmp_path):
     cfg_file.write_text("nope = 1\n")
     with pytest.raises(ConfigError):
         load_config(cfg_file)
+    for key in ("threads", "quad_tol", "fit_tol"):
+        cfg_file.write_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError):
+            load_config(cfg_file)
 
 
 def test_config_malformed_line(tmp_path):
@@ -68,6 +72,11 @@ def test_exit_code_config_error(tmp_path):
 def test_exit_code_usage_error(capsys):
     assert main(["ground-state", "--p", "2.0", "--out", "/tmp/x"]) == 2
     assert main(["ground-state", "--p", "1.5", "--out", "/tmp/x"]) == 2
+    # flags with no effect on a run do not exist, so argparse rejects them
+    assert main(["ground-state", "--threads", "2"]) == 2
+    assert main(["constants", "--quad-tol", "1e-30"]) == 2
+    assert main(["constants", "--fit-tol", "1e-30"]) == 2
+    assert "accelerated" not in _meta(RunConfig())
 
 
 def test_exit_code_check_failure(monkeypatch, tmp_path):

@@ -128,13 +128,20 @@ def test_fit_tail_window_validation(prof_sym):
         fit_tail(prof_sym, (1.0, 1e4))
 
 
-def test_profile_roundtrip(tmp_path, prof_sym):
-    csv = tmp_path / "p.csv"
-    side = tmp_path / "p.json"
-    prof_sym.to_csv(csv, side)
-    back = load_profile(csv, side)
-    r = np.geomspace(1e-2, 2e4, 50)
-    for got, want in zip(back.eval_many(r), prof_sym.eval_many(r)):
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
-    assert back.v0 == prof_sym.v0
-    assert back.tail.a == prof_sym.tail.a
+def test_profile_roundtrip(tmp_path, prof_sym, prof_case2):
+    # prof_case2 carries the two-term U tail (cu2 != 0)
+    assert prof_case2.interp_pack.cu2 != 0.0
+    for prof in (prof_sym, prof_case2):
+        csv = tmp_path / "p.csv"
+        side = tmp_path / "p.json"
+        prof.to_csv(csv, side)
+        back = load_profile(csv, side)
+        r = np.geomspace(1e-2, 2e4, 50)
+        for got, want in zip(back.eval_many(r), prof.eval_many(r)):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
+        assert back.v0 == prof.v0
+        assert back.tail.a == prof.tail.a
+        # 17 significant digits in the CSV make the pack round-trip exactly
+        for key in prof.interp_pack._fields:
+            got, want = getattr(back.interp_pack, key), getattr(prof.interp_pack, key)
+            assert np.array_equal(got, want), key
