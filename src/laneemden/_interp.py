@@ -15,7 +15,7 @@ class InterpPack(NamedTuple):
     """Cubic coefficients of (U, dU, V, dV) and the power-law tails beyond r_top.
 
     Beyond r_top, U = au*r^-eu + cu2*r^-e2 (cu2 = 0 for a single-power tail)
-    and V = bv*r^-ev.  Field order is the argument order of profile_eval.
+    and V = bv*r^-ev.
     """
 
     breaks: np.ndarray
@@ -35,7 +35,7 @@ class InterpPack(NamedTuple):
 def pack_pchip(x, y):
     """Return (breaks, c) with c of shape (4, len(x)-1), cubic-first order."""
     ip = PchipInterpolator(x, y, extrapolate=False)
-    return ip.x.copy(), np.ascontiguousarray(ip.c)
+    return ip.x.copy(), ip.c
 
 
 def ppoly_eval(breaks, c, xq):
@@ -56,21 +56,21 @@ def deriv_component_eval(r, breaks, cd, r_top, amp1, expo1, amp2, expo2):
     return np.where(inside, d, tail)
 
 
-def profile_eval(r, breaks, cu, cdu, cv, cdv,
-                 r_top, au, cu2, eu, e2, bv, ev):
-    """Evaluate (U, dU, V, dV) at radii r >= 0.
+def profile_eval(r, pack):
+    """Evaluate (U, dU, V, dV) at radii r >= 0 from an InterpPack.
 
     Inside [0, r_top]: piecewise cubics. Beyond: U = au*r^-eu + cu2*r^-e2,
     V = bv*r^-ev, with derivatives differentiated analytically.
     """
     r = np.abs(r)
-    inside = r <= r_top
-    rc = np.where(inside, r, r_top)
-    U = ppoly_eval(breaks, cu, rc)
-    dU = ppoly_eval(breaks, cdu, rc)
-    V = ppoly_eval(breaks, cv, rc)
-    dV = ppoly_eval(breaks, cdv, rc)
-    rt = np.where(inside, r_top, r)
+    inside = r <= pack.r_top
+    rc = np.where(inside, r, pack.r_top)
+    U = ppoly_eval(pack.breaks, pack.cu, rc)
+    dU = ppoly_eval(pack.breaks, pack.cdu, rc)
+    V = ppoly_eval(pack.breaks, pack.cv, rc)
+    dV = ppoly_eval(pack.breaks, pack.cdv, rc)
+    rt = np.where(inside, pack.r_top, r)
+    au, cu2, eu, e2, bv, ev = pack.au, pack.cu2, pack.eu, pack.e2, pack.bv, pack.ev
     pu = au * rt ** (-eu) + cu2 * rt ** (-e2)
     dpu = -eu * au * rt ** (-eu - 1.0) - e2 * cu2 * rt ** (-e2 - 1.0)
     pv = bv * rt ** (-ev)

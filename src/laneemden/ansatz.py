@@ -35,7 +35,7 @@ DELTA_CAP = 0.2  # keeps the bubble halves of the ball separated
 def bubble_uv(s, t, center_t, delta, pack, su, sv):
     """Scaled bubble components centred at (0, center_t), over (s,t) arrays."""
     d = np.sqrt(s * s + (t - center_t) * (t - center_t)) / delta
-    U, _, V, _ = profile_eval(d, *pack)
+    U, _, V, _ = profile_eval(d, pack)
     return delta ** (-su) * U, delta ** (-sv) * V
 
 
@@ -82,8 +82,8 @@ class AnsatzField:
 
     def eval_st(self, s, t):
         """Field values over arrays of (|x'|, x_n)."""
-        s = np.ascontiguousarray(np.asarray(s, dtype=np.float64))
-        t = np.ascontiguousarray(np.asarray(t, dtype=np.float64))
+        s = np.asarray(s, dtype=np.float64)
+        t = np.asarray(t, dtype=np.float64)
         d = self.delta
         pack = self.profile.interp_pack
         up, vp = bubble_uv(s, t, 1.0, d, pack, self._su, self._sv)

@@ -37,6 +37,12 @@ def graded_edges(length, h_min, h_max, ratio):
     return e
 
 
+def _gauss_nodes(edges, xg, wg):
+    """Gauss nodes and weights of every cell, shape (cell, node)."""
+    a, b = edges[:-1, None], edges[1:, None]
+    return 0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg
+
+
 @dataclass
 class BallQuadrature:
     """Tensor Gauss mesh on the upper half of the (rho, theta) rectangle."""
@@ -57,27 +63,18 @@ class BallQuadrature:
         rho_e = graded_edges(1.0, h_min, h_max, 1.3)[::-1]
         rho_e = 1.0 - rho_e  # finest near rho = 1
         th_e = graded_edges(np.pi / 2.0, h_min, h_max, 1.3)  # finest near theta = 0
-        R, TH, W = [], [], []
-        for i in range(len(rho_e) - 1):
-            a, b = rho_e[i], rho_e[i + 1]
-            rn = 0.5 * (a + b) + 0.5 * (b - a) * xg
-            rw = 0.5 * (b - a) * wg
-            for j in range(len(th_e) - 1):
-                c, d = th_e[j], th_e[j + 1]
-                tn = 0.5 * (c + d) + 0.5 * (d - c) * xg
-                tw = 0.5 * (d - c) * wg
-                RR, TT = np.meshgrid(rn, tn, indexing="ij")
-                R.append(RR.ravel())
-                TH.append(TT.ravel())
-                W.append(np.outer(rw, tw).ravel())
-        rho = np.concatenate(R)
-        th = np.concatenate(TH)
-        ww = np.concatenate(W)
-        self.s = np.ascontiguousarray(rho * np.sin(th))
-        self.t = np.ascontiguousarray(rho * np.cos(th))
-        self.w = np.ascontiguousarray(
-            ww * rho ** (self.n - 1) * np.sin(th) ** (self.n - 2)
-            * sphere_measure(self.n - 1))
+        rn, rw = _gauss_nodes(rho_e, xg, wg)
+        tn, tw = _gauss_nodes(th_e, xg, wg)
+        # axes (rho cell, theta cell, rho node, theta node); integrate's
+        # np.sum depends on this order
+        shape = (rn.shape[0], tn.shape[0], xg.size, xg.size)
+        rho = np.broadcast_to(rn[:, None, :, None], shape).ravel()
+        th = np.broadcast_to(tn[None, :, None, :], shape).ravel()
+        ww = (rw[:, None, :, None] * tw[None, :, None, :]).ravel()
+        sin_th = np.sin(th)
+        self.s = rho * sin_th
+        self.t = rho * np.cos(th)
+        self.w = ww * rho ** (self.n - 1) * sin_th ** (self.n - 2) * sphere_measure(self.n - 1)
 
     @property
     def n_points(self):
@@ -88,11 +85,6 @@ class BallQuadrature:
         upper = f(self.s, self.t)
         lower = f(self.s, -self.t)
         return float(np.sum(self.w * (upper + lower)))
-
-    def volume_error(self):
-        import math
-        exact = np.pi ** (self.n / 2.0) / math.gamma(self.n / 2.0 + 1.0)
-        return abs(self.integrate(lambda s, t: np.ones_like(s)) - exact) / exact
 
 
 _MESH_CACHE = {}

@@ -54,7 +54,8 @@ class RunConfig:
     b_delta: float = 0.01
     seed_free: bool = False
 
-    def validate(self):
+    def validate(self, command="verify"):
+        """Reject bad settings up front; the phi checks' n = 4 limit binds verify only."""
         if self.ode_tol <= 0:
             raise ConfigError("ode_tol must be positive")
         if any(d <= 0 or d > 0.2 for d in self.deltas):
@@ -70,6 +71,10 @@ class RunConfig:
             raise ConfigError(f"unknown checks: {unknown}")
         if self.mesh_level < 1:
             raise ConfigError("mesh_level must be >= 1")
+        phi_checks = [c for c in self.checks if V.CHECK_NEEDS[c] == "phi"]
+        if command == "verify" and self.n != 4 and phi_checks:
+            raise ConfigError(f"checks {phi_checks} need the half-space corrections, "
+                              "implemented for n = 4 only")
         return self
 
     def as_dict(self):
@@ -135,7 +140,7 @@ def build_config(args) -> RunConfig:
     if getattr(args, "seed_free", False):
         overrides["seed_free"] = True
     cfg = replace(cfg, **overrides)
-    cfg.validate()
+    cfg.validate(args.command)
     return cfg
 
 
@@ -207,8 +212,10 @@ def run_suite(cfg) -> list:
     """Run the selected verification checks; returns ExpansionReports."""
     params, prof = _ground_state(cfg)
     consts = compute_constants(prof)
-    corr1 = HalfSpaceCorrection(prof, PHI1)
-    corr2 = HalfSpaceCorrection(prof, PHI2)
+    corr1 = corr2 = None
+    if any(V.CHECK_NEEDS[c] == "phi" for c in cfg.checks):
+        corr1 = HalfSpaceCorrection(prof, PHI1)
+        corr2 = HalfSpaceCorrection(prof, PHI2)
     lvl = cfg.mesh_level
     reports = []
     for name in cfg.checks:
@@ -299,7 +306,6 @@ def make_parser():
     common.add_argument("--beta", type=float, default=None)
     common.add_argument("--r-max", dest="r_max", type=float, default=None)
     common.add_argument("--ode-tol", dest="ode_tol", type=float, default=None)
-    common.add_argument("--mesh-level", dest="mesh_level", type=int, default=None)
 
     sub.add_parser("ground-state", parents=[common])
     pc = sub.add_parser("constants", parents=[common])
@@ -314,6 +320,7 @@ def make_parser():
     pv.add_argument("--deltas", type=str, default=None)
     pv.add_argument("--eps", type=str, default=None)
     pv.add_argument("--d", type=float, default=None)
+    pv.add_argument("--mesh-level", dest="mesh_level", type=int, default=None)
     sub.add_parser("report", parents=[common])
     return ap
 

@@ -50,69 +50,39 @@ def g_of_rho(rho, pack, which_v):
 
 
 def panel_edges(sig, tau, rho_big):
-    """Quadrature panel edges on [0, rho_big], refined toward rho = sig."""
-    base = np.empty(220)
-    nb = 0
-    base[nb] = 0.0
-    nb += 1
-    lo = 1e-3
-    nlog = 40
+    """Quadrature panel edges on [0, rho_big], refined toward rho = sig.
+
+    40 geometric edges from 1e-3 up, then pairs sig*(1 +- 2^-k) while the
+    half-width sig*2^-k exceeds a quarter of the distance scale
+    max(tau, 1e-9*max(sig, 1)); that stops by k = 31, so there are at most
+    1 + 40 + 1 + 62 + 1 = 105 edges.  Edges within a relative 1e-14 of
+    their predecessor are dropped, and so is a first edge below 1e-150: the
+    squares of the nodes on a narrower first panel underflow, and the
+    kernel there comes out 0/0.
+    """
+    lo, nlog = 1e-3, 40
     ratio = (rho_big / lo) ** (1.0 / nlog)
-    v = lo
-    for _ in range(nlog):
-        base[nb] = v
-        nb += 1
-        v *= ratio
-    base[nb] = rho_big
-    nb += 1
+    # cumprod multiplies in sequence: each edge is its predecessor times ratio
+    parts = [[0.0], np.cumprod(np.r_[lo, np.full(nlog - 1, ratio)]), [rho_big]]
     if sig > 0.0:
-        w0 = tau
-        floor = 1e-9 * (sig if sig > 1.0 else 1.0)
-        if w0 < floor:
-            w0 = floor
-        half = 0.5
-        k = 0
-        while sig * half > 0.25 * w0 and k < 42 and nb < 214:
-            lo_e = sig * (1.0 - half)
-            hi_e = sig * (1.0 + half)
-            if 0.0 < lo_e < rho_big:
-                base[nb] = lo_e
-                nb += 1
-            if 0.0 < hi_e < rho_big:
-                base[nb] = hi_e
-                nb += 1
-            half *= 0.5
-            k += 1
-        if sig < rho_big:
-            base[nb] = sig
-            nb += 1
-    e = np.sort(base[:nb])
-    out = np.empty(nb)
-    m = 0
-    for i in range(nb):
-        if m == 0 or e[i] > out[m - 1] * (1.0 + 1e-14) + 1e-300:
-            out[m] = e[i]
-            m += 1
-    return out[:m]
+        w0 = max(tau, 1e-9 * max(sig, 1.0))
+        half = np.ldexp(1.0, -np.arange(1, 32))
+        half = half[sig * half > 0.25 * w0]
+        refine = np.concatenate([sig * (1.0 - half), sig * (1.0 + half), [sig]])
+        parts.append(refine[(refine > 0.0) & (refine < rho_big)])
+    e = np.sort(np.concatenate(parts))
+    return e[np.r_[True, e[1:] > e[:-1] * (1.0 + 1e-14) + 1e-150]]
 
 
 def phi4_point(sig, tau, pack, which_v, tail_amp, tail_expo, glx, glw):
     """n = 4 evaluation at one point (sigma, tau) of the closed half-space."""
-    r_top = pack.r_top
-    big = 60.0 * (sig + tau + 1.0)
-    if big < 2.0 * r_top:
-        big = 2.0 * r_top
+    big = max(60.0 * (sig + tau + 1.0), 2.0 * pack.r_top)
     e = panel_edges(sig, tau, big)
-    npan = e.shape[0] - 1
-    ng = glx.shape[0]
-    rho = np.empty(npan * ng)
-    w = np.empty(npan * ng)
-    for i in range(npan):
-        mid = 0.5 * (e[i] + e[i + 1])
-        hw = 0.5 * (e[i + 1] - e[i])
-        for k in range(ng):
-            rho[i * ng + k] = mid + hw * glx[k]
-            w[i * ng + k] = hw * glw[k]
+    mid = 0.5 * (e[:-1] + e[1:])
+    hw = 0.5 * (e[1:] - e[:-1])
+    # panel-major node order: np.sum below depends on it
+    rho = (mid[:, None] + hw[:, None] * glx).ravel()
+    w = (hw[:, None] * glw).ravel()
     gv = g_of_rho(rho, pack, which_v)
     tau2 = tau * tau
     A = sig * sig + tau2 + rho * rho
@@ -128,24 +98,14 @@ def phi4_point(sig, tau, pack, which_v, tail_amp, tail_expo, glx, glw):
     ker = np.where(small, series, logk)
     val = np.sum(w * gv * rho * rho * ker) / np.pi
     # data tail beyond rho_big in closed form: g ~ sum_j amp_j * rho^-expo_j,
-    # angular kernel there ~ |S^{n-2}| rho^{2-n} (relative error O((|x|/rho)^2))
-    tail = 0.0
-    for j in range(tail_amp.shape[0]):
-        if tail_amp[j] != 0.0:
-            tail += tail_amp[j] * big ** (1.0 - tail_expo[j]) / (tail_expo[j] - 1.0)
+    # angular kernel there ~ |S^{n-2}| rho^{2-n} (relative error O((|x|/rho)^2));
+    # float_power rounds as the scalar pow does, np.power may not
+    tail = np.sum(tail_amp * np.float_power(big, 1.0 - tail_expo) / (tail_expo - 1.0))
     return val + tail * (2.0 / np.pi)
 
 
-def phi4_many(sigs, taus, pack, which_v, tail_amp, tail_expo, glx, glw):
-    out = np.empty(sigs.shape[0])
-    for i in range(sigs.shape[0]):
-        out[i] = phi4_point(sigs[i], taus[i], pack, which_v, tail_amp, tail_expo,
-                            glx, glw)
-    return out
-
-
 def catmull_weights(t):
-    w = np.empty((4, t.shape[0]))
+    w = np.empty((4,) + t.shape)
     w[0] = ((-0.5 * t + 1.0) * t - 0.5) * t
     w[1] = (1.5 * t - 2.5) * t * t + 1.0
     w[2] = ((-1.5 * t + 2.0) * t + 0.5) * t
@@ -153,10 +113,10 @@ def catmull_weights(t):
     return w
 
 
-def table_eval(tab, m, du, dv, uu, vv):
+def table_eval(tab, m, du, uu, vv):
     """Separable cubic-convolution interpolation on the uniform (u,v) grid."""
     x = uu / du
-    y = vv / dv
+    y = vv / du
     x = np.minimum(np.maximum(x, 0.0), m - 1.0 - 1e-9)
     y = np.minimum(np.maximum(y, 0.0), m - 1.0 - 1e-9)
     ix = np.floor(x).astype(np.int64)
@@ -184,8 +144,7 @@ class PhiTable:
     def eval_many(self, sig, tau):
         uu = np.log1p(np.asarray(sig, dtype=np.float64))
         vv = np.log1p(np.asarray(tau, dtype=np.float64))
-        return table_eval(self.tab, self.m, self.du, self.du,
-                          np.ascontiguousarray(uu), np.ascontiguousarray(vv))
+        return table_eval(self.tab, self.m, self.du, uu, vv)
 
 
 @dataclass
@@ -211,29 +170,33 @@ class HalfSpaceCorrection:
         return self.profile.interp_pack
 
     def _tail_terms(self):
+        """(amp, expo) of the nonzero power terms of g beyond r_top."""
         pk = self._pack
         if self._which_v:
-            amp = np.array([pk.ev * pk.bv / 2.0, 0.0])
-            expo = np.array([pk.ev, pk.ev + 1.0])
+            amp = np.array([pk.ev * pk.bv / 2.0])
+            expo = np.array([pk.ev])
         else:
             amp = np.array([pk.eu * pk.au / 2.0, pk.e2 * pk.cu2 / 2.0])
             expo = np.array([pk.eu, pk.e2])
-        return amp, expo
+        return amp[amp != 0.0], expo[amp != 0.0]
 
     def boundary_data(self, rho):
         """g(rho) >= 0 on the boundary hyperplane."""
-        rho = np.ascontiguousarray(np.atleast_1d(np.asarray(rho, dtype=np.float64)))
+        rho = np.atleast_1d(np.asarray(rho, dtype=np.float64))
         return g_of_rho(rho, self._pack, self._which_v)
 
     def eval_points(self, sig, tau, order=0):
         """Direct quadrature at (|x'|, x_n) points; order picks the GL rule."""
-        sig = np.ascontiguousarray(np.atleast_1d(np.asarray(sig, dtype=np.float64)))
-        tau = np.ascontiguousarray(np.atleast_1d(np.asarray(tau, dtype=np.float64)))
+        sig = np.atleast_1d(np.asarray(sig, dtype=np.float64))
+        tau = np.atleast_1d(np.asarray(tau, dtype=np.float64))
+        if sig.shape != tau.shape:
+            raise DomainError("sig and tau must have the same shape")
         if np.any(tau < 0):
             raise DomainError("evaluation points must satisfy x_n >= 0")
         amp, expo = self._tail_terms()
         glx, glw = (_GLX12, _GLW12) if order == 0 else (_GLX20, _GLW20)
-        return phi4_many(sig, tau, self._pack, self._which_v, amp, expo, glx, glw)
+        return np.array([phi4_point(s, t, self._pack, self._which_v, amp, expo, glx, glw)
+                         for s, t in zip(sig, tau)])
 
     def phi_eval(self, x, rel_tol=1e-4):
         """Accurate evaluation at one point of the closed half-space.

@@ -101,8 +101,8 @@ class RadialProfile:
         """(U, dU, V, dV) arrays at radii r (tail extrapolation beyond r_max)."""
         if self._pack is None:
             raise RuntimeError("profile has no tail fit attached")
-        r = np.ascontiguousarray(np.atleast_1d(np.asarray(r, dtype=np.float64)))
-        return profile_eval(r, *self._pack)
+        r = np.atleast_1d(np.asarray(r, dtype=np.float64))
+        return profile_eval(r, self._pack)
 
     def evaluate(self, r):
         """Scalar (U, dU, V, dV) at radius r >= 0."""

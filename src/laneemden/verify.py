@@ -24,17 +24,20 @@ from .radial import fd_derivs_on_grid
 
 MIN_SHRINK = 1.5
 
-CHECK_NAMES = (
-    "bubble_mass",
-    "cross_terms",
-    "boundary_pairing",
-    "gradient_energy",
-    "nonlinear_energy",
-    "linearized_kernel",
-    "scaling_table",
-    "exponent_taylor",
-    "perturbed_norms",
-)
+# What each check consumes: the problem parameters alone, the ground-state
+# profile, or the half-space corrections phi1/phi2 (implemented for n = 4).
+CHECK_NEEDS = {
+    "bubble_mass": "profile",
+    "cross_terms": "profile",
+    "boundary_pairing": "phi",
+    "gradient_energy": "phi",
+    "nonlinear_energy": "phi",
+    "linearized_kernel": "profile",
+    "scaling_table": "params",
+    "exponent_taylor": "params",
+    "perturbed_norms": "phi",
+}
+CHECK_NAMES = tuple(CHECK_NEEDS)
 
 
 @dataclass

@@ -3,20 +3,48 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_legendre
 
-from laneemden.ballquad import BallQuadrature, get_quadrature, integrate_with_error
+from laneemden.ballquad import (BallQuadrature, get_quadrature, graded_edges,
+                                integrate_with_error)
+from laneemden.halfspace import sphere_measure
 
 
 def ball_volume(n):
     return np.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n, delta_min", [
+    pytest.param(n, d, id=str(n) if d == 0.01 else f"{n}-{d}")
+    for n in (4, 5, 6) for d in (0.01, 0.002)])
 @pytest.mark.parametrize("level", [1, 2])
-def test_volume(n, level):
-    q = BallQuadrature(n=n, delta_min=0.01, level=level)
+def test_volume(n, delta_min, level):
+    q = BallQuadrature(n=n, delta_min=delta_min, level=level)
     got = q.integrate(lambda s, t: np.ones_like(s))
     assert got == pytest.approx(ball_volume(n), rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_mesh_matches_cell_loop(n):
+    """The broadcast mesh equals the one built cell by cell, bit for bit."""
+    q = BallQuadrature(n=n, delta_min=0.05, level=2)
+    h_min, h_max = 0.05 / 8.0, 0.02
+    xg, wg = roots_legendre(4)
+    rho_e = 1.0 - graded_edges(1.0, h_min, h_max, 1.3)[::-1]
+    th_e = graded_edges(np.pi / 2.0, h_min, h_max, 1.3)
+    R, TH, W = [], [], []
+    for a, b in zip(rho_e[:-1], rho_e[1:]):
+        for c, d in zip(th_e[:-1], th_e[1:]):
+            RR, TT = np.meshgrid(0.5 * (a + b) + 0.5 * (b - a) * xg,
+                                 0.5 * (c + d) + 0.5 * (d - c) * xg, indexing="ij")
+            R.append(RR.ravel())
+            TH.append(TT.ravel())
+            W.append(np.outer(0.5 * (b - a) * wg, 0.5 * (d - c) * wg).ravel())
+    rho, th, ww = np.concatenate(R), np.concatenate(TH), np.concatenate(W)
+    assert np.array_equal(q.s, rho * np.sin(th))
+    assert np.array_equal(q.t, rho * np.cos(th))
+    assert np.array_equal(q.w, ww * rho ** (n - 1) * np.sin(th) ** (n - 2)
+                          * sphere_measure(n - 1))
 
 
 def test_odd_integrand_cancels():

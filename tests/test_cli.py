@@ -3,7 +3,7 @@ import pytest
 
 from laneemden.cli import RunConfig, _meta, build_config, load_config, main, make_parser
 from laneemden.errors import ConfigError
-from laneemden.verify import CHECK_NAMES, ExpansionReport
+from laneemden.verify import CHECK_NAMES, CHECK_NEEDS, ExpansionReport
 
 
 def test_config_file_parsing(tmp_path):
@@ -76,6 +76,8 @@ def test_exit_code_usage_error(capsys):
     assert main(["ground-state", "--threads", "2"]) == 2
     assert main(["constants", "--quad-tol", "1e-30"]) == 2
     assert main(["constants", "--fit-tol", "1e-30"]) == 2
+    # the mesh is only used by verify's checks
+    assert main(["ground-state", "--mesh-level", "3"]) == 2
     assert "accelerated" not in _meta(RunConfig())
 
 
@@ -150,3 +152,30 @@ def test_outputs_embed_config_and_version(monkeypatch, tmp_path):
 def test_all_check_names_wired():
     cfg = RunConfig()
     assert set(cfg.checks) == set(CHECK_NAMES)
+
+
+def test_check_needs_cover_check_names():
+    assert set(CHECK_NEEDS) == set(CHECK_NAMES)
+    assert set(CHECK_NEEDS.values()) == {"params", "profile", "phi"}
+
+
+def test_phi_checks_rejected_for_n5_before_any_solve(monkeypatch, tmp_path):
+    import laneemden.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("ground state solved before the config was rejected")
+
+    monkeypatch.setattr(cli, "find_ground_state", no_solve)
+    assert main(["verify", "--n", "5", "--p", "2", "--out", str(tmp_path)]) == 2
+    assert main(["verify", "--n", "5", "--p", "2", "--out", str(tmp_path),
+                 "--checks", "exponent_taylor,perturbed_norms"]) == 2
+    with pytest.raises(ConfigError):
+        RunConfig(n=5, p=2.0).validate()
+    RunConfig(n=5, p=2.0).validate("ground-state")
+
+
+def test_params_check_runs_for_n5(tmp_path):
+    assert main(["verify", "--n", "5", "--p", "2", "--out", str(tmp_path),
+                 "--checks", "exponent_taylor"]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [c["name"] for c in summary["checks"]] == ["exponent_taylor"]

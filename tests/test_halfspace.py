@@ -152,6 +152,8 @@ def test_phi_eval_point_interface(corr1_sym):
     assert v > 0
     with pytest.raises(DomainError):
         corr1_sym.eval_points([1.0], [-0.1])
+    with pytest.raises(DomainError):
+        corr1_sym.eval_points([1.0, 2.0], [0.5])
 
 
 def test_symmetric_components_identical(prof_sym, corr1_sym, corr2_sym):
