@@ -43,12 +43,11 @@ def bubble_eval(profile: RadialProfile, xi, delta: float, x):
     """(U, V) bubble values at point x for a bubble of scale delta at xi."""
     if delta <= 0:
         raise DomainError("delta must be positive")
-    xi = np.asarray(xi, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    r = float(np.linalg.norm(x - xi)) / delta
+    r = np.linalg.norm(np.asarray(x, dtype=np.float64) - np.asarray(xi, dtype=np.float64))
     pp = profile.params
-    U, _, V, _ = profile.evaluate(r)
-    return delta ** (-pp.su) * U, delta ** (-pp.sv) * V
+    U, V = bubble_uv(np.array([r]), np.array([0.0]), 0.0, delta, profile.interp_pack,
+                     pp.su, pp.sv)
+    return float(U[0]), float(V[0])
 
 
 @dataclass

@@ -1,4 +1,8 @@
-"""Axisymmetric quadrature over the unit ball.
+"""Composite Gauss quadrature, and axisymmetric quadrature over the unit ball.
+
+gauss_panels is the one composite Gauss-Legendre rule of the package: the
+half-space kernel, the radial constants, the boundary strip, the scaling
+orders and the ball mesh below all place their nodes with it.
 
 Every integrand in this package is a function of (s, t) = (|x'|, x_n), so
 
@@ -15,11 +19,36 @@ integrands cancel exactly pointwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import gamma, roots_legendre
 
-from .halfspace import sphere_measure
+N_GAUSS = 4  # Gauss points per mesh cell along each axis
+
+
+def sphere_measure(k):
+    """Measure of the unit sphere S^{k-1} in R^k."""
+    return 2.0 * np.pi ** (k / 2.0) / gamma(k / 2.0)
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(k):
+    """k-point Gauss-Legendre nodes and weights on [-1, 1] (read-only)."""
+    xg, wg = roots_legendre(k)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
+def gauss_panels(edges, k):
+    """Composite k-point Gauss rule on the panels between edges.
+
+    Nodes and weights have shape (panel, node); raveled, they run in
+    panel-major order.
+    """
+    xg, wg = gauss_legendre(k)
+    a, b = edges[:-1, None], edges[1:, None]
+    return 0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg
 
 
 def graded_edges(length, h_min, h_max, ratio):
@@ -37,12 +66,6 @@ def graded_edges(length, h_min, h_max, ratio):
     return e
 
 
-def _gauss_nodes(edges, xg, wg):
-    """Gauss nodes and weights of every cell, shape (cell, node)."""
-    a, b = edges[:-1, None], edges[1:, None]
-    return 0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg
-
-
 @dataclass
 class BallQuadrature:
     """Tensor Gauss mesh on the upper half of the (rho, theta) rectangle."""
@@ -50,7 +73,6 @@ class BallQuadrature:
     n: int
     delta_min: float
     level: int = 1
-    n_gauss: int = 4
     s: np.ndarray = field(init=False, repr=False)
     t: np.ndarray = field(init=False, repr=False)
     w: np.ndarray = field(init=False, repr=False)
@@ -59,15 +81,14 @@ class BallQuadrature:
         split = 2 ** (self.level - 1)
         h_min = self.delta_min / 4.0 / split
         h_max = 0.04 / split
-        xg, wg = roots_legendre(self.n_gauss)
         rho_e = graded_edges(1.0, h_min, h_max, 1.3)[::-1]
         rho_e = 1.0 - rho_e  # finest near rho = 1
         th_e = graded_edges(np.pi / 2.0, h_min, h_max, 1.3)  # finest near theta = 0
-        rn, rw = _gauss_nodes(rho_e, xg, wg)
-        tn, tw = _gauss_nodes(th_e, xg, wg)
+        rn, rw = gauss_panels(rho_e, N_GAUSS)
+        tn, tw = gauss_panels(th_e, N_GAUSS)
         # axes (rho cell, theta cell, rho node, theta node); integrate's
         # np.sum depends on this order
-        shape = (rn.shape[0], tn.shape[0], xg.size, xg.size)
+        shape = (rn.shape[0], tn.shape[0], N_GAUSS, N_GAUSS)
         rho = np.broadcast_to(rn[:, None, :, None], shape).ravel()
         th = np.broadcast_to(tn[None, :, None, :], shape).ravel()
         ww = (rw[:, None, :, None] * tw[None, :, None, :]).ravel()
@@ -90,11 +111,11 @@ class BallQuadrature:
 _MESH_CACHE = {}
 
 
-def get_quadrature(n, delta_min, level=1, n_gauss=4):
-    key = (int(n), round(float(delta_min), 14), int(level), int(n_gauss))
+def get_quadrature(n, delta_min, level=1):
+    key = (int(n), round(float(delta_min), 14), int(level))
     if key not in _MESH_CACHE:
         _MESH_CACHE[key] = BallQuadrature(n=int(n), delta_min=float(delta_min),
-                                          level=int(level), n_gauss=int(n_gauss))
+                                          level=int(level))
     return _MESH_CACHE[key]
 
 

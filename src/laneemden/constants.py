@@ -18,16 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
+from .ballquad import gauss_legendre, gauss_panels, sphere_measure
 from .errors import TailDivergent
-from .halfspace import sphere_measure
 from .radial import RadialProfile
 
 XI_RADIUS = np.sqrt(15.0) / 8.0  # boundary strip footprint radius
-
-_GL12 = roots_legendre(12)
-_GL20 = roots_legendre(20)
 
 
 @dataclass(frozen=True)
@@ -57,20 +53,22 @@ def _panels(r_max, n_panels=36):
     return edges
 
 
-def _radial_quad(f, r_max, gl):
-    """Composite Gauss on log-graded panels over [0, r_max]."""
-    xg, wg = gl
+def _radial_quad(f, r_max, k):
+    """Composite k-point Gauss on log-graded panels over [0, r_max].
+
+    The panel half-width multiplies each panel's node sum, and the panels
+    are added in sequence: weights folded into the node sum, or a pairwise
+    sum over panels, change the constants in the last bits.
+    """
     edges = _panels(r_max)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        r = 0.5 * (a + b) + 0.5 * (b - a) * xg
-        total += 0.5 * (b - a) * np.sum(wg * f(r))
-    return total
+    r, _ = gauss_panels(edges, k)
+    _, wg = gauss_legendre(k)
+    return np.cumsum(0.5 * np.diff(edges) * np.sum(wg * f(r), axis=1))[-1]
 
 
 def _with_err(f, r_max):
-    lo = _radial_quad(f, r_max, _GL12)
-    hi = _radial_quad(f, r_max, _GL20)
+    lo = _radial_quad(f, r_max, 12)
+    hi = _radial_quad(f, r_max, 20)
     return hi, abs(hi - lo)
 
 
@@ -85,16 +83,11 @@ def _power_log_tail(r_max, m):
     return r_max ** (m + 1.0) * (np.log(r_max) / s + 1.0 / s ** 2)
 
 
-def _tail_params(profile):
-    pk = profile.interp_pack
-    return pk.r_top, pk.au, pk.cu2, pk.eu, pk.e2, pk.bv, pk.ev
-
-
 def compute_A_D(profile: RadialProfile):
     """(A1, A2, D1, D2) with per-constant quadrature error estimates."""
     n, p, q = profile.params.n, profile.params.p, profile.params.q
-    r_top, au, cu2, eu, e2, bv, ev = _tail_params(profile)
-    if (q + 1.0) * eu <= n:
+    pk = profile.interp_pack
+    if (q + 1.0) * pk.eu <= n:
         raise TailDivergent("(q+1)*exp_U <= n: first-component mass diverges")
     sn = sphere_measure(n)
 
@@ -116,15 +109,17 @@ def compute_A_D(profile: RadialProfile):
 
     # closed-form tails from the anchored power laws (leading term in the
     # two-term first component; the cross term is binomially subleading)
-    mU = n - 1.0 - (q + 1.0) * eu
-    mV = n - 1.0 - (p + 1.0) * ev
-    tail_A1 = au ** (q + 1.0) * (_power_tail(r_top, mU)
-                                 + (q + 1.0) * (cu2 / au) * _power_tail(r_top, mU - (e2 - eu)))
-    tail_A2 = bv ** (p + 1.0) * _power_tail(r_top, mV)
-    tail_D1 = au ** (q + 1.0) * (np.log(au) * _power_tail(r_top, mU)
-                                 - eu * _power_log_tail(r_top, mU))
-    tail_D2 = bv ** (p + 1.0) * (np.log(bv) * _power_tail(r_top, mV)
-                                 - ev * _power_log_tail(r_top, mV))
+    r_top = pk.r_top
+    mU = n - 1.0 - (q + 1.0) * pk.eu
+    mV = n - 1.0 - (p + 1.0) * pk.ev
+    tail_A1 = pk.au ** (q + 1.0) * (
+        _power_tail(r_top, mU)
+        + (q + 1.0) * (pk.cu2 / pk.au) * _power_tail(r_top, mU - (pk.e2 - pk.eu)))
+    tail_A2 = pk.bv ** (p + 1.0) * _power_tail(r_top, mV)
+    tail_D1 = pk.au ** (q + 1.0) * (np.log(pk.au) * _power_tail(r_top, mU)
+                                    - pk.eu * _power_log_tail(r_top, mU))
+    tail_D2 = pk.bv ** (p + 1.0) * (np.log(pk.bv) * _power_tail(r_top, mV)
+                                    - pk.ev * _power_log_tail(r_top, mV))
 
     out = {}
     for key, f, tail in (("A1", f_A1, tail_A1), ("A2", f_A2, tail_A2),
@@ -137,8 +132,8 @@ def compute_A_D(profile: RadialProfile):
 def compute_B_limit(profile: RadialProfile):
     """(B1, B2) at the delta -> 0 limit of the boundary-strip integrals."""
     n, p, q = profile.params.n, profile.params.p, profile.params.q
-    r_top, au, cu2, eu, e2, bv, ev = _tail_params(profile)
-    if (q + 1.0) * eu <= n + 1:
+    pk = profile.interp_pack
+    if (q + 1.0) * pk.eu <= n + 1:
         raise TailDivergent("(q+1)*exp_U <= n+1: boundary-strip mass diverges")
     sm = sphere_measure(n - 1)
 
@@ -150,19 +145,21 @@ def compute_B_limit(profile: RadialProfile):
         _, _, V, _ = profile.eval_many(r)
         return r ** float(n) * V ** (p + 1.0)
 
-    mU = float(n) - (q + 1.0) * eu
-    mV = float(n) - (p + 1.0) * ev
-    tail_B1 = au ** (q + 1.0) * (_power_tail(r_top, mU)
-                                 + (q + 1.0) * (cu2 / au) * _power_tail(r_top, mU - (e2 - eu)))
-    tail_B2 = bv ** (p + 1.0) * _power_tail(r_top, mV)
+    r_top = pk.r_top
+    mU = float(n) - (q + 1.0) * pk.eu
+    mV = float(n) - (p + 1.0) * pk.ev
+    tail_B1 = pk.au ** (q + 1.0) * (
+        _power_tail(r_top, mU)
+        + (q + 1.0) * (pk.cu2 / pk.au) * _power_tail(r_top, mU - (pk.e2 - pk.eu)))
+    tail_B2 = pk.bv ** (p + 1.0) * _power_tail(r_top, mV)
     v1, e1 = _with_err(f_B1, r_top)
-    v2, e2_ = _with_err(f_B2, r_top)
+    v2, e2 = _with_err(f_B2, r_top)
     return {"B1": (0.5 * sm * (v1 + tail_B1), 0.5 * sm * e1),
-            "B2": (0.5 * sm * (v2 + tail_B2), 0.5 * sm * e2_)}
+            "B2": (0.5 * sm * (v2 + tail_B2), 0.5 * sm * e2)}
 
 
 def compute_B_delta(profile: RadialProfile, delta: float):
-    """Boundary-strip integrals at finite delta (validation oracle for LIMIT).
+    """Boundary-strip integrals at finite delta (the validation oracle of LIMIT).
 
     B1(delta) integrates delta^(-n-1) U^(q+1)(|x - e_n|/delta) over the thin
     lens between the sphere and the tangent plane, radius sqrt(15)/8.
@@ -171,36 +168,28 @@ def compute_B_delta(profile: RadialProfile, delta: float):
         raise TailDivergent(f"delta={delta} outside (0, 0.1]")
     n, p, q = profile.params.n, profile.params.p, profile.params.q
     sm = sphere_measure(n - 1)
-    xg, wg = _GL12
-    tau_max = XI_RADIUS / delta
+    edges = np.concatenate([np.linspace(0.0, 1.0, 5)[:-1],
+                            np.geomspace(1.0, XI_RADIUS / delta, 40)])
+    # axes (panel, tau node, u node): tau runs along the plane, u across the lens
+    tau, wt = gauss_panels(edges, 12)
+    xg, wg = gauss_legendre(12)
+    ubar = (delta * tau * tau / (1.0 + np.sqrt(1.0 - delta * delta * tau * tau)))[..., None]
+    u = 0.5 * ubar * (1.0 + xg)
+    U, _, V, _ = profile.eval_many(np.sqrt((tau * tau)[..., None] + u * u))
 
-    def strip(component_v):
-        edges = np.concatenate([np.linspace(0.0, 1.0, 5)[:-1],
-                                np.geomspace(1.0, tau_max, 40)])
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            tau = 0.5 * (a + b) + 0.5 * (b - a) * xg
-            wt = 0.5 * (b - a) * wg
-            dt2 = delta * delta * tau * tau
-            ubar = delta * tau * tau / (1.0 + np.sqrt(1.0 - dt2))
-            inner = np.zeros_like(tau)
-            for k in range(xg.size):
-                u = 0.5 * ubar * (1.0 + xg[k])
-                rr = np.sqrt(tau * tau + u * u)
-                U, _, V, _ = profile.eval_many(rr)
-                val = V ** (p + 1.0) if component_v else U ** (q + 1.0)
-                inner += 0.5 * ubar * wg[k] * val
-            total += np.sum(wt * tau ** (n - 2.0) * inner)
-        return sm * total / delta
+    def strip(val):
+        # inner sum node by node, outer sum panel by panel
+        inner = np.cumsum(0.5 * ubar * wg * val, axis=-1)[..., -1]
+        return sm * np.cumsum(np.sum(wt * tau ** (n - 2.0) * inner, axis=1))[-1] / delta
 
-    return {"B1": strip(False), "B2": strip(True)}
+    return {"B1": strip(U ** (q + 1.0)), "B2": strip(V ** (p + 1.0))}
 
 
 def compute_C(profile: RadialProfile):
     """(C1, C2), both positive."""
     n = profile.params.n
-    r_top, au, cu2, eu, e2, bv, ev = _tail_params(profile)
-    m = n - 1.0 - (eu + 1.0) - ev
+    pk = profile.interp_pack
+    m = n - 1.0 - (pk.eu + 1.0) - pk.ev
     if m >= -1.0:
         raise TailDivergent("first-derivative/second-component tail not integrable")
     sm = sphere_measure(n - 1)
@@ -214,14 +203,15 @@ def compute_C(profile: RadialProfile):
         return -(r ** (n - 1.0)) * dV * U
 
     # tails: dU ~ -eu*au r^-(eu+1) - e2*cu2 r^-(e2+1); V ~ bv r^-ev; and the swap
-    tail_C1 = bv * (eu * au * _power_tail(r_top, n - 1.0 - (eu + 1.0) - ev)
-                    + e2 * cu2 * _power_tail(r_top, n - 1.0 - (e2 + 1.0) - ev))
-    tail_C2 = ev * bv * (au * _power_tail(r_top, n - 1.0 - (ev + 1.0) - eu)
-                         + cu2 * _power_tail(r_top, n - 1.0 - (ev + 1.0) - e2))
+    r_top = pk.r_top
+    tail_C1 = pk.bv * (pk.eu * pk.au * _power_tail(r_top, m)
+                       + pk.e2 * pk.cu2 * _power_tail(r_top, n - 1.0 - (pk.e2 + 1.0) - pk.ev))
+    tail_C2 = pk.ev * pk.bv * (pk.au * _power_tail(r_top, n - 1.0 - (pk.ev + 1.0) - pk.eu)
+                               + pk.cu2 * _power_tail(r_top, n - 1.0 - (pk.ev + 1.0) - pk.e2))
     v1, e1 = _with_err(f_C1, r_top)
-    v2, e2_ = _with_err(f_C2, r_top)
+    v2, e2 = _with_err(f_C2, r_top)
     return {"C1": (sm * (v1 + tail_C1), sm * (e1 + abs(tail_C1) * 1e-2)),
-            "C2": (sm * (v2 + tail_C2), sm * (e2_ + abs(tail_C2) * 1e-2))}
+            "C2": (sm * (v2 + tail_C2), sm * (e2 + abs(tail_C2) * 1e-2))}
 
 
 def compute_constants(profile: RadialProfile, b_mode="LIMIT", b_delta=0.01) -> EnergyConstants:

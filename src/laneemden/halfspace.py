@@ -21,22 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import gamma, roots_legendre
 
 from ._interp import deriv_component_eval
+from .ballquad import gauss_panels
 from .errors import DomainError, QuadratureNonConvergent
 from .radial import RadialProfile
 
 PHI1 = "PHI1"
 PHI2 = "PHI2"
-
-_GLX12, _GLW12 = roots_legendre(12)
-_GLX20, _GLW20 = roots_legendre(20)
-
-
-def sphere_measure(k):
-    """Measure of the unit sphere S^{k-1} in R^k."""
-    return 2.0 * np.pi ** (k / 2.0) / gamma(k / 2.0)
 
 
 def g_of_rho(rho, pack, which_v):
@@ -74,15 +66,15 @@ def panel_edges(sig, tau, rho_big):
     return e[np.r_[True, e[1:] > e[:-1] * (1.0 + 1e-14) + 1e-150]]
 
 
-def phi4_point(sig, tau, pack, which_v, tail_amp, tail_expo, glx, glw):
-    """n = 4 evaluation at one point (sigma, tau) of the closed half-space."""
+def phi4_point(sig, tau, pack, which_v, tail_amp, tail_expo, k):
+    """n = 4 evaluation at one point (sigma, tau) of the closed half-space.
+
+    k is the number of Gauss nodes per panel.
+    """
     big = max(60.0 * (sig + tau + 1.0), 2.0 * pack.r_top)
-    e = panel_edges(sig, tau, big)
-    mid = 0.5 * (e[:-1] + e[1:])
-    hw = 0.5 * (e[1:] - e[:-1])
+    rho, w = gauss_panels(panel_edges(sig, tau, big), k)
     # panel-major node order: np.sum below depends on it
-    rho = (mid[:, None] + hw[:, None] * glx).ravel()
-    w = (hw[:, None] * glw).ravel()
+    rho, w = rho.ravel(), w.ravel()
     gv = g_of_rho(rho, pack, which_v)
     tau2 = tau * tau
     A = sig * sig + tau2 + rho * rho
@@ -186,7 +178,7 @@ class HalfSpaceCorrection:
         return g_of_rho(rho, self._pack, self._which_v)
 
     def eval_points(self, sig, tau, order=0):
-        """Direct quadrature at (|x'|, x_n) points; order picks the GL rule."""
+        """Direct quadrature at (|x'|, x_n) points; order 0/1 takes 12/20 nodes per panel."""
         sig = np.atleast_1d(np.asarray(sig, dtype=np.float64))
         tau = np.atleast_1d(np.asarray(tau, dtype=np.float64))
         if sig.shape != tau.shape:
@@ -194,8 +186,8 @@ class HalfSpaceCorrection:
         if np.any(tau < 0):
             raise DomainError("evaluation points must satisfy x_n >= 0")
         amp, expo = self._tail_terms()
-        glx, glw = (_GLX12, _GLW12) if order == 0 else (_GLX20, _GLW20)
-        return np.array([phi4_point(s, t, self._pack, self._which_v, amp, expo, glx, glw)
+        k = 12 if order == 0 else 20
+        return np.array([phi4_point(s, t, self._pack, self._which_v, amp, expo, k)
                          for s, t in zip(sig, tau)])
 
     def phi_eval(self, x, rel_tol=1e-4):

@@ -6,8 +6,7 @@ from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 from laneemden.ballquad import (BallQuadrature, get_quadrature, graded_edges,
-                                integrate_with_error)
-from laneemden.halfspace import sphere_measure
+                                integrate_with_error, sphere_measure)
 
 
 def ball_volume(n):

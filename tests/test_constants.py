@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from laneemden import ProblemParams, find_ground_state
-from laneemden.constants import (compute_A_D, compute_B_delta, compute_B_limit,
-                                 compute_C, compute_constants)
+from laneemden.ballquad import sphere_measure
+from laneemden.constants import (XI_RADIUS, _panels, _radial_quad, compute_A_D,
+                                 compute_B_delta, compute_B_limit, compute_C,
+                                 compute_constants)
 from laneemden.errors import TailDivergent
 
 A1_EXACT = 32 * np.pi ** 2 / 3
@@ -48,6 +51,49 @@ def test_b_delta_converges_to_limit(prof_sym, consts_sym):
             assert rel < prev
         prev = rel
     assert rel <= 0.05
+
+
+@pytest.mark.parametrize("k", [12, 20])
+def test_radial_quad_matches_panel_loop(prof_sym, prof_case2, k):
+    """The array rule equals the panel-by-panel loop, bit for bit."""
+    xg, wg = roots_legendre(k)
+    for prof in (prof_sym, prof_case2):
+        q = prof.params.q
+
+        def f(r):
+            return r ** 3.0 * prof.eval_many(r)[0] ** (q + 1.0)
+
+        edges = _panels(prof.interp_pack.r_top)
+        total = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            r = 0.5 * (a + b) + 0.5 * (b - a) * xg
+            total += 0.5 * (b - a) * np.sum(wg * f(r))
+        assert _radial_quad(f, prof.interp_pack.r_top, k) == total
+
+
+def test_b_delta_matches_panel_loop(prof_sym):
+    """The array strip integrals equal the nested panel/node loops, bit for bit."""
+    delta, n, p, q = 0.02, 4, prof_sym.params.p, prof_sym.params.q
+    xg, wg = roots_legendre(12)
+    edges = np.concatenate([np.linspace(0.0, 1.0, 5)[:-1],
+                            np.geomspace(1.0, XI_RADIUS / delta, 40)])
+    sm = sphere_measure(n - 1)
+    want = {}
+    for key, component_v in (("B1", False), ("B2", True)):
+        total = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            tau = 0.5 * (a + b) + 0.5 * (b - a) * xg
+            wt = 0.5 * (b - a) * wg
+            ubar = delta * tau * tau / (1.0 + np.sqrt(1.0 - delta * delta * tau * tau))
+            inner = np.zeros_like(tau)
+            for k in range(xg.size):
+                u = 0.5 * ubar * (1.0 + xg[k])
+                U, _, V, _ = prof_sym.eval_many(np.sqrt(tau * tau + u * u))
+                val = V ** (p + 1.0) if component_v else U ** (q + 1.0)
+                inner += 0.5 * ubar * wg[k] * val
+            total += np.sum(wt * tau ** (n - 2.0) * inner)
+        want[key] = sm * total / delta
+    assert compute_B_delta(prof_sym, delta) == want
 
 
 def test_gradient_slope_identity(consts_sym, consts_case1, consts_case2):

@@ -3,8 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import closed_form_bubble
+from laneemden.ballquad import sphere_measure
 from laneemden.errors import DomainError
-from laneemden.halfspace import HalfSpaceCorrection, sphere_measure
+from laneemden.halfspace import HalfSpaceCorrection
 
 
 def test_sphere_measure():

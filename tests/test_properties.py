@@ -1,4 +1,4 @@
-"""Property tests over random inputs for the half-space kernel."""
+"""Property tests over random inputs for the quadrature rules and the half-space kernel."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,27 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from laneemden.ballquad import gauss_panels  # noqa: E402
 from laneemden.halfspace import panel_edges  # noqa: E402
 
 coords = st.one_of(st.just(0.0), st.floats(0.0, 1e4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lo=st.floats(-3.0, 2.0), width=st.floats(1e-3, 3.0),
+       cuts=st.lists(st.floats(0.0, 1.0), max_size=7), k=st.sampled_from([4, 12, 20, 24]))
+def test_gauss_panels_exact_on_monomials(lo, width, cuts, k):
+    """k nodes per panel integrate x^m exactly for every m <= 2k - 1."""
+    e = np.unique(lo + width * np.array([0.0, 1.0] + cuts))
+    x, w = gauss_panels(e, k)
+    assert x.shape == w.shape == (e.size - 1, k)
+    m = np.arange(2 * k)
+    got = np.sum(w[..., None] * x[..., None] ** m, axis=(0, 1))
+    lo, hi = e[0], e[-1]
+    exact = (hi ** (m + 1) - lo ** (m + 1)) / (m + 1)
+    # bounds int |x|^m over [lo, hi], the size of the terms summed
+    scale = (abs(hi) ** (m + 1) + abs(lo) ** (m + 1)) / (m + 1)
+    assert np.all(np.abs(got - exact) <= 1e-12 * scale)
 
 
 def panel_edges_loop(sig, tau, rho_big):
