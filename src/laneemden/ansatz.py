@@ -30,6 +30,8 @@ PW1_APPROX = "PW1_APPROX"
 PW2_APPROX = "PW2_APPROX"
 
 DELTA_CAP = 0.2  # keeps the bubble halves of the ball separated
+# phi tables reach out to TABLE_REACH/delta: in the ball (1 +- x_n)/delta <= 2/delta
+TABLE_REACH = 2.2
 
 
 def bubble_uv(s, t, center_t, delta, pack, su, sv):
@@ -70,14 +72,14 @@ class AnsatzField:
             raise DomainError("PW1_APPROX needs the first correction")
         if self.kind == PW2_APPROX and self.phi2 is None:
             raise DomainError("PW2_APPROX needs the second correction")
-        self._su = self.profile.params.su
-        self._sv = self.profile.params.sv
-        ext = self.table_extent if self.table_extent else 2.2 / self.delta
-        self._tab = None
-        if self.kind == PW1_APPROX:
-            self._tab = self.phi1.table(ext)
-        elif self.kind == PW2_APPROX:
-            self._tab = self.phi2.table(ext)
+        pp = self.profile.params
+        self._su, self._sv = pp.su, pp.sv
+        # W1/PW1 take the U components, W2/PW2 the V components
+        self._v = self.kind in (W2, PW2_APPROX)
+        self._ex = self._sv if self._v else self._su
+        corr = {PW1_APPROX: self.phi1, PW2_APPROX: self.phi2}.get(self.kind)
+        ext = self.table_extent if self.table_extent else TABLE_REACH / self.delta
+        self._tab = corr.table(ext) if corr is not None else None
 
     def eval_st(self, s, t):
         """Field values over arrays of (|x'|, x_n)."""
@@ -87,28 +89,20 @@ class AnsatzField:
         pack = self.profile.interp_pack
         up, vp = bubble_uv(s, t, 1.0, d, pack, self._su, self._sv)
         um, vm = bubble_uv(s, t, -1.0, d, pack, self._su, self._sv)
-        if self.kind == W1:
-            return up - um
-        if self.kind == W2:
-            return vp - vm
-        if self.kind == PW1_APPROX:
-            corr = d ** (1.0 - self._su) * (self._tab.eval_many(s / d, (1.0 - t) / d)
-                                            - self._tab.eval_many(s / d, (1.0 + t) / d))
-            return up - um + corr
-        corr = d ** (1.0 - self._sv) * (self._tab.eval_many(s / d, (1.0 - t) / d)
-                                        - self._tab.eval_many(s / d, (1.0 + t) / d))
-        return vp - vm + corr
+        bare = vp - vm if self._v else up - um
+        if self._tab is None:
+            return bare
+        return bare + self.correction_st(s, t)
 
     def correction_st(self, s, t):
         """The projection correction alone (zero for the raw W fields)."""
-        if self.kind in (W1, W2):
-            return np.zeros_like(np.asarray(s, dtype=np.float64))
-        d = self.delta
-        ex = self._su if self.kind == PW1_APPROX else self._sv
         s = np.asarray(s, dtype=np.float64)
+        if self._tab is None:
+            return np.zeros_like(s)
         t = np.asarray(t, dtype=np.float64)
-        return d ** (1.0 - ex) * (self._tab.eval_many(s / d, (1.0 - t) / d)
-                                  - self._tab.eval_many(s / d, (1.0 + t) / d))
+        d = self.delta
+        return d ** (1.0 - self._ex) * (self._tab.eval_many(s / d, (1.0 - t) / d)
+                                        - self._tab.eval_many(s / d, (1.0 + t) / d))
 
     def field_eval(self, x):
         """Scalar field value at a point of the closed unit ball."""
@@ -140,15 +134,13 @@ def symmetry_and_compatibility_check(field: AnsatzField, quad, t_exponent=None):
     if t_exponent is None:
         pp = field.profile.params
         t_exponent = pp.q_eps if field.kind in (W1, PW1_APPROX) else pp.p_eps
-    mean = quad.integrate(lambda s, t: field.eval_st(s, t))
 
-    def signed_power(s, t):
+    def integrands(s, t):
         v = field.eval_st(s, t)
-        return np.sign(v) * np.abs(v) ** t_exponent
+        av = np.abs(v)
+        return [v, np.sign(v) * av ** t_exponent, av, av ** t_exponent]
 
-    power_mean = quad.integrate(signed_power)
-    scale = quad.integrate(lambda s, t: np.abs(field.eval_st(s, t)))
-    scale_p = quad.integrate(lambda s, t: np.abs(field.eval_st(s, t)) ** t_exponent)
+    mean, power_mean, scale, scale_p = quad.integrate(integrands).tolist()
     tol_mean = 10 * max(1e-13 * scale, 1e-300)
     tol_power = 10 * max(1e-13 * scale_p, 1e-300)
     if abs(mean) > tol_mean or abs(power_mean) > tol_power:

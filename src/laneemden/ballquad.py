@@ -102,10 +102,15 @@ class BallQuadrature:
         return 2 * self.s.size
 
     def integrate(self, f):
-        """Integral over the ball of f(s, t); f maps equal-shape arrays."""
-        upper = f(self.s, self.t)
-        lower = f(self.s, -self.t)
-        return float(np.sum(self.w * (upper + lower)))
+        """Integral over the ball of f(s, t); f maps equal-shape arrays.
+
+        f may return a stack of integrands with the node axis last; then
+        each row is integrated, and summed exactly as it would be alone.
+        """
+        upper = np.asarray(f(self.s, self.t))
+        lower = np.asarray(f(self.s, -self.t))
+        total = np.sum(self.w * (upper + lower), axis=-1)
+        return float(total) if total.ndim == 0 else total
 
 
 _MESH_CACHE = {}
@@ -118,9 +123,3 @@ def get_quadrature(n, delta_min, level=1):
                                           level=int(level))
     return _MESH_CACHE[key]
 
-
-def integrate_with_error(f, n, delta_min, level=1):
-    """Integrate at the given level and estimate error from one refinement."""
-    coarse = get_quadrature(n, delta_min, level).integrate(f)
-    fine = get_quadrature(n, delta_min, level + 1).integrate(f)
-    return fine, abs(fine - coarse)

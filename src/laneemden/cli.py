@@ -227,7 +227,7 @@ def run_suite(cfg) -> list:
             reports.append(V.check_phi_pairing(prof, corr1, corr2, consts,
                                                cfg.deltas, level=lvl))
         elif name == "gradient_energy":
-            reports.append(V.check_gradient_expansion(prof, corr1, corr2, consts,
+            reports.append(V.check_gradient_expansion(prof, corr1, consts,
                                                       cfg.deltas, level=lvl))
         elif name == "nonlinear_energy":
             reports.append(V.check_nonlinear_expansion(prof, corr2, consts, cfg.eps,
@@ -241,7 +241,7 @@ def run_suite(cfg) -> list:
         elif name == "exponent_taylor":
             reports.append(V.check_f_taylor(params))
         elif name == "perturbed_norms":
-            reports.append(V.check_norm_orders(prof, corr1, corr2, cfg.eps,
+            reports.append(V.check_norm_orders(prof, corr1, cfg.eps,
                                                d=cfg.d, level=lvl,
                                                beta=cfg.beta if cfg.beta > 0 else 1.0))
     return reports

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ansatz import PW1_APPROX, PW2_APPROX, AnsatzField, bubble_uv
+from .ansatz import PW1_APPROX, PW2_APPROX, TABLE_REACH, AnsatzField, bubble_uv
 from .ballquad import gauss_panels, get_quadrature, sphere_measure
 from .constants import EnergyConstants
-from .errors import DomainError
+from .errors import DomainError, QuadratureNonConvergent
 from .halfspace import HalfSpaceCorrection
 from .radial import fd_derivs_on_grid
 
@@ -135,12 +135,12 @@ def aubin_talenti(n):
 # field helpers over the ball mesh
 
 
-def _bubble_power(profile, sign, delta, power, component_v):
+def _bubble_power(profile, delta, power, component_v):
     pack = profile.interp_pack
     pp = profile.params
 
     def f(s, t):
-        U, V = bubble_uv(s, t, sign, delta, pack, pp.su, pp.sv)
+        U, V = bubble_uv(s, t, 1.0, delta, pack, pp.su, pp.sv)
         base = V if component_v else U
         return base ** power
 
@@ -150,18 +150,17 @@ def _bubble_power(profile, sign, delta, power, component_v):
 def check_bubble_mass(profile, constants: EnergyConstants, deltas,
                       level=1, tol=0.05, component_v=False):
     """Mass of one bubble inside the ball: A/2 - B*delta + o(delta)."""
-    from .ballquad import integrate_with_error
-    from .errors import QuadratureNonConvergent
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
     n_exp = pp.p + 1.0 if component_v else pp.q + 1.0
     A = constants.A2 if component_v else constants.A1
     B = constants.B2 if component_v else constants.B1
-    vals = np.array([quad.integrate(_bubble_power(profile, 1.0, d, n_exp, component_v))
+    vals = np.array([quad.integrate(_bubble_power(profile, d, n_exp, component_v))
                      for d in deltas])
-    _, quad_err = integrate_with_error(
-        _bubble_power(profile, 1.0, min(deltas), n_exp, component_v),
-        pp.n, min(deltas), level)
+    # error estimate: the min(deltas) integral again on the next finer mesh
+    fine = get_quadrature(pp.n, min(deltas), level + 1).integrate(
+        _bubble_power(profile, min(deltas), n_exp, component_v))
+    quad_err = abs(fine - vals[np.argmin(deltas)])
     if quad_err > 0.2 * tol * B * min(deltas):
         raise QuadratureNonConvergent(
             f"mesh error {quad_err:.2e} too large for the delta-slope target")
@@ -183,17 +182,14 @@ def check_cross_terms(profile, deltas, level=1, min_shrink=MIN_SHRINK):
     quad = get_quadrature(pp.n, min(deltas), level)
     pack = profile.interp_pack
 
-    def cross(d, component_v):
+    def cross(d):
         def f(s, t):
             Up, Vp = bubble_uv(s, t, 1.0, d, pack, pp.su, pp.sv)
             Um, Vm = bubble_uv(s, t, -1.0, d, pack, pp.su, pp.sv)
-            if component_v:
-                return Vp * Vm ** pp.p
-            return Up * Um ** pp.q
+            return [Up * Um ** pp.q, Vp * Vm ** pp.p]
         return quad.integrate(f)
 
-    u_vals = np.array([cross(d, False) for d in deltas])
-    v_vals = np.array([cross(d, True) for d in deltas])
+    u_vals, v_vals = np.array([cross(d) for d in deltas]).T
     fu = shrink_factors(deltas, u_vals)
     fv = shrink_factors(deltas, v_vals)
     worst = min(fu + fv)
@@ -203,19 +199,6 @@ def check_cross_terms(profile, deltas, level=1, min_shrink=MIN_SHRINK):
                                      "v_cross": v_vals},
         fit={"shrink_u": fu, "shrink_v": fv}, target=f">= {min_shrink} per halving",
         deviation=worst, tol=min_shrink, verdict=_verdict(ok))
-
-
-def _table_times_bubble_power(profile, tab, delta, mirror, power, component_v):
-    pack = profile.interp_pack
-    pp = profile.params
-
-    def f(s, t):
-        U, V = bubble_uv(s, t, 1.0, delta, pack, pp.su, pp.sv)
-        base = V if component_v else U
-        arg_t = (1.0 + t) / delta if mirror else (1.0 - t) / delta
-        return tab.eval_many(s / delta, arg_t) * base ** power
-
-    return f
 
 
 def check_phi_pairing(profile, corr1: HalfSpaceCorrection, corr2: HalfSpaceCorrection,
@@ -229,19 +212,23 @@ def check_phi_pairing(profile, corr1: HalfSpaceCorrection, corr2: HalfSpaceCorre
     """
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
-    ext = 2.2 / min(deltas)
+    pack = profile.interp_pack
+    ext = TABLE_REACH / min(deltas)
     tab1 = corr1.table(ext)
     tab2 = corr2.table(ext)
 
-    def pairing(tab, d, mirror, component_v, ex):
-        power = pp.p if component_v else pp.q
-        f = _table_times_bubble_power(profile, tab, d, mirror, power, component_v)
-        return -(d ** (1.0 - ex)) * quad.integrate(f)
+    def pairings(d):
+        # rows: matched phi1, matched phi2, crossed (mirrored) phi1, crossed phi2
+        def f(s, t):
+            U, V = bubble_uv(s, t, 1.0, d, pack, pp.su, pp.sv)
+            Uq, Vp = U ** pp.q, V ** pp.p
+            sd, near, far = s / d, (1.0 - t) / d, (1.0 + t) / d
+            return [tab1.eval_many(sd, near) * Uq, tab2.eval_many(sd, near) * Vp,
+                    tab1.eval_many(sd, far) * Uq, tab2.eval_many(sd, far) * Vp]
+        scale = np.array([d ** (1.0 - pp.su), d ** (1.0 - pp.sv)] * 2)
+        return -scale * quad.integrate(f)
 
-    m1 = np.array([pairing(tab1, d, False, False, pp.su) for d in deltas])
-    m2 = np.array([pairing(tab2, d, False, True, pp.sv) for d in deltas])
-    x1 = np.array([pairing(tab1, d, True, False, pp.su) for d in deltas])
-    x2 = np.array([pairing(tab2, d, True, True, pp.sv) for d in deltas])
+    m1, m2, x1, x2 = np.array([pairings(d) for d in deltas]).T
 
     s1 = richardson_pair(deltas, m1)
     s2 = richardson_pair(deltas, m2)
@@ -263,7 +250,7 @@ def check_phi_pairing(profile, corr1: HalfSpaceCorrection, corr2: HalfSpaceCorre
         details={"matched_negative": bool(np.all(m1 < 0) and np.all(m2 < 0))})
 
 
-def check_gradient_expansion(profile, corr1, corr2, constants: EnergyConstants,
+def check_gradient_expansion(profile, corr1, constants: EnergyConstants,
                              deltas, level=1, tol=0.10):
     """Mixed gradient energy of the projected pair.
 
@@ -273,24 +260,21 @@ def check_gradient_expansion(profile, corr1, corr2, constants: EnergyConstants,
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
     pack = profile.interp_pack
-    ext = 2.2 / min(deltas)
-    vals, comps = [], []
-    for d in deltas:
-        fld = AnsatzField(profile, PW1_APPROX, d, phi1=corr1, phi2=corr2,
-                          table_extent=ext)
+    ext = TABLE_REACH / min(deltas)
 
-        def src(s, t):
+    def energies(d):
+        fld = AnsatzField(profile, PW1_APPROX, d, phi1=corr1, table_extent=ext)
+
+        # rows: PW1 = bare + correction, and the bare pair W1, against the source
+        def f(s, t):
             Up, _ = bubble_uv(s, t, 1.0, d, pack, pp.su, pp.sv)
             Um, _ = bubble_uv(s, t, -1.0, d, pack, pp.su, pp.sv)
-            return Up ** pp.q - Um ** pp.q
+            bare = Up - Um
+            src = Up ** pp.q - Um ** pp.q
+            return [(bare + fld.correction_st(s, t)) * src, bare * src]
+        return quad.integrate(f)
 
-        total = quad.integrate(lambda s, t: fld.eval_st(s, t) * src(s, t))
-        bare = quad.integrate(lambda s, t: (fld.eval_st(s, t) - fld.correction_st(s, t))
-                              * src(s, t))
-        vals.append(total)
-        comps.append(bare)
-    vals = np.array(vals)
-    comps = np.array(comps)
+    vals, comps = np.array([energies(d) for d in deltas]).T
     ys = vals - constants.A1
     target = -(constants.B1 + constants.B2) + (constants.C1 + constants.C2) / 2.0
     fit = {"slope": slope_limit(deltas, ys), "richardson": richardson_pair(deltas, ys)}
@@ -319,7 +303,7 @@ def check_nonlinear_expansion(profile, corr2, constants: EnergyConstants,
     p = pp.p
     deltas = [d * e for e in eps_list]
     quad = get_quadrature(pp.n, min(deltas), level)
-    ext = 2.2 / min(deltas)
+    ext = TABLE_REACH / min(deltas)
     A2, B2, C2, D2 = constants.A2, constants.B2, constants.C2, constants.D2
     lead = A2 / (p + 1.0)
 
@@ -328,21 +312,15 @@ def check_nonlinear_expansion(profile, corr2, constants: EnergyConstants,
         fld = AnsatzField(profile, PW2_APPROX, dd, phi2=corr2, table_extent=ext)
         p_eps = p + alpha * e
 
-        def absfield(s, t):
-            return np.abs(fld.eval_st(s, t))
-
-        I0 = quad.integrate(lambda s, t: absfield(s, t) ** (p + 1.0))
-        Ma.append(quad.integrate(lambda s, t: absfield(s, t) ** (p_eps + 1.0))
-                  / (p_eps + 1.0))
-        M0.append(I0 / (p + 1.0))
-
-        def w_log(s, t, k):
-            v = absfield(s, t)
+        def f(s, t):
+            v = np.abs(fld.eval_st(s, t))
+            w = v ** (p + 1.0)
             lg = np.log(np.maximum(v, 1e-300))
-            return v ** (p + 1.0) * lg ** k
+            return [w, v ** (p_eps + 1.0), w * lg, w * lg ** 2]
 
-        I1 = quad.integrate(lambda s, t: w_log(s, t, 1))
-        I2 = quad.integrate(lambda s, t: w_log(s, t, 2))
+        I0, Ia, I1, I2 = quad.integrate(f).tolist()
+        Ma.append(Ia / (p_eps + 1.0))
+        M0.append(I0 / (p + 1.0))
         # quadratic exponent-derivative term of the functional, explicitly
         # o(eps); subtracted so the remainder ratio test is not polluted by
         # the eps^2 log^2 structure at desk-scale eps
@@ -569,7 +547,7 @@ def check_f_taylor(params, t_samples=None, eps_values=(0.1, 0.01), tol=1.0):
         verdict=_verdict(ok))
 
 
-def check_norm_orders(profile, corr1, corr2, eps_list, d=0.2, level=1,
+def check_norm_orders(profile, corr1, eps_list, d=0.2, level=1,
                       beta=1.0, min_order=0.9):
     """Order in eps of the perturbed-minus-limit nonlinearity norms.
 
@@ -581,27 +559,22 @@ def check_norm_orders(profile, corr1, corr2, eps_list, d=0.2, level=1,
     q = pp.q
     deltas = [d * e for e in eps_list]
     quad = get_quadrature(pp.n, min(deltas), level)
-    ext = 2.2 / min(deltas)
+    ext = TABLE_REACH / min(deltas)
     norms_f, norms_df = [], []
     for e, dd in zip(eps_list, deltas):
-        fld = AnsatzField(profile, PW1_APPROX, dd, phi1=corr1, phi2=corr2,
-                          table_extent=ext)
+        fld = AnsatzField(profile, PW1_APPROX, dd, phi1=corr1, table_extent=ext)
         q_eps = q + beta * e
         expo_f = (q + 1.0) / q
         expo_df = (q + 1.0) / (q - 1.0)
 
-        def diff_f(s, t):
-            v = fld.eval_st(s, t)
-            av = np.abs(v)
-            return np.abs(av ** q_eps - av ** q) ** expo_f
+        def f(s, t):
+            av = np.abs(fld.eval_st(s, t))
+            return [np.abs(av ** q_eps - av ** q) ** expo_f,
+                    np.abs(q_eps * av ** (q_eps - 1.0) - q * av ** (q - 1.0)) ** expo_df]
 
-        def diff_df(s, t):
-            v = fld.eval_st(s, t)
-            av = np.abs(v)
-            return np.abs((q_eps) * av ** (q_eps - 1.0) - q * av ** (q - 1.0)) ** expo_df
-
-        norms_f.append(quad.integrate(diff_f) ** (1.0 / expo_f))
-        norms_df.append(quad.integrate(diff_df) ** (1.0 / expo_df))
+        int_f, int_df = quad.integrate(f).tolist()
+        norms_f.append(int_f ** (1.0 / expo_f))
+        norms_df.append(int_df ** (1.0 / expo_df))
     eps = np.asarray(eps_list, dtype=float)
     logfac = 1.0 + np.abs(np.log(np.asarray(deltas)))
     of_raw = float(np.polyfit(np.log(eps), np.log(norms_f), 1)[0])

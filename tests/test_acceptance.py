@@ -119,9 +119,8 @@ def test_criterion_09_pairings(prof_sym, corr1_sym, corr2_sym, consts_sym):
                  f"opposite-bubble shrink {cross.deviation:.2f}")
 
 
-def test_criterion_10_gradient_energy(prof_sym, corr1_sym, corr2_sym, consts_sym):
-    rep = V.check_gradient_expansion(prof_sym, corr1_sym, corr2_sym, consts_sym,
-                                     DELTAS, tol=0.10)
+def test_criterion_10_gradient_energy(prof_sym, corr1_sym, consts_sym):
+    rep = V.check_gradient_expansion(prof_sym, corr1_sym, consts_sym, DELTAS, tol=0.10)
     _line(10, rep.passed, f"slope {rep.fit['slope']:.4f} vs target "
                           f"{rep.target:.4f} ({rep.deviation:.2%})")
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from laneemden.ansatz import (PW1_APPROX, PW2_APPROX, W1, W2, AnsatzField,
-                              bubble_eval, symmetry_and_compatibility_check)
+from laneemden.ansatz import (PW1_APPROX, PW2_APPROX, TABLE_REACH, W1, W2,
+                              AnsatzField, bubble_eval,
+                              symmetry_and_compatibility_check)
 from laneemden.ballquad import get_quadrature
 from laneemden.errors import DomainError, QuadratureAsymmetry
 
@@ -123,7 +124,7 @@ def test_delta_derivative_order_bump(prof_sym, corr1_sym):
     offsets k, and at a fixed point the ratio |d corr| * delta / |corr|
     stays O(1) as delta halves."""
     su = 1.0
-    ext = 2.2 / 0.02
+    ext = TABLE_REACH / 0.02
     ks = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
     sup_norm = []
     order_ratio = []

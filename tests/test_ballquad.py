@@ -5,8 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
-from laneemden.ballquad import (BallQuadrature, get_quadrature, graded_edges,
-                                integrate_with_error, sphere_measure)
+from laneemden.ballquad import BallQuadrature, get_quadrature, graded_edges, sphere_measure
 
 
 def ball_volume(n):
@@ -99,10 +98,25 @@ def test_offcenter_bubble_against_cap_reduction(prof_sym):
 
 def test_refinement_error_estimate():
     f = lambda s, t: np.cos(3 * s) * np.cosh(t)
-    v1, e1 = integrate_with_error(f, 4, 0.02, level=1)
-    v2, e2 = integrate_with_error(f, 4, 0.02, level=2)
+    v = [get_quadrature(4, 0.02, level).integrate(f) for level in (1, 2, 3)]
+    # one-refinement error estimates at levels 1 and 2
+    e1, e2 = abs(v[1] - v[0]), abs(v[2] - v[1])
     assert e2 <= e1
-    assert abs(v1 - v2) <= 2 * (e1 + e2)
+    assert abs(v[1] - v[2]) <= 2 * (e1 + e2)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("level", [1, 3])
+def test_stack_rows_match_single_integrals(n, level):
+    quad = get_quadrature(n, 0.01, level)
+    f = lambda s, t: np.cos(3 * s) * np.cosh(t)
+    g = lambda s, t: np.exp(-s) * (1.0 + t) ** 3
+    rows = quad.integrate(lambda s, t: [f(s, t), g(s, t)])
+    one = quad.integrate(f)
+    assert isinstance(one, float)
+    assert rows.shape == (2,)
+    assert rows[0] == one
+    assert rows[1] == quad.integrate(g)
 
 
 def test_mesh_cache_identity():

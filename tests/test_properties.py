@@ -1,4 +1,5 @@
-"""Property tests over random inputs for the quadrature rules and the half-space kernel."""
+"""Property tests over random inputs for the quadrature rules, the half-space
+kernel and the two-bubble fields."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from laneemden.ansatz import (PW1_APPROX, PW2_APPROX, TABLE_REACH, W1, W2,  # noqa: E402
+                              AnsatzField)
 from laneemden.ballquad import gauss_panels  # noqa: E402
 from laneemden.halfspace import panel_edges  # noqa: E402
 
@@ -79,3 +82,17 @@ def test_phi_positive_and_finite(corr1_sym, corr2_sym, corr1_case2, sig, tau):
     for corr in (corr1_sym, corr2_sym, corr1_case2):
         v = corr.eval_points([sig], [tau])[0]
         assert np.isfinite(v) and v > 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(rho=st.floats(0.0, 1.0), theta=st.floats(0.0, np.pi), delta=st.floats(0.01, 0.2))
+def test_fields_odd_in_t(prof_sym, corr1_sym, corr2_sym, rho, theta, delta):
+    """Every field kind is exactly odd under x_n -> -x_n over the half-disc."""
+    s = np.array([rho * np.sin(theta)])
+    t = np.array([rho * np.cos(theta)])
+    # the extent-220 tables cover (1 +- t)/delta for every delta >= 0.01
+    ext = TABLE_REACH / 0.01
+    for kind in (W1, W2, PW1_APPROX, PW2_APPROX):
+        fld = AnsatzField(prof_sym, kind, delta, phi1=corr1_sym, phi2=corr2_sym,
+                          table_extent=ext)
+        assert np.array_equal(fld.eval_st(s, -t), -fld.eval_st(s, t))
