@@ -7,6 +7,10 @@ from laneemden.ansatz import (PW1_APPROX, PW2_APPROX, TABLE_REACH, W1, W2,
 from laneemden.ballquad import get_quadrature
 from laneemden.errors import DomainError, QuadratureAsymmetry
 
+# extent 220 covers every delta >= 0.01; the session corrections already
+# build these tables for the acceptance checks at the default deltas
+EXT = TABLE_REACH / 0.01
+
 
 def test_bubble_center_values(prof_sym):
     delta = 0.1
@@ -41,8 +45,10 @@ def fields_sym(prof_sym, corr1_sym, corr2_sym):
     return {
         W1: AnsatzField(prof_sym, W1, delta),
         W2: AnsatzField(prof_sym, W2, delta),
-        PW1_APPROX: AnsatzField(prof_sym, PW1_APPROX, delta, phi1=corr1_sym),
-        PW2_APPROX: AnsatzField(prof_sym, PW2_APPROX, delta, phi2=corr2_sym),
+        PW1_APPROX: AnsatzField(prof_sym, PW1_APPROX, delta, phi1=corr1_sym,
+                                table_extent=EXT),
+        PW2_APPROX: AnsatzField(prof_sym, PW2_APPROX, delta, phi2=corr2_sym,
+                                table_extent=EXT),
     }
 
 
@@ -65,7 +71,7 @@ def test_first_bubble_dominates_near_pole(prof_sym, corr1_sym):
     # value itself (first order in delta), so the relative gap levels off
     # near 6% rather than vanishing; the near bubble still dominates
     delta = 0.05
-    fld = AnsatzField(prof_sym, PW1_APPROX, delta, phi1=corr1_sym)
+    fld = AnsatzField(prof_sym, PW1_APPROX, delta, phi1=corr1_sym, table_extent=EXT)
     x = np.array([0.0, 0.0, 0.0, 0.9])
     got = fld.field_eval(x)
     U, _ = bubble_eval(prof_sym, np.array([0, 0, 0, 1.0]), delta, x)
@@ -106,7 +112,7 @@ def test_projection_gap_bound_shape(prof_sym, corr1_sym, prof_case2, corr1_case2
         su = prof.params.n / (prof.params.q + 1.0)
         ratios = []
         for delta in (0.1, 0.05):
-            fld = AnsatzField(prof, PW1_APPROX, delta, phi1=corr)
+            fld = AnsatzField(prof, PW1_APPROX, delta, phi1=corr, table_extent=EXT)
             t = 1.0 - np.geomspace(2 * delta, 0.5, 8)
             s = np.zeros_like(t)
             gap = np.abs(fld.correction_st(s, t))
@@ -124,7 +130,6 @@ def test_delta_derivative_order_bump(prof_sym, corr1_sym):
     offsets k, and at a fixed point the ratio |d corr| * delta / |corr|
     stays O(1) as delta halves."""
     su = 1.0
-    ext = TABLE_REACH / 0.02
     ks = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
     sup_norm = []
     order_ratio = []
@@ -132,11 +137,11 @@ def test_delta_derivative_order_bump(prof_sym, corr1_sym):
     for delta in (0.1, 0.05, 0.025):
         h = 1e-3 * delta
         up = AnsatzField(prof_sym, PW1_APPROX, delta + h, phi1=corr1_sym,
-                         table_extent=ext)
+                         table_extent=EXT)
         dn = AnsatzField(prof_sym, PW1_APPROX, delta - h, phi1=corr1_sym,
-                         table_extent=ext)
+                         table_extent=EXT)
         mid = AnsatzField(prof_sym, PW1_APPROX, delta, phi1=corr1_sym,
-                          table_extent=ext)
+                          table_extent=EXT)
         t = 1.0 - ks * delta
         s = np.zeros_like(t)
         dd = (up.correction_st(s, t) - dn.correction_st(s, t)) / (2 * h)

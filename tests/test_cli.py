@@ -1,7 +1,12 @@
+import dataclasses
 import json
+import warnings
+
+import numpy as np
 import pytest
 
 from laneemden.cli import RunConfig, _meta, build_config, load_config, main, make_parser
+from laneemden.constants import compute_constants
 from laneemden.errors import ConfigError
 from laneemden.verify import CHECK_NAMES, CHECK_NEEDS, ExpansionReport
 
@@ -179,3 +184,160 @@ def test_params_check_runs_for_n5(tmp_path):
                  "--checks", "exponent_taylor"]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert [c["name"] for c in summary["checks"]] == ["exponent_taylor"]
+
+
+def test_verify_prints_plain_float_deviations(monkeypatch, tmp_path, capsys):
+    import laneemden.cli as cli
+    rep = ExpansionReport(name="boundary_pairing", samples={}, fit={}, target=0.0,
+                          deviation={"matched_1": np.float64(0.5)}, tol=1.0,
+                          verdict="PASS")
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: [rep])
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "deviation={'matched_1': 0.5}" in out
+    assert "np.float64" not in out
+
+
+# Reuse of the profile that ground-state writes to --out.  The solver is
+# replaced by the session's p = 3 ground state, so these tests add no solve;
+# like find_ground_state, it carries the params it was called with.
+
+@pytest.fixture
+def solves(monkeypatch, prof_sym):
+    import laneemden.cli as cli
+    calls = []
+
+    def fake_solve(params, ode_tol, r_max):
+        calls.append(params)
+        return dataclasses.replace(prof_sym, params=params)
+
+    monkeypatch.setattr(cli, "find_ground_state", fake_solve)
+    return calls
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("ground state solved although out/ holds a matching profile")
+
+
+def _run_quietly(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return rc
+
+
+def _outputs(d):
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())
+            if not p.name.startswith("profile.")}
+
+
+def test_saved_profile_reused(monkeypatch, tmp_path, solves):
+    import laneemden.cli as cli
+    # relative --out, so config.out in the outputs is the same in both dirs
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    monkeypatch.chdir(a)
+    assert main(["ground-state", "--out", "out"]) == 0
+    # ground-state writes the profile, so it solves even when one is there
+    assert main(["ground-state", "--out", "out"]) == 0
+    assert len(solves) == 2
+    with monkeypatch.context() as m:
+        m.setattr(cli, "find_ground_state", _no_solve)
+        assert main(["constants", "--out", "out"]) == 0
+        assert main(["reduced-energy", "--out", "out"]) == 0
+    monkeypatch.chdir(b)
+    assert main(["constants", "--out", "out"]) == 0
+    assert main(["reduced-energy", "--out", "out"]) == 0
+    assert len(solves) == 4
+    got, want = _outputs(a / "out"), _outputs(b / "out")
+    assert set(got) == {"constants.json", "reduced_energy.json",
+                        "reduced_energy_samples.csv"}
+    assert got == want
+
+
+def test_saved_profile_takes_the_commands_slopes(monkeypatch, tmp_path, solves):
+    import laneemden.cli as cli
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    slopes = ["--alpha", "2", "--beta", "0.5"]
+    monkeypatch.chdir(a)
+    assert main(["ground-state", "--out", "out", "--alpha", "1", "--beta", "1"]) == 0
+    used = []
+
+    def constants_of(prof, **kwargs):
+        used.append(prof.params)
+        return compute_constants(prof, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "find_ground_state", _no_solve)
+        m.setattr(cli, "compute_constants", constants_of)
+        assert main(["reduced-energy", "--out", "out"] + slopes) == 0
+    assert (used[0].alpha, used[0].beta) == (2.0, 0.5)
+    monkeypatch.chdir(b)
+    assert main(["reduced-energy", "--out", "out"] + slopes) == 0
+    assert solves[-1].alpha == 2.0 and solves[-1].beta == 0.5
+    assert _outputs(a / "out") == _outputs(b / "out")
+
+
+def _cut_mid_row(d):
+    data = (d / "profile.csv").read_bytes()
+    (d / "profile.csv").write_bytes(data[:len(data) // 2])
+
+
+def _cut_in_last_number(d):
+    # the last value keeps its leading digits and loses its exponent
+    data = (d / "profile.csv").read_bytes()
+    (d / "profile.csv").write_bytes(data[:data.rindex(b"e")])
+
+
+def _header_only(d):
+    text = (d / "profile.csv").read_text()
+    (d / "profile.csv").write_text(text[:text.index("\n") + 1])
+
+
+def _drop_last_row(d):
+    lines = (d / "profile.csv").read_text().splitlines(keepends=True)
+    (d / "profile.csv").write_text("".join(lines[:-1]))
+
+
+def _other_v0(d):
+    # the CSV of another solve next to this sidecar
+    header, first, rest = (d / "profile.csv").read_text().split("\n", 2)
+    r, u, du, v, dv = first.split(",")
+    (d / "profile.csv").write_text("\n".join([header, ",".join([r, u, du, "0.5", dv]), rest]))
+
+
+def _null_tail(d):
+    side = json.loads((d / "profile.json").read_text())
+    side["tail"] = None
+    (d / "profile.json").write_text(json.dumps(side))
+
+
+MISSES = {
+    "r_max": ([], ["--r-max", "5000"], None),
+    "ode_tol": ([], ["--ode-tol", "1e-13"], None),
+    "p": (["--p", "2.5"], [], None),
+    "missing_csv": ([], [], lambda d: (d / "profile.csv").unlink()),
+    "csv_cut_mid_row": ([], [], _cut_mid_row),
+    "csv_cut_in_last_number": ([], [], _cut_in_last_number),
+    "csv_cut_between_rows": ([], [], _drop_last_row),
+    "csv_header_only": ([], [], _header_only),
+    "json_unparseable": ([], [], lambda d: (d / "profile.json").write_text('{"v0": 1.0,')),
+    "tail_null": ([], [], _null_tail),
+    "csv_of_another_v0": ([], [], _other_v0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSES))
+def test_saved_profile_miss_solves_once(tmp_path, solves, case):
+    saved_flags, flags, damage = MISSES[case]
+    out = tmp_path / "out"
+    assert main(["ground-state", "--out", str(out)] + saved_flags) == 0
+    if damage is not None:
+        damage(out)
+    del solves[:]
+    assert _run_quietly(["constants", "--out", str(out)] + flags) == 0
+    assert len(solves) == 1

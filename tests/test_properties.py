@@ -1,5 +1,8 @@
-"""Property tests over random inputs for the quadrature rules, the half-space
-kernel and the two-bubble fields."""
+"""Property tests over random inputs for the exponent pairs, the run
+configuration, the quadrature rules, the half-space kernel and the
+two-bubble fields."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +13,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from laneemden.ansatz import (PW1_APPROX, PW2_APPROX, TABLE_REACH, W1, W2,  # noqa: E402
                               AnsatzField)
 from laneemden.ballquad import gauss_panels  # noqa: E402
+from laneemden.cli import RunConfig, build_config, make_parser  # noqa: E402
 from laneemden.halfspace import panel_edges  # noqa: E402
+from laneemden.params import (HYPERBOLA_TOL, ProblemParams,  # noqa: E402
+                              check_condition_P, p_threshold)
+from laneemden.verify import CHECK_NAMES, CHECK_NEEDS  # noqa: E402
 
 coords = st.one_of(st.just(0.0), st.floats(0.0, 1e4))
 
@@ -96,3 +103,65 @@ def test_fields_odd_in_t(prof_sym, corr1_sym, corr2_sym, rho, theta, delta):
         fld = AnsatzField(prof_sym, kind, delta, phi1=corr1_sym, phi2=corr2_sym,
                           table_extent=ext)
         assert np.array_equal(fld.eval_st(s, -t), -fld.eval_st(s, t))
+
+
+@st.composite
+def admissible(draw):
+    """(n, p) with p in either coupling range: p_n < p < (n+2)/(n-2), p != n/(n-2)."""
+    n = draw(st.integers(4, 8))
+    p = draw(st.floats(p_threshold(n), (n + 2.0) / (n - 2.0),
+                       exclude_min=True, exclude_max=True)
+             .filter(lambda p: p != n / (n - 2.0)))
+    return n, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(np_=admissible())
+def test_hyperbola_and_ordering(np_):
+    n, p = np_
+    pp = ProblemParams(n=n, p=p)
+    assert check_condition_P(pp)[0] in ("case_i", "case_ii")
+    assert abs(1.0 / (pp.p + 1.0) + 1.0 / (pp.q + 1.0) - (n - 2.0) / n) <= HYPERBOLA_TOL
+    assert pp.p <= pp.q
+
+
+def _config_value(v):
+    return ", ".join(str(x) for x in v) if isinstance(v, list) else str(v)
+
+
+@st.composite
+def run_configs(draw):
+    """A RunConfig that validate() accepts for verify, and the text of its p."""
+    n = draw(st.integers(4, 8))
+    top = (n + 2.0) / (n - 2.0)
+    p_decimal = st.floats(1.0, top, exclude_min=True).map(str)
+    # a rational exponent, admissible for n = 4
+    p_text = draw(st.one_of(st.just("11/3"), p_decimal) if n == 4 else p_decimal)
+    # the phi checks are implemented for n = 4 only
+    checks = draw(st.lists(st.sampled_from(CHECK_NAMES), unique=True))
+    checks = [c for c in checks if n == 4 or CHECK_NEEDS[c] != "phi"]
+    cfg = RunConfig(
+        n=n, p=float(Fraction(p_text)),
+        alpha=draw(st.floats(0.0, 5.0)), beta=draw(st.floats(0.0, 5.0)),
+        deltas=tuple(draw(st.lists(st.floats(0.0, 0.2, exclude_min=True),
+                                   min_size=1, max_size=4))),
+        eps=tuple(draw(st.lists(st.floats(0.0, 0.1, exclude_min=True),
+                                min_size=1, max_size=4))),
+        d=draw(st.floats(1e-3, 10.0)), ode_tol=draw(st.floats(1e-15, 1e-6)),
+        r_max=draw(st.floats(1e2, 1e6)), mesh_level=draw(st.integers(1, 4)),
+        out=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,12}", fullmatch=True)),
+        checks=tuple(checks), b_mode=draw(st.sampled_from(["LIMIT", "DELTA"])),
+        b_delta=draw(st.floats(1e-3, 0.2)), seed_free=draw(st.booleans()))
+    return cfg.validate("verify"), p_text
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=run_configs())
+def test_config_file_round_trip(tmp_path_factory, drawn):
+    """RunConfig -> as_dict -> key = value file -> build_config is the identity."""
+    cfg, p_text = drawn
+    rows = dict(cfg.as_dict(), p=p_text)
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_text("".join(f"{k} = {_config_value(v)}\n" for k, v in rows.items()))
+    args = make_parser().parse_args(["verify", "--config", str(path)])
+    assert build_config(args) == cfg
