@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from conftest import closed_form_bubble
 from laneemden.ballquad import sphere_measure
 from laneemden.errors import DomainError
-from laneemden.halfspace import HalfSpaceCorrection
+from laneemden.halfspace import HalfSpaceCorrection, angular_kernel
 
 
 def test_sphere_measure():
@@ -46,14 +46,14 @@ def test_axis_against_independent_oracle(corr1_sym):
 
 
 def test_angular_kernel_closed_form():
-    """The log kernel used for n=4 equals the generic angular reduction."""
-    rng = [(1.3, 0.7, 2.0), (0.5, 0.0, 0.49), (2.0, 1.0, 2.0)]
+    """The n = 4 kernel, log1p form and small-z series, equals the generic angular reduction."""
+    rng = [(1.3, 0.7, 2.0), (0.5, 0.0, 0.49), (2.0, 1.0, 2.0), (1e-4, 0.3, 50.0),
+           (1e-9, 0.0, 1.0), (0.0, 2.0, 3.0)]
     for sig, tau, rho in rng:
         A = sig ** 2 + tau ** 2 + rho ** 2
         B = 2 * sig * rho
-        direct, _ = quad(lambda u: 1.0 / (A - B * u), -1.0, 1.0)
-        closed = np.log(((sig + rho) ** 2 + tau ** 2) / ((sig - rho) ** 2 + tau ** 2)) / B
-        assert direct == pytest.approx(closed, rel=1e-12)
+        direct, _ = quad(lambda u: 1.0 / (A - B * u), -1.0, 1.0, epsabs=0.0, epsrel=1e-13)
+        assert direct == pytest.approx(float(angular_kernel(sig, tau, rho)), rel=1e-12)
 
 
 def test_neumann_data(corr1_sym, corr2_sym):
@@ -146,6 +146,18 @@ def test_table_matches_direct(corr1_sym):
     direct = corr1_sym.eval_points(sig, tau, order=1)
     interp = tab.eval_many(sig, tau)
     assert np.max(np.abs(interp / direct - 1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("extent", [220.0, 1100.0])
+@pytest.mark.parametrize("which", ["corr1_sym", "corr2_sym", "corr1_case2"])
+def test_table_nodes_match_direct(request, which, extent):
+    """Every node of a block-built table equals the per-point order-0 rule."""
+    corr = request.getfixturevalue(which)
+    tab = corr.table(extent, m=41)
+    grid = np.expm1(np.linspace(0.0, np.log1p(extent), 41))
+    S, T = np.meshgrid(grid, grid, indexing="ij")
+    direct = corr.eval_points(S.ravel(), T.ravel())
+    assert np.max(np.abs(tab.tab / direct - 1.0)) < 1e-8
 
 
 def test_phi_eval_point_interface(corr1_sym):

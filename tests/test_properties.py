@@ -39,7 +39,7 @@ def test_gauss_panels_exact_on_monomials(lo, width, cuts, k):
     assert np.all(np.abs(got - exact) <= 1e-12 * scale)
 
 
-def panel_edges_loop(sig, tau, rho_big):
+def panel_edges_loop(sig, tau, rho_big, r_top):
     """Reference: the edge builder written as scalar loops."""
     base = [0.0]
     lo, nlog = 1e-3, 40
@@ -49,6 +49,8 @@ def panel_edges_loop(sig, tau, rho_big):
         base.append(v)
         v *= ratio
     base.append(rho_big)
+    if 0.0 < r_top < rho_big:
+        base.append(r_top)
     if sig > 0.0:
         w0 = tau
         floor = 1e-9 * (sig if sig > 1.0 else 1.0)
@@ -70,17 +72,21 @@ def panel_edges_loop(sig, tau, rho_big):
 
 
 @settings(max_examples=300, deadline=None)
-@given(sig=coords, tau=coords, scale=st.floats(1.0, 1e3))
-def test_panel_edges_shape(sig, tau, scale):
+@given(sig=coords, tau=coords, scale=st.floats(1.0, 1e3), top=st.floats(0.0, 2.0))
+def test_panel_edges_shape(sig, tau, scale, top):
     # rho_big as phi4_point chooses it: at least 60 (sigma + tau + 1)
     rho_big = 60.0 * (sig + tau + 1.0) * scale
-    e = panel_edges(sig, tau, rho_big)
+    # r_top below or beyond rho_big
+    r_top = top * rho_big
+    e = panel_edges(sig, tau, rho_big, r_top)
     assert e[0] == 0.0 and e[-1] == rho_big
     assert np.all(np.diff(e) > 0)
-    assert e.size <= 105
+    assert e.size <= 106
     if 1e-150 < sig < rho_big:
         assert sig in e
-    assert np.array_equal(e, panel_edges_loop(sig, tau, rho_big))
+    if 1e-150 < r_top < rho_big:
+        assert np.any(np.abs(e - r_top) <= 1e-14 * r_top)
+    assert np.array_equal(e, panel_edges_loop(sig, tau, rho_big, r_top))
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,6 +97,26 @@ def test_phi_positive_and_finite(corr1_sym, corr2_sym, corr1_case2, sig, tau):
         assert np.isfinite(v) and v > 0.0
 
 
+TABLE_EXTENT = TABLE_REACH / 0.01
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
+def test_table_matches_direct_off_grid(corr1_sym, corr1_case2, a, b):
+    """The m = 257 extent-220 tables agree with the order-1 rule between their nodes.
+
+    log1p(sigma) and log1p(tau) are drawn from [du, log1p(extent) - du]: the
+    first and last cell of each axis, where the 4-point stencil is clamped,
+    are left out (see PhiTable).
+    """
+    for corr in (corr1_sym, corr1_case2):
+        tab = corr.table(TABLE_EXTENT)
+        top = np.log1p(TABLE_EXTENT) - tab.du
+        sig, tau = np.expm1(tab.du + np.array([a, b]) * (top - tab.du))
+        direct = corr.eval_points([sig], [tau], order=1)[0]
+        assert abs(tab.eval_many([sig], [tau])[0] / direct - 1.0) <= 1e-6
+
+
 @settings(max_examples=50, deadline=None)
 @given(rho=st.floats(0.0, 1.0), theta=st.floats(0.0, np.pi), delta=st.floats(0.01, 0.2))
 def test_fields_odd_in_t(prof_sym, corr1_sym, corr2_sym, rho, theta, delta):
@@ -98,7 +124,7 @@ def test_fields_odd_in_t(prof_sym, corr1_sym, corr2_sym, rho, theta, delta):
     s = np.array([rho * np.sin(theta)])
     t = np.array([rho * np.cos(theta)])
     # the extent-220 tables cover (1 +- t)/delta for every delta >= 0.01
-    ext = TABLE_REACH / 0.01
+    ext = TABLE_EXTENT
     for kind in (W1, W2, PW1_APPROX, PW2_APPROX):
         fld = AnsatzField(prof_sym, kind, delta, phi1=corr1_sym, phi2=corr2_sym,
                           table_extent=ext)
