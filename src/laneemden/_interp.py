@@ -1,8 +1,9 @@
 """Piecewise-cubic profile evaluation kernels.
 
 Monotone cubic (PCHIP) coefficients are extracted once with scipy and
-evaluated by the hot kernels below; beyond the last breakpoint the stored
-power-law tail takes over, rescaled so the value is continuous there.
+evaluated by profile_eval, the one profile kernel; beyond the last
+breakpoint the stored power-law tail takes over, rescaled so the value is
+continuous there.
 """
 
 from typing import NamedTuple
@@ -14,8 +15,7 @@ from scipy.interpolate import PchipInterpolator
 class InterpPack(NamedTuple):
     """Cubic coefficients of (U, dU, V, dV) and the power-law tails beyond r_top.
 
-    Beyond r_top, U = au*r^-eu + cu2*r^-e2 (cu2 = 0 for a single-power tail)
-    and V = bv*r^-ev.
+    tail_terms states the tail model in these fields.
     """
 
     breaks: np.ndarray
@@ -38,45 +38,36 @@ def pack_pchip(x, y):
     return ip.x.copy(), ip.c
 
 
-def ppoly_eval(breaks, c, xq):
-    idx = np.searchsorted(breaks, xq) - 1
-    idx = np.minimum(np.maximum(idx, 0), breaks.shape[0] - 2)
-    dx = xq - breaks[idx]
-    return ((c[0][idx] * dx + c[1][idx]) * dx + c[2][idx]) * dx + c[3][idx]
+def tail_terms(pack, v):
+    """(amp, expo) of each nonzero power term of U (v false) or V beyond r_top.
+
+    U = au*r^-eu + cu2*r^-e2 and V = bv*r^-ev; the cu2 term is absent when
+    the tail is a single power (cu2 = 0).
+    """
+    terms = ((pack.bv, pack.ev),) if v else ((pack.au, pack.eu), (pack.cu2, pack.e2))
+    return [(a, e) for a, e in terms if a != 0.0]
 
 
-def deriv_component_eval(r, breaks, cd, r_top, amp1, expo1, amp2, expo2):
-    """One derivative component: cubic inside, two-power tail beyond r_top."""
-    r = np.abs(r)
-    inside = r <= r_top
-    rc = np.where(inside, r, r_top)
-    d = ppoly_eval(breaks, cd, rc)
-    rt = np.where(inside, r_top, r)
-    tail = -amp1 * expo1 * rt ** (-expo1 - 1.0) - amp2 * expo2 * rt ** (-expo2 - 1.0)
-    return np.where(inside, d, tail)
+def profile_eval(r, pack, parts):
+    """The named components of (U, dU, V, dV) at radii r >= 0, as a tuple.
 
-
-def profile_eval(r, pack):
-    """Evaluate (U, dU, V, dV) at radii r >= 0 from an InterpPack.
-
-    Inside [0, r_top]: piecewise cubics. Beyond: U = au*r^-eu + cu2*r^-e2,
-    V = bv*r^-ev, with derivatives differentiated analytically.
+    parts lists names among "U", "dU", "V", "dV".  Inside [0, r_top]:
+    piecewise cubics, located by one interval search for all parts.  Beyond:
+    the power tails of tail_terms, differentiated analytically.
     """
     r = np.abs(r)
     inside = r <= pack.r_top
     rc = np.where(inside, r, pack.r_top)
-    U = ppoly_eval(pack.breaks, pack.cu, rc)
-    dU = ppoly_eval(pack.breaks, pack.cdu, rc)
-    V = ppoly_eval(pack.breaks, pack.cv, rc)
-    dV = ppoly_eval(pack.breaks, pack.cdv, rc)
+    idx = np.searchsorted(pack.breaks, rc) - 1
+    idx = np.minimum(np.maximum(idx, 0), pack.breaks.shape[0] - 2)
+    dx = rc - pack.breaks[idx]
     rt = np.where(inside, pack.r_top, r)
-    au, cu2, eu, e2, bv, ev = pack.au, pack.cu2, pack.eu, pack.e2, pack.bv, pack.ev
-    pu = au * rt ** (-eu) + cu2 * rt ** (-e2)
-    dpu = -eu * au * rt ** (-eu - 1.0) - e2 * cu2 * rt ** (-e2 - 1.0)
-    pv = bv * rt ** (-ev)
-    dpv = -ev * bv * rt ** (-ev - 1.0)
-    U = np.where(inside, U, pu)
-    dU = np.where(inside, dU, dpu)
-    V = np.where(inside, V, pv)
-    dV = np.where(inside, dV, dpv)
-    return U, dU, V, dV
+    out = []
+    for part in parts:
+        c = getattr(pack, "c" + part.lower())  # cu, cdu, cv, cdv
+        cubic = ((c[0][idx] * dx + c[1][idx]) * dx + c[2][idx]) * dx + c[3][idx]
+        tail = 0.0
+        for a, e in tail_terms(pack, part.endswith("V")):
+            tail = tail + (-e * a * rt ** (-e - 1.0) if part[0] == "d" else a * rt ** (-e))
+        out.append(np.where(inside, cubic, tail))
+    return tuple(out)

@@ -37,7 +37,7 @@ TABLE_REACH = 2.2
 def bubble_uv(s, t, center_t, delta, pack, su, sv):
     """Scaled bubble components centred at (0, center_t), over (s,t) arrays."""
     d = np.sqrt(s * s + (t - center_t) * (t - center_t)) / delta
-    U, _, V, _ = profile_eval(d, pack)
+    U, V = profile_eval(d, pack, ("U", "V"))
     return delta ** (-su) * U, delta ** (-sv) * V
 
 

@@ -302,7 +302,9 @@ def cmd_verify(cfg):
                 write_csv(out / f"check_{i:02d}_{rep.name}.csv",
                           list(num_cols.keys()), list(num_cols.values()))
         status = "PASS" if rep.passed else "FAIL"
-        print(f"[{status}] {rep.name}: deviation={rec['deviation']} (tol={rep.tol})")
+        # a string target states the gate's direction (">= 0.9"), which tol alone hides
+        bound = f"target {rep.target}" if isinstance(rep.target, str) else f"tol={rep.tol}"
+        print(f"[{status}] {rep.name}: deviation={rec['deviation']} ({bound})")
     overall = all(r.passed for r in reports)
     summary = {"overall": "PASS" if overall else "FAIL", "checks": records}
     summary.update(_meta(cfg))

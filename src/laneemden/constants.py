@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._interp import profile_eval
 from .ballquad import gauss_legendre, gauss_panels, sphere_measure
 from .errors import TailDivergent
 from .radial import RadialProfile
@@ -56,6 +57,8 @@ def _panels(r_max, n_panels=36):
 def _radial_quad(f, r_max, k):
     """Composite k-point Gauss on log-graded panels over [0, r_max].
 
+    f may return a stack of integrands with the (panel, node) axes last;
+    then each row is integrated, and summed exactly as it would be alone.
     The panel half-width multiplies each panel's node sum, and the panels
     are added in sequence: weights folded into the node sum, or a pairwise
     sum over panels, change the constants in the last bits.
@@ -63,7 +66,8 @@ def _radial_quad(f, r_max, k):
     edges = _panels(r_max)
     r, _ = gauss_panels(edges, k)
     _, wg = gauss_legendre(k)
-    return np.cumsum(0.5 * np.diff(edges) * np.sum(wg * f(r), axis=1))[-1]
+    sums = 0.5 * np.diff(edges) * np.sum(wg * np.asarray(f(r)), axis=-1)
+    return np.cumsum(sums, axis=-1)[..., -1][()]  # [()]: a lone integral as a scalar
 
 
 def _with_err(f, r_max):
@@ -91,21 +95,10 @@ def compute_A_D(profile: RadialProfile):
         raise TailDivergent("(q+1)*exp_U <= n: first-component mass diverges")
     sn = sphere_measure(n)
 
-    def f_A1(r):
-        U, _, _, _ = profile.eval_many(r)
-        return r ** (n - 1.0) * U ** (q + 1.0)
-
-    def f_A2(r):
-        _, _, V, _ = profile.eval_many(r)
-        return r ** (n - 1.0) * V ** (p + 1.0)
-
-    def f_D1(r):
-        U, _, _, _ = profile.eval_many(r)
-        return r ** (n - 1.0) * U ** (q + 1.0) * np.log(U)
-
-    def f_D2(r):
-        _, _, V, _ = profile.eval_many(r)
-        return r ** (n - 1.0) * V ** (p + 1.0) * np.log(V)
+    def f(r):
+        U, V = profile_eval(r, pk, ("U", "V"))
+        rn, uq, vp = r ** (n - 1.0), U ** (q + 1.0), V ** (p + 1.0)
+        return [rn * uq, rn * vp, rn * uq * np.log(U), rn * vp * np.log(V)]
 
     # closed-form tails from the anchored power laws (leading term in the
     # two-term first component; the cross term is binomially subleading)
@@ -121,10 +114,10 @@ def compute_A_D(profile: RadialProfile):
     tail_D2 = pk.bv ** (p + 1.0) * (np.log(pk.bv) * _power_tail(r_top, mV)
                                     - pk.ev * _power_log_tail(r_top, mV))
 
+    vals, errs = _with_err(f, r_top)
     out = {}
-    for key, f, tail in (("A1", f_A1, tail_A1), ("A2", f_A2, tail_A2),
-                         ("D1", f_D1, tail_D1), ("D2", f_D2, tail_D2)):
-        v, e = _with_err(f, r_top)
+    for key, v, e, tail in zip(("A1", "A2", "D1", "D2"), vals, errs,
+                               (tail_A1, tail_A2, tail_D1, tail_D2)):
         out[key] = (sn * (v + tail), sn * (e + abs(tail) * 1e-3))
     return out
 
@@ -137,13 +130,9 @@ def compute_B_limit(profile: RadialProfile):
         raise TailDivergent("(q+1)*exp_U <= n+1: boundary-strip mass diverges")
     sm = sphere_measure(n - 1)
 
-    def f_B1(r):
-        U, _, _, _ = profile.eval_many(r)
-        return r ** float(n) * U ** (q + 1.0)
-
-    def f_B2(r):
-        _, _, V, _ = profile.eval_many(r)
-        return r ** float(n) * V ** (p + 1.0)
+    def f(r):
+        U, V = profile_eval(r, pk, ("U", "V"))
+        return [r ** float(n) * U ** (q + 1.0), r ** float(n) * V ** (p + 1.0)]
 
     r_top = pk.r_top
     mU = float(n) - (q + 1.0) * pk.eu
@@ -152,8 +141,7 @@ def compute_B_limit(profile: RadialProfile):
         _power_tail(r_top, mU)
         + (q + 1.0) * (pk.cu2 / pk.au) * _power_tail(r_top, mU - (pk.e2 - pk.eu)))
     tail_B2 = pk.bv ** (p + 1.0) * _power_tail(r_top, mV)
-    v1, e1 = _with_err(f_B1, r_top)
-    v2, e2 = _with_err(f_B2, r_top)
+    (v1, v2), (e1, e2) = _with_err(f, r_top)
     return {"B1": (0.5 * sm * (v1 + tail_B1), 0.5 * sm * e1),
             "B2": (0.5 * sm * (v2 + tail_B2), 0.5 * sm * e2)}
 
@@ -175,7 +163,7 @@ def compute_B_delta(profile: RadialProfile, delta: float):
     xg, wg = gauss_legendre(12)
     ubar = (delta * tau * tau / (1.0 + np.sqrt(1.0 - delta * delta * tau * tau)))[..., None]
     u = 0.5 * ubar * (1.0 + xg)
-    U, _, V, _ = profile.eval_many(np.sqrt((tau * tau)[..., None] + u * u))
+    U, V = profile_eval(np.sqrt((tau * tau)[..., None] + u * u), profile.interp_pack, ("U", "V"))
 
     def strip(val):
         # inner sum node by node, outer sum panel by panel
@@ -194,13 +182,10 @@ def compute_C(profile: RadialProfile):
         raise TailDivergent("first-derivative/second-component tail not integrable")
     sm = sphere_measure(n - 1)
 
-    def f_C1(r):
-        _, dU, V, _ = profile.eval_many(r)
-        return -(r ** (n - 1.0)) * dU * V
-
-    def f_C2(r):
-        U, _, _, dV = profile.eval_many(r)
-        return -(r ** (n - 1.0)) * dV * U
+    def f(r):
+        U, dU, V, dV = profile_eval(r, pk, ("U", "dU", "V", "dV"))
+        rn = r ** (n - 1.0)
+        return [-rn * dU * V, -rn * dV * U]
 
     # tails: dU ~ -eu*au r^-(eu+1) - e2*cu2 r^-(e2+1); V ~ bv r^-ev; and the swap
     r_top = pk.r_top
@@ -208,8 +193,7 @@ def compute_C(profile: RadialProfile):
                        + pk.e2 * pk.cu2 * _power_tail(r_top, n - 1.0 - (pk.e2 + 1.0) - pk.ev))
     tail_C2 = pk.ev * pk.bv * (pk.au * _power_tail(r_top, n - 1.0 - (pk.ev + 1.0) - pk.eu)
                                + pk.cu2 * _power_tail(r_top, n - 1.0 - (pk.ev + 1.0) - pk.e2))
-    v1, e1 = _with_err(f_C1, r_top)
-    v2, e2 = _with_err(f_C2, r_top)
+    (v1, v2), (e1, e2) = _with_err(f, r_top)
     return {"C1": (sm * (v1 + tail_C1), sm * (e1 + abs(tail_C1) * 1e-2)),
             "C2": (sm * (v2 + tail_C2), sm * (e2 + abs(tail_C2) * 1e-2))}
 

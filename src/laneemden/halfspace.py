@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ._interp import deriv_component_eval
+from ._interp import profile_eval, tail_terms
 from .ballquad import gauss_panels
 from .errors import DomainError, QuadratureNonConvergent
 from .radial import RadialProfile
@@ -34,12 +34,8 @@ TAU_BLOCK = 32  # grid taus per shared node set when a table is built
 
 
 def g_of_rho(rho, pack, which_v):
-    if which_v:
-        d = deriv_component_eval(rho, pack.breaks, pack.cdv, pack.r_top,
-                                 pack.bv, pack.ev, 0.0, 1.5)
-    else:
-        d = deriv_component_eval(rho, pack.breaks, pack.cdu, pack.r_top,
-                                 pack.au, pack.eu, pack.cu2, pack.e2)
+    """Neumann data -(rho/2) V'(rho) if which_v, else -(rho/2) U'(rho)."""
+    (d,) = profile_eval(rho, pack, ("dV",) if which_v else ("dU",))
     return -(rho / 2.0) * d
 
 
@@ -212,15 +208,12 @@ class HalfSpaceCorrection:
         return self.profile.interp_pack
 
     def _tail_terms(self):
-        """(amp, expo) of the nonzero power terms of g beyond r_top."""
-        pk = self._pack
-        if self._which_v:
-            amp = np.array([pk.ev * pk.bv / 2.0])
-            expo = np.array([pk.ev])
-        else:
-            amp = np.array([pk.eu * pk.au / 2.0, pk.e2 * pk.cu2 / 2.0])
-            expo = np.array([pk.eu, pk.e2])
-        return amp[amp != 0.0], expo[amp != 0.0]
+        """(amp, expo) of the nonzero power terms of g beyond r_top.
+
+        A term a*rho^-e of the profile gives g the term (e*a/2)*rho^-e.
+        """
+        a, expo = np.array(tail_terms(self._pack, self._which_v)).T
+        return expo * a / 2.0, expo
 
     def boundary_data(self, rho):
         """g(rho) >= 0 on the boundary hyperplane."""

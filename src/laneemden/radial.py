@@ -102,7 +102,7 @@ class RadialProfile:
         if self._pack is None:
             raise RuntimeError("profile has no tail fit attached")
         r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-        return profile_eval(r, self._pack)
+        return profile_eval(r, self._pack, ("U", "dU", "V", "dV"))
 
     def evaluate(self, r):
         """Scalar (U, dU, V, dV) at radius r >= 0."""
@@ -375,20 +375,18 @@ def fit_tail(profile: RadialProfile, window) -> TailFit:
 
 
 def fd_derivs_on_grid(g, y, idx):
-    """(y', y'') at grid indices via local quartic fits (5-point stencils).
+    """(y', y'') at grid indices from the quartic through each 5-point stencil.
 
-    Offsets are scaled by the stencil width before fitting; the raw
-    Vandermonde would be catastrophically ill-conditioned on fine grids.
+    All stencils are solved at once.  Offsets are scaled by the stencil
+    width first; the raw Vandermonde would be catastrophically
+    ill-conditioned on fine grids.
     """
-    d1 = np.empty(idx.size)
-    d2 = np.empty(idx.size)
-    for k, i in enumerate(idx):
-        xs = g[i - 2:i + 3] - g[i]
-        h = np.max(np.abs(xs))
-        c = np.polyfit(xs / h, y[i - 2:i + 3], 4)
-        d1[k] = c[3] / h
-        d2[k] = 2.0 * c[2] / h ** 2
-    return d1, d2
+    st = idx[:, None] + np.arange(-2, 3)
+    xs = g[st] - g[idx, None]
+    h = np.max(np.abs(xs), axis=1)
+    vander = (xs / h[:, None])[..., None] ** np.arange(5)  # vander[k, i, j] = x_i^j
+    c = np.linalg.solve(vander, y[st][..., None])[..., 0]
+    return c[:, 1] / h, 2.0 * c[:, 2] / h ** 2
 
 
 def ode_residual(profile: RadialProfile, r_lo=1e-2, r_hi=10.0):

@@ -372,6 +372,12 @@ def check_nonlinear_expansion(profile, corr2, constants: EnergyConstants,
         tol=tol, verdict=_verdict(ok), details={"d": d, "alpha": alpha})
 
 
+def _relative_residual(res, rhs):
+    """max |res| / max(|rhs|, 1e-3 max|rhs|): relative, floored near zeros of rhs."""
+    den = np.maximum(np.abs(rhs), 1e-3 * np.max(np.abs(rhs)))
+    return float(np.max(np.abs(res) / den))
+
+
 def check_kernel(profile, mode="fd", r_window=(0.05, 10.0), tol=None):
     """Residual of the linearized system on the scaling/translation kernels.
 
@@ -396,13 +402,11 @@ def check_kernel(profile, mode="fd", r_window=(0.05, 10.0), tol=None):
         d2psi = 2.0 * d2u(r) + r * d3u(r) + su * d2u(r)
         lap = d2psi + (n - 1.0) / r * dpsi
         rhs = p * u(r) ** (p - 1.0) * (r * du(r) + sv * u(r))
-        den = np.maximum(np.abs(rhs), 1e-3 * np.max(np.abs(rhs)))
-        res_scaling = float(np.max(np.abs(lap + rhs) / den))
+        res_scaling = _relative_residual(lap + rhs, rhs)
         # translation kernel: psi = u'
         lhs = -d3u(r) - (n - 1.0) / r * d2u(r) + (n - 1.0) / r ** 2 * du(r)
         rhs_t = p * u(r) ** (p - 1.0) * du(r)
-        den = np.maximum(np.abs(rhs_t), 1e-3 * np.max(np.abs(rhs_t)))
-        res_translation = float(np.max(np.abs(lhs - rhs_t) / den))
+        res_translation = _relative_residual(lhs - rhs_t, rhs_t)
     else:
         g = profile.grid
         idx = np.where((g >= r_window[0]) & (g <= r_window[1]))[0]
@@ -419,8 +423,7 @@ def check_kernel(profile, mode="fd", r_window=(0.05, 10.0), tol=None):
             d1, d2_ = lap_pair
             lap = d2_ + (n - 1.0) / r * d1
             rhs = coeff * kern
-            den = np.maximum(np.abs(rhs), 1e-3 * np.max(np.abs(rhs)))
-            res_scaling = max(res_scaling, float(np.max(np.abs(lap + rhs) / den)))
+            res_scaling = max(res_scaling, _relative_residual(lap + rhs, rhs))
         # translation kernel (psi, phi) = (U', V'): radial reduction
         res_translation = 0.0
         for y, coeff, kern in ((profile.dU, p * V[idx] ** (p - 1.0), profile.dV[idx]),
@@ -428,8 +431,7 @@ def check_kernel(profile, mode="fd", r_window=(0.05, 10.0), tol=None):
             d1, d2_ = fd_derivs_on_grid(g, y, idx)
             lhs = -d2_ - (n - 1.0) / r * d1 + (n - 1.0) / r ** 2 * y[idx]
             rhs = coeff * kern
-            den = np.maximum(np.abs(rhs), 1e-3 * np.max(np.abs(rhs)))
-            res_translation = max(res_translation, float(np.max(np.abs(lhs - rhs) / den)))
+            res_translation = max(res_translation, _relative_residual(lhs - rhs, rhs))
     worst = max(res_scaling, res_translation)
     return ExpansionReport(
         name="linearized_kernel",

@@ -198,6 +198,21 @@ def test_verify_prints_plain_float_deviations(monkeypatch, tmp_path, capsys):
     assert "np.float64" not in out
 
 
+def test_verify_prints_min_type_targets(monkeypatch, tmp_path, capsys):
+    """A string target (a lower bound) is printed in place of the bare tol."""
+    import laneemden.cli as cli
+    reps = [ExpansionReport(name="cross_terms", samples={}, fit={},
+                            target=">= 1.5 per halving", deviation=1.93, tol=1.5,
+                            verdict="PASS"),
+            ExpansionReport(name="bubble_mass", samples={}, fit={}, target=-1.0,
+                            deviation=0.01, tol=0.05, verdict="PASS")]
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: reps)
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "[PASS] cross_terms: deviation=1.93 (target >= 1.5 per halving)"
+    assert lines[1] == "[PASS] bubble_mass: deviation=0.01 (tol=0.05)"
+
+
 # Reuse of the profile that ground-state writes to --out.  The solver is
 # replaced by the session's p = 3 ground state, so these tests add no solve;
 # like find_ground_state, it carries the params it was called with.

@@ -55,20 +55,28 @@ def test_b_delta_converges_to_limit(prof_sym, consts_sym):
 
 @pytest.mark.parametrize("k", [12, 20])
 def test_radial_quad_matches_panel_loop(prof_sym, prof_case2, k):
-    """The array rule equals the panel-by-panel loop, bit for bit."""
+    """The array rule equals the panel-by-panel loop, bit for bit, and each
+    row of a stack equals its lone integral."""
     xg, wg = roots_legendre(k)
     for prof in (prof_sym, prof_case2):
-        q = prof.params.q
+        p, q = prof.params.p, prof.params.q
 
         def f(r):
             return r ** 3.0 * prof.eval_many(r)[0] ** (q + 1.0)
+
+        def g(r):
+            return r ** 3.0 * prof.eval_many(r)[2] ** (p + 1.0)
 
         edges = _panels(prof.interp_pack.r_top)
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             r = 0.5 * (a + b) + 0.5 * (b - a) * xg
             total += 0.5 * (b - a) * np.sum(wg * f(r))
-        assert _radial_quad(f, prof.interp_pack.r_top, k) == total
+        r_top = prof.interp_pack.r_top
+        assert _radial_quad(f, r_top, k) == total
+        rows = _radial_quad(lambda r: [f(r), g(r)], r_top, k)
+        assert rows.shape == (2,)
+        assert rows[0] == total and rows[1] == _radial_quad(g, r_top, k)
 
 
 def test_b_delta_matches_panel_loop(prof_sym):

@@ -1,6 +1,6 @@
 """Property tests over random inputs for the exponent pairs, the run
-configuration, the quadrature rules, the half-space kernel and the
-two-bubble fields."""
+configuration, the quadrature rules, the half-space kernel, the two-bubble
+fields and the ground state between its samples."""
 
 from fractions import Fraction
 
@@ -129,6 +129,17 @@ def test_fields_odd_in_t(prof_sym, corr1_sym, corr2_sym, rho, theta, delta):
         fld = AnsatzField(prof_sym, kind, delta, phi1=corr1_sym, phi2=corr2_sym,
                           table_extent=ext)
         assert np.array_equal(fld.eval_st(s, -t), -fld.eval_st(s, t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_r=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=64))
+def test_ground_state_positive_and_decreasing(prof_sym, prof_case1, prof_case2, log_r):
+    """U, V > 0 and U', V' <= 0 at any radius, between the samples and in the tails."""
+    for prof in (prof_sym, prof_case1, prof_case2):
+        r = np.concatenate([[0.0, prof.interp_pack.r_top], 10.0 ** np.array(log_r)])
+        U, dU, V, dV = prof.eval_many(r)
+        assert np.all(U > 0.0) and np.all(V > 0.0)
+        assert np.all(dU <= 0.0) and np.all(dV <= 0.0)
 
 
 @st.composite
