@@ -73,6 +73,12 @@ class RunConfig:
             raise ConfigError(f"unknown checks: {unknown}")
         if self.mesh_level < 1:
             raise ConfigError("mesh_level must be >= 1")
+        empty = [k for k in ("checks", "deltas", "eps") if not getattr(self, k)]
+        if empty:
+            raise ConfigError(f"empty lists: {empty}")
+        # the slope fits of verify's checks extrapolate through two distinct samples
+        if command == "verify" and min(len(set(self.deltas)), len(set(self.eps))) < 2:
+            raise ConfigError("verify needs at least 2 distinct deltas and 2 distinct eps")
         phi_checks = [c for c in self.checks if V.CHECK_NEEDS[c] == "phi"]
         if command == "verify" and self.n != 4 and phi_checks:
             raise ConfigError(f"checks {phi_checks} need the half-space corrections, "
@@ -87,29 +93,27 @@ class RunConfig:
         return d
 
 
-_FLOAT_KEYS = {"p", "alpha", "beta", "d", "ode_tol", "r_max", "b_delta"}
-_INT_KEYS = {"n", "mesh_level"}
-_LIST_KEYS = {"deltas", "eps", "checks"}
-_BOOL_KEYS = {"seed_free"}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _coerce(key, raw):
-    if key in _FLOAT_KEYS:
-        return parse_exponent(raw)
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _BOOL_KEYS:
-        return str(raw).strip().lower() in ("1", "true", "yes")
-    if key in _LIST_KEYS:
-        items = [s.strip() for s in str(raw).split(",") if s.strip()]
-        if key == "checks":
-            return tuple(items)
-        return tuple(parse_exponent(s) for s in items)
-    if key == "b_mode":
-        return str(raw).strip().upper()
-    if key == "out":
-        return str(raw).strip()
-    raise ConfigError(f"unknown configuration key {key!r}")
+    """Parse a flag or config-file value by the type of its RunConfig field.
+
+    Numbers take a decimal or a rational like 11/3; a list is comma-separated.
+    """
+    if key not in _DEFAULTS:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    default, s = _DEFAULTS[key], str(raw).strip()
+    if isinstance(default, bool):
+        return s.lower() in ("1", "true", "yes")
+    if isinstance(default, int):
+        return int(s)
+    if isinstance(default, float):
+        return parse_exponent(s)
+    if isinstance(default, tuple):
+        items = [t.strip() for t in s.split(",") if t.strip()]
+        return tuple(items) if key == "checks" else tuple(parse_exponent(t) for t in items)
+    return s.upper() if key == "b_mode" else s
 
 
 def load_config(path) -> dict:
@@ -129,19 +133,9 @@ def build_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         cfg = replace(cfg, **load_config(args.config))
-    overrides = {}
-    for key in ("n", "p", "alpha", "beta", "d", "ode_tol", "r_max", "mesh_level",
-                "out", "b_mode", "b_delta"):
-        v = getattr(args, key.replace("-", "_"), None)
-        if v is not None:
-            overrides[key] = _coerce(key, v) if isinstance(v, str) else v
-    for key in ("deltas", "eps", "checks"):
-        v = getattr(args, key, None)
-        if v is not None:
-            overrides[key] = _coerce(key, v)
-    if getattr(args, "seed_free", False):
-        overrides["seed_free"] = True
-    cfg = replace(cfg, **overrides)
+    flags = {k: getattr(args, k, None) for k in _DEFAULTS}
+    # "is not None", not truth: --checks "" must reach validate
+    cfg = replace(cfg, **{k: _coerce(k, v) for k, v in flags.items() if v is not None})
     cfg.validate(args.command)
     return cfg
 
@@ -328,38 +322,35 @@ def cmd_report(cfg):
     return 0 if overall else 1
 
 
+_COMMON_KEYS = ("out", "seed_free", "n", "p", "alpha", "beta", "r_max", "ode_tol")
+# every RunConfig field is a common key or some command's key
+_COMMAND_KEYS = {"ground-state": (), "constants": ("b_mode", "b_delta"),
+                 "reduced-energy": ("eps",),
+                 "verify": ("checks", "deltas", "eps", "d", "mesh_level"), "report": ()}
+_HELP = {"out": "output directory",
+         "seed_free": "assert that the run draws no random numbers",
+         "p": "exponent p (decimal or rational like 11/3)",
+         "checks": "comma-separated subset of: " + ",".join(V.CHECK_NAMES)}
+
+
+def _add_flags(parser, keys):
+    """One --key-name flag per RunConfig field; values stay text for _coerce."""
+    for key in keys:
+        # default None, not False, so that seed_free = true in a file survives
+        action = "store_true" if key == "seed_free" else "store"
+        parser.add_argument("--" + key.replace("_", "-"), action=action, default=None,
+                            help=_HELP.get(key))
+
+
 def make_parser():
     ap = argparse.ArgumentParser(prog="laneemden", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="key = value file")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--seed-free", dest="seed_free", action="store_true",
-                        help="assert that the run draws no random numbers")
-    common.add_argument("--n", type=int, default=None)
-    common.add_argument("--p", type=str, default=None,
-                        help="exponent p (decimal or rational like 11/3)")
-    common.add_argument("--alpha", type=float, default=None)
-    common.add_argument("--beta", type=float, default=None)
-    common.add_argument("--r-max", dest="r_max", type=float, default=None)
-    common.add_argument("--ode-tol", dest="ode_tol", type=float, default=None)
-
-    sub.add_parser("ground-state", parents=[common])
-    pc = sub.add_parser("constants", parents=[common])
-    pc.add_argument("--b-mode", dest="b_mode", choices=["LIMIT", "DELTA", "limit", "delta"],
-                    default=None)
-    pc.add_argument("--b-delta", dest="b_delta", type=float, default=None)
-    pr = sub.add_parser("reduced-energy", parents=[common])
-    pr.add_argument("--eps", type=str, default=None)
-    pv = sub.add_parser("verify", parents=[common])
-    pv.add_argument("--checks", type=str, default=None,
-                    help="comma-separated subset of: " + ",".join(V.CHECK_NAMES))
-    pv.add_argument("--deltas", type=str, default=None)
-    pv.add_argument("--eps", type=str, default=None)
-    pv.add_argument("--d", type=float, default=None)
-    pv.add_argument("--mesh-level", dest="mesh_level", type=int, default=None)
-    sub.add_parser("report", parents=[common])
+    _add_flags(common, _COMMON_KEYS)
+    for command, keys in _COMMAND_KEYS.items():
+        _add_flags(sub.add_parser(command, parents=[common]), keys)
     return ap
 
 

@@ -49,9 +49,9 @@ class EnergyConstants:
         return d
 
 
-def _panels(r_max, n_panels=36):
-    edges = np.concatenate([[0.0], np.geomspace(1e-4, r_max, n_panels)])
-    return edges
+def _panels(r_max):
+    """0 and 36 geometric edges from 1e-4 to r_max."""
+    return np.concatenate([[0.0], np.geomspace(1e-4, r_max, 36)])
 
 
 def _radial_quad(f, r_max, k):

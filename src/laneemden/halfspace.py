@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ._interp import profile_eval, tail_terms
 from .ballquad import gauss_panels
 from .errors import DomainError, QuadratureNonConvergent
-from .radial import RadialProfile
+from .radial import RadialProfile, fit_two_power
 
 PHI1 = "PHI1"
 PHI2 = "PHI2"
@@ -233,11 +232,11 @@ class HalfSpaceCorrection:
         return np.array([phi4_point(s, t, self._pack, self._which_v, amp, expo, k)
                          for s, t in zip(sig, tau)])
 
-    def phi_eval(self, x, rel_tol=1e-4):
+    def phi_eval(self, x):
         """Accurate evaluation at one point of the closed half-space.
 
         Runs the base and a refined rule; raises QuadratureNonConvergent if
-        they disagree beyond rel_tol.
+        they disagree beyond a relative 1e-4.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1 or x.size < 2:
@@ -246,7 +245,7 @@ class HalfSpaceCorrection:
         tau = float(x[-1])
         a = float(self.eval_points([sig], [tau], order=0)[0])
         b = float(self.eval_points([sig], [tau], order=1)[0])
-        if abs(b - a) > rel_tol * max(abs(b), 1e-300):
+        if abs(b - a) > 1e-4 * max(abs(b), 1e-300):
             raise QuadratureNonConvergent(
                 f"phi quadrature spread {abs(b - a):.2e} at (sigma={sig}, tau={tau})")
         return b
@@ -270,15 +269,14 @@ class HalfSpaceCorrection:
                                          du=float(gu[1] - gu[0]), tab=vals)
         return self._tables[key]
 
-    def verify_harmonic(self, sample_box=((1.0, 2.0), (1.0, 2.0)), h=0.05, k=3):
-        """Max |FD Laplacian| over a k x k sample grid inside the box."""
-        (s_lo, s_hi), (t_lo, t_hi) = sample_box
-        if t_lo < 2 * h:
-            raise DomainError("sample box must keep x_n >= 2h")
+    def verify_harmonic(self, h=0.05, k=3):
+        """Max |FD Laplacian|, step h, over a k x k grid of (|x'|, x_n) in [1, 2]^2."""
+        if h > 0.5:
+            raise DomainError("the step h must be at most 0.5, so that x_n >= 2h")
         n = self.profile.params.n
         worst = 0.0
-        for sig in np.linspace(s_lo, s_hi, k):
-            for tau in np.linspace(t_lo, t_hi, k):
+        for sig in np.linspace(1.0, 2.0, k):
+            for tau in np.linspace(1.0, 2.0, k):
                 x = np.zeros(n)
                 x[0] = sig
                 x[-1] = tau
@@ -291,11 +289,13 @@ class HalfSpaceCorrection:
                 worst = max(worst, abs(lap))
         return worst
 
-    def verify_neumann_data(self, radii, h=5e-3):
+    def verify_neumann_data(self, radii):
         """Max relative mismatch of the outward normal derivative against g.
 
-        Second-order one-sided difference in the outward direction -e_n.
+        Second-order one-sided difference with step 5e-3 in the outward
+        direction -e_n.
         """
+        h = 5e-3
         worst = 0.0
         for rho in radii:
             f0 = float(self.eval_points([rho], [0.0], order=1)[0])
@@ -315,16 +315,16 @@ class HalfSpaceCorrection:
         vals = self.eval_points(S.ravel(), T.ravel())
         write_csv(path, ["s", "t", "value"], [S.ravel(), T.ravel(), vals])
 
-    def decay_exponent(self, tau_lo=30.0, tau_hi=600.0, n_pts=12):
+    def decay_exponent(self):
         """Fitted decay exponent of phi along the axis, with its target.
 
-        Fits C (1+tau)^-k + C2 (1+tau)^-k2 with k free and k2 the next
-        structural decay rate: the generic harmonic rate n-3 when the
-        leading rate sits below it (slow first-component data), k+1
-        otherwise.  The second term removes the bias a plain log-log slope
-        would carry from the subleading mode.
+        Fits C (1+tau)^-k + C2 (1+tau)^-k2 at 12 geometric taus in
+        [30, 600], with k free and k2 the next structural decay rate: the
+        generic harmonic rate n-3 when the leading rate sits below it (slow
+        first-component data), k+1 otherwise.  The second term removes the
+        bias a plain log-log slope would carry from the subleading mode.
         """
-        taus = np.geomspace(tau_lo, tau_hi, n_pts)
+        taus = np.geomspace(30.0, 600.0, 12)
         vals = self.eval_points(np.zeros_like(taus), taus)
         n, p = self.profile.params.n, self.profile.params.p
         if self.which == PHI1 and self.profile.params.case_tag == "SUB":
@@ -333,13 +333,5 @@ class HalfSpaceCorrection:
         else:
             k_th = n - 3.0
             k2 = k_th + 1.0
-        base = 1.0 + taus
-
-        def resid(kk):
-            A = np.vstack([base ** -kk, base ** -k2]).T
-            coef, *_ = np.linalg.lstsq(A / vals[:, None], np.ones_like(vals), rcond=None)
-            return float(np.sum((A @ coef / vals - 1.0) ** 2))
-
-        res = minimize_scalar(resid, bounds=(max(0.2, 0.6 * k_th), k2 - 1e-3),
-                              method="bounded", options={"xatol": 1e-8})
-        return float(res.x), k_th
+        k = fit_two_power(1.0 + taus, vals, k2, (max(0.2, 0.6 * k_th), k2 - 1e-3), xatol=1e-8)
+        return k, k_th

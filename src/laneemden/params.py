@@ -24,7 +24,10 @@ def parse_exponent(text):
     """Parse an exponent given as a decimal or a rational like '11/3'."""
     s = str(text).strip()
     if "/" in s:
-        return float(Fraction(s))
+        try:
+            return float(Fraction(s))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
     return float(s)
 
 
@@ -110,10 +113,6 @@ class ProblemParams:
         """Leading power-law decay exponent of the first component."""
         if self.case_tag == CASE_SUB:
             return (self.n - 2.0) * self.p - 2.0
-        return self.n - 2.0
-
-    @property
-    def exp_v_decay(self):
         return self.n - 2.0
 
 

@@ -202,9 +202,9 @@ def shoot(params: ProblemParams, v0: float, r_max: float, tol: float = 1e-10,
     return ShotResult(cls, v0, float(sol.t[-1]), sol)
 
 
-def _bisect_edge(classify, lo, hi, pred_lo, max_iter=90):
-    """Shrink [lo, hi] with pred holding at lo and failing at hi."""
-    for _ in range(max_iter):
+def _bisect_edge(classify, lo, hi, pred_lo):
+    """Shrink [lo, hi] with pred holding at lo and failing at hi, in at most 90 halvings."""
+    for _ in range(90):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -216,12 +216,13 @@ def _bisect_edge(classify, lo, hi, pred_lo, max_iter=90):
 
 
 def find_ground_state(params: ProblemParams, ode_tol: float = 3e-14,
-                      r_max: float = 1e4, solve_factor: float = DEFAULT_SOLVE_FACTOR,
-                      fit_window=None) -> RadialProfile:
+                      r_max: float = 1e4) -> RadialProfile:
     """Locate v0*, sample the profile on a graded grid, and fit the tail.
 
     The shooting value is taken as the centre of the decaying window at
-    radius solve_factor * r_max.
+    radius DEFAULT_SOLVE_FACTOR * r_max.  The tail is fitted over
+    [r_max/100, r_max] when p < n/(n-2) (slow first-component decay) and
+    over [r_max/10, r_max] otherwise.
     """
     if params.case_tag == CASE_BORDER:
         raise DomainError("p = n/(n-2) is not supported")
@@ -231,7 +232,7 @@ def find_ground_state(params: ProblemParams, ode_tol: float = 3e-14,
     if label == "outside" and not at_top:
         raise DomainError(f"p={params.p} outside the admissible coupling ranges")
 
-    r_solve = solve_factor * r_max
+    r_solve = DEFAULT_SOLVE_FACTOR * r_max
 
     def classify(v0):
         return shoot(params, v0, r_solve, tol=ode_tol).classification
@@ -299,12 +300,8 @@ def find_ground_state(params: ProblemParams, ode_tol: float = 3e-14,
 
     prof = RadialProfile(params=params, grid=grid, U=U, dU=dU, V=V, dV=dV,
                          v0=float(v0), r_max=float(r_max), ode_tol=float(ode_tol))
-    if fit_window is None:
-        if params.case_tag == CASE_SUB:
-            fit_window = (r_max / 100.0, r_max)
-        else:
-            fit_window = (r_max / 10.0, r_max)
-    tail = fit_tail(prof, fit_window)
+    fit_lo = r_max / 100.0 if params.case_tag == CASE_SUB else r_max / 10.0
+    tail = fit_tail(prof, (fit_lo, r_max))
     return prof.with_tail(tail)
 
 
@@ -317,6 +314,22 @@ def _loglog_fit(r, y):
     s2 = (res[0] / dof) if res.size else 0.0
     cov = s2 * np.linalg.inv(A.T @ A)
     return coef[0], coef[1], float(np.sqrt(max(cov[0, 0], 0.0)))
+
+
+def fit_two_power(x, y, k2, bounds, xatol):
+    """Exponent k in bounds of the fit y ~ c1 x^-k + c2 x^-k2.
+
+    For each k, (c1, c2) solve the least squares of the relative misfit
+    model/y - 1; k minimises its sum of squares (bounded Brent, tolerance
+    xatol).
+    """
+    def resid(k):
+        A = np.vstack([x ** -k, x ** -k2]).T
+        coef, *_ = np.linalg.lstsq(A / y[:, None], np.ones_like(y), rcond=None)
+        return float(np.sum((A @ coef / y - 1.0) ** 2))
+
+    res = minimize_scalar(resid, bounds=bounds, method="bounded", options={"xatol": xatol})
+    return float(res.x)
 
 
 def fit_tail(profile: RadialProfile, window) -> TailFit:
@@ -339,16 +352,8 @@ def fit_tail(profile: RadialProfile, window) -> TailFit:
 
     if profile.params.case_tag == CASE_SUB:
         e_th = profile.params.exp_u_decay
-
-        def resid(gam):
-            A = np.vstack([rf ** -gam, rf ** -e2]).T
-            coef, *_ = np.linalg.lstsq(A / Uf[:, None], np.ones_like(Uf), rcond=None)
-            return float(np.sum((A @ coef / Uf - 1.0) ** 2)), coef
-
-        res = minimize_scalar(lambda g: resid(g)[0],
-                              bounds=(max(1.01, 0.75 * e_th), min(e2 - 1e-3, 1.25 * e_th)),
-                              method="bounded", options={"xatol": 1e-10})
-        exp_U = float(res.x)
+        exp_U = fit_two_power(rf, Uf, e2, (max(1.01, 0.75 * e_th), min(e2 - 1e-3, 1.25 * e_th)),
+                              xatol=1e-10)
         # coefficient for the decay identity: two-term fit at the theoretical exponent
         A = np.vstack([rf ** -e_th, rf ** -e2]).T
         coef, *_ = np.linalg.lstsq(A / Uf[:, None], np.ones_like(Uf), rcond=None)
@@ -375,12 +380,17 @@ def fit_tail(profile: RadialProfile, window) -> TailFit:
 
 
 def fd_derivs_on_grid(g, y, idx):
-    """(y', y'') at grid indices from the quartic through each 5-point stencil.
+    """(y', y'') at profile-grid indices from the quartic through each 5-point stencil.
 
     All stencils are solved at once.  Offsets are scaled by the stencil
     width first; the raw Vandermonde would be catastrophically
-    ill-conditioned on fine grids.
+    ill-conditioned on fine grids.  Indices must lie in [3, size - 3]: the
+    stencil at index 2 reaches r = 0, where four of its five scaled nodes
+    crowd within 0.006 and the solve is near-singular; below it, and above
+    size - 3, the stencil leaves the grid.
     """
+    if np.any(idx < 3) or np.any(idx > g.size - 3):
+        raise DomainError(f"stencil indices must lie in [3, {g.size - 3}]")
     st = idx[:, None] + np.arange(-2, 3)
     xs = g[st] - g[idx, None]
     h = np.max(np.abs(xs), axis=1)
@@ -389,8 +399,8 @@ def fd_derivs_on_grid(g, y, idx):
     return c[:, 1] / h, 2.0 * c[:, 2] / h ** 2
 
 
-def ode_residual(profile: RadialProfile, r_lo=1e-2, r_hi=10.0):
-    """Max relative residual of the radial system on grid points.
+def ode_residual(profile: RadialProfile):
+    """Max relative residual of the radial system on the grid points in [1e-2, 10].
 
     Second derivatives come from 5-point local polynomial differentiation
     of the sampled values, so the figure is FD-limited; beyond r ~ 30 the
@@ -398,8 +408,8 @@ def ode_residual(profile: RadialProfile, r_lo=1e-2, r_hi=10.0):
     and a relative comparison stops being meaningful.
     """
     g = profile.grid
-    sel = np.where((g >= r_lo) & (g <= r_hi))[0]
-    sel = sel[(sel >= 2) & (sel <= g.size - 3)]
+    sel = np.where((g >= 1e-2) & (g <= 10.0))[0]
+    sel = sel[sel <= g.size - 3]  # the stencil needs two points beyond; r_max may be < 10
     n, p, q = profile.params.n, profile.params.p, profile.params.q
     worst = 0.0
     for arr, src in ((profile.U, profile.V ** p), (profile.V, profile.U ** q)):

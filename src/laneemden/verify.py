@@ -176,7 +176,7 @@ def check_bubble_mass(profile, constants: EnergyConstants, deltas,
                  "quad_err": float(quad_err)})
 
 
-def check_cross_terms(profile, deltas, level=1, min_shrink=MIN_SHRINK):
+def check_cross_terms(profile, deltas, level=1):
     """Opposite-bubble couplings are o(delta), both component pairings."""
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
@@ -193,17 +193,16 @@ def check_cross_terms(profile, deltas, level=1, min_shrink=MIN_SHRINK):
     fu = shrink_factors(deltas, u_vals)
     fv = shrink_factors(deltas, v_vals)
     worst = min(fu + fv)
-    ok = worst >= min_shrink
+    ok = worst >= MIN_SHRINK
     return ExpansionReport(
         name="cross_terms", samples={"delta": list(deltas), "u_cross": u_vals,
                                      "v_cross": v_vals},
-        fit={"shrink_u": fu, "shrink_v": fv}, target=f">= {min_shrink} per halving",
-        deviation=worst, tol=min_shrink, verdict=_verdict(ok))
+        fit={"shrink_u": fu, "shrink_v": fv}, target=f">= {MIN_SHRINK} per halving",
+        deviation=worst, tol=MIN_SHRINK, verdict=_verdict(ok))
 
 
 def check_phi_pairing(profile, corr1: HalfSpaceCorrection, corr2: HalfSpaceCorrection,
-                      constants: EnergyConstants, deltas, level=1, tol=0.05,
-                      min_shrink=MIN_SHRINK):
+                      constants: EnergyConstants, deltas, level=1, tol=0.05):
     """Boundary-layer pairings: matched ones carry -C/2, crossed ones are o(delta).
 
     Pairings are reported in the orientation of the projection expansions
@@ -237,7 +236,7 @@ def check_phi_pairing(profile, corr1: HalfSpaceCorrection, corr2: HalfSpaceCorre
     dev2 = abs(s2 - t2) / abs(t2)
     f1 = shrink_factors(deltas, x1)
     f2 = shrink_factors(deltas, x2)
-    ok = (dev1 <= tol and dev2 <= tol and min(f1 + f2) >= min_shrink
+    ok = (dev1 <= tol and dev2 <= tol and min(f1 + f2) >= MIN_SHRINK
           and np.all(m1 < 0) and np.all(m2 < 0))
     return ExpansionReport(
         name="boundary_pairing",
@@ -289,8 +288,7 @@ def check_gradient_expansion(profile, corr1, constants: EnergyConstants,
 
 
 def check_nonlinear_expansion(profile, corr2, constants: EnergyConstants,
-                              eps_list, d=0.2, alpha=1.0, level=1, tol=0.10,
-                              min_shrink=MIN_SHRINK):
+                              eps_list, d=0.2, alpha=1.0, level=1, tol=0.10):
     """Perturbed-exponent energy of the projected second component.
 
     With delta = d*eps, the functional splits into a delta-part (checked as
@@ -356,7 +354,7 @@ def check_nonlinear_expansion(profile, corr2, constants: EnergyConstants,
     residual = residual_raw - second
     factors = shrink_factors(eps, residual)
     ok = (dev_slope <= tol and dev_eps <= tol and dev_lead <= 0.01
-          and min(factors) >= min_shrink)
+          and min(factors) >= MIN_SHRINK)
     return ExpansionReport(
         name="nonlinear_energy",
         samples={"eps": list(eps), "delta": list(dls), "value_alpha": Ma,
@@ -378,18 +376,19 @@ def _relative_residual(res, rhs):
     return float(np.max(np.abs(res) / den))
 
 
-def check_kernel(profile, mode="fd", r_window=(0.05, 10.0), tol=None):
+def check_kernel(profile, mode="fd"):
     """Residual of the linearized system on the scaling/translation kernels.
 
-    mode 'fd' differentiates the sampled profile (FD-limited accuracy);
-    mode 'analytic' uses the closed-form bubble and is only available at
-    the symmetric exponent pair.
+    The residual is taken over 0.05 <= r <= 10.  mode 'fd' differentiates
+    the sampled profile (FD-limited accuracy, tol 1e-4); mode 'analytic'
+    uses the closed-form bubble (tol 1e-6) and is only available at the
+    symmetric exponent pair.
     """
     pp = profile.params
     n, p, q = pp.n, pp.p, pp.q
     su, sv = pp.su, pp.sv
-    if tol is None:
-        tol = 1e-4 if mode == "fd" else 1e-6
+    r_window = (0.05, 10.0)
+    tol = 1e-4 if mode == "fd" else 1e-6
     if mode == "analytic":
         top = (n + 2.0) / (n - 2.0)
         if abs(p - top) > 1e-12 or abs(q - top) > 1e-12:
@@ -410,7 +409,7 @@ def check_kernel(profile, mode="fd", r_window=(0.05, 10.0), tol=None):
     else:
         g = profile.grid
         idx = np.where((g >= r_window[0]) & (g <= r_window[1]))[0]
-        idx = idx[(idx >= 2) & (idx <= g.size - 3)]
+        idx = idx[idx <= g.size - 3]  # the stencil needs two points beyond; r_max may be < 10
         r = g[idx]
         U, V = profile.U, profile.V
         psi = g * profile.dU + su * U
@@ -473,9 +472,8 @@ def scaling_row_exponent(params, row, t):
     return t * (c - a), False
 
 
-def check_scaling_table(params, t, row, deltas=(0.02, 0.01, 0.005), R=0.5,
-                        tol=0.02):
-    """Log-log order of int_{B_R} w^t, w an explicit power-law bubble.
+def check_scaling_table(params, t, row, deltas=(0.02, 0.01, 0.005), tol=0.02):
+    """Log-log order of int_{B_R} w^t, R = 0.5, w an explicit power-law bubble.
 
     The integrand is an explicit elementary function, so the default
     samples sit lower than the field checks'; that keeps the finite-delta
@@ -490,7 +488,7 @@ def check_scaling_table(params, t, row, deltas=(0.02, 0.01, 0.005), R=0.5,
 
     def value(d):
         # panels added in sequence; a pairwise sum changes the last bits
-        r, w = gauss_panels(np.concatenate([[0.0], np.geomspace(d * 1e-3, R, 60)]), 24)
+        r, w = gauss_panels(np.concatenate([[0.0], np.geomspace(d * 1e-3, 0.5, 60)]), 24)
         f = d ** (-a * t) * (1.0 + (r / d) ** 2) ** (-c * t / 2.0)
         return sn * np.cumsum(np.sum(w * r ** (n - 1.0) * f, axis=1))[-1]
 
@@ -524,8 +522,9 @@ def f_taylor_remainders(q, beta, eps, t):
     return xi, xi_bound, eta, eta_bound
 
 
-def check_f_taylor(params, t_samples=None, eps_values=(0.1, 0.01), tol=1.0):
-    """Remainder/envelope ratios of the perturbed-power expansions."""
+def check_f_taylor(params, t_samples=None, eps_values=(0.1, 0.01)):
+    """Remainder/envelope ratios of the perturbed-power expansions; all must be <= 1."""
+    tol = 1.0
     if t_samples is None:
         t_samples = np.geomspace(0.1, 10.0, 101)
     t = np.asarray(t_samples, dtype=float)
@@ -549,14 +548,14 @@ def check_f_taylor(params, t_samples=None, eps_values=(0.1, 0.01), tol=1.0):
         verdict=_verdict(ok))
 
 
-def check_norm_orders(profile, corr1, eps_list, d=0.2, level=1,
-                      beta=1.0, min_order=0.9):
-    """Order in eps of the perturbed-minus-limit nonlinearity norms.
+def check_norm_orders(profile, corr1, eps_list, d=0.2, level=1, beta=1.0):
+    """Order in eps of the perturbed-minus-limit nonlinearity norms; both must be >= 0.9.
 
     The norms carry an eps * |log delta| structure (bubble amplitudes grow
     like a power of 1/delta), so the order is fitted after deflating the
     predicted log factor; the raw log-log order is reported alongside.
     """
+    min_order = 0.9
     pp = profile.params
     q = pp.q
     deltas = [d * e for e in eps_list]

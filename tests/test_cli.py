@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import warnings
@@ -9,6 +10,8 @@ from laneemden.cli import RunConfig, _meta, build_config, load_config, main, mak
 from laneemden.constants import compute_constants
 from laneemden.errors import ConfigError
 from laneemden.verify import CHECK_NAMES, CHECK_NEEDS, ExpansionReport
+
+COMMANDS = ("ground-state", "constants", "reduced-energy", "verify", "report")
 
 
 def test_config_file_parsing(tmp_path):
@@ -67,11 +70,48 @@ def test_validate_rejects_bad_samples():
         RunConfig(checks=("nope",)).validate()
     with pytest.raises(ConfigError):
         RunConfig(ode_tol=-1.0).validate()
+    for command in COMMANDS:
+        for empty in ("checks", "deltas", "eps"):
+            with pytest.raises(ConfigError):
+                RunConfig(**{empty: ()}).validate(command)
+    # verify's slope fits need two distinct samples; one is enough elsewhere
+    for few in ({"deltas": (0.04,)}, {"deltas": (0.02, 0.02)}, {"eps": (0.04,)},
+                {"eps": (0.01, 0.01, 0.01)}):
+        with pytest.raises(ConfigError):
+            RunConfig(**few).validate("verify")
+        RunConfig(**few).validate("reduced-energy")
 
 
 def test_exit_code_config_error(tmp_path):
     rc = main(["verify", "--config", str(tmp_path / "missing.cfg")])
     assert rc == 2
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("alpha = 1/0\n")
+    for bad in (["--config", str(cfg_file)], ["--alpha", "1/0"], ["--alpha", "half"],
+                ["--n", "4.0"], ["--b-mode", "none"]):
+        assert main(["constants", "--out", str(tmp_path)] + bad) == 2
+
+
+def test_every_numeric_flag_takes_a_rational():
+    args = make_parser().parse_args(["verify", "--alpha", "1/2", "--beta", "3/4", "--d", "1/5",
+                                     "--deltas", "1/25, 1/50", "--r-max", "20000/2"])
+    cfg = build_config(args)
+    assert (cfg.alpha, cfg.beta, cfg.d, cfg.r_max) == (0.5, 0.75, 0.2, 1e4)
+    assert cfg.deltas == (0.04, 0.02)
+
+
+def test_each_flag_is_a_config_field():
+    """A command's flags are --config and RunConfig fields; every field is some command's flag."""
+    (sub,) = [a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(COMMANDS)
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    seen = set()
+    for command, parser in sub.choices.items():
+        flags = {a.dest: a.option_strings for a in parser._actions if a.dest != "help"}
+        assert "config" in flags and set(flags) - {"config"} <= fields, command
+        assert all(opts == ["--" + k.replace("_", "-")] for k, opts in flags.items())
+        seen |= set(flags)
+    assert seen == fields | {"config"}
 
 
 def test_exit_code_usage_error(capsys):
@@ -177,6 +217,24 @@ def test_phi_checks_rejected_for_n5_before_any_solve(monkeypatch, tmp_path):
     with pytest.raises(ConfigError):
         RunConfig(n=5, p=2.0).validate()
     RunConfig(n=5, p=2.0).validate("ground-state")
+
+
+def test_degenerate_lists_rejected_before_any_solve(monkeypatch, tmp_path):
+    import laneemden.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("ground state solved before the config was rejected")
+
+    monkeypatch.setattr(cli, "find_ground_state", no_solve)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("checks =\n")
+    for argv in (["verify", "--checks", ""],
+                 ["verify", "--config", str(cfg_file)],
+                 ["verify", "--checks", "bubble_mass", "--deltas", "0.04"],
+                 ["verify", "--checks", "bubble_mass", "--deltas", "0.02,0.02"],
+                 ["verify", "--checks", "nonlinear_energy", "--eps", "0.04"],
+                 ["reduced-energy", "--eps", ""]):
+        assert main(argv + ["--out", str(tmp_path)]) == 2, argv
 
 
 def test_params_check_runs_for_n5(tmp_path):

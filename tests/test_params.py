@@ -98,6 +98,9 @@ def test_parse_exponent():
     assert parse_exponent("11/3") == pytest.approx(11.0 / 3.0, abs=1e-16)
     assert parse_exponent("2.5") == 2.5
     assert parse_exponent(3) == 3.0
+    # a zero denominator is a bad value, which the CLI turns into exit 2
+    with pytest.raises(ValueError):
+        parse_exponent("1/0")
 
 
 def test_perturbed_exponents():

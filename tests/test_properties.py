@@ -2,6 +2,7 @@
 configuration, the quadrature rules, the half-space kernel, the two-bubble
 fields and the ground state between its samples."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from laneemden.ansatz import (PW1_APPROX, PW2_APPROX, TABLE_REACH, W1, W2,  # noqa: E402
                               AnsatzField)
 from laneemden.ballquad import gauss_panels  # noqa: E402
-from laneemden.cli import RunConfig, build_config, make_parser  # noqa: E402
+from laneemden.cli import (_COMMAND_KEYS, _COMMON_KEYS, RunConfig,  # noqa: E402
+                           build_config, make_parser)
 from laneemden.halfspace import panel_edges  # noqa: E402
 from laneemden.params import (HYPERBOLA_TOL, ProblemParams,  # noqa: E402
                               check_condition_P, p_threshold)
@@ -166,39 +168,63 @@ def _config_value(v):
     return ", ".join(str(x) for x in v) if isinstance(v, list) else str(v)
 
 
+def _number_text(lo, hi):
+    """Text of a number in [lo, hi]: a decimal, or a rational a/b with b <= 12."""
+    def rational(b):
+        return st.integers(int(np.ceil(lo * b)), int(np.floor(hi * b))).map(lambda a: f"{a}/{b}")
+
+    return st.one_of(st.floats(lo, hi).map(str), st.integers(1, 12).flatmap(rational))
+
+
+def _samples(hi):
+    """2 to 4 samples in (0, hi], at least 2 of them distinct, as verify requires."""
+    return st.lists(st.floats(0.0, hi, exclude_min=True), min_size=2, max_size=4).filter(
+        lambda xs: len(set(xs)) >= 2).map(tuple)
+
+
 @st.composite
 def run_configs(draw):
-    """A RunConfig that validate() accepts for verify, and the text of its p."""
+    """A RunConfig that validate() accepts for verify, and the text of p, alpha, beta and d."""
     n = draw(st.integers(4, 8))
     top = (n + 2.0) / (n - 2.0)
     p_decimal = st.floats(1.0, top, exclude_min=True).map(str)
     # a rational exponent, admissible for n = 4
-    p_text = draw(st.one_of(st.just("11/3"), p_decimal) if n == 4 else p_decimal)
+    texts = {"p": draw(st.one_of(st.just("11/3"), p_decimal) if n == 4 else p_decimal),
+             "alpha": draw(_number_text(0.0, 5.0)), "beta": draw(_number_text(0.0, 5.0)),
+             "d": draw(_number_text(1e-3, 10.0))}
     # the phi checks are implemented for n = 4 only
-    checks = draw(st.lists(st.sampled_from(CHECK_NAMES), unique=True))
-    checks = [c for c in checks if n == 4 or CHECK_NEEDS[c] != "phi"]
+    names = [c for c in CHECK_NAMES if n == 4 or CHECK_NEEDS[c] != "phi"]
     cfg = RunConfig(
-        n=n, p=float(Fraction(p_text)),
-        alpha=draw(st.floats(0.0, 5.0)), beta=draw(st.floats(0.0, 5.0)),
-        deltas=tuple(draw(st.lists(st.floats(0.0, 0.2, exclude_min=True),
-                                   min_size=1, max_size=4))),
-        eps=tuple(draw(st.lists(st.floats(0.0, 0.1, exclude_min=True),
-                                min_size=1, max_size=4))),
-        d=draw(st.floats(1e-3, 10.0)), ode_tol=draw(st.floats(1e-15, 1e-6)),
+        n=n, **{k: float(Fraction(t)) for k, t in texts.items()},
+        deltas=draw(_samples(0.2)), eps=draw(_samples(0.1)),
+        ode_tol=draw(st.floats(1e-15, 1e-6)),
         r_max=draw(st.floats(1e2, 1e6)), mesh_level=draw(st.integers(1, 4)),
         out=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,12}", fullmatch=True)),
-        checks=tuple(checks), b_mode=draw(st.sampled_from(["LIMIT", "DELTA"])),
+        checks=tuple(draw(st.lists(st.sampled_from(names), unique=True, min_size=1))),
+        b_mode=draw(st.sampled_from(["LIMIT", "DELTA"])),
         b_delta=draw(st.floats(1e-3, 0.2)), seed_free=draw(st.booleans()))
-    return cfg.validate("verify"), p_text
+    return cfg.validate("verify"), texts
 
 
 @settings(max_examples=100, deadline=None)
 @given(drawn=run_configs())
 def test_config_file_round_trip(tmp_path_factory, drawn):
-    """RunConfig -> as_dict -> key = value file -> build_config is the identity."""
-    cfg, p_text = drawn
-    rows = dict(cfg.as_dict(), p=p_text)
+    """RunConfig -> key = value file -> build_config is the identity.
+
+    Flags alone give each command the drawn values of the keys it has a
+    flag for, and the defaults of the others.
+    """
+    cfg, texts = drawn
+    rows = dict(cfg.as_dict(), **texts)
     path = tmp_path_factory.mktemp("cfg") / "run.cfg"
     path.write_text("".join(f"{k} = {_config_value(v)}\n" for k, v in rows.items()))
     args = make_parser().parse_args(["verify", "--config", str(path)])
     assert build_config(args) == cfg
+    for command, extra in _COMMAND_KEYS.items():
+        keys = _COMMON_KEYS + extra
+        # --key=value, because a drawn out may start with "-"
+        argv = [command] + [f"--{k.replace('_', '-')}={_config_value(rows[k])}"
+                            for k in keys if k != "seed_free"]
+        argv += ["--seed-free"] if cfg.seed_free else []
+        want = replace(RunConfig(), **{k: getattr(cfg, k) for k in keys})
+        assert build_config(make_parser().parse_args(argv)) == want

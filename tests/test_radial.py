@@ -143,6 +143,15 @@ def test_fd_derivs_exact_on_quartics(prof_sym):
         assert np.max(np.abs(d2 - P.polyval(x, P.polyder(c, 2))[idx]) * h * h / scale) < 1e-12
 
 
+def test_fd_derivs_rejects_stencils_off_the_grid(prof_sym):
+    """Index 2 reaches r = 0 (near-singular), 1 would wrap to r_max, size - 2 runs off the end."""
+    g, U = prof_sym.grid, prof_sym.U
+    fd_derivs_on_grid(g, U, np.array([3, g.size - 3]))
+    for bad in (2, 1, g.size - 2):
+        with pytest.raises(DomainError):
+            fd_derivs_on_grid(g, U, np.array([bad, 100]))
+
+
 def test_decay_exponents_case1(prof_case1):
     t = prof_case1.tail
     assert t.exp_U == pytest.approx(2.0, rel=0.01)
