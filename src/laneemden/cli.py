@@ -14,8 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +57,16 @@ class RunConfig:
 
     def validate(self, command="verify"):
         """Reject bad settings up front; the phi checks' n = 4 limit binds verify only."""
+        # a NaN passes every range test below
+        nonfinite = [k for k, v in asdict(self).items()
+                     if any(isinstance(x, float) and not np.isfinite(x)
+                            for x in (v if isinstance(v, tuple) else (v,)))]
+        if nonfinite:
+            raise ConfigError(f"non-finite values in {nonfinite}")
         if self.ode_tol <= 0:
             raise ConfigError("ode_tol must be positive")
+        if self.r_max <= 0:
+            raise ConfigError("r_max must be positive")
         if any(d <= 0 or d > 0.2 for d in self.deltas):
             raise ConfigError("delta samples must lie in (0, 0.2]")
         if any(e <= 0 or e > 0.1 for e in self.eps):
@@ -68,6 +75,8 @@ class RunConfig:
             raise ConfigError("d must be positive")
         if self.b_mode not in ("LIMIT", "DELTA"):
             raise ConfigError("b_mode must be LIMIT or DELTA")
+        if not 0 < self.b_delta <= 0.1:
+            raise ConfigError("b_delta must lie in (0, 0.1]")
         unknown = [c for c in self.checks if c not in V.CHECK_NAMES]
         if unknown:
             raise ConfigError(f"unknown checks: {unknown}")
@@ -83,17 +92,16 @@ class RunConfig:
         if command == "verify" and self.n != 4 and phi_checks:
             raise ConfigError(f"checks {phi_checks} need the half-space corrections, "
                               "implemented for n = 4 only")
+        # it isolates the eps part by differencing the alpha > 0 and alpha = 0 runs
+        if command == "verify" and "nonlinear_energy" in self.checks and self.alpha <= 0:
+            raise ConfigError("the nonlinear_energy check needs alpha > 0")
         return self
 
     def as_dict(self):
-        d = {}
-        for f_ in fields(self):
-            v = getattr(self, f_.name)
-            d[f_.name] = list(v) if isinstance(v, tuple) else v
-        return d
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_DEFAULTS = asdict(RunConfig())
 
 
 def _coerce(key, raw):
@@ -105,6 +113,8 @@ def _coerce(key, raw):
         raise ConfigError(f"unknown configuration key {key!r}")
     default, s = _DEFAULTS[key], str(raw).strip()
     if isinstance(default, bool):
+        if s.lower() not in ("1", "true", "yes", "0", "false", "no"):
+            raise ConfigError(f"{key} takes 1, true, yes, 0, false or no, not {s!r}")
         return s.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(s)
@@ -147,31 +157,19 @@ def _meta(cfg):
 def _saved_profile(cfg, params):
     """The profile ground-state wrote to cfg.out, if it is the one cfg would solve.
 
-    The solve reads only n, p, r_max and ode_tol, so a sidecar that matches
-    them exactly names the same ground state, and the CSV's 17 significant
-    digits rebuild it bit for bit; alpha and beta come from ``params``.
-    Returns None when a file is missing or damaged, the tail fit is absent,
-    or the two files or the settings disagree.
+    The solve reads only n, p, r_max and ode_tol, so a saved profile that
+    matches them exactly is the same ground state, and the CSV's 17
+    significant digits rebuild it bit for bit; alpha and beta come from
+    ``params``.  Returns None when radial.load_profile rejects the pair or
+    the settings disagree.
     """
     out = Path(cfg.out)
-    csv, side = out / "profile.csv", out / "profile.json"
     try:
-        meta = json.loads(side.read_text(encoding="utf-8"))
-        saved = (meta["params"]["n"], meta["params"]["p"], meta["r_max"], meta["ode_tol"])
-        if saved != (cfg.n, cfg.p, cfg.r_max, cfg.ode_tol):
-            return None
-        # a CSV cut inside its last row lacks the final newline
-        if not csv.read_bytes().endswith(b"\n"):
-            return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            prof = radial.load_profile(csv, side)
-    except (OSError, ValueError, LookupError, TypeError, ArithmeticError,
-            DomainError, Warning):
+        prof = radial.load_profile(out / "profile.csv", out / "profile.json")
+    except (OSError, ValueError, LookupError, TypeError, ArithmeticError, DomainError):
         return None
-    # a CSV cut between rows has lost the row at r_max; one of another
-    # solve starts from another v0
-    if prof.grid[-1] != prof.r_max or prof.V[0] != prof.v0:
+    if (prof.params.n, prof.params.p, prof.r_max, prof.ode_tol) != (
+            cfg.n, cfg.p, cfg.r_max, cfg.ode_tol):
         return None
     return replace(prof, params=params)
 

@@ -15,7 +15,7 @@ serves as the validation oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,10 +42,8 @@ class EnergyConstants:
     delta_used: float = 0.0
 
     def as_dict(self):
-        d = {k: getattr(self, k) for k in ("A1", "A2", "B1", "B2", "C1", "C2", "D1", "D2")}
-        d.update({f"err_{k}": v for k, v in self.err.items()})
-        d["mode"] = self.mode
-        d["delta_used"] = self.delta_used
+        d = asdict(self)
+        d.update({f"err_{k}": v for k, v in d.pop("err").items()})
         return d
 
 
@@ -200,25 +198,12 @@ def compute_C(profile: RadialProfile):
 
 def compute_constants(profile: RadialProfile, b_mode="LIMIT", b_delta=0.01) -> EnergyConstants:
     """Assemble all eight constants with error estimates."""
-    ad = compute_A_D(profile)
-    cc = compute_C(profile)
-    errs = {}
-    vals = {}
-    for k, (v, e) in {**ad, **cc}.items():
-        vals[k] = v
-        errs[k] = e
-    bl = compute_B_limit(profile)
-    if b_mode == "LIMIT":
-        for k, (v, e) in bl.items():
-            vals[k] = v
-            errs[k] = e
-        delta_used = 0.0
-    else:
+    parts = {**compute_A_D(profile), **compute_C(profile), **compute_B_limit(profile)}
+    delta_used = 0.0
+    if b_mode != "LIMIT":
         bd = compute_B_delta(profile, b_delta)
-        for k in ("B1", "B2"):
-            vals[k] = bd[k]
-            errs[k] = abs(bd[k] - bl[k][0])
+        parts.update({k: (bd[k], abs(bd[k] - parts[k][0])) for k in ("B1", "B2")})
         delta_used = b_delta
-    return EnergyConstants(A1=vals["A1"], A2=vals["A2"], B1=vals["B1"], B2=vals["B2"],
-                           C1=vals["C1"], C2=vals["C2"], D1=vals["D1"], D2=vals["D2"],
-                           err=errs, mode=b_mode, delta_used=delta_used)
+    return EnergyConstants(**{k: v for k, (v, _) in parts.items()},
+                           err={k: e for k, (_, e) in parts.items()},
+                           mode=b_mode, delta_used=delta_used)

@@ -72,8 +72,8 @@ class ProblemParams:
             raise DomainError(f"n={self.n}: only n >= 4 is supported")
         if not 1.0 < self.p <= (self.n + 2.0) / (self.n - 2.0):
             raise DomainError(f"p={self.p} outside (1, (n+2)/(n-2)]")
-        if self.alpha < 0 or self.beta < 0 or self.epsilon < 0:
-            raise DomainError("alpha, beta, epsilon must be nonnegative")
+        if not all(0 <= x < np.inf for x in (self.alpha, self.beta, self.epsilon)):
+            raise DomainError("alpha, beta, epsilon must be finite and nonnegative")
         q = critical_exponent(self.n, self.p)
         object.__setattr__(self, "q", q)
         border = self.n / (self.n - 2.0)

@@ -16,7 +16,7 @@ like (r_max / r_solve)^2).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -115,27 +115,17 @@ class RadialProfile:
 
     def to_csv(self, csv_path, json_path=None):
         """Write the sampled profile, and a JSON sidecar if a path is given."""
-        from .reporting import write_profile_csv, write_json
-        write_profile_csv(csv_path, self.grid, self.U, self.dU, self.V, self.dV)
+        # imported per call: perfbench's tracer replaces reporting's writers
+        from .reporting import write_csv, write_json
+        write_csv(csv_path, ["r", "U", "dU", "V", "dV"],
+                  [self.grid, self.U, self.dU, self.V, self.dV])
         if json_path is not None:
             write_json(json_path, self.sidecar())
 
     def sidecar(self):
-        t = self.tail
-        return {
-            "v0": self.v0,
-            "r_max": self.r_max,
-            "ode_tol": self.ode_tol,
-            "params": {"n": self.params.n, "p": self.params.p, "q": self.params.q,
-                       "alpha": self.params.alpha, "beta": self.params.beta,
-                       "epsilon": self.params.epsilon, "case_tag": self.params.case_tag},
-            "tail": None if t is None else {
-                "a": t.a, "b": t.b, "c2": t.c2,
-                "exp_U": t.exp_U, "exp_V": t.exp_V,
-                "exp_U_err": t.exp_U_err, "exp_V_err": t.exp_V_err,
-                "fit_window": list(t.fit_window), "fit_residual": t.fit_residual,
-            },
-        }
+        return {"v0": self.v0, "r_max": self.r_max, "ode_tol": self.ode_tol,
+                "params": asdict(self.params),
+                "tail": None if self.tail is None else asdict(self.tail)}
 
 
 @dataclass(frozen=True)
@@ -427,18 +417,35 @@ def derivative_bound_constant(profile: RadialProfile):
 
 
 def load_profile(csv_path, json_path) -> RadialProfile:
-    """Rebuild a profile from its CSV samples and JSON sidecar."""
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    """Rebuild a profile from the CSV samples and JSON sidecar that to_csv wrote.
+
+    Raises DomainError unless the pair is intact: the CSV ends with a
+    newline (a cut inside the last row loses it), holds data rows from
+    V = v0 at r = 0 to the row at r = r_max (a cut between rows loses it; a
+    CSV of another solve starts from another v0), and the sidecar carries
+    the tail fit.  A missing file or an unparseable one raises what reading
+    it raises.
+    """
     with open(json_path, "r", encoding="utf-8") as f:
         side = json.load(f)
+    with open(csv_path, "r", encoding="utf-8") as f:
+        text = f.read()
+    if "\n" not in text.strip():  # the header alone, or nothing
+        raise DomainError(f"{csv_path}: no data rows")
+    if not text.endswith("\n"):
+        raise DomainError(f"{csv_path}: cut inside its last row")
+    t = side["tail"]
+    if t is None:
+        raise DomainError(f"{json_path}: no tail fit")
+    # parsed from the file again: a StringIO of the text would hold 4 bytes a character
+    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, comments=None, ndmin=2)
     pr = side["params"]
-    params = ProblemParams(n=int(pr["n"]), p=float(pr["p"]), alpha=float(pr["alpha"]),
-                           beta=float(pr["beta"]), epsilon=float(pr["epsilon"]))
+    params = ProblemParams(**{f.name: pr[f.name] for f in fields(ProblemParams) if f.init})
     prof = RadialProfile(params=params, grid=data[:, 0], U=data[:, 1], dU=data[:, 2],
                          V=data[:, 3], dV=data[:, 4], v0=float(side["v0"]),
                          r_max=float(side["r_max"]), ode_tol=float(side["ode_tol"]))
-    t = side["tail"]
-    tail = TailFit(a=t["a"], b=t["b"], exp_U=t["exp_U"], exp_V=t["exp_V"],
-                   exp_U_err=t["exp_U_err"], exp_V_err=t["exp_V_err"], c2=t["c2"],
-                   fit_window=tuple(t["fit_window"]), fit_residual=t["fit_residual"])
-    return prof.with_tail(tail)
+    if prof.grid[-1] != prof.r_max:
+        raise DomainError(f"{csv_path}: last r is not the sidecar's r_max {prof.r_max}")
+    if prof.V[0] != prof.v0:
+        raise DomainError(f"{csv_path}: first V is not the sidecar's v0 {prof.v0}")
+    return prof.with_tail(TailFit(**dict(t, fit_window=tuple(t["fit_window"]))))

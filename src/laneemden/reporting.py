@@ -39,7 +39,3 @@ def write_csv(path, header, columns):
     for row in zip(*cols):
         lines.append(",".join(fmt(v) for v in row))
     _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def write_profile_csv(path, r, U, dU, V, dV):
-    write_csv(path, ["r", "U", "dU", "V", "dV"], [r, U, dU, V, dV])

@@ -11,7 +11,7 @@ halving of x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,21 +56,20 @@ class ExpansionReport:
         return self.verdict == "PASS"
 
     def to_record(self):
-        def clean(v):
-            if isinstance(v, np.ndarray):
-                return [float(x) for x in v]
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            if isinstance(v, dict):
-                return {k: clean(x) for k, x in v.items()}
-            if isinstance(v, (np.floating, np.integer)):
-                return float(v)
-            return v
+        return _clean(asdict(self))
 
-        return {"name": self.name, "samples": clean(self.samples),
-                "fit": clean(self.fit), "target": clean(self.target),
-                "deviation": clean(self.deviation), "tol": self.tol,
-                "verdict": self.verdict, "details": clean(self.details)}
+
+def _clean(v):
+    """v with arrays, tuples and numpy scalars as JSON lists and floats."""
+    if isinstance(v, np.ndarray):
+        return [float(x) for x in v]
+    if isinstance(v, (list, tuple)):
+        return [_clean(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _clean(x) for k, x in v.items()}
+    if isinstance(v, (np.floating, np.integer)):
+        return float(v)
+    return v
 
 
 def slope_limit(xs, ys):
@@ -440,25 +439,12 @@ def check_kernel(profile, mode="fd"):
         details={"mode": mode})
 
 
-_ROWS = {
-    # value = delta^-a * (1 + |x-xi|^2/delta^2)^(-c/2); key -> (a(su,sv), c)
-    "u1": ("su", "n-2"),
-    "u1_tilde": ("su", "(n-2)p-2"),
-    "u2": ("sv", "n-2"),
-    "v1": ("su-1", "n-3"),
-    "v1_tilde": ("su-1", "(n-2)p-3"),
-    "v2": ("sv-1", "n-3"),
-}
-
-
 def _row_params(params, row):
-    n, p = params.n, params.p
-    su, sv = params.su, params.sv
-    a_key, c_key = _ROWS[row]
-    a = {"su": su, "sv": sv, "su-1": su - 1.0, "sv-1": sv - 1.0}[a_key]
-    c = {"n-2": n - 2.0, "(n-2)p-2": (n - 2.0) * p - 2.0,
-         "n-3": n - 3.0, "(n-2)p-3": (n - 2.0) * p - 3.0}[c_key]
-    return a, c
+    """(a, c) of a row's bubble: value = delta^-a * (1 + |x-xi|^2/delta^2)^(-c/2)."""
+    n, p, su, sv = params.n, params.p, params.su, params.sv
+    return {"u1": (su, n - 2.0), "u1_tilde": (su, (n - 2.0) * p - 2.0),
+            "u2": (sv, n - 2.0), "v1": (su - 1.0, n - 3.0),
+            "v1_tilde": (su - 1.0, (n - 2.0) * p - 3.0), "v2": (sv - 1.0, n - 3.0)}[row]
 
 
 def scaling_row_exponent(params, row, t):

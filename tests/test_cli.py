@@ -70,6 +70,20 @@ def test_validate_rejects_bad_samples():
         RunConfig(checks=("nope",)).validate()
     with pytest.raises(ConfigError):
         RunConfig(ode_tol=-1.0).validate()
+    nan, inf = float("nan"), float("inf")
+    # every range test is false for NaN; an infinite r_max starts a solve with no end
+    for bad in ({"deltas": (nan, 0.02)}, {"eps": (0.02, nan)}, {"d": nan}, {"alpha": nan},
+                {"beta": inf}, {"p": nan}, {"ode_tol": nan}, {"r_max": inf}, {"r_max": 0.0},
+                {"r_max": -1.0}, {"b_delta": nan}, {"b_delta": 0.5}, {"b_delta": 0.0}):
+        for command in COMMANDS:
+            with pytest.raises(ConfigError):
+                RunConfig(**bad).validate(command)
+    # nonlinear_energy differences the alpha > 0 and alpha = 0 runs
+    for checks in (CHECK_NAMES, ("nonlinear_energy",)):
+        with pytest.raises(ConfigError):
+            RunConfig(alpha=0.0, checks=checks).validate("verify")
+        RunConfig(alpha=0.0, checks=checks).validate("reduced-energy")
+    RunConfig(alpha=0.0, checks=("bubble_mass",)).validate("verify")
     for command in COMMANDS:
         for empty in ("checks", "deltas", "eps"):
             with pytest.raises(ConfigError):
@@ -233,8 +247,33 @@ def test_degenerate_lists_rejected_before_any_solve(monkeypatch, tmp_path):
                  ["verify", "--checks", "bubble_mass", "--deltas", "0.04"],
                  ["verify", "--checks", "bubble_mass", "--deltas", "0.02,0.02"],
                  ["verify", "--checks", "nonlinear_energy", "--eps", "0.04"],
-                 ["reduced-energy", "--eps", ""]):
+                 ["reduced-energy", "--eps", ""],
+                 # numbers no run can use
+                 ["verify", "--deltas", "nan,0.02"],
+                 ["verify", "--d", "nan"],
+                 ["reduced-energy", "--alpha", "nan"],
+                 ["reduced-energy", "--eps", "0.02,nan"],
+                 ["constants", "--ode-tol", "nan"],
+                 ["ground-state", "--r-max", "inf"],
+                 ["ground-state", "--r-max", "0"],
+                 ["ground-state", "--r-max=-1"],
+                 ["verify", "--alpha", "0", "--checks", "nonlinear_energy"],
+                 ["verify", "--alpha", "0"],
+                 ["constants", "--b-mode", "DELTA", "--b-delta", "0.5"],
+                 ["constants", "--b-delta", "0"]):
         assert main(argv + ["--out", str(tmp_path)]) == 2, argv
+
+
+def test_bool_takes_only_a_yes_or_no_word(monkeypatch, tmp_path):
+    import laneemden.cli as cli
+    monkeypatch.setattr(cli, "find_ground_state", _no_solve)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("seed_free = ture\n")
+    assert main(["constants", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    cfg_file.write_text("seed_free = No\n")
+    assert load_config(cfg_file)["seed_free"] is False
+    args = make_parser().parse_args(["constants", "--config", str(cfg_file), "--seed-free"])
+    assert build_config(args).seed_free is True
 
 
 def test_params_check_runs_for_n5(tmp_path):

@@ -90,8 +90,10 @@ def test_rejects_bad_inputs():
         ProblemParams(n=4, p=0.9)
     with pytest.raises(DomainError):
         ProblemParams(n=4, p=3.2)
-    with pytest.raises(DomainError):
-        ProblemParams(n=4, p=3.0, alpha=-1.0)
+    for slope in ("alpha", "beta", "epsilon"):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                ProblemParams(n=4, p=3.0, **{slope: bad})
 
 
 def test_parse_exponent():

@@ -188,21 +188,24 @@ def run_configs(draw):
     n = draw(st.integers(4, 8))
     top = (n + 2.0) / (n - 2.0)
     p_decimal = st.floats(1.0, top, exclude_min=True).map(str)
-    # a rational exponent, admissible for n = 4
-    texts = {"p": draw(st.one_of(st.just("11/3"), p_decimal) if n == 4 else p_decimal),
-             "alpha": draw(_number_text(0.0, 5.0)), "beta": draw(_number_text(0.0, 5.0)),
-             "d": draw(_number_text(1e-3, 10.0))}
     # the phi checks are implemented for n = 4 only
     names = [c for c in CHECK_NAMES if n == 4 or CHECK_NEEDS[c] != "phi"]
+    checks = tuple(draw(st.lists(st.sampled_from(names), unique=True, min_size=1)))
+    alpha = _number_text(0.0, 5.0)
+    if "nonlinear_energy" in checks:  # which needs alpha > 0
+        alpha = alpha.filter(lambda t: Fraction(t) > 0)
+    # a rational exponent, admissible for n = 4
+    texts = {"p": draw(st.one_of(st.just("11/3"), p_decimal) if n == 4 else p_decimal),
+             "alpha": draw(alpha), "beta": draw(_number_text(0.0, 5.0)),
+             "d": draw(_number_text(1e-3, 10.0))}
     cfg = RunConfig(
         n=n, **{k: float(Fraction(t)) for k, t in texts.items()},
         deltas=draw(_samples(0.2)), eps=draw(_samples(0.1)),
         ode_tol=draw(st.floats(1e-15, 1e-6)),
         r_max=draw(st.floats(1e2, 1e6)), mesh_level=draw(st.integers(1, 4)),
         out=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,12}", fullmatch=True)),
-        checks=tuple(draw(st.lists(st.sampled_from(names), unique=True, min_size=1))),
-        b_mode=draw(st.sampled_from(["LIMIT", "DELTA"])),
-        b_delta=draw(st.floats(1e-3, 0.2)), seed_free=draw(st.booleans()))
+        checks=checks, b_mode=draw(st.sampled_from(["LIMIT", "DELTA"])),
+        b_delta=draw(st.floats(1e-3, 0.1)), seed_free=draw(st.booleans()))
     return cfg.validate("verify"), texts
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -210,3 +212,23 @@ def test_profile_roundtrip(tmp_path, prof_sym, prof_case2):
         for key in prof.interp_pack._fields:
             got, want = getattr(back.interp_pack, key), getattr(prof.interp_pack, key)
             assert np.array_equal(got, want), key
+        # and writing the loaded profile gives the same two files
+        back.to_csv(tmp_path / "q.csv", tmp_path / "q.json")
+        assert (tmp_path / "q.csv").read_bytes() == csv.read_bytes()
+        assert (tmp_path / "q.json").read_bytes() == side.read_bytes()
+
+
+def test_load_profile_rejects_a_damaged_pair(tmp_path, prof_sym):
+    from test_cli import MISSES
+    damages = {case: damage for case, (_, _, damage) in MISSES.items() if damage is not None}
+    damages["csv_empty"] = lambda d: (d / "profile.csv").write_text("")
+    # a file that cannot be read raises what reading it raises
+    unreadable = {"missing_csv": FileNotFoundError, "json_unparseable": ValueError}
+    for case, damage in damages.items():
+        d = tmp_path / case
+        prof_sym.to_csv(d / "profile.csv", d / "profile.json")
+        damage(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(unreadable.get(case, DomainError)):
+                load_profile(d / "profile.csv", d / "profile.json")
