@@ -18,24 +18,45 @@ integrands cancel exactly pointwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma, roots_legendre
 
 N_GAUSS = 4  # Gauss points per mesh cell along each axis
 
 
 def sphere_measure(k):
     """Measure of the unit sphere S^{k-1} in R^k."""
-    return 2.0 * np.pi ** (k / 2.0) / gamma(k / 2.0)
+    return 2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0)
+
+
+def _legendre(k, x):
+    """P_k(x) and P_k'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, k):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1, k * (x * p1 - p0) / (x * x - 1.0)
 
 
 @lru_cache(maxsize=None)
 def gauss_legendre(k):
-    """k-point Gauss-Legendre nodes and weights on [-1, 1] (read-only)."""
-    xg, wg = roots_legendre(k)
+    """k-point Gauss-Legendre nodes and weights on [-1, 1] (read-only).
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Legendre recurrence, polished by two Newton steps on P_k; the weights
+    are 2 / ((1 - x^2) P_k'(x)^2).  Both are then made exactly symmetric.
+    """
+    j = np.arange(1.0, k)
+    beta = j / np.sqrt(4.0 * j * j - 1.0)
+    x = np.linalg.eigvalsh(np.diag(beta, -1))  # reads the lower triangle only
+    for _ in range(2):
+        pk, dpk = _legendre(k, x)
+        x = x - pk / dpk
+    dpk = _legendre(k, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dpk * dpk)
+    xg, wg = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
     xg.flags.writeable = wg.flags.writeable = False
     return xg, wg
 

@@ -111,7 +111,9 @@ def _coerce(key, raw):
     """
     if key not in _DEFAULTS:
         raise ConfigError(f"unknown configuration key {key!r}")
-    default, s = _DEFAULTS[key], str(raw).strip()
+    if not isinstance(raw, str):  # argparse reads --out=-- as []
+        raise ConfigError(f"{key} takes a text value, not {raw!r}")
+    default, s = _DEFAULTS[key], raw.strip()
     if isinstance(default, bool):
         if s.lower() not in ("1", "true", "yes", "0", "false", "no"):
             raise ConfigError(f"{key} takes 1, true, yes, 0, false or no, not {s!r}")
@@ -335,9 +337,9 @@ def _add_flags(parser, keys):
     """One --key-name flag per RunConfig field; values stay text for _coerce."""
     for key in keys:
         # default None, not False, so that seed_free = true in a file survives
-        action = "store_true" if key == "seed_free" else "store"
-        parser.add_argument("--" + key.replace("_", "-"), action=action, default=None,
-                            help=_HELP.get(key))
+        kw = {"action": "store_const", "const": "true"} if key == "seed_free" else {}
+        parser.add_argument("--" + key.replace("_", "-"), default=None, help=_HELP.get(key),
+                            **kw)
 
 
 def make_parser():

@@ -19,8 +19,6 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import minimize_scalar
 
 from ._interp import InterpPack, pack_pchip, profile_eval
 from .errors import (BracketingFailure, DomainError, MonotonicityViolation,
@@ -153,6 +151,8 @@ def shoot(params: ProblemParams, v0: float, r_max: float, tol: float = 1e-10,
     Classification is the first event hit: a component crossing zero, the
     divergence guard U+V > 1e3, or r_max reached (DECAYING).
     """
+    from scipy.integrate import solve_ivp  # only the solve needs scipy
+
     if v0 <= 0:
         raise DomainError("v0 must be positive")
     if not 0 < tol <= 1e-4:
@@ -313,6 +313,8 @@ def fit_two_power(x, y, k2, bounds, xatol):
     model/y - 1; k minimises its sum of squares (bounded Brent, tolerance
     xatol).
     """
+    from scipy.optimize import minimize_scalar  # only the fits need scipy
+
     def resid(k):
         A = np.vstack([x ** -k, x ** -k2]).T
         coef, *_ = np.linalg.lstsq(A / y[:, None], np.ones_like(y), rcond=None)

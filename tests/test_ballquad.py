@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import roots_legendre
 
-from laneemden.ballquad import BallQuadrature, get_quadrature, graded_edges, sphere_measure
+from laneemden.ballquad import (BallQuadrature, gauss_legendre, get_quadrature, graded_edges,
+                                sphere_measure)
 
 
 def ball_volume(n):
@@ -22,12 +22,62 @@ def test_volume(n, delta_min, level):
     assert got == pytest.approx(ball_volume(n), rel=1e-8)
 
 
+def _gauss_legendre_mp(mp, k):
+    """k-point Gauss-Legendre rule at mp's precision: Newton on P_k from cosine guesses."""
+    def legendre(x):
+        p0, p1 = mp.mpf(1), x
+        for j in range(1, k):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        return p1, k * (x * p1 - p0) / (x * x - 1)
+
+    xs, ws = [], []
+    for i in range(k, 0, -1):  # ascending nodes
+        x = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (k + mp.mpf(1) / 2))
+        for _ in range(100):
+            pk, dpk = legendre(x)
+            x -= pk / dpk
+            if abs(pk / dpk) < mp.mpf(10) ** -45:
+                break
+        dpk = legendre(x)[1]
+        xs.append(x)
+        ws.append(2 / ((1 - x * x) * dpk * dpk))
+    return xs, ws
+
+
+@pytest.mark.parametrize("k", [4, 12, 20, 24])
+def test_gauss_legendre_against_mpmath(k):
+    """Nodes to 2.3e-16 and weights to 2e-14 relative of a 50-digit rule."""
+    mpmath = pytest.importorskip("mpmath")
+    xg, wg = gauss_legendre(k)
+    with mpmath.workdps(50):
+        xs, ws = _gauss_legendre_mp(mpmath.mp, k)
+        node_err = max(abs(a - b) for a, b in zip(xs, xg))
+        weight_err = max(abs((a - b) / a) for a, b in zip(ws, wg))
+    assert node_err <= 2.3e-16 and weight_err <= 2e-14
+    assert np.array_equal(xg, -xg[::-1]) and np.array_equal(wg, wg[::-1])
+
+
+def test_sphere_measure_closed_form():
+    """|S^{k-1}| = 2 pi^(k/2) / Gamma(k/2) against its closed form, to 4e-16."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    for k in range(2, 12):
+        m = k // 2
+        with mpmath.workdps(50):
+            if k % 2 == 0:  # Gamma(m) = (m-1)!
+                want = 2 * mp.pi ** m / mp.factorial(m - 1)
+            else:  # Gamma(m + 1/2) = (2m)! sqrt(pi) / (4^m m!)
+                want = 2 * mp.pi ** m * 4 ** m * mp.factorial(m) / mp.factorial(2 * m)
+            rel = abs((sphere_measure(k) - want) / want)
+        assert rel <= 4e-16, k
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_mesh_matches_cell_loop(n):
     """The broadcast mesh equals the one built cell by cell, bit for bit."""
     q = BallQuadrature(n=n, delta_min=0.05, level=2)
     h_min, h_max = 0.05 / 8.0, 0.02
-    xg, wg = roots_legendre(4)
+    xg, wg = gauss_legendre(4)
     rho_e = 1.0 - graded_edges(1.0, h_min, h_max, 1.3)[::-1]
     th_e = graded_edges(np.pi / 2.0, h_min, h_max, 1.3)
     R, TH, W = [], [], []

@@ -1,6 +1,9 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -104,6 +107,13 @@ def test_exit_code_config_error(tmp_path):
     for bad in (["--config", str(cfg_file)], ["--alpha", "1/0"], ["--alpha", "half"],
                 ["--n", "4.0"], ["--b-mode", "none"]):
         assert main(["constants", "--out", str(tmp_path)] + bad) == 2
+
+
+def test_flag_value_that_argparse_drops(monkeypatch, tmp_path):
+    """argparse reads --out=-- as an empty list; it is rejected, not written to "[]"."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["constants", "--out=--"]) == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_every_numeric_flag_takes_a_rational():
@@ -453,3 +463,35 @@ def test_saved_profile_miss_solves_once(tmp_path, solves, case):
     del solves[:]
     assert _run_quietly(["constants", "--out", str(out)] + flags) == 0
     assert len(solves) == 1
+
+
+NO_SCIPY = """
+import sys
+from laneemden import ProblemParams
+from laneemden.cli import main
+from laneemden.halfspace import PHI1, HalfSpaceCorrection
+from laneemden.radial import load_profile, shoot
+
+out = sys.argv[1]
+for argv in (["constants"], ["reduced-energy"],
+             ["verify", "--checks", "bubble_mass,scaling_table"]):
+    assert main(argv + ["--out", out]) == 0, argv
+prof = load_profile(out + "/profile.csv", out + "/profile.json")
+HalfSpaceCorrection(prof, PHI1).table(220.0, m=9)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+# the solve imports scipy where it integrates
+shoot(ProblemParams(n=4, p=3.0), 1.0, r_max=5.0)
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_commands_on_a_saved_profile_import_no_scipy(tmp_path, prof_sym):
+    """constants, reduced-energy, two mesh checks and a phi table run on numpy alone."""
+    prof_sym.to_csv(tmp_path / "profile.csv", tmp_path / "profile.json")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-2:] == ["[]", "True"]

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
 
 from laneemden import ProblemParams, find_ground_state
-from laneemden.ballquad import sphere_measure
+from laneemden.ballquad import gauss_legendre, sphere_measure
 from laneemden.constants import (XI_RADIUS, _panels, _radial_quad, compute_A_D,
                                  compute_B_delta, compute_B_limit, compute_C,
                                  compute_constants)
@@ -57,7 +56,7 @@ def test_b_delta_converges_to_limit(prof_sym, consts_sym):
 def test_radial_quad_matches_panel_loop(prof_sym, prof_case2, k):
     """The array rule equals the panel-by-panel loop, bit for bit, and each
     row of a stack equals its lone integral."""
-    xg, wg = roots_legendre(k)
+    xg, wg = gauss_legendre(k)
     for prof in (prof_sym, prof_case2):
         p, q = prof.params.p, prof.params.q
 
@@ -82,7 +81,7 @@ def test_radial_quad_matches_panel_loop(prof_sym, prof_case2, k):
 def test_b_delta_matches_panel_loop(prof_sym):
     """The array strip integrals equal the nested panel/node loops, bit for bit."""
     delta, n, p, q = 0.02, 4, prof_sym.params.p, prof_sym.params.q
-    xg, wg = roots_legendre(12)
+    xg, wg = gauss_legendre(12)
     edges = np.concatenate([np.linspace(0.0, 1.0, 5)[:-1],
                             np.geomspace(1.0, XI_RADIUS / delta, 40)])
     sm = sphere_measure(n - 1)

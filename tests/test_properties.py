@@ -1,6 +1,7 @@
 """Property tests over random inputs for the exponent pairs, the run
-configuration, the quadrature rules, the half-space kernel, the two-bubble
-fields and the ground state between its samples."""
+configuration, the quadrature rules, the profile's cubic coefficients, the
+half-space kernel, the two-bubble fields and the ground state between its
+samples."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -9,13 +10,15 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from laneemden._interp import pack_pchip  # noqa: E402
 from laneemden.ansatz import (PW1_APPROX, PW2_APPROX, TABLE_REACH, W1, W2,  # noqa: E402
                               AnsatzField)
 from laneemden.ballquad import gauss_panels  # noqa: E402
 from laneemden.cli import (_COMMAND_KEYS, _COMMON_KEYS, RunConfig,  # noqa: E402
                            build_config, make_parser)
+from laneemden.errors import ConfigError  # noqa: E402
 from laneemden.halfspace import panel_edges  # noqa: E402
 from laneemden.params import (HYPERBOLA_TOL, ProblemParams,  # noqa: E402
                               check_condition_P, p_threshold)
@@ -39,6 +42,32 @@ def test_gauss_panels_exact_on_monomials(lo, width, cuts, k):
     # bounds int |x|^m over [lo, hi], the size of the terms summed
     scale = (abs(hi) ** (m + 1) + abs(lo) ** (m + 1)) / (m + 1)
     assert np.all(np.abs(got - exact) <= 1e-12 * scale)
+
+
+@st.composite
+def pchip_data(draw):
+    """Increasing x (>= 3 points) and y with sign changes, zero slopes and flat runs."""
+    size = draw(st.integers(3, 24))
+    gaps = draw(st.lists(st.floats(1e-3, 1e3), min_size=size - 1, max_size=size - 1))
+    x = draw(st.floats(-1e3, 1e3)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    value = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]), st.floats(-1e3, 1e3))
+    y = draw(st.lists(value, min_size=size, max_size=size))
+    return x, np.array(y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xy=pchip_data())
+@example(xy=(np.arange(4.0), np.array([0.0, 1.0, 6.0, 6.0])))  # end slope against m0: 0
+@example(xy=(np.arange(4.0), np.array([0.0, 1.0, -9.0, -9.0])))  # end slope capped at 3 m0
+@example(xy=(np.arange(5.0), np.array([1.0, 1.0, 1.0, -2.0, 3.0])))  # flat run, sign change
+def test_pack_pchip_matches_scipy_bitwise(xy):
+    from scipy.interpolate import PchipInterpolator
+    x, y = xy
+    assert np.all(np.diff(x) > 0)
+    breaks, c = pack_pchip(x, y)
+    with np.errstate(over="ignore"):  # scipy warns where pack_pchip's mean overflows
+        ip = PchipInterpolator(x, y)
+    assert np.array_equal(breaks, ip.x) and np.array_equal(c, ip.c)
 
 
 def panel_edges_loop(sig, tau, rho_big, r_top):
@@ -230,4 +259,9 @@ def test_config_file_round_trip(tmp_path_factory, drawn):
                             for k in keys if k != "seed_free"]
         argv += ["--seed-free"] if cfg.seed_free else []
         want = replace(RunConfig(), **{k: getattr(cfg, k) for k in keys})
-        assert build_config(make_parser().parse_args(argv)) == want
+        args = make_parser().parse_args(argv)
+        if cfg.out == "--":  # argparse reads --out=-- as an empty list
+            with pytest.raises(ConfigError):
+                build_config(args)
+        else:
+            assert build_config(args) == want

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import closed_form_bubble
 from laneemden import ProblemParams, find_ground_state, fit_tail, shoot
-from laneemden._interp import profile_eval
+from laneemden._interp import pack_pchip, profile_eval
 from laneemden.errors import DomainError, WindowTooNarrow
 from laneemden.halfspace import g_of_rho
 from laneemden.radial import (DECAYING, U_HITS_ZERO, V_HITS_ZERO,
@@ -106,6 +106,29 @@ def test_profile_eval_parts(prof_sym, prof_case2):
                                        atol=0.0, err_msg=name)
         assert np.array_equal(g_of_rho(r, pk, False), -(r / 2.0) * full["dU"])
         assert np.array_equal(g_of_rho(r, pk, True), -(r / 2.0) * full["dV"])
+
+
+def test_pack_pchip_matches_scipy(prof_sym, prof_case1, prof_case2):
+    """The profile's cubic coefficients are scipy's PCHIP ones, bit for bit."""
+    from scipy.interpolate import PchipInterpolator
+    for prof in (prof_sym, prof_case1, prof_case2):
+        for name in ("U", "dU", "V", "dV"):
+            y = getattr(prof, name)
+            breaks, c = pack_pchip(prof.grid, y)
+            ip = PchipInterpolator(prof.grid, y)
+            assert np.array_equal(breaks, ip.x) and np.array_equal(c, ip.c), name
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0], [1.0, 2.0]),
+    ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0]),
+    ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+    ([0.0, 1.0, np.inf], [1.0, 2.0, 3.0]),
+    ([0.0, 1.0, 2.0], [1.0, np.nan, 3.0])], ids=["two", "unsorted", "repeat", "inf", "nan"])
+def test_pack_pchip_rejects_bad_samples(x, y):
+    """A damaged profile file cannot build a cubic (load_profile then raises)."""
+    with pytest.raises(DomainError):
+        pack_pchip(x, y)
 
 
 def test_monotone_positive(prof_sym, prof_case1, prof_case2):
