@@ -21,20 +21,13 @@ import numpy as np
 
 from . import __version__, radial
 from .constants import compute_constants
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, NumericalFailure
 from .halfspace import PHI1, PHI2, HalfSpaceCorrection
 from .params import ProblemParams, parse_exponent
 from .radial import find_ground_state
 from .reduced import G, ReducedEnergy, d_star, eta_window, J_expansion
 from .reporting import write_csv, write_json
 from . import verify as V
-from .errors import (BracketingFailure, DomainError, MonotonicityViolation,
-                     PoorFit, QuadratureAsymmetry, QuadratureNonConvergent,
-                     StepFailure, TailDivergent, WindowTooNarrow)
-
-NUMERICAL_ERRORS = (BracketingFailure, MonotonicityViolation, PoorFit,
-                    QuadratureAsymmetry, QuadratureNonConvergent, StepFailure,
-                    TailDivergent, WindowTooNarrow)
 
 
 @dataclass
@@ -168,7 +161,7 @@ def _saved_profile(cfg, params):
     out = Path(cfg.out)
     try:
         prof = radial.load_profile(out / "profile.csv", out / "profile.json")
-    except (OSError, ValueError, LookupError, TypeError, ArithmeticError, DomainError):
+    except (OSError, ValueError, LookupError, TypeError, ArithmeticError):
         return None
     if (prof.params.n, prof.params.p, prof.r_max, prof.ode_tol) != (
             cfg.n, cfg.p, cfg.r_max, cfg.ode_tol):
@@ -362,7 +355,7 @@ def main(argv=None):
         return 2 if (e.code not in (0, None)) else 0
     try:
         cfg = build_config(args)
-    except (ConfigError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     rng_state = np.random.get_state()[1].copy() if cfg.seed_free else None
@@ -374,7 +367,7 @@ def main(argv=None):
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as e:
+    except NumericalFailure as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     if cfg.seed_free:

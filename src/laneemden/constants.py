@@ -68,12 +68,6 @@ def _radial_quad(f, r_max, k):
     return np.cumsum(sums, axis=-1)[..., -1][()]  # [()]: a lone integral as a scalar
 
 
-def _with_err(f, r_max):
-    lo = _radial_quad(f, r_max, 12)
-    hi = _radial_quad(f, r_max, 20)
-    return hi, abs(hi - lo)
-
-
 def _power_tail(r_max, m):
     """int_{r_max}^inf r^m dr, m < -1."""
     return r_max ** (m + 1.0) / (-(m + 1.0))
@@ -83,65 +77,6 @@ def _power_log_tail(r_max, m):
     """int_{r_max}^inf r^m log(r) dr, m < -1."""
     s = -(m + 1.0)
     return r_max ** (m + 1.0) * (np.log(r_max) / s + 1.0 / s ** 2)
-
-
-def compute_A_D(profile: RadialProfile):
-    """(A1, A2, D1, D2) with per-constant quadrature error estimates."""
-    n, p, q = profile.params.n, profile.params.p, profile.params.q
-    pk = profile.interp_pack
-    if (q + 1.0) * pk.eu <= n:
-        raise TailDivergent("(q+1)*exp_U <= n: first-component mass diverges")
-    sn = sphere_measure(n)
-
-    def f(r):
-        U, V = profile_eval(r, pk, ("U", "V"))
-        rn, uq, vp = r ** (n - 1.0), U ** (q + 1.0), V ** (p + 1.0)
-        return [rn * uq, rn * vp, rn * uq * np.log(U), rn * vp * np.log(V)]
-
-    # closed-form tails from the anchored power laws (leading term in the
-    # two-term first component; the cross term is binomially subleading)
-    r_top = pk.r_top
-    mU = n - 1.0 - (q + 1.0) * pk.eu
-    mV = n - 1.0 - (p + 1.0) * pk.ev
-    tail_A1 = pk.au ** (q + 1.0) * (
-        _power_tail(r_top, mU)
-        + (q + 1.0) * (pk.cu2 / pk.au) * _power_tail(r_top, mU - (pk.e2 - pk.eu)))
-    tail_A2 = pk.bv ** (p + 1.0) * _power_tail(r_top, mV)
-    tail_D1 = pk.au ** (q + 1.0) * (np.log(pk.au) * _power_tail(r_top, mU)
-                                    - pk.eu * _power_log_tail(r_top, mU))
-    tail_D2 = pk.bv ** (p + 1.0) * (np.log(pk.bv) * _power_tail(r_top, mV)
-                                    - pk.ev * _power_log_tail(r_top, mV))
-
-    vals, errs = _with_err(f, r_top)
-    out = {}
-    for key, v, e, tail in zip(("A1", "A2", "D1", "D2"), vals, errs,
-                               (tail_A1, tail_A2, tail_D1, tail_D2)):
-        out[key] = (sn * (v + tail), sn * (e + abs(tail) * 1e-3))
-    return out
-
-
-def compute_B_limit(profile: RadialProfile):
-    """(B1, B2) at the delta -> 0 limit of the boundary-strip integrals."""
-    n, p, q = profile.params.n, profile.params.p, profile.params.q
-    pk = profile.interp_pack
-    if (q + 1.0) * pk.eu <= n + 1:
-        raise TailDivergent("(q+1)*exp_U <= n+1: boundary-strip mass diverges")
-    sm = sphere_measure(n - 1)
-
-    def f(r):
-        U, V = profile_eval(r, pk, ("U", "V"))
-        return [r ** float(n) * U ** (q + 1.0), r ** float(n) * V ** (p + 1.0)]
-
-    r_top = pk.r_top
-    mU = float(n) - (q + 1.0) * pk.eu
-    mV = float(n) - (p + 1.0) * pk.ev
-    tail_B1 = pk.au ** (q + 1.0) * (
-        _power_tail(r_top, mU)
-        + (q + 1.0) * (pk.cu2 / pk.au) * _power_tail(r_top, mU - (pk.e2 - pk.eu)))
-    tail_B2 = pk.bv ** (p + 1.0) * _power_tail(r_top, mV)
-    (v1, v2), (e1, e2) = _with_err(f, r_top)
-    return {"B1": (0.5 * sm * (v1 + tail_B1), 0.5 * sm * e1),
-            "B2": (0.5 * sm * (v2 + tail_B2), 0.5 * sm * e2)}
 
 
 def compute_B_delta(profile: RadialProfile, delta: float):
@@ -171,34 +106,66 @@ def compute_B_delta(profile: RadialProfile, delta: float):
     return {"B1": strip(U ** (q + 1.0)), "B2": strip(V ** (p + 1.0))}
 
 
-def compute_C(profile: RadialProfile):
-    """(C1, C2), both positive."""
-    n = profile.params.n
+def compute_constants(profile: RadialProfile, b_mode="LIMIT", b_delta=0.01) -> EnergyConstants:
+    """Assemble all eight constants with error estimates.
+
+    One stack of eight radial integrands is integrated at k = 12 and 20,
+    with one profile evaluation per rule; the k = 20 value plus its
+    closed-form tail, times the constant's measure, is the constant, and
+    the rule difference plus a share of the tail is its error.
+    """
+    n, p, q = profile.params.n, profile.params.p, profile.params.q
     pk = profile.interp_pack
-    m = n - 1.0 - (pk.eu + 1.0) - pk.ev
-    if m >= -1.0:
+    if (q + 1.0) * pk.eu <= n:
+        raise TailDivergent("(q+1)*exp_U <= n: first-component mass diverges")
+    mC = n - 1.0 - (pk.eu + 1.0) - pk.ev
+    if mC >= -1.0:
         raise TailDivergent("first-derivative/second-component tail not integrable")
-    sm = sphere_measure(n - 1)
+    if (q + 1.0) * pk.eu <= n + 1:
+        raise TailDivergent("(q+1)*exp_U <= n+1: boundary-strip mass diverges")
 
     def f(r):
         U, dU, V, dV = profile_eval(r, pk, ("U", "dU", "V", "dV"))
-        rn = r ** (n - 1.0)
-        return [-rn * dU * V, -rn * dV * U]
+        rn, uq, vp = r ** (n - 1.0), U ** (q + 1.0), V ** (p + 1.0)
+        rb = r ** float(n)  # the boundary-strip weight of B
+        return [rn * uq, rn * vp, rn * uq * np.log(U), rn * vp * np.log(V),
+                rb * uq, rb * vp, -rn * dU * V, -rn * dV * U]
 
-    # tails: dU ~ -eu*au r^-(eu+1) - e2*cu2 r^-(e2+1); V ~ bv r^-ev; and the swap
+    # closed-form tails from the anchored power laws (leading term in the
+    # two-term first component; the cross term is binomially subleading)
     r_top = pk.r_top
-    tail_C1 = pk.bv * (pk.eu * pk.au * _power_tail(r_top, m)
-                       + pk.e2 * pk.cu2 * _power_tail(r_top, n - 1.0 - (pk.e2 + 1.0) - pk.ev))
-    tail_C2 = pk.ev * pk.bv * (pk.au * _power_tail(r_top, n - 1.0 - (pk.ev + 1.0) - pk.eu)
-                               + pk.cu2 * _power_tail(r_top, n - 1.0 - (pk.ev + 1.0) - pk.e2))
-    (v1, v2), (e1, e2) = _with_err(f, r_top)
-    return {"C1": (sm * (v1 + tail_C1), sm * (e1 + abs(tail_C1) * 1e-2)),
-            "C2": (sm * (v2 + tail_C2), sm * (e2 + abs(tail_C2) * 1e-2))}
 
+    def tail_U(m):  # int_{r_top}^inf r^m U^(q+1)
+        return pk.au ** (q + 1.0) * (
+            _power_tail(r_top, m)
+            + (q + 1.0) * (pk.cu2 / pk.au) * _power_tail(r_top, m - (pk.e2 - pk.eu)))
 
-def compute_constants(profile: RadialProfile, b_mode="LIMIT", b_delta=0.01) -> EnergyConstants:
-    """Assemble all eight constants with error estimates."""
-    parts = {**compute_A_D(profile), **compute_C(profile), **compute_B_limit(profile)}
+    def tail_V(m):  # int_{r_top}^inf r^m V^(p+1)
+        return pk.bv ** (p + 1.0) * _power_tail(r_top, m)
+
+    mU = n - 1.0 - (q + 1.0) * pk.eu
+    mV = n - 1.0 - (p + 1.0) * pk.ev
+    sn, sm = sphere_measure(n), sphere_measure(n - 1)
+    # per stack row: (measure, closed-form tail, tail-error weight)
+    # C tails: dU ~ -eu*au r^-(eu+1) - e2*cu2 r^-(e2+1); V ~ bv r^-ev; and the swap
+    table = {
+        "A1": (sn, tail_U(mU), 1e-3),
+        "A2": (sn, tail_V(mV), 1e-3),
+        "D1": (sn, pk.au ** (q + 1.0) * (np.log(pk.au) * _power_tail(r_top, mU)
+                                         - pk.eu * _power_log_tail(r_top, mU)), 1e-3),
+        "D2": (sn, pk.bv ** (p + 1.0) * (np.log(pk.bv) * _power_tail(r_top, mV)
+                                         - pk.ev * _power_log_tail(r_top, mV)), 1e-3),
+        "B1": (0.5 * sm, tail_U(float(n) - (q + 1.0) * pk.eu), 0.0),
+        "B2": (0.5 * sm, tail_V(float(n) - (p + 1.0) * pk.ev), 0.0),
+        "C1": (sm, pk.bv * (pk.eu * pk.au * _power_tail(r_top, mC) + pk.e2 * pk.cu2
+                            * _power_tail(r_top, n - 1.0 - (pk.e2 + 1.0) - pk.ev)), 1e-2),
+        "C2": (sm, pk.ev * pk.bv * (pk.au * _power_tail(r_top, n - 1.0 - (pk.ev + 1.0) - pk.eu)
+                                    + pk.cu2
+                                    * _power_tail(r_top, n - 1.0 - (pk.ev + 1.0) - pk.e2)), 1e-2),
+    }
+    lo, hi = _radial_quad(f, r_top, 12), _radial_quad(f, r_top, 20)
+    parts = {key: (meas * (v + tail), meas * (e + abs(tail) * w))
+             for (key, (meas, tail, w)), v, e in zip(table.items(), hi, abs(hi - lo))}
     delta_used = 0.0
     if b_mode != "LIMIT":
         bd = compute_B_delta(profile, b_delta)

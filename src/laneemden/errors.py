@@ -1,39 +1,43 @@
 """Exception types raised by the numerical core."""
 
 
+class NumericalFailure(Exception):
+    """A computation that ran on valid input did not produce a trusted result."""
+
+
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class StepFailure(RuntimeError):
+class StepFailure(NumericalFailure, RuntimeError):
     """The adaptive ODE integrator could not meet its tolerance."""
 
 
-class BracketingFailure(RuntimeError):
+class BracketingFailure(NumericalFailure, RuntimeError):
     """No sign change of the shooting classification was found."""
 
 
-class MonotonicityViolation(RuntimeError):
+class MonotonicityViolation(NumericalFailure, RuntimeError):
     """A computed ground-state profile is not strictly decreasing."""
 
 
-class WindowTooNarrow(ValueError):
+class WindowTooNarrow(NumericalFailure, ValueError):
     """Tail-fit window spans less than one decade."""
 
 
-class PoorFit(RuntimeError):
+class PoorFit(NumericalFailure, RuntimeError):
     """Tail fit residual exceeds its tolerance."""
 
 
-class QuadratureNonConvergent(RuntimeError):
+class QuadratureNonConvergent(NumericalFailure, RuntimeError):
     """Adaptive quadrature refinement stalled above tolerance."""
 
 
-class QuadratureAsymmetry(RuntimeError):
+class QuadratureAsymmetry(NumericalFailure, RuntimeError):
     """An analytically-zero symmetric integral came out nonzero."""
 
 
-class TailDivergent(RuntimeError):
+class TailDivergent(NumericalFailure, RuntimeError):
     """Exponent bookkeeping says a tail integral diverges; bad profile."""
 
 

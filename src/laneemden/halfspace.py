@@ -29,7 +29,7 @@ from .radial import RadialProfile, fit_two_power
 PHI1 = "PHI1"
 PHI2 = "PHI2"
 K_BASE = 12  # Gauss nodes per panel of the order-0 rule; order 1 takes 20
-TAU_BLOCK = 32  # grid taus per shared node set when a table is built
+TAU_BLOCK = 32  # most grid taus per shared node set when a table is built
 
 
 def g_of_rho(rho, pack, which_v):
@@ -253,18 +253,19 @@ class HalfSpaceCorrection:
     def table(self, extent, m=257):
         """Build (and cache) the interpolation table covering [0, extent]^2.
 
-        Each sigma row is built in blocks of TAU_BLOCK consecutive grid
-        taus, one phi4_block call with the order-0 rule per block.
+        Each sigma row is split into ceil(m / TAU_BLOCK) blocks of consecutive
+        grid taus, equal in size to within one tau, and built with one
+        phi4_block call with the order-0 rule per block.
         """
         key = (float(extent), int(m))
         if key not in self._tables:
             gu = np.linspace(0.0, np.log1p(extent), m)
             grid = np.expm1(gu)
             amp, expo = self._tail_terms()
+            blocks = np.array_split(grid, -(-m // TAU_BLOCK))
             vals = np.concatenate([
-                phi4_block(s, grid[j:j + TAU_BLOCK], self._pack, self._which_v,
-                           amp, expo, K_BASE)
-                for s in grid for j in range(0, m, TAU_BLOCK)])
+                phi4_block(s, taus, self._pack, self._which_v, amp, expo, K_BASE)
+                for s in grid for taus in blocks])
             self._tables[key] = PhiTable(extent=float(extent), m=m,
                                          du=float(gu[1] - gu[0]), tab=vals)
         return self._tables[key]

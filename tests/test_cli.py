@@ -11,7 +11,7 @@ import pytest
 
 from laneemden.cli import RunConfig, _meta, build_config, load_config, main, make_parser
 from laneemden.constants import compute_constants
-from laneemden.errors import ConfigError
+from laneemden.errors import ConfigError, NumericalFailure
 from laneemden.verify import CHECK_NAMES, CHECK_NEEDS, ExpansionReport
 
 COMMANDS = ("ground-state", "constants", "reduced-energy", "verify", "report")
@@ -182,12 +182,12 @@ def test_check_selection_semantics(monkeypatch, tmp_path):
     assert names == {"bubble_mass", "boundary_pairing"}
 
 
-def test_exit_code_numerical_failure(monkeypatch, tmp_path):
+@pytest.mark.parametrize("error", NumericalFailure.__subclasses__(), ids=lambda e: e.__name__)
+def test_exit_code_numerical_failure(monkeypatch, tmp_path, error):
     import laneemden.cli as cli
-    from laneemden.errors import StepFailure
 
     def boom(cfg):
-        raise StepFailure("integrator stalled")
+        raise error("computation failed")
 
     monkeypatch.setattr(cli, "run_suite", boom)
     assert main(["verify", "--out", str(tmp_path)]) == 3

@@ -3,8 +3,9 @@ import pytest
 
 from laneemden import ProblemParams, find_ground_state
 from laneemden.ballquad import gauss_legendre, sphere_measure
-from laneemden.constants import (XI_RADIUS, _panels, _radial_quad, compute_A_D,
-                                 compute_B_delta, compute_B_limit, compute_C,
+import laneemden.constants as constants_mod
+from laneemden._interp import profile_eval
+from laneemden.constants import (XI_RADIUS, _panels, _radial_quad, compute_B_delta,
                                  compute_constants)
 from laneemden.errors import TailDivergent
 
@@ -126,7 +127,7 @@ def test_delta_mode_reported(prof_sym):
     c = compute_constants(prof_sym, b_mode="DELTA", b_delta=0.01)
     assert c.mode == "DELTA"
     assert c.delta_used == 0.01
-    lim = compute_B_limit(prof_sym)["B1"][0]
+    lim = compute_constants(prof_sym).B1
     assert abs(c.B1 - lim) / lim <= 0.05
 
 
@@ -137,13 +138,36 @@ def test_as_dict_keys(consts_sym):
         assert k in d
 
 
-def test_tail_divergence_guard(prof_sym):
+def test_tail_divergence_guard(prof_sym, monkeypatch):
+    """Each guard trips on its own exponent, before the profile is evaluated.
+
+    exp_U = 0.5 breaks all three conditions and the mass guard runs first;
+    exp_U = 1.1 breaks only the boundary-strip one, exp_V = 0.5 only the
+    derivative-tail one.
+    """
     import dataclasses
-    bad_tail = dataclasses.replace(prof_sym.tail, exp_U=0.5)
-    bad = prof_sym.with_tail(bad_tail)
-    with pytest.raises(TailDivergent):
-        compute_A_D(bad)
-    with pytest.raises(TailDivergent):
-        compute_B_limit(bad)
-    with pytest.raises(TailDivergent):
-        compute_C(bad)
+
+    def no_eval(*args):
+        raise AssertionError("profile evaluated before the tail guards")
+
+    monkeypatch.setattr(constants_mod, "profile_eval", no_eval)
+    for change, message in (({"exp_U": 0.5}, "first-component mass diverges"),
+                            ({"exp_U": 1.1}, "boundary-strip mass diverges"),
+                            ({"exp_V": 0.5}, "second-component tail not integrable")):
+        bad = prof_sym.with_tail(dataclasses.replace(prof_sym.tail, **change))
+        with pytest.raises(TailDivergent, match=message):
+            compute_constants(bad)
+
+
+def test_one_profile_evaluation_per_gauss_rule(prof_sym, consts_sym, monkeypatch):
+    """LIMIT mode evaluates U, dU, V, dV once at k = 12 and once at k = 20."""
+    calls = []
+
+    def counting(r, pack, parts):
+        calls.append((r.size, parts))
+        return profile_eval(r, pack, parts)
+
+    monkeypatch.setattr(constants_mod, "profile_eval", counting)
+    assert compute_constants(prof_sym) == consts_sym
+    panels = _panels(prof_sym.interp_pack.r_top).size - 1
+    assert calls == [(panels * k, ("U", "dU", "V", "dV")) for k in (12, 20)]

@@ -5,7 +5,8 @@ from scipy.integrate import quad
 from conftest import closed_form_bubble
 from laneemden.ballquad import sphere_measure
 from laneemden.errors import DomainError
-from laneemden.halfspace import HalfSpaceCorrection, angular_kernel
+import laneemden.halfspace as halfspace_mod
+from laneemden.halfspace import PHI1, TAU_BLOCK, HalfSpaceCorrection, angular_kernel
 
 
 def test_sphere_measure():
@@ -158,6 +159,22 @@ def test_table_nodes_match_direct(request, which, extent):
     S, T = np.meshgrid(grid, grid, indexing="ij")
     direct = corr.eval_points(S.ravel(), T.ravel())
     assert np.max(np.abs(tab.tab / direct - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize("m", [41, 65])
+def test_table_rows_split_into_equal_blocks(prof_sym, monkeypatch, m):
+    """Each sigma row is built in ceil(m / TAU_BLOCK) blocks of near-equal size."""
+    sizes = []
+    block = halfspace_mod.phi4_block
+
+    def recording(sig, taus, *args):
+        sizes.append(taus.size)
+        return block(sig, taus, *args)
+
+    monkeypatch.setattr(halfspace_mod, "phi4_block", recording)
+    HalfSpaceCorrection(prof_sym, PHI1).table(5.0, m=m)
+    assert len(sizes) == m * -(-m // TAU_BLOCK) and sum(sizes) == m * m
+    assert max(sizes) <= TAU_BLOCK and max(sizes) - min(sizes) <= 1
 
 
 def test_phi_eval_point_interface(corr1_sym):
