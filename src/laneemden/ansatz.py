@@ -21,7 +21,7 @@ import numpy as np
 
 from ._interp import profile_eval
 from .errors import DomainError, QuadratureAsymmetry
-from .halfspace import HalfSpaceCorrection
+from .halfspace import PhiTable
 from .radial import RadialProfile
 
 W1 = "W1"
@@ -30,15 +30,17 @@ PW1_APPROX = "PW1_APPROX"
 PW2_APPROX = "PW2_APPROX"
 
 DELTA_CAP = 0.2  # keeps the bubble halves of the ball separated
-# phi tables reach out to TABLE_REACH/delta: in the ball (1 +- x_n)/delta <= 2/delta
+# the checks build phi tables out to TABLE_REACH / (smallest delta); a field
+# needs 2/delta, the bound of (1 +- x_n)/delta in the ball
 TABLE_REACH = 2.2
 
 
-def bubble_uv(s, t, center_t, delta, pack, su, sv):
-    """Scaled bubble components centred at (0, center_t), over (s,t) arrays."""
+def bubble_uv(s, t, center_t, delta, profile, parts):
+    """The bubble at (0, center_t): the named parts of (U, V), times delta^-su, delta^-sv."""
     d = np.sqrt(s * s + (t - center_t) * (t - center_t)) / delta
-    U, V = profile_eval(d, pack, ("U", "V"))
-    return delta ** (-su) * U, delta ** (-sv) * V
+    scale = {"U": profile.params.su, "V": profile.params.sv}
+    return tuple(delta ** (-scale[part]) * c
+                 for part, c in zip(parts, profile_eval(d, profile.interp_pack, parts)))
 
 
 def bubble_eval(profile: RadialProfile, xi, delta: float, x):
@@ -46,67 +48,62 @@ def bubble_eval(profile: RadialProfile, xi, delta: float, x):
     if delta <= 0:
         raise DomainError("delta must be positive")
     r = np.linalg.norm(np.asarray(x, dtype=np.float64) - np.asarray(xi, dtype=np.float64))
-    pp = profile.params
-    U, V = bubble_uv(np.array([r]), np.array([0.0]), 0.0, delta, profile.interp_pack,
-                     pp.su, pp.sv)
+    U, V = bubble_uv(np.array([r]), np.array([0.0]), 0.0, delta, profile, ("U", "V"))
     return float(U[0]), float(V[0])
 
 
 @dataclass
 class AnsatzField:
-    """Evaluator for one of the four two-bubble fields at a fixed delta."""
+    """Evaluator for one of the four two-bubble fields at a fixed delta.
+
+    PW1/PW2 interpolate their correction in table, phi1's or phi2's PhiTable,
+    which must reach 2/delta, the largest (1 +- x_n)/delta in the ball.
+    """
 
     profile: RadialProfile
     kind: str
     delta: float
-    phi1: HalfSpaceCorrection | None = None
-    phi2: HalfSpaceCorrection | None = None
-    table_extent: float | None = None
+    table: PhiTable | None = None
 
     def __post_init__(self):
         if self.kind not in (W1, W2, PW1_APPROX, PW2_APPROX):
             raise DomainError(f"unknown field kind {self.kind!r}")
         if not 0 < self.delta <= DELTA_CAP:
             raise DomainError(f"delta={self.delta} outside (0, {DELTA_CAP}]")
-        if self.kind == PW1_APPROX and self.phi1 is None:
-            raise DomainError("PW1_APPROX needs the first correction")
-        if self.kind == PW2_APPROX and self.phi2 is None:
-            raise DomainError("PW2_APPROX needs the second correction")
-        pp = self.profile.params
-        self._su, self._sv = pp.su, pp.sv
+        projected = self.kind in (PW1_APPROX, PW2_APPROX)
+        if projected != (self.table is not None):
+            raise DomainError(f"{self.kind} needs a phi table" if projected
+                              else f"{self.kind} takes no phi table")
+        if projected and self.table.extent < 2.0 / self.delta:
+            raise DomainError(f"phi table extent {self.table.extent} < 2/delta")
         # W1/PW1 take the U components, W2/PW2 the V components
-        self._v = self.kind in (W2, PW2_APPROX)
-        self._ex = self._sv if self._v else self._su
-        corr = {PW1_APPROX: self.phi1, PW2_APPROX: self.phi2}.get(self.kind)
-        ext = self.table_extent if self.table_extent else TABLE_REACH / self.delta
-        self._tab = corr.table(ext) if corr is not None else None
+        self._part = "V" if self.kind in (W2, PW2_APPROX) else "U"
 
     def eval_st(self, s, t):
         """Field values over arrays of (|x'|, x_n)."""
         s = np.asarray(s, dtype=np.float64)
         t = np.asarray(t, dtype=np.float64)
-        d = self.delta
-        pack = self.profile.interp_pack
-        up, vp = bubble_uv(s, t, 1.0, d, pack, self._su, self._sv)
-        um, vm = bubble_uv(s, t, -1.0, d, pack, self._su, self._sv)
-        bare = vp - vm if self._v else up - um
-        if self._tab is None:
-            return bare
-        return bare + self.correction_st(s, t)
+        (plus,) = bubble_uv(s, t, 1.0, self.delta, self.profile, (self._part,))
+        (minus,) = bubble_uv(s, t, -1.0, self.delta, self.profile, (self._part,))
+        bare = plus - minus
+        return bare if self.table is None else bare + self.correction_st(s, t)
 
     def correction_st(self, s, t):
         """The projection correction alone (zero for the raw W fields)."""
         s = np.asarray(s, dtype=np.float64)
-        if self._tab is None:
+        if self.table is None:
             return np.zeros_like(s)
         t = np.asarray(t, dtype=np.float64)
-        d = self.delta
-        return d ** (1.0 - self._ex) * (self._tab.eval_many(s / d, (1.0 - t) / d)
-                                        - self._tab.eval_many(s / d, (1.0 + t) / d))
+        d, tab, pp = self.delta, self.table, self.profile.params
+        ex = pp.sv if self._part == "V" else pp.su
+        return d ** (1.0 - ex) * (tab.eval_many(s / d, (1.0 - t) / d)
+                                  - tab.eval_many(s / d, (1.0 + t) / d))
 
     def field_eval(self, x):
         """Scalar field value at a point of the closed unit ball."""
         x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.profile.params.n,):
+            raise DomainError(f"x must be a point of R^{self.profile.params.n}")
         if np.linalg.norm(x) > 1.0 + 1e-12:
             raise DomainError("x must lie in the closed unit ball")
         s = float(np.linalg.norm(x[:-1]))

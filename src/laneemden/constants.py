@@ -21,7 +21,7 @@ import numpy as np
 
 from ._interp import profile_eval
 from .ballquad import gauss_legendre, gauss_panels, sphere_measure
-from .errors import TailDivergent
+from .errors import DomainError, TailDivergent
 from .radial import RadialProfile
 
 XI_RADIUS = np.sqrt(15.0) / 8.0  # boundary strip footprint radius
@@ -86,7 +86,7 @@ def compute_B_delta(profile: RadialProfile, delta: float):
     lens between the sphere and the tangent plane, radius sqrt(15)/8.
     """
     if not 0 < delta <= 0.1:
-        raise TailDivergent(f"delta={delta} outside (0, 0.1]")
+        raise DomainError(f"delta={delta} outside (0, 0.1]")
     n, p, q = profile.params.n, profile.params.p, profile.params.q
     sm = sphere_measure(n - 1)
     edges = np.concatenate([np.linspace(0.0, 1.0, 5)[:-1],
@@ -114,6 +114,8 @@ def compute_constants(profile: RadialProfile, b_mode="LIMIT", b_delta=0.01) -> E
     closed-form tail, times the constant's measure, is the constant, and
     the rule difference plus a share of the tail is its error.
     """
+    if b_mode not in ("LIMIT", "DELTA"):
+        raise DomainError(f"b_mode must be LIMIT or DELTA, not {b_mode!r}")
     n, p, q = profile.params.n, profile.params.p, profile.params.q
     pk = profile.interp_pack
     if (q + 1.0) * pk.eu <= n:
@@ -167,7 +169,7 @@ def compute_constants(profile: RadialProfile, b_mode="LIMIT", b_delta=0.01) -> E
     parts = {key: (meas * (v + tail), meas * (e + abs(tail) * w))
              for (key, (meas, tail, w)), v, e in zip(table.items(), hi, abs(hi - lo))}
     delta_used = 0.0
-    if b_mode != "LIMIT":
+    if b_mode == "DELTA":
         bd = compute_B_delta(profile, b_delta)
         parts.update({k: (bd[k], abs(bd[k] - parts[k][0])) for k in ("B1", "B2")})
         delta_used = b_delta

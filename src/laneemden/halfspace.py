@@ -227,6 +227,8 @@ class HalfSpaceCorrection:
             raise DomainError("sig and tau must have the same shape")
         if np.any(tau < 0):
             raise DomainError("evaluation points must satisfy x_n >= 0")
+        if order not in (0, 1):
+            raise DomainError(f"order must be 0 or 1, not {order!r}")
         amp, expo = self._tail_terms()
         k = K_BASE if order == 0 else 20
         return np.array([phi4_point(s, t, self._pack, self._which_v, amp, expo, k)
@@ -239,8 +241,8 @@ class HalfSpaceCorrection:
         they disagree beyond a relative 1e-4.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.size < 2:
-            raise DomainError("x must be a point of R^n")
+        if x.shape != (self.profile.params.n,):
+            raise DomainError(f"x must be a point of R^{self.profile.params.n}")
         sig = float(np.sqrt(np.sum(x[:-1] ** 2)))
         tau = float(x[-1])
         a = float(self.eval_points([sig], [tau], order=0)[0])

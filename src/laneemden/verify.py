@@ -135,12 +135,10 @@ def aubin_talenti(n):
 
 
 def _bubble_power(profile, delta, power, component_v):
-    pack = profile.interp_pack
-    pp = profile.params
+    part = "V" if component_v else "U"
 
     def f(s, t):
-        U, V = bubble_uv(s, t, 1.0, delta, pack, pp.su, pp.sv)
-        base = V if component_v else U
+        (base,) = bubble_uv(s, t, 1.0, delta, profile, (part,))
         return base ** power
 
     return f
@@ -179,12 +177,11 @@ def check_cross_terms(profile, deltas, level=1):
     """Opposite-bubble couplings are o(delta), both component pairings."""
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
-    pack = profile.interp_pack
 
     def cross(d):
         def f(s, t):
-            Up, Vp = bubble_uv(s, t, 1.0, d, pack, pp.su, pp.sv)
-            Um, Vm = bubble_uv(s, t, -1.0, d, pack, pp.su, pp.sv)
+            Up, Vp = bubble_uv(s, t, 1.0, d, profile, ("U", "V"))
+            Um, Vm = bubble_uv(s, t, -1.0, d, profile, ("U", "V"))
             return [Up * Um ** pp.q, Vp * Vm ** pp.p]
         return quad.integrate(f)
 
@@ -210,15 +207,12 @@ def check_phi_pairing(profile, corr1: HalfSpaceCorrection, corr2: HalfSpaceCorre
     """
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
-    pack = profile.interp_pack
-    ext = TABLE_REACH / min(deltas)
-    tab1 = corr1.table(ext)
-    tab2 = corr2.table(ext)
+    tab1, tab2 = (c.table(TABLE_REACH / min(deltas)) for c in (corr1, corr2))
 
     def pairings(d):
         # rows: matched phi1, matched phi2, crossed (mirrored) phi1, crossed phi2
         def f(s, t):
-            U, V = bubble_uv(s, t, 1.0, d, pack, pp.su, pp.sv)
+            U, V = bubble_uv(s, t, 1.0, d, profile, ("U", "V"))
             Uq, Vp = U ** pp.q, V ** pp.p
             sd, near, far = s / d, (1.0 - t) / d, (1.0 + t) / d
             return [tab1.eval_many(sd, near) * Uq, tab2.eval_many(sd, near) * Vp,
@@ -257,16 +251,15 @@ def check_gradient_expansion(profile, corr1, constants: EnergyConstants,
     """
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
-    pack = profile.interp_pack
-    ext = TABLE_REACH / min(deltas)
+    tab = corr1.table(TABLE_REACH / min(deltas))
 
     def energies(d):
-        fld = AnsatzField(profile, PW1_APPROX, d, phi1=corr1, table_extent=ext)
+        fld = AnsatzField(profile, PW1_APPROX, d, tab)
 
         # rows: PW1 = bare + correction, and the bare pair W1, against the source
         def f(s, t):
-            Up, _ = bubble_uv(s, t, 1.0, d, pack, pp.su, pp.sv)
-            Um, _ = bubble_uv(s, t, -1.0, d, pack, pp.su, pp.sv)
+            (Up,) = bubble_uv(s, t, 1.0, d, profile, ("U",))
+            (Um,) = bubble_uv(s, t, -1.0, d, profile, ("U",))
             bare = Up - Um
             src = Up ** pp.q - Um ** pp.q
             return [(bare + fld.correction_st(s, t)) * src, bare * src]
@@ -300,13 +293,13 @@ def check_nonlinear_expansion(profile, corr2, constants: EnergyConstants,
     p = pp.p
     deltas = [d * e for e in eps_list]
     quad = get_quadrature(pp.n, min(deltas), level)
-    ext = TABLE_REACH / min(deltas)
+    tab = corr2.table(TABLE_REACH / min(deltas))
     A2, B2, C2, D2 = constants.A2, constants.B2, constants.C2, constants.D2
     lead = A2 / (p + 1.0)
 
     M0, Ma, second = [], [], []
     for e, dd in zip(eps_list, deltas):
-        fld = AnsatzField(profile, PW2_APPROX, dd, phi2=corr2, table_extent=ext)
+        fld = AnsatzField(profile, PW2_APPROX, dd, tab)
         p_eps = p + alpha * e
 
         def f(s, t):
@@ -546,10 +539,10 @@ def check_norm_orders(profile, corr1, eps_list, d=0.2, level=1, beta=1.0):
     q = pp.q
     deltas = [d * e for e in eps_list]
     quad = get_quadrature(pp.n, min(deltas), level)
-    ext = TABLE_REACH / min(deltas)
+    tab = corr1.table(TABLE_REACH / min(deltas))
     norms_f, norms_df = [], []
     for e, dd in zip(eps_list, deltas):
-        fld = AnsatzField(profile, PW1_APPROX, dd, phi1=corr1, table_extent=ext)
+        fld = AnsatzField(profile, PW1_APPROX, dd, tab)
         q_eps = q + beta * e
         expo_f = (q + 1.0) / q
         expo_df = (q + 1.0) / (q - 1.0)

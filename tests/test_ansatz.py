@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from laneemden import ansatz
 from laneemden.ansatz import (PW1_APPROX, PW2_APPROX, TABLE_REACH, W1, W2,
-                              AnsatzField, bubble_eval,
+                              AnsatzField, bubble_eval, bubble_uv,
                               symmetry_and_compatibility_check)
 from laneemden.ballquad import get_quadrature
 from laneemden.errors import DomainError, QuadratureAsymmetry
@@ -45,10 +46,8 @@ def fields_sym(prof_sym, corr1_sym, corr2_sym):
     return {
         W1: AnsatzField(prof_sym, W1, delta),
         W2: AnsatzField(prof_sym, W2, delta),
-        PW1_APPROX: AnsatzField(prof_sym, PW1_APPROX, delta, phi1=corr1_sym,
-                                table_extent=EXT),
-        PW2_APPROX: AnsatzField(prof_sym, PW2_APPROX, delta, phi2=corr2_sym,
-                                table_extent=EXT),
+        PW1_APPROX: AnsatzField(prof_sym, PW1_APPROX, delta, table=corr1_sym.table(EXT)),
+        PW2_APPROX: AnsatzField(prof_sym, PW2_APPROX, delta, table=corr2_sym.table(EXT)),
     }
 
 
@@ -71,7 +70,7 @@ def test_first_bubble_dominates_near_pole(prof_sym, corr1_sym):
     # value itself (first order in delta), so the relative gap levels off
     # near 6% rather than vanishing; the near bubble still dominates
     delta = 0.05
-    fld = AnsatzField(prof_sym, PW1_APPROX, delta, phi1=corr1_sym, table_extent=EXT)
+    fld = AnsatzField(prof_sym, PW1_APPROX, delta, table=corr1_sym.table(EXT))
     x = np.array([0.0, 0.0, 0.0, 0.9])
     got = fld.field_eval(x)
     U, _ = bubble_eval(prof_sym, np.array([0, 0, 0, 1.0]), delta, x)
@@ -112,7 +111,7 @@ def test_projection_gap_bound_shape(prof_sym, corr1_sym, prof_case2, corr1_case2
         su = prof.params.n / (prof.params.q + 1.0)
         ratios = []
         for delta in (0.1, 0.05):
-            fld = AnsatzField(prof, PW1_APPROX, delta, phi1=corr, table_extent=EXT)
+            fld = AnsatzField(prof, PW1_APPROX, delta, table=corr.table(EXT))
             t = 1.0 - np.geomspace(2 * delta, 0.5, 8)
             s = np.zeros_like(t)
             gap = np.abs(fld.correction_st(s, t))
@@ -134,14 +133,12 @@ def test_delta_derivative_order_bump(prof_sym, corr1_sym):
     sup_norm = []
     order_ratio = []
     x_fix = np.array([0.0]), np.array([0.9])
+    tab = corr1_sym.table(EXT)
     for delta in (0.1, 0.05, 0.025):
         h = 1e-3 * delta
-        up = AnsatzField(prof_sym, PW1_APPROX, delta + h, phi1=corr1_sym,
-                         table_extent=EXT)
-        dn = AnsatzField(prof_sym, PW1_APPROX, delta - h, phi1=corr1_sym,
-                         table_extent=EXT)
-        mid = AnsatzField(prof_sym, PW1_APPROX, delta, phi1=corr1_sym,
-                          table_extent=EXT)
+        up = AnsatzField(prof_sym, PW1_APPROX, delta + h, table=tab)
+        dn = AnsatzField(prof_sym, PW1_APPROX, delta - h, table=tab)
+        mid = AnsatzField(prof_sym, PW1_APPROX, delta, table=tab)
         t = 1.0 - ks * delta
         s = np.zeros_like(t)
         dd = (up.correction_st(s, t) - dn.correction_st(s, t)) / (2 * h)
@@ -153,17 +150,60 @@ def test_delta_derivative_order_bump(prof_sym, corr1_sym):
     assert all(0.05 < r < 5.0 for r in order_ratio)
 
 
-def test_delta_cap(prof_sym):
+def test_delta_cap(prof_sym, corr1_sym):
+    tab = corr1_sym.table(EXT)
     with pytest.raises(DomainError):
         AnsatzField(prof_sym, W1, 0.3)
-    with pytest.raises(DomainError):
-        AnsatzField(prof_sym, PW1_APPROX, 0.1)  # missing correction
+    with pytest.raises(DomainError, match="needs a phi table"):
+        AnsatzField(prof_sym, PW1_APPROX, 0.1)
+    with pytest.raises(DomainError, match="takes no phi table"):
+        AnsatzField(prof_sym, W1, 0.1, table=tab)
+    # extent 220 reaches 2/delta for delta >= 1/110, not for delta = 0.009
+    AnsatzField(prof_sym, PW1_APPROX, 0.01, table=tab)
+    with pytest.raises(DomainError, match="extent"):
+        AnsatzField(prof_sym, PW1_APPROX, 0.009, table=tab)
 
 
 def test_field_eval_rejects_outside(prof_sym):
     fld = AnsatzField(prof_sym, W1, 0.1)
     with pytest.raises(DomainError):
         fld.field_eval(np.array([0.0, 0.0, 0.0, 1.5]))
+    for x in ([0.0, 0.5], [0.0, 0.0, 0.0, 0.0, 0.5], [[0.0, 0.0, 0.0, 0.5]]):
+        with pytest.raises(DomainError, match="R\\^4"):
+            fld.field_eval(np.array(x))
+
+
+def test_eval_st_evaluates_only_its_component(prof_sym, corr2_sym, monkeypatch):
+    """W1 asks the profile for U alone and PW2 for V alone, once per bubble."""
+    s, t = np.array([0.1, 0.3]), np.array([0.5, -0.2])
+    fields = {"U": AnsatzField(prof_sym, W1, 0.1),
+              "V": AnsatzField(prof_sym, PW2_APPROX, 0.1, table=corr2_sym.table(EXT))}
+    want = {part: fld.eval_st(s, t) for part, fld in fields.items()}
+    real, calls = ansatz.profile_eval, []
+
+    def recording(r, pack, parts):
+        calls.append(parts)
+        return real(r, pack, parts)
+
+    monkeypatch.setattr(ansatz, "profile_eval", recording)
+    for part, fld in fields.items():
+        calls.clear()
+        assert np.array_equal(fld.eval_st(s, t), want[part])
+        assert calls == [(part,)] * 2
+
+
+def test_bubble_uv_scales_profile_bitwise(prof_case1):
+    """At p = 2.5, su != sv: U carries delta^-su and V delta^-sv."""
+    s = np.array([0.0, 0.2, 0.5, 0.9])
+    t = np.array([0.9, 0.6, 0.0, -0.3])
+    delta = 0.05
+    pp = prof_case1.params
+    U, _, V, _ = prof_case1.eval_many(np.sqrt(s * s + (t - 1.0) * (t - 1.0)) / delta)
+    got_u, got_v = bubble_uv(s, t, 1.0, delta, prof_case1, ("U", "V"))
+    assert np.array_equal(got_u, delta ** -pp.su * U)
+    assert np.array_equal(got_v, delta ** -pp.sv * V)
+    (only_v,) = bubble_uv(s, t, 1.0, delta, prof_case1, ("V",))
+    assert np.array_equal(only_v, got_v)
 
 
 def test_slice_export(tmp_path, prof_sym):

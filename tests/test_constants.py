@@ -7,7 +7,7 @@ import laneemden.constants as constants_mod
 from laneemden._interp import profile_eval
 from laneemden.constants import (XI_RADIUS, _panels, _radial_quad, compute_B_delta,
                                  compute_constants)
-from laneemden.errors import TailDivergent
+from laneemden.errors import DomainError, NumericalFailure, TailDivergent
 
 A1_EXACT = 32 * np.pi ** 2 / 3
 B1_EXACT = 8 * np.sqrt(2) * np.pi ** 2
@@ -129,6 +129,21 @@ def test_delta_mode_reported(prof_sym):
     assert c.delta_used == 0.01
     lim = compute_constants(prof_sym).B1
     assert abs(c.B1 - lim) / lim <= 0.05
+
+
+def test_b_delta_outside_range_is_a_domain_error(prof_sym):
+    """An out-of-range delta is an argument error (exit 2), not a numerical failure."""
+    for call in (lambda: compute_B_delta(prof_sym, 0.5), lambda: compute_B_delta(prof_sym, 0.0),
+                 lambda: compute_constants(prof_sym, b_mode="DELTA", b_delta=0.5)):
+        with pytest.raises(DomainError, match="outside") as err:
+            call()
+        assert not isinstance(err.value, NumericalFailure)
+
+
+@pytest.mark.parametrize("mode", ["LIMTI", "limit", ""])
+def test_unknown_b_mode_rejected(prof_sym, mode):
+    with pytest.raises(DomainError, match="b_mode"):
+        compute_constants(prof_sym, b_mode=mode)
 
 
 def test_as_dict_keys(consts_sym):

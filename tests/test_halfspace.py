@@ -184,6 +184,12 @@ def test_phi_eval_point_interface(corr1_sym):
         corr1_sym.eval_points([1.0], [-0.1])
     with pytest.raises(DomainError):
         corr1_sym.eval_points([1.0, 2.0], [0.5])
+    for x in ([0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0], [[0.0, 0.0, 0.0, 1.0]]):
+        with pytest.raises(DomainError, match="R\\^4"):
+            corr1_sym.phi_eval(np.array(x))
+    for order in (-1, 2, 7):
+        with pytest.raises(DomainError, match="order must be 0 or 1"):
+            corr1_sym.eval_points([1.0], [0.5], order=order)
 
 
 def test_symmetric_components_identical(prof_sym, corr1_sym, corr2_sym):

@@ -155,10 +155,9 @@ def test_fields_odd_in_t(prof_sym, corr1_sym, corr2_sym, rho, theta, delta):
     s = np.array([rho * np.sin(theta)])
     t = np.array([rho * np.cos(theta)])
     # the extent-220 tables cover (1 +- t)/delta for every delta >= 0.01
-    ext = TABLE_EXTENT
+    tables = {PW1_APPROX: corr1_sym.table(TABLE_EXTENT), PW2_APPROX: corr2_sym.table(TABLE_EXTENT)}
     for kind in (W1, W2, PW1_APPROX, PW2_APPROX):
-        fld = AnsatzField(prof_sym, kind, delta, phi1=corr1_sym, phi2=corr2_sym,
-                          table_extent=ext)
+        fld = AnsatzField(prof_sym, kind, delta, table=tables.get(kind))
         assert np.array_equal(fld.eval_st(s, -t), -fld.eval_st(s, t))
 
 

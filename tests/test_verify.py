@@ -101,11 +101,10 @@ def test_scaling_table_case2_row():
 def test_bubble_mass_reflection_symmetry(prof_sym, consts_sym):
     # the mesh integrates mirrored integrands identically
     quad = get_quadrature(4, 0.02)
-    pack = prof_sym.interp_pack
 
     def mass(sign):
         def f(s, t):
-            U, _ = bubble_uv(s, t, sign, 0.02, pack, 1.0, 1.0)
+            (U,) = bubble_uv(s, t, sign, 0.02, prof_sym, ("U",))
             return U ** 4
         return quad.integrate(f)
 
