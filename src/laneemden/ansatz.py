@@ -21,7 +21,7 @@ import numpy as np
 
 from ._interp import profile_eval
 from .errors import DomainError, QuadratureAsymmetry
-from .halfspace import PhiTable
+from .halfspace import PHI1, PHI2, PhiTable
 from .radial import RadialProfile
 
 W1 = "W1"
@@ -56,8 +56,9 @@ def bubble_eval(profile: RadialProfile, xi, delta: float, x):
 class AnsatzField:
     """Evaluator for one of the four two-bubble fields at a fixed delta.
 
-    PW1/PW2 interpolate their correction in table, phi1's or phi2's PhiTable,
-    which must reach 2/delta, the largest (1 +- x_n)/delta in the ball.
+    PW1/PW2 interpolate their correction in table, phi1's or phi2's PhiTable
+    respectively, which must reach 2/delta, the largest (1 +- x_n)/delta in
+    the ball.
     """
 
     profile: RadialProfile
@@ -76,6 +77,9 @@ class AnsatzField:
                               else f"{self.kind} takes no phi table")
         if projected and self.table.extent < 2.0 / self.delta:
             raise DomainError(f"phi table extent {self.table.extent} < 2/delta")
+        want = PHI2 if self.kind == PW2_APPROX else PHI1
+        if projected and self.table.which != want:
+            raise DomainError(f"{self.kind} needs a {want} table, not {self.table.which}")
         # W1/PW1 take the U components, W2/PW2 the V components
         self._part = "V" if self.kind in (W2, PW2_APPROX) else "U"
 

@@ -56,8 +56,9 @@ class RunConfig:
                             for x in (v if isinstance(v, tuple) else (v,)))]
         if nonfinite:
             raise ConfigError(f"non-finite values in {nonfinite}")
-        if self.ode_tol <= 0:
-            raise ConfigError("ode_tol must be positive")
+        # the range radial.shoot's stepper honours as given
+        if not 100 * np.finfo(float).eps <= self.ode_tol <= 1e-4:
+            raise ConfigError(f"ode_tol={self.ode_tol!r} outside [100 eps, 1e-4]")
         if self.r_max <= 0:
             raise ConfigError("r_max must be positive")
         if any(d <= 0 or d > 0.2 for d in self.deltas):

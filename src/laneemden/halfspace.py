@@ -171,12 +171,14 @@ class PhiTable:
     on the p = 3, m = 257, extent-220 table it is off by up to ~2.5e-4
     relative in the first tau cell (tau -> 0, the ball's pole) and ~1.5e-3
     in the last cell of either axis, against ~2e-7 in the cells between.
+    which is the correction the table samples, PHI1 or PHI2.
     """
 
     extent: float
     m: int
     du: float
     tab: np.ndarray
+    which: str
 
     def eval_many(self, sig, tau):
         uu = np.log1p(np.asarray(sig, dtype=np.float64))
@@ -269,7 +271,7 @@ class HalfSpaceCorrection:
                 phi4_block(s, taus, self._pack, self._which_v, amp, expo, K_BASE)
                 for s in grid for taus in blocks])
             self._tables[key] = PhiTable(extent=float(extent), m=m,
-                                         du=float(gu[1] - gu[0]), tab=vals)
+                                         du=float(gu[1] - gu[0]), tab=vals, which=self.which)
         return self._tables[key]
 
     def verify_harmonic(self, h=0.05, k=3):

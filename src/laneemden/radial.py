@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -131,16 +132,30 @@ class ShotResult:
     classification: str
     v0: float
     r_end: float
-    sol: object  # scipy OdeResult (dense_output when requested)
+    # namespace of t (the start, each step's radius, r_end last), nfev (the
+    # stepper's right-hand-side calls) and sol (a scipy OdeSolution over
+    # [t[0], r_end] when the shot was dense, else None)
+    sol: object
 
 
 def _rhs(n, p, q):
+    """The radial system's right-hand side on Python floats.
+
+    |V|^(p-1) V is formed as |V|^p with V's sign: the same libm pow as
+    np.sign(V) * np.abs(V) ** p, bit for bit, with +0.0 at V = -0.0 as
+    np.sign gives, and inf where the power overflows.
+    """
+    k = n - 1.0
+
     def rhs(r, y):
-        U, dU, V, dV = y
-        fV = np.sign(V) * np.abs(V) ** p
-        fU = np.sign(U) * np.abs(U) ** q
-        c = (n - 1.0) / r
-        return (dU, -c * dU - fV, dV, -c * dV - fU)
+        U, dU, V, dV = y.tolist()
+        try:
+            fV, fU = abs(V) ** p, abs(U) ** q
+        except OverflowError:  # Python's pow raises where numpy's rounds to inf
+            with np.errstate(over="ignore"):
+                fV, fU = float(np.float64(abs(V)) ** p), float(np.float64(abs(U)) ** q)
+        c = k / float(r)
+        return (dU, -c * dU - (fV if V >= 0 else -fV), dV, -c * dV - (fU if U >= 0 else -fU))
     return rhs
 
 
@@ -149,47 +164,65 @@ def shoot(params: ProblemParams, v0: float, r_max: float, tol: float = 1e-10,
     """Integrate from the Taylor start and classify the trajectory.
 
     Classification is the first event hit: a component crossing zero, the
-    divergence guard U+V > 1e3, or r_max reached (DECAYING).
+    divergence guard U+V > 1e3, or r_max reached (DECAYING).  The loop
+    drives scipy's DOP853 stepper as solve_ivp(method="DOP853") does with
+    three terminal events: the same steps, and each root found by brentq
+    on the step's dense output with xtol = rtol = 4 eps.  tol is the
+    relative tolerance, which DOP853 honours only in [100 eps, 1e-4].
     """
-    from scipy.integrate import solve_ivp  # only the solve needs scipy
+    # only the solve needs scipy
+    from scipy.integrate import DOP853, OdeSolution
+    from scipy.optimize import brentq
 
-    if v0 <= 0:
-        raise DomainError("v0 must be positive")
-    if not 0 < tol <= 1e-4:
-        raise DomainError("tol must lie in (0, 1e-4]")
+    if not 0 < v0 < np.inf:
+        raise DomainError("v0 must be positive and finite")
+    eps = np.finfo(float).eps
+    if not 100 * eps <= tol <= 1e-4:
+        raise DomainError(f"tol={tol!r} outside [100 eps, 1e-4]")
     n, p, q = params.n, params.p, params.q
     # keep both Taylor corrections tiny for extreme shooting values
     r0 = R_START * min(1.0, v0 ** (-p / 2.0), np.sqrt(v0) * 10.0)
     y0 = (1.0 - v0 ** p * r0 ** 2 / (2 * n), -(v0 ** p) * r0 / n,
           v0 - r0 ** 2 / (2 * n), -r0 / n)
+    rhs = _rhs(n, p, q)
+    # from a non-finite slope DOP853 picks a NaN first step and rejects it forever
+    if not all(np.isfinite(rhs(r0, np.array(y0)))):
+        raise StepFailure(f"right-hand side not finite at the start r={r0:.4g}")
+    solver = DOP853(rhs, float(r0), y0, float(r_max), rtol=tol, atol=max(tol * 1e-4, 1e-16))
 
-    def ev_u(r, y):
-        return y[0]
-
-    def ev_v(r, y):
-        return y[2]
-
-    def ev_guard(r, y):
-        return y[0] + y[2] - DIVERGENCE_GUARD
-
-    for ev in (ev_u, ev_v, ev_guard):
-        ev.terminal = True
-    rtol = max(tol, 100 * np.finfo(float).eps)
-    atol = max(rtol * 1e-4, 1e-16)
-    sol = solve_ivp(_rhs(n, p, q), (r0, r_max), y0, method="DOP853",
-                    rtol=rtol, atol=atol, events=(ev_u, ev_v, ev_guard),
-                    dense_output=dense)
-    if sol.status == -1:
-        raise StepFailure(f"integrator failed at r={sol.t[-1]:.4g}: {sol.message}")
-    if sol.t_events[0].size:
-        cls = U_HITS_ZERO
-    elif sol.t_events[1].size:
-        cls = V_HITS_ZERO
-    elif sol.t_events[2].size:
-        cls = DIVERGING
-    else:
-        cls = DECAYING
-    return ShotResult(cls, v0, float(sol.t[-1]), sol)
+    # in solve_ivp's order, which settles a tie between roots
+    events = ((U_HITS_ZERO, lambda y: y[0]), (V_HITS_ZERO, lambda y: y[2]),
+              (DIVERGING, lambda y: y[0] + y[2] - DIVERGENCE_GUARD))
+    g = [ev(y0) for _, ev in events]
+    ts, interpolants, cls = [solver.t], [], None
+    while cls is None:
+        message = solver.step()
+        if solver.status == "failed":
+            raise StepFailure(f"integrator failed at r={solver.t:.4g}: {message}")
+        t = solver.t
+        if dense:
+            interpolants.append(solver.dense_output())
+        y = solver.y.tolist()
+        g_new = [ev(y) for _, ev in events]
+        active = [i for i in range(3) if g[i] <= 0 <= g_new[i] or g[i] >= 0 >= g_new[i]]
+        if active:
+            step_sol = interpolants[-1] if dense else solver.dense_output()
+            # the earliest root ends the shot
+            t, first = min((brentq(lambda r: events[i][1](step_sol(r)), solver.t_old, t,
+                                   xtol=4 * eps, rtol=4 * eps), i) for i in active)
+            cls = events[first][0]
+        elif solver.status == "finished":
+            cls = DECAYING
+        g = g_new
+        # a root on the last step's start would close a zero-length segment
+        if dense and len(ts) > 1 and ts[-1] == t:
+            interpolants.pop()
+        else:
+            ts.append(t)
+    ts = np.array(ts)
+    sol = SimpleNamespace(t=ts, nfev=solver.nfev,
+                          sol=OdeSolution(ts, interpolants) if dense else None)
+    return ShotResult(cls, v0, float(ts[-1]), sol)
 
 
 def _bisect_edge(classify, lo, hi, pred_lo):

@@ -7,6 +7,7 @@ from laneemden.ansatz import (PW1_APPROX, PW2_APPROX, TABLE_REACH, W1, W2,
                               symmetry_and_compatibility_check)
 from laneemden.ballquad import get_quadrature
 from laneemden.errors import DomainError, QuadratureAsymmetry
+from laneemden.halfspace import PHI1, PHI2, HalfSpaceCorrection
 
 # extent 220 covers every delta >= 0.01; the session corrections already
 # build these tables for the acceptance checks at the default deltas
@@ -162,6 +163,19 @@ def test_delta_cap(prof_sym, corr1_sym):
     AnsatzField(prof_sym, PW1_APPROX, 0.01, table=tab)
     with pytest.raises(DomainError, match="extent"):
         AnsatzField(prof_sym, PW1_APPROX, 0.009, table=tab)
+
+
+def test_field_takes_only_its_own_correction(prof_case1):
+    """At p = 2.5 phi1 and phi2 differ: PW1 takes phi1's table and PW2 phi2's."""
+    tabs = {w: HalfSpaceCorrection(prof_case1, w).table(30.0, m=41) for w in (PHI1, PHI2)}
+    with pytest.raises(DomainError, match="needs a PHI1 table"):
+        AnsatzField(prof_case1, PW1_APPROX, 0.1, table=tabs[PHI2])
+    with pytest.raises(DomainError, match="needs a PHI2 table"):
+        AnsatzField(prof_case1, PW2_APPROX, 0.1, table=tabs[PHI1])
+    # at 0.9 e_n phi2's table would give 0.6213
+    fld = AnsatzField(prof_case1, PW1_APPROX, 0.1, table=tabs[PHI1])
+    assert fld.correction_st(np.array([0.0]), np.array([0.9]))[0] == pytest.approx(0.7775, abs=1e-4)
+    AnsatzField(prof_case1, PW2_APPROX, 0.1, table=tabs[PHI2])
 
 
 def test_field_eval_rejects_outside(prof_sym):

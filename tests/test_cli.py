@@ -64,6 +64,24 @@ def test_flags_override_config(tmp_path):
     assert cfg.out == "fromfile"  # file value survives
 
 
+def test_validate_ode_tol_bounds(monkeypatch, tmp_path):
+    """ode_tol runs only in [100 eps, 1e-4], where DOP853 takes it as given;
+    outside, every command exits 2 before any solve."""
+    import laneemden.cli as cli
+    lo = 100 * np.finfo(float).eps
+    for tol in (lo, 1e-4):
+        for command in COMMANDS:
+            RunConfig(ode_tol=tol).validate(command)
+    for tol in (np.nextafter(lo, 0.0), np.nextafter(1e-4, 1.0)):
+        for command in COMMANDS:
+            with pytest.raises(ConfigError, match="ode_tol"):
+                RunConfig(ode_tol=tol).validate(command)
+    monkeypatch.setattr(cli, "find_ground_state", _no_solve)
+    for tol in ("1e-16", "1e-3"):
+        assert main(["ground-state", "--ode-tol", tol, "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
 def test_validate_rejects_bad_samples():
     with pytest.raises(ConfigError):
         RunConfig(deltas=(0.5,)).validate()

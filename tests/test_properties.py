@@ -1,7 +1,7 @@
-"""Property tests over random inputs for the exponent pairs, the run
-configuration, the quadrature rules, the profile's cubic coefficients, the
-half-space kernel, the two-bubble fields and the ground state between its
-samples."""
+"""Property tests over random inputs for the exponent pairs, the radial
+right-hand side, the run configuration, the quadrature rules, the profile's
+cubic coefficients, the half-space kernel, the two-bubble fields and the
+ground state between its samples."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -22,6 +22,7 @@ from laneemden.errors import ConfigError  # noqa: E402
 from laneemden.halfspace import panel_edges  # noqa: E402
 from laneemden.params import (HYPERBOLA_TOL, ProblemParams,  # noqa: E402
                               check_condition_P, p_threshold)
+from laneemden.radial import _rhs  # noqa: E402
 from laneemden.verify import CHECK_NAMES, CHECK_NEEDS  # noqa: E402
 
 coords = st.one_of(st.just(0.0), st.floats(0.0, 1e4))
@@ -192,6 +193,31 @@ def test_hyperbola_and_ordering(np_):
     assert pp.p <= pp.q
 
 
+# the radial state in the stepper's stages: signed zeros, subnormals, values
+# around the divergence guard 1e3, and magnitudes whose powers overflow
+_state = st.one_of(st.floats(-2e3, 2e3), st.floats(990.0, 1010.0), st.floats(-1010.0, -990.0),
+                   st.floats(-1e-300, 1e-300), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                   st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=500, deadline=None)
+@given(np_=admissible(), r=st.floats(1e-6, 1e6), y=st.tuples(_state, _state, _state, _state))
+@example(np_=(4, 3.0), r=1.0, y=(1.0, 0.0, -0.0, 0.0))
+def test_rhs_matches_numpy_formula_bitwise(np_, r, y):
+    """radial's float right-hand side is the numpy-scalar formula bit for bit,
+    which keeps DOP853's step sequence, and the shots, unchanged."""
+    n, p = np_
+    pp = ProblemParams(n=n, p=p)
+    U, dU, V, dV = (np.float64(v) for v in y)
+    with np.errstate(all="ignore"):  # overflow, and inf - inf in the damping term
+        fV = np.sign(V) * np.abs(V) ** pp.p
+        fU = np.sign(U) * np.abs(U) ** pp.q
+        c = (n - 1.0) / np.float64(r)
+        want = (dU, -c * dU - fV, dV, -c * dV - fU)
+    got = _rhs(n, pp.p, pp.q)(np.float64(r), np.array(y))
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
 def _config_value(v):
     return ", ".join(str(x) for x in v) if isinstance(v, list) else str(v)
 
@@ -229,7 +255,7 @@ def run_configs(draw):
     cfg = RunConfig(
         n=n, **{k: float(Fraction(t)) for k, t in texts.items()},
         deltas=draw(_samples(0.2)), eps=draw(_samples(0.1)),
-        ode_tol=draw(st.floats(1e-15, 1e-6)),
+        ode_tol=draw(st.floats(100 * np.finfo(float).eps, 1e-6)),
         r_max=draw(st.floats(1e2, 1e6)), mesh_level=draw(st.integers(1, 4)),
         out=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,12}", fullmatch=True)),
         checks=checks, b_mode=draw(st.sampled_from(["LIMIT", "DELTA"])),

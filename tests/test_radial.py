@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import closed_form_bubble
-from laneemden import ProblemParams, find_ground_state, fit_tail, shoot
+from laneemden import ProblemParams, find_ground_state, fit_tail, radial, shoot
 from laneemden._interp import pack_pchip, profile_eval
-from laneemden.errors import DomainError, WindowTooNarrow
+from laneemden.cli import main
+from laneemden.errors import DomainError, StepFailure, WindowTooNarrow
 from laneemden.halfspace import g_of_rho
-from laneemden.radial import (DECAYING, U_HITS_ZERO, V_HITS_ZERO,
+from laneemden.radial import (DECAYING, DIVERGENCE_GUARD, DIVERGING, R_START, U_HITS_ZERO,
+                              V_HITS_ZERO,
                               derivative_bound_constant, fd_derivs_on_grid,
                               load_profile, ode_residual)
 
@@ -37,10 +39,108 @@ def test_shoot_decaying_at_exact_value():
 
 def test_shoot_rejects_bad_args():
     pp = ProblemParams(n=4, p=3.0)
-    with pytest.raises(DomainError):
-        shoot(pp, -1.0, 1e3)
+    for v0 in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            shoot(pp, v0, 1e3)
     with pytest.raises(DomainError):
         shoot(pp, 1.0, 1e3, tol=1e-3)
+
+
+def test_shoot_tol_bounds():
+    """tol is DOP853's rtol as given: 100 eps and 1e-4 run, a tol outside them is
+    rejected, not clamped."""
+    pp = ProblemParams(n=4, p=3.0)
+    lo = 100 * np.finfo(float).eps
+    for tol in (lo, 1e-4):
+        assert shoot(pp, 0.2, 10.0, tol=tol).classification == V_HITS_ZERO
+    for tol in (np.nextafter(lo, 0.0), 1e-16, np.nextafter(1e-4, 1.0), 1e-3):
+        with pytest.raises(DomainError, match="outside"):
+            shoot(pp, 0.2, 10.0, tol=tol)
+
+
+def _old_shoot(params, v0, r_max, tol, dense):
+    """The stepper loop's oracle: the solve_ivp call shoot made before it drove DOP853."""
+    from scipy.integrate import solve_ivp
+    n, p, q = params.n, params.p, params.q
+
+    def rhs(r, y):
+        U, dU, V, dV = y
+        fV = np.sign(V) * np.abs(V) ** p
+        fU = np.sign(U) * np.abs(U) ** q
+        c = (n - 1.0) / r
+        return (dU, -c * dU - fV, dV, -c * dV - fU)
+
+    def ev_u(r, y):
+        return y[0]
+
+    def ev_v(r, y):
+        return y[2]
+
+    def ev_guard(r, y):
+        return y[0] + y[2] - DIVERGENCE_GUARD
+
+    for ev in (ev_u, ev_v, ev_guard):
+        ev.terminal = True
+    r0 = R_START * min(1.0, v0 ** (-p / 2.0), np.sqrt(v0) * 10.0)
+    y0 = (1.0 - v0 ** p * r0 ** 2 / (2 * n), -(v0 ** p) * r0 / n,
+          v0 - r0 ** 2 / (2 * n), -r0 / n)
+    sol = solve_ivp(rhs, (r0, r_max), y0, method="DOP853", rtol=tol,
+                    atol=max(tol * 1e-4, 1e-16), events=(ev_u, ev_v, ev_guard),
+                    dense_output=dense)
+    hit = [i for i in range(3) if sol.t_events[i].size]
+    return (U_HITS_ZERO, V_HITS_ZERO, DIVERGING)[hit[0]] if hit else DECAYING, sol
+
+
+# per p, a v0 for each classification at r_max = 1e3; the decaying one is
+# the ground state's v0
+ORACLE_SHOTS = {3.0: {V_HITS_ZERO: 0.2, U_HITS_ZERO: 5.0, DIVERGING: 1e3, DECAYING: 1.0},
+                1.9: {V_HITS_ZERO: 0.2, U_HITS_ZERO: 5.0, DIVERGING: 1e3,
+                      DECAYING: float.fromhex("0x1.947acf3438a43p-1")}}
+
+
+@pytest.mark.parametrize("p", sorted(ORACLE_SHOTS))
+@pytest.mark.parametrize("dense", [False, True])
+def test_shoot_matches_solve_ivp(p, dense):
+    """Each classification, r_end, step count, nfev and dense solution are
+    solve_ivp's, bit for bit."""
+    pp = ProblemParams(n=4, p=p)
+    for cls, v0 in ORACLE_SHOTS[p].items():
+        want_cls, want = _old_shoot(pp, v0, 1e3, 3e-14, dense)
+        got = shoot(pp, v0, 1e3, tol=3e-14, dense=dense)
+        assert want_cls == got.classification == cls
+        assert got.r_end == want.t[-1]
+        assert got.sol.t.size == want.t.size and got.sol.nfev == want.nfev
+        assert np.array_equal(got.sol.t, want.t)
+        if dense:
+            grid = np.geomspace(want.t[0], want.t[-1], 500)
+            assert np.array_equal(got.sol.sol(grid), want.sol(grid))
+        else:
+            assert got.sol.sol is None
+
+
+def _nan_beyond(r_bad):
+    """A stand-in for radial._rhs whose right-hand side is NaN from r_bad on."""
+    real = radial._rhs
+
+    def make(n, p, q):
+        rhs = real(n, p, q)
+        return lambda r, y: (float("nan"),) * 4 if r >= r_bad else rhs(r, y)
+    return make
+
+
+@pytest.mark.parametrize("r_bad", [0.0, 0.5])
+def test_nan_rhs_is_a_step_failure(monkeypatch, tmp_path, r_bad):
+    """NaN slopes end the shot with StepFailure and ground-state with exit 3.
+
+    From r = 0.5 on, the stepper shrinks its step below the float spacing
+    and fails; NaN from the start is caught before the first step, which
+    DOP853 would otherwise reject forever."""
+    monkeypatch.setattr(radial, "_rhs", _nan_beyond(r_bad))
+    pp = ProblemParams(n=4, p=3.0)
+    with pytest.raises(StepFailure):
+        shoot(pp, 1.0, 1e3)
+    assert main(["ground-state", "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "profile.csv").exists()
 
 
 def test_symmetric_point_oracle(prof_sym):
