@@ -79,9 +79,11 @@ class RunConfig:
         empty = [k for k in ("checks", "deltas", "eps") if not getattr(self, k)]
         if empty:
             raise ConfigError(f"empty lists: {empty}")
-        # the slope fits of verify's checks extrapolate through two distinct samples
-        if command == "verify" and min(len(set(self.deltas)), len(set(self.eps))) < 2:
-            raise ConfigError("verify needs at least 2 distinct deltas and 2 distinct eps")
+        # verify's fits divide by the differences of its samples, which a repeat makes 0
+        for key in ("deltas", "eps"):
+            xs = getattr(self, key)
+            if command == "verify" and not 2 <= len(xs) == len(set(xs)):
+                raise ConfigError(f"verify needs at least 2 {key} and no repeated one")
         phi_checks = [c for c in self.checks if V.CHECK_NEEDS[c] == "phi"]
         if command == "verify" and self.n != 4 and phi_checks:
             raise ConfigError(f"checks {phi_checks} need the half-space corrections, "

@@ -32,12 +32,6 @@ K_BASE = 12  # Gauss nodes per panel of the order-0 rule; order 1 takes 20
 TAU_BLOCK = 32  # most grid taus per shared node set when a table is built
 
 
-def g_of_rho(rho, pack, which_v):
-    """Neumann data -(rho/2) V'(rho) if which_v, else -(rho/2) U'(rho)."""
-    (d,) = profile_eval(rho, pack, ("dV",) if which_v else ("dU",))
-    return -(rho / 2.0) * d
-
-
 def panel_edges(sig, tau, rho_big, r_top):
     """Quadrature panel edges on [0, rho_big], refined toward rho = sig.
 
@@ -85,52 +79,15 @@ def angular_kernel(sig, tau, rho):
     return ker
 
 
-def big_radius(sig, tau, pack):
-    """Radius beyond which phi4_point takes the data tail in closed form."""
-    return np.maximum(60.0 * (sig + tau + 1.0), 2.0 * pack.r_top)
-
-
-def far_tail(big, tail_amp, tail_expo):
-    """Contribution of the data beyond rho = big, for a scalar big or an array of them.
+def far_tail(bigs, tail_amp, tail_expo):
+    """Contribution of the data beyond each rho_big of the array bigs.
 
     There g ~ sum_j amp_j * rho^-expo_j and the angular kernel is
     ~ |S^{n-2}| rho^{2-n} (relative error O((|x|/rho)^2)); float_power
     rounds as the scalar pow does, np.power may not.
     """
-    big = np.asarray(big)[..., None]
-    terms = tail_amp * np.float_power(big, 1.0 - tail_expo) / (tail_expo - 1.0)
+    terms = tail_amp * np.float_power(bigs[:, None], 1.0 - tail_expo) / (tail_expo - 1.0)
     return np.sum(terms, axis=-1) * (2.0 / np.pi)
-
-
-def phi4_point(sig, tau, pack, which_v, tail_amp, tail_expo, k):
-    """n = 4 evaluation at one point (sigma, tau) of the closed half-space.
-
-    k is the number of Gauss nodes per panel.
-    """
-    big = float(big_radius(sig, tau, pack))
-    rho, w = gauss_panels(panel_edges(sig, tau, big, pack.r_top), k)
-    # panel-major node order: np.sum below depends on it
-    rho, w = rho.ravel(), w.ravel()
-    gv = g_of_rho(rho, pack, which_v)
-    val = np.sum(w * gv * rho * rho * angular_kernel(sig, tau, rho)) / np.pi
-    return val + far_tail(big, tail_amp, tail_expo)
-
-
-def phi4_block(sig, taus, pack, which_v, tail_amp, tail_expo, k):
-    """phi4_point at (sig, tau) for every tau of taus, on one shared node set.
-
-    The edges are panel_edges(sig, min tau, largest rho_big) plus the
-    rho_big of every point.  Each point weights only the nodes below its own
-    rho_big and adds the closed-form tail beyond it, as phi4_point does, so
-    the two differ only in the partition of [0, rho_big] into panels.
-    """
-    bigs = big_radius(sig, taus, pack)
-    edges = np.union1d(panel_edges(sig, taus.min(), bigs.max(), pack.r_top), bigs)
-    rho, w = gauss_panels(edges, k)
-    rho, w = rho.ravel(), w.ravel()
-    wg = w * g_of_rho(rho, pack, which_v) * rho * rho
-    ker = np.where(rho < bigs[:, None], angular_kernel(sig, taus[:, None], rho), 0.0)
-    return ker @ wg / np.pi + far_tail(bigs, tail_amp, tail_expo)
 
 
 def catmull_weights(t):
@@ -140,25 +97,6 @@ def catmull_weights(t):
     w[2] = ((-1.5 * t + 2.0) * t + 0.5) * t
     w[3] = (0.5 * t - 0.5) * t * t
     return w
-
-
-def table_eval(tab, m, du, uu, vv):
-    """Separable cubic-convolution interpolation on the uniform (u,v) grid."""
-    x = uu / du
-    y = vv / du
-    x = np.minimum(np.maximum(x, 0.0), m - 1.0 - 1e-9)
-    y = np.minimum(np.maximum(y, 0.0), m - 1.0 - 1e-9)
-    ix = np.floor(x).astype(np.int64)
-    iy = np.floor(y).astype(np.int64)
-    wx = catmull_weights(x - ix)
-    wy = catmull_weights(y - iy)
-    out = np.zeros_like(uu)
-    for a in range(4):
-        ia = np.minimum(np.maximum(ix + (a - 1), 0), m - 1)
-        for b in range(4):
-            ib = np.minimum(np.maximum(iy + (b - 1), 0), m - 1)
-            out = out + wx[a] * wy[b] * tab[ia * m + ib]
-    return out
 
 
 @dataclass
@@ -171,7 +109,7 @@ class PhiTable:
     on the p = 3, m = 257, extent-220 table it is off by up to ~2.5e-4
     relative in the first tau cell (tau -> 0, the ball's pole) and ~1.5e-3
     in the last cell of either axis, against ~2e-7 in the cells between.
-    which is the correction the table samples, PHI1 or PHI2.
+    The field which names the correction the table samples, PHI1 or PHI2.
     """
 
     extent: float
@@ -181,9 +119,23 @@ class PhiTable:
     which: str
 
     def eval_many(self, sig, tau):
+        """Separable cubic-convolution interpolation at (sigma, tau) points."""
+        m = self.m
         uu = np.log1p(np.asarray(sig, dtype=np.float64))
         vv = np.log1p(np.asarray(tau, dtype=np.float64))
-        return table_eval(self.tab, self.m, self.du, uu, vv)
+        x = np.minimum(np.maximum(uu / self.du, 0.0), m - 1.0 - 1e-9)
+        y = np.minimum(np.maximum(vv / self.du, 0.0), m - 1.0 - 1e-9)
+        ix = np.floor(x).astype(np.int64)
+        iy = np.floor(y).astype(np.int64)
+        wx = catmull_weights(x - ix)
+        wy = catmull_weights(y - iy)
+        out = np.zeros_like(uu)
+        for a in range(4):
+            ia = np.minimum(np.maximum(ix + (a - 1), 0), m - 1)
+            for b in range(4):
+                ib = np.minimum(np.maximum(iy + (b - 1), 0), m - 1)
+                out = out + wx[a] * wy[b] * self.tab[ia * m + ib]
+        return out
 
 
 @dataclass
@@ -193,48 +145,59 @@ class HalfSpaceCorrection:
     profile: RadialProfile
     which: str
     _tables: dict = field(default_factory=dict, repr=False)
+    tail: tuple = field(init=False, repr=False, compare=False)  # g's (amp, expo) beyond r_top
 
     def __post_init__(self):
         if self.which not in (PHI1, PHI2):
             raise DomainError(f"unknown correction kind {self.which!r}")
         if self.profile.params.n != 4:
             raise DomainError("half-space corrections are implemented for n = 4")
-
-    @property
-    def _which_v(self):
-        return self.which == PHI2
-
-    @property
-    def _pack(self):
-        return self.profile.interp_pack
-
-    def _tail_terms(self):
-        """(amp, expo) of the nonzero power terms of g beyond r_top.
-
-        A term a*rho^-e of the profile gives g the term (e*a/2)*rho^-e.
-        """
-        a, expo = np.array(tail_terms(self._pack, self._which_v)).T
-        return expo * a / 2.0, expo
+        # a term a*rho^-e of the profile beyond r_top gives g the term (e*a/2)*rho^-e
+        a, expo = np.array(tail_terms(self.profile.interp_pack, self.which == PHI2)).T
+        self.tail = (expo * a / 2.0, expo)
 
     def boundary_data(self, rho):
-        """g(rho) >= 0 on the boundary hyperplane."""
+        """g(rho) = -(rho/2) U'(rho) for PHI1, -(rho/2) V'(rho) for PHI2; g >= 0."""
         rho = np.atleast_1d(np.asarray(rho, dtype=np.float64))
-        return g_of_rho(rho, self._pack, self._which_v)
+        part = "dV" if self.which == PHI2 else "dU"
+        (d,) = profile_eval(rho, self.profile.interp_pack, (part,))
+        return -(rho / 2.0) * d
+
+    def block(self, sig, taus, k):
+        """n = 4 phi at (sig, tau) for every tau of the array taus, on one shared node set.
+
+        k is the number of Gauss nodes per panel.  Each point integrates its
+        data up to rho_big = max(60 (sig + tau + 1), 2 r_top) and adds the
+        closed-form tail beyond it.  The edges are panel_edges(sig, min tau,
+        largest rho_big) plus the rho_big of every point, and each point
+        weights only the nodes below its own rho_big; for one tau this is
+        panel_edges(sig, tau, rho_big) itself.
+        """
+        r_top = self.profile.interp_pack.r_top
+        bigs = np.maximum(60.0 * (sig + taus + 1.0), 2.0 * r_top)
+        edges = np.union1d(panel_edges(sig, taus.min(), bigs.max(), r_top), bigs)
+        rho, w = gauss_panels(edges, k)
+        rho, w = rho.ravel(), w.ravel()
+        wg = w * self.boundary_data(rho) * rho * rho
+        ker = np.where(rho < bigs[:, None], angular_kernel(sig, taus[:, None], rho), 0.0)
+        return ker @ wg / np.pi + far_tail(bigs, *self.tail)
 
     def eval_points(self, sig, tau, order=0):
-        """Direct quadrature at (|x'|, x_n) points; order 0/1 takes 12/20 nodes per panel."""
+        """Direct quadrature at (|x'|, x_n) points; order 0/1 takes 12/20 nodes per panel.
+
+        Each point is its own block of one tau, with its own rho_big and
+        panels: the per-point reference the tables are tested against.
+        """
         sig = np.atleast_1d(np.asarray(sig, dtype=np.float64))
         tau = np.atleast_1d(np.asarray(tau, dtype=np.float64))
         if sig.shape != tau.shape:
             raise DomainError("sig and tau must have the same shape")
-        if np.any(tau < 0):
-            raise DomainError("evaluation points must satisfy x_n >= 0")
+        if not (np.all(sig >= 0) and np.all(tau >= 0)):  # NaN fails too
+            raise DomainError("evaluation points must satisfy |x'| >= 0 and x_n >= 0")
         if order not in (0, 1):
             raise DomainError(f"order must be 0 or 1, not {order!r}")
-        amp, expo = self._tail_terms()
         k = K_BASE if order == 0 else 20
-        return np.array([phi4_point(s, t, self._pack, self._which_v, amp, expo, k)
-                         for s, t in zip(sig, tau)])
+        return np.array([self.block(s, t, k)[0] for s, t in zip(sig, tau[:, None])])
 
     def phi_eval(self, x):
         """Accurate evaluation at one point of the closed half-space.
@@ -258,18 +221,19 @@ class HalfSpaceCorrection:
         """Build (and cache) the interpolation table covering [0, extent]^2.
 
         Each sigma row is split into ceil(m / TAU_BLOCK) blocks of consecutive
-        grid taus, equal in size to within one tau, and built with one
-        phi4_block call with the order-0 rule per block.
+        grid taus, equal in size to within one tau, and built with one block
+        call with the order-0 rule per block.  The extent must be finite and
+        positive and m at least 4, the width of the interpolation stencil.
         """
+        if not (np.isfinite(extent) and extent > 0) or m < 4:
+            raise DomainError(f"a table needs a finite extent > 0 and m >= 4, not "
+                              f"extent={extent!r}, m={m!r}")
         key = (float(extent), int(m))
         if key not in self._tables:
             gu = np.linspace(0.0, np.log1p(extent), m)
             grid = np.expm1(gu)
-            amp, expo = self._tail_terms()
             blocks = np.array_split(grid, -(-m // TAU_BLOCK))
-            vals = np.concatenate([
-                phi4_block(s, taus, self._pack, self._which_v, amp, expo, K_BASE)
-                for s in grid for taus in blocks])
+            vals = np.concatenate([self.block(s, taus, K_BASE) for s in grid for taus in blocks])
             self._tables[key] = PhiTable(extent=float(extent), m=m,
                                          du=float(gu[1] - gu[0]), tab=vals, which=self.which)
         return self._tables[key]

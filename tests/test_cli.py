@@ -109,9 +109,10 @@ def test_validate_rejects_bad_samples():
         for empty in ("checks", "deltas", "eps"):
             with pytest.raises(ConfigError):
                 RunConfig(**{empty: ()}).validate(command)
-    # verify's slope fits need two distinct samples; one is enough elsewhere
+    # verify's fits need two samples and no repeat; one is enough elsewhere
     for few in ({"deltas": (0.04,)}, {"deltas": (0.02, 0.02)}, {"eps": (0.04,)},
-                {"eps": (0.01, 0.01, 0.01)}):
+                {"eps": (0.01, 0.01, 0.01)}, {"deltas": (0.02, 0.02, 0.04)},
+                {"eps": (0.04, 0.01, 0.04)}):
         with pytest.raises(ConfigError):
             RunConfig(**few).validate("verify")
         RunConfig(**few).validate("reduced-energy")
@@ -275,6 +276,9 @@ def test_degenerate_lists_rejected_before_any_solve(monkeypatch, tmp_path):
                  ["verify", "--checks", "bubble_mass", "--deltas", "0.04"],
                  ["verify", "--checks", "bubble_mass", "--deltas", "0.02,0.02"],
                  ["verify", "--checks", "nonlinear_energy", "--eps", "0.04"],
+                 # a repeated sample makes a zero-width step in verify's fits
+                 ["verify", "--checks", "bubble_mass,cross_terms", "--deltas", "0.02,0.02,0.04"],
+                 ["verify", "--checks", "nonlinear_energy", "--eps", "0.04,0.01,0.04"],
                  ["reduced-energy", "--eps", ""],
                  # numbers no run can use
                  ["verify", "--deltas", "nan,0.02"],

@@ -5,7 +5,6 @@ from scipy.integrate import quad
 from conftest import closed_form_bubble
 from laneemden.ballquad import sphere_measure
 from laneemden.errors import DomainError
-import laneemden.halfspace as halfspace_mod
 from laneemden.halfspace import PHI1, TAU_BLOCK, HalfSpaceCorrection, angular_kernel
 
 
@@ -116,7 +115,7 @@ def test_monte_carlo_agreement(corr1_sym):
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
                                            * np.diff(grid))])
     mass = cdf[-1]  # int_0^cut g rho^2/(1+rho^2) drho
-    amp, expo = corr1_sym._tail_terms()
+    amp, expo = corr1_sym.tail
     tail = sum(a * rho_cut ** (1.0 - e) / (e - 1.0) for a, e in zip(amp, expo)
                if a != 0.0) * (2.0 / np.pi)
 
@@ -165,23 +164,36 @@ def test_table_nodes_match_direct(request, which, extent):
 def test_table_rows_split_into_equal_blocks(prof_sym, monkeypatch, m):
     """Each sigma row is built in ceil(m / TAU_BLOCK) blocks of near-equal size."""
     sizes = []
-    block = halfspace_mod.phi4_block
+    block = HalfSpaceCorrection.block
 
-    def recording(sig, taus, *args):
+    def recording(self, sig, taus, k):
         sizes.append(taus.size)
-        return block(sig, taus, *args)
+        return block(self, sig, taus, k)
 
-    monkeypatch.setattr(halfspace_mod, "phi4_block", recording)
+    monkeypatch.setattr(HalfSpaceCorrection, "block", recording)
     HalfSpaceCorrection(prof_sym, PHI1).table(5.0, m=m)
     assert len(sizes) == m * -(-m // TAU_BLOCK) and sum(sizes) == m * m
     assert max(sizes) <= TAU_BLOCK and max(sizes) - min(sizes) <= 1
 
 
+@pytest.mark.parametrize("extent, m", [(0.0, 41), (-0.5, 41), (np.inf, 41), (np.nan, 41),
+                                        (5.0, 3), (5.0, 2), (5.0, 1), (5.0, 0)])
+def test_table_rejects_degenerate_grid(prof_sym, extent, m):
+    """A table spans a positive finite extent with at least the 4 points of its stencil."""
+    corr = HalfSpaceCorrection(prof_sym, PHI1)
+    with pytest.raises(DomainError, match="extent"):
+        corr.table(extent, m=m)
+    assert not corr._tables
+
+
 def test_phi_eval_point_interface(corr1_sym):
     v = corr1_sym.phi_eval(np.array([0.0, 0.0, 0.0, 1.0]))
     assert v > 0
-    with pytest.raises(DomainError):
-        corr1_sym.eval_points([1.0], [-0.1])
+    # phi depends on |x'| only, so a negative sigma is no point of the half-space
+    for sig, tau in ((1.0, -0.1), (-1.0, 0.5), (-5.0, 0.1), (-1e-300, 0.0), (np.nan, 1.0),
+                     (1.0, np.nan)):
+        with pytest.raises(DomainError):
+            corr1_sym.eval_points([0.5, sig], [0.5, tau])
     with pytest.raises(DomainError):
         corr1_sym.eval_points([1.0, 2.0], [0.5])
     for x in ([0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0], [[0.0, 0.0, 0.0, 1.0]]):

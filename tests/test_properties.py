@@ -106,7 +106,7 @@ def panel_edges_loop(sig, tau, rho_big, r_top):
 @settings(max_examples=300, deadline=None)
 @given(sig=coords, tau=coords, scale=st.floats(1.0, 1e3), top=st.floats(0.0, 2.0))
 def test_panel_edges_shape(sig, tau, scale, top):
-    # rho_big as phi4_point chooses it: at least 60 (sigma + tau + 1)
+    # rho_big as HalfSpaceCorrection.block chooses it: at least 60 (sigma + tau + 1)
     rho_big = 60.0 * (sig + tau + 1.0) * scale
     # r_top below or beyond rho_big
     r_top = top * rho_big
@@ -231,9 +231,9 @@ def _number_text(lo, hi):
 
 
 def _samples(hi):
-    """2 to 4 samples in (0, hi], at least 2 of them distinct, as verify requires."""
-    return st.lists(st.floats(0.0, hi, exclude_min=True), min_size=2, max_size=4).filter(
-        lambda xs: len(set(xs)) >= 2).map(tuple)
+    """2 to 4 distinct samples in (0, hi], as verify requires."""
+    return st.lists(st.floats(0.0, hi, exclude_min=True), min_size=2, max_size=4,
+                    unique=True).map(tuple)
 
 
 @st.composite

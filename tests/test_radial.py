@@ -8,7 +8,7 @@ from laneemden import ProblemParams, find_ground_state, fit_tail, radial, shoot
 from laneemden._interp import pack_pchip, profile_eval
 from laneemden.cli import main
 from laneemden.errors import DomainError, StepFailure, WindowTooNarrow
-from laneemden.halfspace import g_of_rho
+from laneemden.halfspace import PHI1, PHI2, HalfSpaceCorrection
 from laneemden.radial import (DECAYING, DIVERGENCE_GUARD, DIVERGING, R_START, U_HITS_ZERO,
                               V_HITS_ZERO,
                               derivative_bound_constant, fd_derivs_on_grid,
@@ -204,8 +204,9 @@ def test_profile_eval_parts(prof_sym, prof_case2):
         for name in names:
             np.testing.assert_allclose(full[name][beyond], want[name], rtol=1e-15,
                                        atol=0.0, err_msg=name)
-        assert np.array_equal(g_of_rho(r, pk, False), -(r / 2.0) * full["dU"])
-        assert np.array_equal(g_of_rho(r, pk, True), -(r / 2.0) * full["dV"])
+        g1, g2 = (HalfSpaceCorrection(prof, w).boundary_data(r) for w in (PHI1, PHI2))
+        assert np.array_equal(g1, -(r / 2.0) * full["dU"])
+        assert np.array_equal(g2, -(r / 2.0) * full["dV"])
 
 
 def test_pack_pchip_matches_scipy(prof_sym, prof_case1, prof_case2):

@@ -1,0 +1,50 @@
+"""The benchmark tracer sees every call of each function it traces.
+
+perfbench/tracer.py replaces a traced function on each module that binds it,
+but skips an owner whose binding differs.  A module that keeps the original
+under some name would call it unseen, and the per-layer counts would come out
+short without an error.  So after install() no laneemden module, and no class
+defined in one, may still bind the original of a tracer wrapper.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = r"""
+import importlib, inspect, pkgutil, sys
+import laneemden
+for info in pkgutil.iter_modules(laneemden.__path__):
+    importlib.import_module("laneemden." + info.name)
+import tracer
+tracer.install()
+wrapper_code = tracer.Recorder().wrap("", "", len).__code__
+
+
+def bindings(mod):
+    for attr, value in vars(mod).items():
+        yield f"{mod.__name__}.{attr}", value
+        if inspect.isclass(value) and value.__module__ == mod.__name__:
+            for cattr, cvalue in vars(value).items():
+                yield f"{mod.__name__}.{attr}.{cattr}", cvalue
+
+
+mods = [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "laneemden"]
+bound = [(name, value) for mod in mods for name, value in bindings(mod)]
+originals = [v.__wrapped__ for _, v in bound if getattr(v, "__code__", None) is wrapper_code]
+assert originals, "tracer.install() wrapped nothing"
+for name, value in bound:
+    if any(value is fn for fn in originals):
+        print(name)
+"""
+
+
+def test_no_module_keeps_an_untraced_original():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    res = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "", "untraced bindings:\n" + res.stdout
