@@ -114,17 +114,6 @@ class AnsatzField:
         t = float(x[-1])
         return float(self.eval_st(np.array([s]), np.array([t]))[0])
 
-    def slice_to_csv(self, path, n_s=80, n_t=161):
-        """Write a (s, t, value) grid over the ball section for plotting."""
-        from .reporting import write_csv
-        s_grid = np.linspace(0.0, 1.0, n_s)
-        half = np.linspace(0.0, 1.0, (n_t + 1) // 2)
-        t_grid = np.concatenate([-half[::-1][:-1], half])  # exactly antisymmetric
-        S, T = np.meshgrid(s_grid, t_grid, indexing="ij")
-        keep = S ** 2 + T ** 2 <= 1.0
-        s, t = S[keep], T[keep]
-        write_csv(path, ["s", "t", "value"], [s, t, self.eval_st(s, t)])
-
 
 def symmetry_and_compatibility_check(field: AnsatzField, quad, t_exponent=None):
     """Integrals of the field and of its signed power over the ball.

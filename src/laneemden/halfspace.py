@@ -30,6 +30,8 @@ PHI1 = "PHI1"
 PHI2 = "PHI2"
 K_BASE = 12  # Gauss nodes per panel of the order-0 rule; order 1 takes 20
 TAU_BLOCK = 32  # most grid taus per shared node set when a table is built
+LOOKUP_CHUNK = 4096  # points per gather in PhiTable.eval_many
+HALVINGS = np.ldexp(1.0, -np.arange(1, 32))  # 2^-k, k = 1..31, for the refinement at sig
 
 
 def panel_edges(sig, tau, rho_big, r_top):
@@ -44,38 +46,41 @@ def panel_edges(sig, tau, rho_big, r_top):
     is a first edge below 1e-150: the squares of the nodes on a narrower
     first panel underflow, and the kernel there comes out 0/0.
     """
-    lo, nlog = 1e-3, 40
-    ratio = (rho_big / lo) ** (1.0 / nlog)
-    # cumprod multiplies in sequence: each edge is its predecessor times ratio
-    parts = [[0.0], np.cumprod(np.r_[lo, np.full(nlog - 1, ratio)]), [rho_big]]
+    geo = np.full(40, (rho_big / 1e-3) ** (1.0 / 40))
+    geo[0] = 1e-3
+    # cumprod multiplies in sequence: each geometric edge is its predecessor times the ratio
+    parts = [[0.0], np.cumprod(geo), [rho_big]]
     if 0.0 < r_top < rho_big:
         parts.append([r_top])
     if sig > 0.0:
         w0 = max(tau, 1e-9 * max(sig, 1.0))
-        half = np.ldexp(1.0, -np.arange(1, 32))
-        half = half[sig * half > 0.25 * w0]
+        half = HALVINGS[sig * HALVINGS > 0.25 * w0]
         refine = np.concatenate([sig * (1.0 - half), sig * (1.0 + half), [sig]])
         parts.append(refine[(refine > 0.0) & (refine < rho_big)])
     e = np.sort(np.concatenate(parts))
-    return e[np.r_[True, e[1:] > e[:-1] * (1.0 + 1e-14) + 1e-150]]
+    return e[np.concatenate(([True], e[1:] > e[:-1] * (1.0 + 1e-14) + 1e-150))]
 
 
 def angular_kernel(sig, tau, rho):
     """n = 4 angular factor int_{-1}^{1} du / (A - B u), broadcast over its arguments.
 
     A = sig^2 + tau^2 + rho^2 and B = 2 sig rho.  It equals
-    log((A + B)/(A - B))/B = log1p(2B/den)/B with den = A - B =
-    (sig - rho)^2 + tau^2, which keeps its digits when B << den; below
-    z = B/A = 1e-6 the series (2/A)(1 + z^2/3) replaces it.
+    log((A + B)/(A - B))/B = log1p(2B/den)/B with den = A - B = (sig - rho)^2 + tau^2,
+    which keeps its digits when B << den.  It is evaluated at every element; the series
+    (2/A)(1 + z^2/3) overwrites it only where z = B/A < 1e-6 (B = 0 among them: 0/0).
     """
     tau2 = tau * tau
-    A = sig * sig + tau2 + rho * rho
+    A = np.asarray(sig * sig + tau2 + rho * rho)
     B = 2.0 * sig * rho
+    ker = np.asarray((sig - rho) * (sig - rho) + tau2)  # den, overwritten in place
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(2.0 * B, ker, out=ker)
+        np.log1p(ker, out=ker)
+        ker /= B
     z = B / A
-    ker = np.asarray((2.0 / A) * (1.0 + z * z / 3.0))  # an array, for out= below
-    den = (sig - rho) * (sig - rho) + tau2
-    # the log form overwrites the series where z >= 1e-6, so B = 0 is never a divisor
-    np.divide(np.log1p(2.0 * B / den), B, out=ker, where=z >= 1e-6)
+    small = z < 1e-6
+    if small.any():
+        ker[small] = (2.0 / A[small]) * (1.0 + z[small] * z[small] / 3.0)
     return ker
 
 
@@ -103,13 +108,14 @@ def catmull_weights(t):
 class PhiTable:
     """Cached phi values on a log1p-uniform (sigma, tau) grid.
 
-    tab is flat and sigma-major: tab[i*m + j] is phi at
-    (expm1(i*du), expm1(j*du)).  eval_many clamps its 4-point stencil in the
-    first and last cell of each axis, where it is no longer cubic-accurate:
-    on the p = 3, m = 257, extent-220 table it is off by up to ~2.5e-4
-    relative in the first tau cell (tau -> 0, the ball's pole) and ~1.5e-3
-    in the last cell of either axis, against ~2e-7 in the cells between.
-    The field which names the correction the table samples, PHI1 or PHI2.
+    tab is flat and sigma-major: tab[i*m + j] is phi at (expm1(i*du), expm1(j*du)).
+    padded is tab edge-replicated by 1 before and 2 after on each axis (rows of
+    m + 3), so a lookup reads its 16 stencil values at fixed offsets from one
+    index, and the edge cells keep the clamped stencil, no longer cubic-accurate:
+    on the p = 3, m = 257, extent-220 table it is off by up to ~2.5e-4 relative
+    in the first tau cell (tau -> 0, the ball's pole) and ~1.5e-3 in the last
+    cell of either axis, against ~2e-7 in the cells between.  The field which
+    names the correction the table samples, PHI1 or PHI2.
     """
 
     extent: float
@@ -117,25 +123,38 @@ class PhiTable:
     du: float
     tab: np.ndarray
     which: str
+    padded: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.padded = np.pad(self.tab.reshape(self.m, -1), ((1, 2), (1, 2)), "edge").ravel()
 
     def eval_many(self, sig, tau):
-        """Separable cubic-convolution interpolation at (sigma, tau) points."""
-        m = self.m
-        uu = np.log1p(np.asarray(sig, dtype=np.float64))
-        vv = np.log1p(np.asarray(tau, dtype=np.float64))
-        x = np.minimum(np.maximum(uu / self.du, 0.0), m - 1.0 - 1e-9)
-        y = np.minimum(np.maximum(vv / self.du, 0.0), m - 1.0 - 1e-9)
-        ix = np.floor(x).astype(np.int64)
-        iy = np.floor(y).astype(np.int64)
-        wx = catmull_weights(x - ix)
-        wy = catmull_weights(y - iy)
-        out = np.zeros_like(uu)
-        for a in range(4):
-            ia = np.minimum(np.maximum(ix + (a - 1), 0), m - 1)
-            for b in range(4):
-                ib = np.minimum(np.maximum(iy + (b - 1), 0), m - 1)
-                out = out + wx[a] * wy[b] * self.tab[ia * m + ib]
-        return out
+        """Separable cubic-convolution interpolation at (sigma, tau) points, both >= 0.
+
+        Points beyond the extent take the last cell's stencil; each LOOKUP_CHUNK
+        of points reads its stencils with one gather.
+        """
+        sig, tau = np.broadcast_arrays(np.asarray(sig, dtype=np.float64),
+                                       np.asarray(tau, dtype=np.float64))
+        if not (np.all(sig >= 0) and np.all(tau >= 0)):  # NaN fails too
+            raise DomainError("lookup points must satisfy sigma >= 0 and tau >= 0")
+        s, t = sig.ravel(), tau.ravel()
+        row = self.m + 3
+        top = self.m - 1.0 - 1e-9
+        taps = (np.arange(4)[:, None] * row + np.arange(4)).reshape(16, 1)
+        out = np.zeros(s.size)
+        for lo in range(0, s.size, LOOKUP_CHUNK):
+            x = np.minimum(np.maximum(np.log1p(s[lo:lo + LOOKUP_CHUNK]) / self.du, 0.0), top)
+            y = np.minimum(np.maximum(np.log1p(t[lo:lo + LOOKUP_CHUNK]) / self.du, 0.0), top)
+            ix = np.floor(x).astype(np.int64)
+            iy = np.floor(y).astype(np.int64)
+            # w[4a + b] = wx[a] * wy[b]; the sum runs a-major, b-minor from 0.0
+            w = (catmull_weights(x - ix)[:, None] * catmull_weights(y - iy)).reshape(16, -1)
+            w *= self.padded[ix * row + iy + taps]
+            acc = out[lo:lo + LOOKUP_CHUNK]
+            for prod in w:
+                acc += prod
+        return out.reshape(sig.shape)[()]
 
 
 @dataclass
@@ -179,7 +198,8 @@ class HalfSpaceCorrection:
         rho, w = gauss_panels(edges, k)
         rho, w = rho.ravel(), w.ravel()
         wg = w * self.boundary_data(rho) * rho * rho
-        ker = np.where(rho < bigs[:, None], angular_kernel(sig, taus[:, None], rho), 0.0)
+        ker = angular_kernel(sig, taus[:, None], rho)
+        ker[rho >= bigs[:, None]] = 0.0
         return ker @ wg / np.pi + far_tail(bigs, *self.tail)
 
     def eval_points(self, sig, tau, order=0):
@@ -274,15 +294,6 @@ class HalfSpaceCorrection:
             g = float(self.boundary_data([rho])[0])
             worst = max(worst, abs(dn_out - g) / abs(g))
         return worst
-
-    def sample_to_csv(self, path, sig_max=20.0, tau_max=20.0, n=40):
-        """Write a (|x'|, x_n, value) sample grid for plotting."""
-        from .reporting import write_csv
-        sig = np.linspace(0.0, sig_max, n)
-        tau = np.linspace(0.0, tau_max, n)
-        S, T = np.meshgrid(sig, tau, indexing="ij")
-        vals = self.eval_points(S.ravel(), T.ravel())
-        write_csv(path, ["s", "t", "value"], [S.ravel(), T.ravel(), vals])
 
     def decay_exponent(self):
         """Fitted decay exponent of phi along the axis, with its target.

@@ -218,16 +218,3 @@ def test_bubble_uv_scales_profile_bitwise(prof_case1):
     assert np.array_equal(got_v, delta ** -pp.sv * V)
     (only_v,) = bubble_uv(s, t, 1.0, delta, prof_case1, ("V",))
     assert np.array_equal(only_v, got_v)
-
-
-def test_slice_export(tmp_path, prof_sym):
-    fld = AnsatzField(prof_sym, W1, 0.1)
-    path = tmp_path / "w1_slice.csv"
-    fld.slice_to_csv(path, n_s=10, n_t=21)
-    rows = path.read_text().splitlines()
-    assert rows[0] == "s,t,value"
-    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
-    assert np.all(data[:, 0] ** 2 + data[:, 1] ** 2 <= 1.0 + 1e-12)
-    mirror = {(round(s, 12), round(t, 12)): v for s, t, v in data}
-    for s, t, v in data:
-        assert mirror[(round(s, 12), round(-t, 12))] == -v

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from conftest import closed_form_bubble
+from laneemden.ansatz import TABLE_REACH
 from laneemden.ballquad import sphere_measure
 from laneemden.errors import DomainError
 from laneemden.halfspace import PHI1, TAU_BLOCK, HalfSpaceCorrection, angular_kernel
+from phi_reference import angular_kernel_where, table_where
 
 
 def test_sphere_measure():
@@ -54,6 +58,16 @@ def test_angular_kernel_closed_form():
         B = 2 * sig * rho
         direct, _ = quad(lambda u: 1.0 / (A - B * u), -1.0, 1.0, epsabs=0.0, epsrel=1e-13)
         assert direct == pytest.approx(float(angular_kernel(sig, tau, rho)), rel=1e-12)
+
+
+@pytest.mark.parametrize("sig", [0.0, 1e-9, 0.3, 5.0, 800.0])
+def test_angular_kernel_matches_reference_bitwise(sig):
+    """On a (tau x rho) matrix whose z = B/A spans the 1e-6 switch, log form and series
+    land where the np.where/out= reference puts them, bit for bit."""
+    taus = np.array([0.0, 1e-3, 0.7, 30.0, 1e4])[:, None]
+    rho = np.geomspace(1e-12, 1e5, 400)
+    got, want = angular_kernel(sig, taus, rho), angular_kernel_where(sig, taus, rho)
+    assert np.array_equal(got, want)
 
 
 def test_neumann_data(corr1_sym, corr2_sym):
@@ -218,10 +232,34 @@ def test_rejects_unknown_kind(prof_sym):
         HalfSpaceCorrection(prof_sym, "PHI3")
 
 
-def test_sample_export(tmp_path, corr1_sym):
-    path = tmp_path / "phi.csv"
-    corr1_sym.sample_to_csv(path, sig_max=5.0, tau_max=5.0, n=8)
-    rows = path.read_text().splitlines()
-    assert rows[0] == "s,t,value"
-    vals = np.array([float(r.split(",")[2]) for r in rows[1:]])
-    assert vals.size == 64 and np.all(vals > 0)
+@pytest.mark.parametrize("which, extent, m", [
+    ("corr1_sym", 220.0, 41), ("corr1_sym", 1100.0, 41), ("corr2_sym", 220.0, 41),
+    ("corr2_sym", 1100.0, 41), ("corr1_sym", TABLE_REACH / 0.01, 257)])
+def test_table_equals_reference_block_bitwise(request, which, extent, m):
+    """Every node equals the np.where/out= kernel and block of the reference copy."""
+    corr = request.getfixturevalue(which)
+    tab = corr.table(extent, m=m).tab
+    ref = table_where(corr, extent, m)
+    assert np.array_equal(tab, ref) and np.array_equal(np.signbit(tab), np.signbit(ref))
+
+
+@pytest.mark.parametrize("sig, tau", [(np.nan, 1.0), (1.0, np.nan), (-0.5, 1.0), (1.0, -0.5),
+                                      (-2.0, 1.0), (1.0, -np.inf)])
+def test_lookup_rejects_points_outside_half_space(corr1_sym, sig, tau):
+    """A lookup takes sigma >= 0 and tau >= 0, by the rule of eval_points."""
+    tab = corr1_sym.table(220.0, m=41)
+    with pytest.raises(DomainError, match="sigma >= 0 and tau >= 0"):
+        tab.eval_many([0.5, sig], [0.5, tau])
+
+
+def test_lookup_memory_peak(corr1_sym):
+    """200,000 lookups allocate at most 10 MB at their peak (outputs included)."""
+    tab = corr1_sym.table(220.0, m=41)
+    sig, tau = 220.0 * np.random.default_rng(5).random((2, 200_000))
+    tracemalloc.start()
+    try:
+        tab.eval_many(sig, tau)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6

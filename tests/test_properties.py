@@ -19,11 +19,12 @@ from laneemden.ballquad import gauss_panels  # noqa: E402
 from laneemden.cli import (_COMMAND_KEYS, _COMMON_KEYS, RunConfig,  # noqa: E402
                            build_config, make_parser)
 from laneemden.errors import ConfigError  # noqa: E402
-from laneemden.halfspace import panel_edges  # noqa: E402
+from laneemden.halfspace import LOOKUP_CHUNK, panel_edges  # noqa: E402
 from laneemden.params import (HYPERBOLA_TOL, ProblemParams,  # noqa: E402
                               check_condition_P, p_threshold)
 from laneemden.radial import _rhs  # noqa: E402
 from laneemden.verify import CHECK_NAMES, CHECK_NEEDS  # noqa: E402
+from phi_reference import eval_many_loop  # noqa: E402
 
 coords = st.one_of(st.just(0.0), st.floats(0.0, 1e4))
 
@@ -147,6 +148,28 @@ def test_table_matches_direct_off_grid(corr1_sym, corr1_case2, a, b):
         sig, tau = np.expm1(tab.du + np.array([a, b]) * (top - tab.du))
         direct = corr.eval_points([sig], [tau], order=1)[0]
         assert abs(tab.eval_many([sig], [tau])[0] / direct - 1.0) <= 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), size=st.sampled_from([0, 1, LOOKUP_CHUNK, LOOKUP_CHUNK + 1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lookup_matches_clamped_loop_bitwise(corr1_sym, data, size, seed):
+    """eval_many equals the clamped 16-pass loop bit for bit, signed zeros included.
+
+    Drawn coordinates (exact nodes, the first and last cell of an axis,
+    beyond the extent, +-0 and +inf) lead a batch filled from the seed.
+    """
+    tab = corr1_sym.table(220.0, m=41)
+    cell = lambda lo: st.floats(lo, lo + 1.0).map(lambda f: float(np.expm1(f * tab.du)))
+    coord = st.one_of(st.integers(0, tab.m - 1).map(lambda i: float(np.expm1(i * tab.du))),
+                      cell(0.0), cell(tab.m - 2.0), st.floats(tab.extent, 1e300),
+                      st.sampled_from([0.0, -0.0, np.inf]), st.floats(0.0, tab.extent))
+    lead = data.draw(st.lists(st.tuples(coord, coord), max_size=min(size, 16)))
+    sig, tau = 1.2 * tab.extent * np.random.default_rng(seed).random((2, size))
+    for i, (s, t) in enumerate(lead):
+        sig[i], tau[i] = s, t
+    got, want = tab.eval_many(sig, tau), eval_many_loop(tab, sig, tau)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @settings(max_examples=50, deadline=None)
