@@ -52,7 +52,7 @@ def bubble_eval(profile: RadialProfile, xi, delta: float, x):
     return float(U[0]), float(V[0])
 
 
-@dataclass
+@dataclass(eq=False)
 class AnsatzField:
     """Evaluator for one of the four two-bubble fields at a fixed delta.
 
@@ -102,17 +102,6 @@ class AnsatzField:
         ex = pp.sv if self._part == "V" else pp.su
         return d ** (1.0 - ex) * (tab.eval_many(s / d, (1.0 - t) / d)
                                   - tab.eval_many(s / d, (1.0 + t) / d))
-
-    def field_eval(self, x):
-        """Scalar field value at a point of the closed unit ball."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.profile.params.n,):
-            raise DomainError(f"x must be a point of R^{self.profile.params.n}")
-        if np.linalg.norm(x) > 1.0 + 1e-12:
-            raise DomainError("x must lie in the closed unit ball")
-        s = float(np.linalg.norm(x[:-1]))
-        t = float(x[-1])
-        return float(self.eval_st(np.array([s]), np.array([t]))[0])
 
 
 def symmetry_and_compatibility_check(field: AnsatzField, quad, t_exponent=None):

@@ -87,7 +87,7 @@ def graded_edges(length, h_min, h_max, ratio):
     return e
 
 
-@dataclass
+@dataclass(eq=False)
 class BallQuadrature:
     """Tensor Gauss mesh on the upper half of the (rho, theta) rectangle."""
 

@@ -79,12 +79,13 @@ class RunConfig:
         empty = [k for k in ("checks", "deltas", "eps") if not getattr(self, k)]
         if empty:
             raise ConfigError(f"empty lists: {empty}")
-        # verify's fits divide by the differences of its samples, which a repeat makes 0
-        for key in ("deltas", "eps"):
+        # verify runs each check once, and its fits divide by the differences of its
+        # samples, which a repeat makes 0
+        for key, least in (("checks", 1), ("deltas", 2), ("eps", 2)):
             xs = getattr(self, key)
-            if command == "verify" and not 2 <= len(xs) == len(set(xs)):
-                raise ConfigError(f"verify needs at least 2 {key} and no repeated one")
-        phi_checks = [c for c in self.checks if V.CHECK_NEEDS[c] == "phi"]
+            if command == "verify" and not least <= len(xs) == len(set(xs)):
+                raise ConfigError(f"verify needs at least {least} {key} and no repeated one")
+        phi_checks = [c for c in self.checks if V.reads_phi(c)]
         if command == "verify" and self.n != 4 and phi_checks:
             raise ConfigError(f"checks {phi_checks} need the half-space corrections, "
                               "implemented for n = 4 only")
@@ -236,41 +237,24 @@ def cmd_reduced_energy(cfg):
 
 
 def run_suite(cfg) -> list:
-    """Run the selected verification checks; returns ExpansionReports."""
+    """Run cfg.checks in order and return their ExpansionReports.
+
+    Each check reads the inputs that verify.CHECK_READS names.  The ground
+    state is always taken (from _ground_state); the energy constants and the
+    half-space corrections corr1 (phi1) and corr2 (phi2) are built once
+    each, and only when a selected check reads them.
+    """
     params, prof = _ground_state(cfg)
-    consts = compute_constants(prof)
-    corr1 = corr2 = None
-    if any(V.CHECK_NEEDS[c] == "phi" for c in cfg.checks):
-        corr1 = HalfSpaceCorrection(prof, PHI1)
-        corr2 = HalfSpaceCorrection(prof, PHI2)
-    lvl = cfg.mesh_level
+    inputs = {"params": params, "profile": prof, "deltas": cfg.deltas, "eps": cfg.eps,
+              "d": cfg.d, "alpha": cfg.alpha, "beta": cfg.beta, "level": cfg.mesh_level}
+    builders = {"constants": lambda: compute_constants(prof),
+                "corr1": lambda: HalfSpaceCorrection(prof, PHI1),
+                "corr2": lambda: HalfSpaceCorrection(prof, PHI2)}
+    read = {key for name in cfg.checks for key in V.CHECK_READS[name]}
+    inputs.update({key: build() for key, build in builders.items() if key in read})
     reports = []
     for name in cfg.checks:
-        if name == "bubble_mass":
-            reports.append(V.check_bubble_mass(prof, consts, cfg.deltas, level=lvl))
-        elif name == "cross_terms":
-            reports.append(V.check_cross_terms(prof, cfg.deltas, level=lvl))
-        elif name == "boundary_pairing":
-            reports.append(V.check_phi_pairing(prof, corr1, corr2, consts,
-                                               cfg.deltas, level=lvl))
-        elif name == "gradient_energy":
-            reports.append(V.check_gradient_expansion(prof, corr1, consts,
-                                                      cfg.deltas, level=lvl))
-        elif name == "nonlinear_energy":
-            reports.append(V.check_nonlinear_expansion(prof, corr2, consts, cfg.eps,
-                                                       d=cfg.d, alpha=cfg.alpha,
-                                                       level=lvl))
-        elif name == "linearized_kernel":
-            reports.append(V.check_kernel(prof, mode="fd"))
-        elif name == "scaling_table":
-            for (t, row) in ((params.q + 1.0, "u1"), (1.0, "u1"), (2.0, "v2")):
-                reports.append(V.check_scaling_table(params, t, row))
-        elif name == "exponent_taylor":
-            reports.append(V.check_f_taylor(params))
-        elif name == "perturbed_norms":
-            reports.append(V.check_norm_orders(prof, corr1, cfg.eps,
-                                               d=cfg.d, level=lvl,
-                                               beta=cfg.beta if cfg.beta > 0 else 1.0))
+        reports += V.CHECKS[name](**{key: inputs[key] for key in V.CHECK_READS[name]})
     return reports
 
 
@@ -304,10 +288,11 @@ def cmd_verify(cfg):
 
 
 def cmd_report(cfg):
+    """Aggregate the check records of the last verify run into report.json."""
     out = Path(cfg.out)
-    records = []
-    for path in sorted(out.glob("check_*.json")):
-        records.append(json.loads(path.read_text(encoding="utf-8")))
+    summary = out / "summary.json"
+    records = (json.loads(summary.read_text(encoding="utf-8"))["checks"]
+               if summary.exists() else [])
     overall = all(r.get("verdict") == "PASS" for r in records) if records else False
     agg = {"overall": "PASS" if overall else "FAIL", "n_checks": len(records),
            "checks": records}

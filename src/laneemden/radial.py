@@ -59,7 +59,7 @@ class TailFit:
     fit_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialProfile:
     """Sampled ground state with interpolation and tail extrapolation."""
 
@@ -102,11 +102,6 @@ class RadialProfile:
             raise RuntimeError("profile has no tail fit attached")
         r = np.atleast_1d(np.asarray(r, dtype=np.float64))
         return profile_eval(r, self._pack, ("U", "dU", "V", "dV"))
-
-    def evaluate(self, r):
-        """Scalar (U, dU, V, dV) at radius r >= 0."""
-        out = self.eval_many(np.array([float(r)]))
-        return tuple(float(c[0]) for c in out)
 
     @property
     def interp_pack(self):

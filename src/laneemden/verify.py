@@ -11,6 +11,7 @@ halving of x.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,21 +24,6 @@ from .halfspace import HalfSpaceCorrection
 from .radial import fd_derivs_on_grid
 
 MIN_SHRINK = 1.5
-
-# What each check consumes: the problem parameters alone, the ground-state
-# profile, or the half-space corrections phi1/phi2 (implemented for n = 4).
-CHECK_NEEDS = {
-    "bubble_mass": "profile",
-    "cross_terms": "profile",
-    "boundary_pairing": "phi",
-    "gradient_energy": "phi",
-    "nonlinear_energy": "phi",
-    "linearized_kernel": "profile",
-    "scaling_table": "params",
-    "exponent_taylor": "params",
-    "perturbed_norms": "phi",
-}
-CHECK_NAMES = tuple(CHECK_NEEDS)
 
 
 @dataclass
@@ -107,6 +93,11 @@ def _verdict(ok):
     return "PASS" if ok else "FAIL"
 
 
+def applied_slope(slope):
+    """The exponent slope alpha or beta as the checks apply it: a zero slope reads as 1."""
+    return slope if slope > 0 else 1.0
+
+
 def aubin_talenti(n):
     """Closed-form bubble at the symmetric point, with three derivatives."""
     c = 1.0 / (n * (n - 2.0))
@@ -145,8 +136,9 @@ def _bubble_power(profile, delta, power, component_v):
 
 
 def check_bubble_mass(profile, constants: EnergyConstants, deltas,
-                      level=1, tol=0.05, component_v=False):
+                      level=1, component_v=False):
     """Mass of one bubble inside the ball: A/2 - B*delta + o(delta)."""
+    tol = 0.05
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
     n_exp = pp.p + 1.0 if component_v else pp.q + 1.0
@@ -198,13 +190,14 @@ def check_cross_terms(profile, deltas, level=1):
 
 
 def check_phi_pairing(profile, corr1: HalfSpaceCorrection, corr2: HalfSpaceCorrection,
-                      constants: EnergyConstants, deltas, level=1, tol=0.05):
+                      constants: EnergyConstants, deltas, level=1):
     """Boundary-layer pairings: matched ones carry -C/2, crossed ones are o(delta).
 
     Pairings are reported in the orientation of the projection expansions
     (the corrections there absorb outgoing flux), hence the minus sign on
     the positive kernel evaluator.
     """
+    tol = 0.05
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
     tab1, tab2 = (c.table(TABLE_REACH / min(deltas)) for c in (corr1, corr2))
@@ -243,12 +236,13 @@ def check_phi_pairing(profile, corr1: HalfSpaceCorrection, corr2: HalfSpaceCorre
 
 
 def check_gradient_expansion(profile, corr1, constants: EnergyConstants,
-                             deltas, level=1, tol=0.10):
+                             deltas, level=1):
     """Mixed gradient energy of the projected pair.
 
     Uses the integration-by-parts form: the gradient pairing equals the
     integral of PW1 against the signed bubble sources of PW2.
     """
+    tol = 0.10
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
     tab = corr1.table(TABLE_REACH / min(deltas))
@@ -280,7 +274,7 @@ def check_gradient_expansion(profile, corr1, constants: EnergyConstants,
 
 
 def check_nonlinear_expansion(profile, corr2, constants: EnergyConstants,
-                              eps_list, d=0.2, alpha=1.0, level=1, tol=0.10):
+                              eps_list, d=0.2, alpha=1.0, level=1):
     """Perturbed-exponent energy of the projected second component.
 
     With delta = d*eps, the functional splits into a delta-part (checked as
@@ -289,6 +283,7 @@ def check_nonlinear_expansion(profile, corr2, constants: EnergyConstants,
     """
     if alpha <= 0:
         raise DomainError("the perturbed-exponent check needs alpha > 0")
+    tol = 0.10
     pp = profile.params
     p = pp.p
     deltas = [d * e for e in eps_list]
@@ -451,15 +446,16 @@ def scaling_row_exponent(params, row, t):
     return t * (c - a), False
 
 
-def check_scaling_table(params, t, row, deltas=(0.02, 0.01, 0.005), tol=0.02):
+def check_scaling_table(params, t, row, tol=0.02):
     """Log-log order of int_{B_R} w^t, R = 0.5, w an explicit power-law bubble.
 
-    The integrand is an explicit elementary function, so the default
-    samples sit lower than the field checks'; that keeps the finite-delta
-    log corrections inside the 2% exponent tolerance.
+    The integrand is an explicit elementary function, so the delta samples
+    sit lower than the field checks'; that keeps the finite-delta log
+    corrections inside the 2% exponent tolerance.
     """
     if t <= 0:
         raise DomainError("t must be positive")
+    deltas = (0.02, 0.01, 0.005)
     a, c = _row_params(params, row)
     n = params.n
     expo, logcase = scaling_row_exponent(params, row, t)
@@ -501,16 +497,17 @@ def f_taylor_remainders(q, beta, eps, t):
     return xi, xi_bound, eta, eta_bound
 
 
-def check_f_taylor(params, t_samples=None, eps_values=(0.1, 0.01)):
+def check_f_taylor(params, t_samples=None):
     """Remainder/envelope ratios of the perturbed-power expansions; all must be <= 1."""
     tol = 1.0
+    eps_values = (0.1, 0.01)
     if t_samples is None:
         t_samples = np.geomspace(0.1, 10.0, 101)
     t = np.asarray(t_samples, dtype=float)
     worst = 0.0
     for eps in eps_values:
-        for expo, slope in ((params.q, params.beta if params.beta > 0 else 1.0),
-                            (params.p, params.alpha if params.alpha > 0 else 1.0)):
+        for expo, slope in ((params.q, applied_slope(params.beta)),
+                            (params.p, applied_slope(params.alpha))):
             xi, xb, eta, eb = f_taylor_remainders(expo, slope, eps, t)
             good = xb > 1e-290
             if np.any(good):
@@ -535,6 +532,7 @@ def check_norm_orders(profile, corr1, eps_list, d=0.2, level=1, beta=1.0):
     predicted log factor; the raw log-log order is reported alongside.
     """
     min_order = 0.9
+    beta = applied_slope(beta)
     pp = profile.params
     q = pp.q
     deltas = [d * e for e in eps_list]
@@ -570,3 +568,35 @@ def check_norm_orders(profile, corr1, eps_list, d=0.2, level=1, beta=1.0):
              "order_df_raw": odf_raw}, target=f">= {min_order}",
         deviation=min(of, odf), tol=min_order,
         verdict=_verdict(ok), details={"d": d, "beta": beta})
+
+
+# Each check's run inputs are the parameter names of its entry, which turns
+# them into the check's reports.  An entry looks its check_* function up on
+# this module when it runs, so a wrapper put there later is the one called.
+CHECKS = {
+    "bubble_mass": lambda profile, constants, deltas, level: [
+        check_bubble_mass(profile, constants, deltas, level=level)],
+    "cross_terms": lambda profile, deltas, level: [
+        check_cross_terms(profile, deltas, level=level)],
+    "boundary_pairing": lambda profile, corr1, corr2, constants, deltas, level: [
+        check_phi_pairing(profile, corr1, corr2, constants, deltas, level=level)],
+    "gradient_energy": lambda profile, corr1, constants, deltas, level: [
+        check_gradient_expansion(profile, corr1, constants, deltas, level=level)],
+    "nonlinear_energy": lambda profile, corr2, constants, eps, d, alpha, level: [
+        check_nonlinear_expansion(profile, corr2, constants, eps, d=d, alpha=alpha,
+                                  level=level)],
+    "linearized_kernel": lambda profile: [check_kernel(profile, mode="fd")],
+    "scaling_table": lambda params: [
+        check_scaling_table(params, t, row)
+        for t, row in ((params.q + 1.0, "u1"), (1.0, "u1"), (2.0, "v2"))],
+    "exponent_taylor": lambda params: [check_f_taylor(params)],
+    "perturbed_norms": lambda profile, corr1, eps, d, level, beta: [
+        check_norm_orders(profile, corr1, eps, d=d, level=level, beta=beta)],
+}
+CHECK_NAMES = tuple(CHECKS)
+CHECK_READS = {name: tuple(inspect.signature(run).parameters) for name, run in CHECKS.items()}
+
+
+def reads_phi(name):
+    """Whether a check reads a half-space correction (implemented for n = 4 only)."""
+    return not {"corr1", "corr2"}.isdisjoint(CHECK_READS[name])

@@ -79,8 +79,8 @@ def test_criterion_05_kernel_identity(prof_sym, prof_case1, prof_case2):
 
 
 def test_criterion_06_phi_corrections(corr1_sym, corr2_sym, corr1_case2):
-    r1 = corr1_sym.verify_harmonic(h=0.1, k=2)
-    r2 = corr1_sym.verify_harmonic(h=0.05, k=2)
+    r1 = corr1_sym.verify_harmonic(h=0.1)
+    r2 = corr1_sym.verify_harmonic(h=0.05)
     second_order = 2.5 <= r1 / r2 <= 6.0
     neumann = max(corr1_sym.verify_neumann_data([0.5, 1.0, 2.0, 5.0]),
                   corr2_sym.verify_neumann_data([0.5, 1.0, 2.0, 5.0]),
@@ -103,14 +103,15 @@ def test_criterion_07_symmetric_constants(consts_sym):
 
 
 def test_criterion_08_bubble_mass(prof_sym, consts_sym):
-    rep = V.check_bubble_mass(prof_sym, consts_sym, DELTAS, tol=0.05)
+    rep = V.check_bubble_mass(prof_sym, consts_sym, DELTAS)
+    assert rep.tol == 0.05
     _line(8, rep.passed, f"richardson slope {rep.fit['richardson']:.4f} vs "
                          f"-B1 {-consts_sym.B1:.4f} ({rep.deviation:.2%})")
 
 
 def test_criterion_09_pairings(prof_sym, corr1_sym, corr2_sym, consts_sym):
-    rep = V.check_phi_pairing(prof_sym, corr1_sym, corr2_sym, consts_sym,
-                              DELTAS, tol=0.05)
+    rep = V.check_phi_pairing(prof_sym, corr1_sym, corr2_sym, consts_sym, DELTAS)
+    assert rep.tol == 0.05
     cross = V.check_cross_terms(prof_sym, DELTAS)
     ok = rep.passed and cross.passed
     _line(9, ok, f"matched devs {rep.deviation['matched_1']:.2%}/"
@@ -120,14 +121,16 @@ def test_criterion_09_pairings(prof_sym, corr1_sym, corr2_sym, consts_sym):
 
 
 def test_criterion_10_gradient_energy(prof_sym, corr1_sym, consts_sym):
-    rep = V.check_gradient_expansion(prof_sym, corr1_sym, consts_sym, DELTAS, tol=0.10)
+    rep = V.check_gradient_expansion(prof_sym, corr1_sym, consts_sym, DELTAS)
+    assert rep.tol == 0.10
     _line(10, rep.passed, f"slope {rep.fit['slope']:.4f} vs target "
                           f"{rep.target:.4f} ({rep.deviation:.2%})")
 
 
 def test_criterion_11_nonlinear_energy(prof_sym, corr2_sym, consts_sym):
     rep = V.check_nonlinear_expansion(prof_sym, corr2_sym, consts_sym, EPS,
-                                      d=0.2, alpha=1.0, tol=0.10)
+                                      d=0.2, alpha=1.0)
+    assert rep.tol == 0.10
     d = rep.deviation
     _line(11, rep.passed,
           f"leading {d['leading']:.2%}, delta addend {d['delta_slope']:.2%}, "
@@ -172,8 +175,8 @@ def test_criterion_13_scaling_table():
 
 def test_criterion_14_exponent_taylor():
     pp = ProblemParams(n=4, p=3.0, alpha=1.0, beta=1.0)
-    rep = V.check_f_taylor(pp, t_samples=np.geomspace(0.1, 10.0, 201),
-                           eps_values=(0.1, 0.01))
+    rep = V.check_f_taylor(pp, t_samples=np.geomspace(0.1, 10.0, 201))
+    assert rep.samples["eps"] == [0.1, 0.01]
     _line(14, rep.passed, f"max remainder/bound ratio {rep.deviation:.3f} (<=1)")
 
 

@@ -12,7 +12,8 @@ import pytest
 from laneemden.cli import RunConfig, _meta, build_config, load_config, main, make_parser
 from laneemden.constants import compute_constants
 from laneemden.errors import ConfigError, NumericalFailure
-from laneemden.verify import CHECK_NAMES, CHECK_NEEDS, ExpansionReport
+from laneemden import verify as V
+from laneemden.verify import CHECK_NAMES, CHECK_READS, ExpansionReport, reads_phi
 
 COMMANDS = ("ground-state", "constants", "reduced-energy", "verify", "report")
 
@@ -225,6 +226,23 @@ def test_report_aggregation(monkeypatch, tmp_path):
     assert agg["version"]
 
 
+def test_report_reads_the_last_verify_run(monkeypatch, tmp_path, solves):
+    """report aggregates the checks of the last verify run, not older check files."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["report", "--out", "out"]) == 1
+    agg = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert (agg["overall"], agg["n_checks"], agg["checks"]) == ("FAIL", 0, [])
+    assert main(["verify", "--out", "out", "--checks", "exponent_taylor,scaling_table"]) == 0
+    assert main(["verify", "--out", "out", "--checks", "exponent_taylor"]) == 0
+    assert len(list((tmp_path / "out").glob("check_*.json"))) == 4
+    assert main(["report", "--out", "out"]) == 0
+    agg = json.loads((tmp_path / "out" / "report.json").read_text())
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert agg["n_checks"] == 1
+    assert agg["checks"] == summary["checks"]
+    assert agg["checks"][0]["name"] == "exponent_taylor"
+
+
 def test_outputs_embed_config_and_version(monkeypatch, tmp_path):
     import laneemden.cli as cli
     ok = ExpansionReport(name="cross_terms", samples={}, fit={}, target=0.0,
@@ -242,9 +260,49 @@ def test_all_check_names_wired():
     assert set(cfg.checks) == set(CHECK_NAMES)
 
 
-def test_check_needs_cover_check_names():
-    assert set(CHECK_NEEDS) == set(CHECK_NAMES)
-    assert set(CHECK_NEEDS.values()) == {"params", "profile", "phi"}
+def test_check_reads_name_run_inputs():
+    """Every check reads only inputs that run_suite provides; four read a correction."""
+    assert set(CHECK_READS) == set(CHECK_NAMES)
+    assert set().union(*CHECK_READS.values()) == {
+        "params", "profile", "constants", "corr1", "corr2", "deltas", "eps", "d", "alpha",
+        "beta", "level"}
+    assert {c for c in CHECK_NAMES if reads_phi(c)} == {
+        "boundary_pairing", "gradient_energy", "nonlinear_energy", "perturbed_norms"}
+
+
+def test_run_suite_builds_only_what_the_checks_read(monkeypatch, tmp_path, solves):
+    """The constants and each correction are built once, and only for a check that reads them."""
+    import laneemden.cli as cli
+    built = []
+
+    def record(name):
+        def build(*args):
+            built.append(name)
+            return name
+        return build
+
+    def runs(checks, extra=()):
+        built.clear()
+        assert main(["verify", "--out", str(tmp_path), "--checks", checks, *extra]) in (0, 1)
+        return list(built)
+
+    monkeypatch.setattr(cli, "compute_constants", record("constants"))
+    monkeypatch.setattr(cli, "HalfSpaceCorrection", lambda prof, which: record(which)())
+    # the phi and mass checks are stubbed; each receives what its entry passes on
+    for fname in ("check_bubble_mass", "check_phi_pairing", "check_gradient_expansion",
+                  "check_nonlinear_expansion", "check_norm_orders"):
+        monkeypatch.setattr(V, fname, lambda *args, **kwargs: ExpansionReport(
+            name="stub", samples={}, fit={}, target=0.0, deviation=0.0, tol=1.0,
+            verdict="PASS", details={"args": [a for a in args if isinstance(a, str)]}))
+    assert runs("cross_terms,linearized_kernel,scaling_table,exponent_taylor") == []
+    assert runs("perturbed_norms") == ["PHI1"]
+    assert runs("nonlinear_energy") == ["constants", "PHI2"]
+    assert runs("bubble_mass,gradient_energy,boundary_pairing,nonlinear_energy") == [
+        "constants", "PHI1", "PHI2"]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [c["details"]["args"] for c in summary["checks"]] == [
+        ["constants"], ["PHI1", "constants"], ["PHI1", "PHI2", "constants"],
+        ["PHI2", "constants"]]
 
 
 def test_phi_checks_rejected_for_n5_before_any_solve(monkeypatch, tmp_path):
@@ -279,6 +337,9 @@ def test_degenerate_lists_rejected_before_any_solve(monkeypatch, tmp_path):
                  # a repeated sample makes a zero-width step in verify's fits
                  ["verify", "--checks", "bubble_mass,cross_terms", "--deltas", "0.02,0.02,0.04"],
                  ["verify", "--checks", "nonlinear_energy", "--eps", "0.04,0.01,0.04"],
+                 # a repeated check would run twice
+                 ["verify", "--checks", "exponent_taylor,exponent_taylor"],
+                 ["verify", "--checks", "bubble_mass,cross_terms,bubble_mass"],
                  ["reduced-energy", "--eps", ""],
                  # numbers no run can use
                  ["verify", "--deltas", "nan,0.02"],

@@ -80,8 +80,8 @@ def test_neumann_mismatch_bounded_at_larger_radii(corr1_sym):
 
 
 def test_harmonicity_second_order(corr1_sym):
-    r1 = corr1_sym.verify_harmonic(h=0.1, k=2)
-    r2 = corr1_sym.verify_harmonic(h=0.05, k=2)
+    r1 = corr1_sym.verify_harmonic(h=0.1)
+    r2 = corr1_sym.verify_harmonic(h=0.05)
     assert r2 < 1e-2
     assert 2.5 < r1 / r2 < 6.0
 

@@ -23,7 +23,7 @@ from laneemden.halfspace import LOOKUP_CHUNK, panel_edges  # noqa: E402
 from laneemden.params import (HYPERBOLA_TOL, ProblemParams,  # noqa: E402
                               check_condition_P, p_threshold)
 from laneemden.radial import _rhs  # noqa: E402
-from laneemden.verify import CHECK_NAMES, CHECK_NEEDS  # noqa: E402
+from laneemden.verify import CHECK_NAMES, reads_phi  # noqa: E402
 from phi_reference import eval_many_loop  # noqa: E402
 
 coords = st.one_of(st.just(0.0), st.floats(0.0, 1e4))
@@ -266,7 +266,7 @@ def run_configs(draw):
     top = (n + 2.0) / (n - 2.0)
     p_decimal = st.floats(1.0, top, exclude_min=True).map(str)
     # the phi checks are implemented for n = 4 only
-    names = [c for c in CHECK_NAMES if n == 4 or CHECK_NEEDS[c] != "phi"]
+    names = [c for c in CHECK_NAMES if n == 4 or not reads_phi(c)]
     checks = tuple(draw(st.lists(st.sampled_from(names), unique=True, min_size=1)))
     alpha = _number_text(0.0, 5.0)
     if "nonlinear_energy" in checks:  # which needs alpha > 0

@@ -155,7 +155,7 @@ def test_symmetric_point_oracle(prof_sym):
 
 
 def test_initial_conditions(prof_sym):
-    U, dU, V, dV = prof_sym.evaluate(0.0)
+    U, dU, V, dV = (c[0] for c in prof_sym.eval_many(0.0))
     assert U == 1.0
     assert dU == 0.0
     assert V == pytest.approx(prof_sym.v0)
@@ -163,19 +163,16 @@ def test_initial_conditions(prof_sym):
 
 
 def test_evaluate_closed_form_point(prof_sym):
-    U = prof_sym.evaluate(2.0)[0]
+    U = prof_sym.eval_many(2.0)[0][0]
     assert U == pytest.approx(2.0 / 3.0, rel=1e-7)
 
 
 def test_tail_extrapolation_continuity(prof_sym):
     r_max = prof_sym.r_max
-    below = prof_sym.evaluate(r_max * (1 - 1e-9))
-    above = prof_sym.evaluate(r_max * (1 + 1e-9))
-    for lo, hi in zip(below, above):
-        assert hi == pytest.approx(lo, rel=1e-6)
+    below, above = np.array(prof_sym.eval_many([r_max * (1 - 1e-9), r_max * (1 + 1e-9)])).T
+    assert above == pytest.approx(below, rel=1e-6)
     # far tail follows the anchored power law by construction
-    U = prof_sym.evaluate(2 * r_max)[0]
-    U_top = prof_sym.evaluate(r_max)[0]
+    (U_top, U), *_ = prof_sym.eval_many([r_max, 2 * r_max])
     assert U == pytest.approx(U_top * 2.0 ** -prof_sym.tail.exp_U, rel=1e-12)
 
 

@@ -4,15 +4,20 @@ perfbench/tracer.py replaces a traced function on each module that binds it,
 but skips an owner whose binding differs.  A module that keeps the original
 under some name would call it unseen, and the per-layer counts would come out
 short without an error.  So after install() no laneemden module, and no class
-defined in one, may still bind the original of a tracer wrapper.
+defined in one, may still bind the original of a tracer wrapper, and the
+verify check table must reach its check functions through the module.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from laneemden.verify import CHECKS
+
 ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
 
 SCRIPT = r"""
 import importlib, inspect, pkgutil, sys
@@ -43,8 +48,38 @@ for name, value in bound:
 
 
 def test_no_module_keeps_an_untraced_original():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
-    res = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+    res = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=ENV,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "", "untraced bindings:\n" + res.stdout
+
+
+def test_tracer_spans_every_check():
+    """perfbench's map of traced check functions names exactly the table's checks."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert set(CHECKS) == set(tracer.CHECK_FUNCTIONS.values())
+
+
+SUITE = r"""
+import collections
+import tracer
+from laneemden import cli
+from laneemden.params import ProblemParams
+rec = tracer.install()
+# the params-only checks read no profile, so none is solved
+cli._ground_state = lambda cfg: (ProblemParams(n=cfg.n, p=cfg.p), None)
+cli.run_suite(cli.RunConfig(checks=("exponent_taylor", "scaling_table")))
+spans = collections.Counter(span[0] for span in rec.spans)
+print(spans["verify.scaling_table"], spans["verify.exponent_taylor"],
+      rec.counts["constants.calls"])
+"""
+
+
+def test_run_suite_calls_the_traced_checks():
+    """A table entry that kept a function object would bypass the tracer's wrapper."""
+    res = subprocess.run([sys.executable, "-c", SUITE], cwd=ROOT, env=ENV,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["3", "1", "0"]

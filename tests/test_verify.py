@@ -69,7 +69,7 @@ def test_f_taylor_bound_at_e():
 
 def test_f_taylor_check(consts_sym):
     pp = ProblemParams(n=4, p=3.0, alpha=1.0, beta=1.0)
-    rep = check_f_taylor(pp, eps_values=(0.1, 0.01))
+    rep = check_f_taylor(pp)
     assert rep.passed and rep.deviation <= 1.0
 
 
@@ -87,7 +87,8 @@ def test_scaling_row_exponents():
 
 def test_scaling_table_log_regime():
     pp = ProblemParams(n=4, p=3.0)
-    rep = check_scaling_table(pp, 2.0, "u1", deltas=(0.02, 0.01, 0.005), tol=0.05)
+    rep = check_scaling_table(pp, 2.0, "u1", tol=0.05)
+    assert rep.samples["delta"] == [0.02, 0.01, 0.005]
     assert rep.details["log_regime"]
     assert rep.passed
 
