@@ -261,6 +261,8 @@ def run_suite(cfg) -> list:
 def cmd_verify(cfg):
     reports = run_suite(cfg)
     out = Path(cfg.out)
+    for old in (*out.glob("check_[0-9][0-9]_*.json"), *out.glob("check_[0-9][0-9]_*.csv")):
+        old.unlink()  # an earlier run's, which may have had more checks
     records = []
     for i, rep in enumerate(reports):
         rec = rep.to_record()
@@ -270,11 +272,9 @@ def cmd_verify(cfg):
         num_cols = {k: v for k, v in samples.items()
                     if isinstance(v, (list, np.ndarray))
                     and len(v) and isinstance(v[0], (int, float, np.floating))}
-        if num_cols:
-            lens = {len(v) for v in num_cols.values()}
-            if len(lens) == 1:
-                write_csv(out / f"check_{i:02d}_{rep.name}.csv",
-                          list(num_cols.keys()), list(num_cols.values()))
+        if num_cols and len({len(v) for v in num_cols.values()}) == 1:
+            write_csv(out / f"check_{i:02d}_{rep.name}.csv",
+                      list(num_cols.keys()), list(num_cols.values()))
         status = "PASS" if rep.passed else "FAIL"
         # a string target states the gate's direction (">= 0.9"), which tol alone hides
         bound = f"target {rep.target}" if isinstance(rep.target, str) else f"tol={rep.tol}"
@@ -291,8 +291,14 @@ def cmd_report(cfg):
     """Aggregate the check records of the last verify run into report.json."""
     out = Path(cfg.out)
     summary = out / "summary.json"
-    records = (json.loads(summary.read_text(encoding="utf-8"))["checks"]
-               if summary.exists() else [])
+    try:
+        records = json.loads(summary.read_text(encoding="utf-8"))["checks"]
+    except FileNotFoundError:
+        records = []
+    except (ValueError, LookupError, TypeError) as e:  # cut, not UTF-8, or not an object
+        raise DomainError(f"{summary}: not a verify summary ({e!r})") from e
+    if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
+        raise DomainError(f"{summary}: checks is not a list of records")
     overall = all(r.get("verdict") == "PASS" for r in records) if records else False
     agg = {"overall": "PASS" if overall else "FAIL", "n_checks": len(records),
            "checks": records}

@@ -128,8 +128,8 @@ class ShotResult:
     v0: float
     r_end: float
     # namespace of t (the start, each step's radius, r_end last), nfev (the
-    # stepper's right-hand-side calls) and sol (a scipy OdeSolution over
-    # [t[0], r_end] when the shot was dense, else None)
+    # stepper's right-hand-side calls) and sol (y at an array of radii in
+    # [t[0], r_end], from _dop853.solution, when the shot was dense, else None)
     sol: object
 
 
@@ -160,18 +160,16 @@ def shoot(params: ProblemParams, v0: float, r_max: float, tol: float = 1e-10,
 
     Classification is the first event hit: a component crossing zero, the
     divergence guard U+V > 1e3, or r_max reached (DECAYING).  The loop
-    drives scipy's DOP853 stepper as solve_ivp(method="DOP853") does with
-    three terminal events: the same steps, and each root found by brentq
+    steps as solve_ivp(method="DOP853") does with three terminal events,
+    bit for bit (_dop853 repeats scipy's stepper), each root found by brentq
     on the step's dense output with xtol = rtol = 4 eps.  tol is the
     relative tolerance, which DOP853 honours only in [100 eps, 1e-4].
     """
-    # only the solve needs scipy
-    from scipy.integrate import DOP853, OdeSolution
-    from scipy.optimize import brentq
+    from ._dop853 import DOP853, at, brentq, solution  # only the solve needs it
 
     if not 0 < v0 < np.inf:
         raise DomainError("v0 must be positive and finite")
-    eps = np.finfo(float).eps
+    eps = float(np.finfo(float).eps)
     if not 100 * eps <= tol <= 1e-4:
         raise DomainError(f"tol={tol!r} outside [100 eps, 1e-4]")
     n, p, q = params.n, params.p, params.q
@@ -189,34 +187,31 @@ def shoot(params: ProblemParams, v0: float, r_max: float, tol: float = 1e-10,
     events = ((U_HITS_ZERO, lambda y: y[0]), (V_HITS_ZERO, lambda y: y[2]),
               (DIVERGING, lambda y: y[0] + y[2] - DIVERGENCE_GUARD))
     g = [ev(y0) for _, ev in events]
-    ts, interpolants, cls = [solver.t], [], None
+    ts, pieces, cls = [solver.t], [], None
     while cls is None:
-        message = solver.step()
-        if solver.status == "failed":
-            raise StepFailure(f"integrator failed at r={solver.t:.4g}: {message}")
+        solver.step()
         t = solver.t
         if dense:
-            interpolants.append(solver.dense_output())
+            pieces.append(solver.dense_output())
         y = solver.y.tolist()
         g_new = [ev(y) for _, ev in events]
         active = [i for i in range(3) if g[i] <= 0 <= g_new[i] or g[i] >= 0 >= g_new[i]]
         if active:
-            step_sol = interpolants[-1] if dense else solver.dense_output()
+            piece = pieces[-1] if dense else solver.dense_output()
             # the earliest root ends the shot
-            t, first = min((brentq(lambda r: events[i][1](step_sol(r)), solver.t_old, t,
-                                   xtol=4 * eps, rtol=4 * eps), i) for i in active)
+            t, first = min((brentq(lambda r: events[i][1](at(piece, r).tolist()), solver.t_old,
+                                   t, xtol=4 * eps, rtol=4 * eps), i) for i in active)
             cls = events[first][0]
-        elif solver.status == "finished":
+        elif t == solver.t_bound:
             cls = DECAYING
         g = g_new
-        # a root on the last step's start would close a zero-length segment
+        # a root on the last step's start would close a zero-length piece
         if dense and len(ts) > 1 and ts[-1] == t:
-            interpolants.pop()
+            pieces.pop()
         else:
             ts.append(t)
     ts = np.array(ts)
-    sol = SimpleNamespace(t=ts, nfev=solver.nfev,
-                          sol=OdeSolution(ts, interpolants) if dense else None)
+    sol = SimpleNamespace(t=ts, nfev=solver.nfev, sol=solution(ts, pieces) if dense else None)
     return ShotResult(cls, v0, float(ts[-1]), sol)
 
 

@@ -234,13 +234,50 @@ def test_report_reads_the_last_verify_run(monkeypatch, tmp_path, solves):
     assert (agg["overall"], agg["n_checks"], agg["checks"]) == ("FAIL", 0, [])
     assert main(["verify", "--out", "out", "--checks", "exponent_taylor,scaling_table"]) == 0
     assert main(["verify", "--out", "out", "--checks", "exponent_taylor"]) == 0
-    assert len(list((tmp_path / "out").glob("check_*.json"))) == 4
+    assert len(list((tmp_path / "out").glob("check_*.json"))) == 1
     assert main(["report", "--out", "out"]) == 0
     agg = json.loads((tmp_path / "out" / "report.json").read_text())
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert agg["n_checks"] == 1
     assert agg["checks"] == summary["checks"]
     assert agg["checks"][0]["name"] == "exponent_taylor"
+
+
+def test_verify_removes_the_check_files_of_an_earlier_run(monkeypatch, tmp_path):
+    """verify deletes check_NN_*.json and .csv in --out before writing, and no other file."""
+    import laneemden.cli as cli
+    ok = ExpansionReport(name="cross_terms", samples={}, fit={}, target=0.0,
+                         deviation=0.0, tol=1.0, verdict="PASS")
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: [ok])
+    stale = ("check_00_bubble_mass.csv", "check_03_scaling_table.json",
+             "check_03_scaling_table.csv", "check_17_x.json")
+    kept = ("check_1_x.json", "check_00_x.txt", "my_check_00_x.json", "profile.csv")
+    for name in stale + kept:
+        (tmp_path / name).write_text("old\n")
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    names = {p.name for p in tmp_path.iterdir()}
+    assert names == {"check_00_cross_terms.json", "summary.json", *kept}
+    assert (tmp_path / "check_1_x.json").read_text() == "old\n"
+
+
+DAMAGED_SUMMARIES = {"cut_mid_list": '{"checks": [{"name": "a", "verdict": "PASS"}, ',
+                     "not_an_object": '[{"name": "a", "verdict": "PASS"}]',
+                     "checks_not_a_list": '{"checks": {"name": "a", "verdict": "PASS"}}',
+                     "record_not_an_object": '{"checks": ["PASS"]}',
+                     "no_checks": '{"overall": "PASS"}',
+                     "not_utf8": b'{"checks": ["\xff"]}'}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_SUMMARIES))
+def test_report_refuses_a_damaged_summary(tmp_path, capsys, case):
+    """A damaged summary.json is a usage error (exit 2, one line), not a traceback."""
+    text = DAMAGED_SUMMARIES[case]
+    summary = tmp_path / "summary.json"
+    summary.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {summary}: ")
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_outputs_embed_config_and_version(monkeypatch, tmp_path):
@@ -550,6 +587,7 @@ def test_saved_profile_miss_solves_once(tmp_path, solves, case):
 
 NO_SCIPY = """
 import sys
+import numpy as np
 from laneemden import ProblemParams
 from laneemden.cli import main
 from laneemden.halfspace import PHI1, HalfSpaceCorrection
@@ -562,14 +600,14 @@ for argv in (["constants"], ["reduced-energy"],
 prof = load_profile(out + "/profile.csv", out + "/profile.json")
 HalfSpaceCorrection(prof, PHI1).table(220.0, m=9)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-# the solve imports scipy where it integrates
-shoot(ProblemParams(n=4, p=3.0), 1.0, r_max=5.0)
-print("scipy.integrate" in sys.modules)
+# a dense shot and its solution load no scipy either
+shoot(ProblemParams(n=4, p=3.0), 1.0, r_max=5.0, dense=True).sol.sol(np.geomspace(1e-3, 5.0, 9))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_commands_on_a_saved_profile_import_no_scipy(tmp_path, prof_sym):
-    """constants, reduced-energy, two mesh checks and a phi table run on numpy alone."""
+    """constants, reduced-energy, two mesh checks, a phi table and a shot run on numpy alone."""
     prof_sym.to_csv(tmp_path / "profile.csv", tmp_path / "profile.json")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -577,4 +615,4 @@ def test_commands_on_a_saved_profile_import_no_scipy(tmp_path, prof_sym):
     run = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-2:] == ["[]", "True"]
+    assert run.stdout.splitlines()[-2:] == ["[]", "[]"]

@@ -1,0 +1,72 @@
+"""Oracles for laneemden._dop853: scipy's tableau and brentq, bit for bit.
+
+The stepper itself is checked end to end against solve_ivp in
+test_radial.test_shoot_matches_solve_ivp.
+"""
+
+import numpy as np
+import pytest
+
+from laneemden import _dop853
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
+
+XTOL = RTOL = 4 * float(np.finfo(float).eps)  # as radial.shoot calls brentq
+
+
+def test_tableau_is_scipys():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    for name in ("A", "B", "C", "E3", "E5", "D"):
+        got, want = getattr(_dop853, name), getattr(ref, name)
+        assert got.shape == want.shape and np.array_equal(got, want), name
+    # the stages each step and each dense output reads, the extra rows 13-15 included
+    for s, (c, a) in enumerate(_dop853.STAGES):
+        assert c == ref.C[s] and np.array_equal(a, ref.A[s, :s]), s
+    assert np.array_equal(_dop853.B, ref.A[ref.N_STAGES, :ref.N_STAGES])
+
+
+coef = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(roots=st.lists(coef, min_size=3, max_size=3), k=coef, c=st.lists(coef, min_size=4,
+       max_size=4), a=coef, b=coef, form=st.sampled_from(["roots", "horner"]),
+       end=st.sampled_from([None, "a", "b"]))
+@example(roots=[0.5, 2.0, -3.0], k=1.0, c=[0.0] * 4, a=0.5, b=1.0, form="roots", end=None)
+@example(roots=[0.5, 2.0, -3.0], k=1.0, c=[0.0] * 4, a=0.0, b=2.0, form="roots", end=None)
+def test_brentq_is_scipys(roots, k, c, a, b, form, end):
+    """The port returns scipy.optimize.brentq's root to the last bit, on cubics
+    in product and in Horner form, with roots inside and at an end of [a, b]."""
+    from scipy.optimize import brentq
+    r1, r2, r3 = roots
+    if form == "roots":
+        def f(x):
+            return k * (x - r1) * (x - r2) * (x - r3)
+    else:
+        def f(x):
+            return ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
+    if end == "a":
+        a = r1
+    elif end == "b":
+        b = r1
+    assume(a < b)
+    fa, fb = f(a), f(b)
+    assume(fa == 0 or fb == 0 or (fa < 0) != (fb < 0))
+    try:
+        want = brentq(f, a, b, xtol=XTOL, rtol=RTOL)
+    except RuntimeError:  # no convergence in 100 iterations, as on a triple root
+        with pytest.raises(RuntimeError):
+            _dop853.brentq(f, a, b, xtol=XTOL, rtol=RTOL)
+        return
+    got = _dop853.brentq(f, a, b, xtol=XTOL, rtol=RTOL)
+    assert type(got) is float and got.hex() == want.hex()
+
+
+def test_brentq_refuses_what_scipy_refuses():
+    from scipy.optimize import brentq
+    for f, a, b in ((lambda x: x * x + 1.0, -1.0, 1.0), (lambda x: float("nan"), 0.0, 1.0)):
+        with pytest.raises(ValueError):
+            brentq(f, a, b, xtol=XTOL, rtol=RTOL)
+        with pytest.raises(ValueError):
+            _dop853.brentq(f, a, b, xtol=XTOL, rtol=RTOL)

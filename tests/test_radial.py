@@ -118,6 +118,31 @@ def test_shoot_matches_solve_ivp(p, dense):
             assert got.sol.sol is None
 
 
+def test_dense_solution_picks_pieces_as_odesolution():
+    """At every step radius (where two pieces meet), beyond both ends and in
+    any order, the dense solution is OdeSolution's, bit for bit."""
+    pp = ProblemParams(n=4, p=3.0)
+    _, want = _old_shoot(pp, 0.2, 1e3, 3e-14, True)
+    got = shoot(pp, 0.2, 1e3, tol=3e-14, dense=True)
+    t = np.concatenate([want.t, [want.t[0] / 2, want.t[-1] * 2], want.t[::-7]])
+    assert np.array_equal(got.sol.sol(t), want.sol(t))
+
+
+# n = 4 ground states beyond p = 3: shots, DOP853 steps, right-hand-side calls
+# and v0, as the scipy-driven stepper gave them
+SOLVE_WORK = {2.5: (94, 23464, 289655, "0x1.dd865a017c93ep-1"),
+              1.9: (97, 25965, 320102, "0x1.947acf3438a43p-1")}
+
+
+@pytest.mark.parametrize("p", sorted(SOLVE_WORK))
+def test_solve_work_and_v0_pinned(monkeypatch, p):
+    shots, real = [], radial.shoot
+    monkeypatch.setattr(radial, "shoot", lambda *a, **k: shots.append(real(*a, **k)) or shots[-1])
+    prof = find_ground_state(ProblemParams(n=4, p=p))
+    work = (len(shots), sum(s.sol.t.size for s in shots), sum(s.sol.nfev for s in shots))
+    assert work + (prof.v0.hex(),) == SOLVE_WORK[p]
+
+
 def _nan_beyond(r_bad):
     """A stand-in for radial._rhs whose right-hand side is NaN from r_bad on."""
     real = radial._rhs
