@@ -1,8 +1,12 @@
 """scipy's DOP853 stepper, dense output and brentq, step for step, without scipy.
 
-Each step repeats scipy's vector operations in their order, so it is the same
-bits; only each right-hand side's tuple goes straight into the stage array and
-the scalar step control runs on Python floats.  The tableau is Hairer's, as in
+Each step repeats scipy's operations in their order, so it is the same bits.
+Each stage's weighted sum of the earlier stages stays one numpy gemv; the
+state around it (y + dot*h, y_new and the error scale) is formed on Python
+floats, the same IEEE operations numpy applies element by element, and the
+right-hand side takes and returns 4 floats.  The two error norms stay numpy
+(dot, division and x.dot(x)): BLAS's ddot does not sum as a Python loop does.
+The scalar step control runs on Python floats.  The tableau is Hairer's, as in
 scipy's dop853_coefficients.py (BSD-3-Clause; (c) 2001-2002 Enthought, Inc.,
 2003- SciPy Developers), each coefficient the shortest decimal of its double.
 """
@@ -72,6 +76,16 @@ def _norm(x):
     return math.sqrt(x.dot(x))  # np.linalg.norm of a real 1-D array
 
 
+def error_scale(atol, rtol, y, y_new):
+    """atol + np.maximum(|y|, |y_new|) * rtol from float sequences, as an array.
+
+    NaN where either is NaN, as np.maximum gives it: Python's max(a, b) would
+    drop a NaN b, and a NaN stage must still reject its step.
+    """
+    return np.array([atol + (a if a > b or a != a else b) * rtol
+                     for a, b in zip(map(abs, y), map(abs, y_new))])
+
+
 def at(piece, t):
     """A piece's y(t), one row per point of a column t, summed as Dop853DenseOutput sums."""
     t_old, h, y_old, F = piece
@@ -93,19 +107,25 @@ def solution(ts, pieces):
 
 
 class DOP853:
-    """DOP853 with max_step = inf for 4 equations, t0 < t_bound; fun(t, y) returns a tuple."""
+    """DOP853 with max_step = inf for 4 equations, t0 < t_bound.
+
+    t0, t_bound and the 4 components of y0 are Python floats; fun(t, y) takes
+    a float t and a tuple of 4 floats and returns 4 floats.  The state y is a
+    tuple of 4 floats.
+    """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol):
         self.fun, self.t, self.t_bound, self.rtol, self.atol = fun, t0, t_bound, rtol, atol
-        self.y = y0 = np.array(y0, dtype=float)
+        self.y = tuple(y0)
         self.K = np.empty((16, 4))
         self.KT = [self.K[:s].T for s in range(17)]  # sliced as scipy slices them
-        self.f = f0 = np.array(fun(t0, y0), dtype=float)
+        self.f = fun(t0, self.y)
         # select_initial_step for the order-7 error estimate
+        y0, f0 = np.array(self.y), np.array(self.f, dtype=float)
         scale = atol + np.abs(y0) * rtol
         d0, d1 = _norm(y0 / scale) / 2.0, _norm(f0 / scale) / 2.0
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t_bound - t0))
-        f1 = np.array(fun(t0 + h0, y0 + h0 * f0), dtype=float)
+        f1 = np.array(fun(t0 + h0, tuple((y0 + h0 * f0).tolist())), dtype=float)
         d2 = _norm((f1 - f0) / scale) / 2.0 / h0
         h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
               else (0.01 / max(d1, d2)) ** (1 / 8))
@@ -114,6 +134,7 @@ class DOP853:
     def step(self):
         """Take one step; StepFailure where it would fall below 10 float spacings of t."""
         t, y, fun, K, KT = self.t, self.y, self.fun, self.K, self.KT
+        y0, y1, y2, y3 = y
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(self.h_abs, min_step), False
         while True:
@@ -126,11 +147,13 @@ class DOP853:
             K[0] = self.f
             for s in range(1, N_STAGES):
                 c, a = STAGES[s]
-                K[s] = fun(t + c * h, y + np.dot(KT[s], a) * h)
-            y_new = y + h * np.dot(KT[N_STAGES], B)
-            K[N_STAGES] = fun(t + h, y_new)
+                d0, d1, d2, d3 = np.dot(KT[s], a).tolist()
+                K[s] = fun(t + c * h, (y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h))
+            d0, d1, d2, d3 = np.dot(KT[N_STAGES], B).tolist()
+            y_new = (y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3)
+            K[N_STAGES] = f_new = fun(t + h, y_new)
             self.nfev += N_STAGES
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            scale = error_scale(self.atol, self.rtol, y, y_new)
             e5 = _norm(np.dot(KT[N_STAGES + 1], E5) / scale) ** 2
             e3 = _norm(np.dot(KT[N_STAGES + 1], E3) / scale) ** 2
             error_norm = (0.0 if e5 == 0 and e3 == 0
@@ -143,17 +166,19 @@ class DOP853:
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
         self.t_old, self.y_old, self.h = t, y, h
-        self.t, self.y, self.f, self.h_abs = t_new, y_new, K[N_STAGES].copy(), h_abs
+        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
 
     def dense_output(self):
         """The last step's piece (t_old, h, y_old, F), from 3 more stages."""
         K, h, t_old, y_old = self.K, self.h, self.t_old, self.y_old
         for s in range(N_STAGES + 1, 16):
             c, a = STAGES[s]
-            K[s] = self.fun(t_old + c * h, y_old + np.dot(self.KT[s], a) * h)
+            d = np.dot(self.KT[s], a).tolist()
+            K[s] = self.fun(t_old + c * h, tuple(v + dv * h for v, dv in zip(y_old, d)))
         self.nfev += 3
-        dy = self.y - y_old
-        F = [dy, h * K[0] - dy, 2 * dy - h * (self.f + K[0]), *(h * np.dot(D, K))]
+        y_old = np.array(y_old)
+        dy = np.array(self.y) - y_old
+        F = [dy, h * K[0] - dy, 2 * dy - h * (K[N_STAGES] + K[0]), *(h * np.dot(D, K))]
         return t_old, h, y_old, np.array(F)
 
 

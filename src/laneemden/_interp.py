@@ -85,21 +85,25 @@ def profile_eval(r, pack, parts):
 
     parts lists names among "U", "dU", "V", "dV".  Inside [0, r_top]:
     piecewise cubics, located by one interval search for all parts.  Beyond:
-    the power tails of tail_terms, differentiated analytically.
+    the power tails of tail_terms, differentiated analytically, computed
+    only when some radius lies beyond.
     """
     r = np.abs(r)
     inside = r <= pack.r_top
-    rc = np.where(inside, r, pack.r_top)
+    beyond = not np.all(inside)  # a NaN radius counts as beyond
+    rc = np.where(inside, r, pack.r_top) if beyond else r
     idx = np.searchsorted(pack.breaks, rc) - 1
     idx = np.minimum(np.maximum(idx, 0), pack.breaks.shape[0] - 2)
     dx = rc - pack.breaks[idx]
-    rt = np.where(inside, pack.r_top, r)
+    rt = np.where(inside, pack.r_top, r) if beyond else None
     out = []
     for part in parts:
         c = getattr(pack, "c" + part.lower())  # cu, cdu, cv, cdv
         cubic = ((c[0][idx] * dx + c[1][idx]) * dx + c[2][idx]) * dx + c[3][idx]
-        tail = 0.0
-        for a, e in tail_terms(pack, part.endswith("V")):
-            tail = tail + (-e * a * rt ** (-e - 1.0) if part[0] == "d" else a * rt ** (-e))
-        out.append(np.where(inside, cubic, tail))
+        if beyond:
+            tail = 0.0
+            for a, e in tail_terms(pack, part.endswith("V")):
+                tail = tail + (-e * a * rt ** (-e - 1.0) if part[0] == "d" else a * rt ** (-e))
+            cubic = np.where(inside, cubic, tail)
+        out.append(cubic)
     return tuple(out)

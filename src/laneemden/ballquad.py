@@ -122,14 +122,17 @@ class BallQuadrature:
     def n_points(self):
         return 2 * self.s.size
 
-    def integrate(self, f):
+    def integrate(self, f, halves=False):
         """Integral over the ball of f(s, t); f maps equal-shape arrays.
 
         f may return a stack of integrands with the node axis last; then
         each row is integrated, and summed exactly as it would be alone.
+        With halves, one call f(s, t) returns the pair (f(s, t), f(s, -t)),
+        the integrand on the stored upper half and on the mirrored lower
+        half, for an f that gets both from the same evaluations.
         """
-        upper = np.asarray(f(self.s, self.t))
-        lower = np.asarray(f(self.s, -self.t))
+        pair = f if halves else lambda s, t: (f(s, t), f(s, -t))
+        upper, lower = map(np.asarray, pair(self.s, self.t))
         total = np.sum(self.w * (upper + lower), axis=-1)
         return float(total) if total.ndim == 0 else total
 

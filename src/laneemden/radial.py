@@ -16,6 +16,7 @@ like (r_max / r_solve)^2).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from types import SimpleNamespace
 
@@ -134,7 +135,7 @@ class ShotResult:
 
 
 def _rhs(n, p, q):
-    """The radial system's right-hand side on Python floats.
+    """The radial system's right-hand side at a float r and 4 floats y, as 4 floats.
 
     |V|^(p-1) V is formed as |V|^p with V's sign: the same libm pow as
     np.sign(V) * np.abs(V) ** p, bit for bit, with +0.0 at V = -0.0 as
@@ -143,13 +144,13 @@ def _rhs(n, p, q):
     k = n - 1.0
 
     def rhs(r, y):
-        U, dU, V, dV = y.tolist()
+        U, dU, V, dV = y
         try:
             fV, fU = abs(V) ** p, abs(U) ** q
         except OverflowError:  # Python's pow raises where numpy's rounds to inf
             with np.errstate(over="ignore"):
                 fV, fU = float(np.float64(abs(V)) ** p), float(np.float64(abs(U)) ** q)
-        c = k / float(r)
+        c = k / r
         return (dU, -c * dU - (fV if V >= 0 else -fV), dV, -c * dV - (fU if U >= 0 else -fU))
     return rhs
 
@@ -175,13 +176,14 @@ def shoot(params: ProblemParams, v0: float, r_max: float, tol: float = 1e-10,
     n, p, q = params.n, params.p, params.q
     # keep both Taylor corrections tiny for extreme shooting values
     r0 = R_START * min(1.0, v0 ** (-p / 2.0), np.sqrt(v0) * 10.0)
-    y0 = (1.0 - v0 ** p * r0 ** 2 / (2 * n), -(v0 ** p) * r0 / n,
-          v0 - r0 ** 2 / (2 * n), -r0 / n)
+    y0 = tuple(float(v) for v in (1.0 - v0 ** p * r0 ** 2 / (2 * n), -(v0 ** p) * r0 / n,
+                                  v0 - r0 ** 2 / (2 * n), -r0 / n))
+    r0 = float(r0)
     rhs = _rhs(n, p, q)
     # from a non-finite slope DOP853 picks a NaN first step and rejects it forever
-    if not all(np.isfinite(rhs(r0, np.array(y0)))):
+    if not all(map(math.isfinite, rhs(r0, y0))):
         raise StepFailure(f"right-hand side not finite at the start r={r0:.4g}")
-    solver = DOP853(rhs, float(r0), y0, float(r_max), rtol=tol, atol=max(tol * 1e-4, 1e-16))
+    solver = DOP853(rhs, r0, y0, float(r_max), rtol=tol, atol=max(tol * 1e-4, 1e-16))
 
     # in solve_ivp's order, which settles a tie between roots
     events = ((U_HITS_ZERO, lambda y: y[0]), (V_HITS_ZERO, lambda y: y[2]),
@@ -193,8 +195,7 @@ def shoot(params: ProblemParams, v0: float, r_max: float, tol: float = 1e-10,
         t = solver.t
         if dense:
             pieces.append(solver.dense_output())
-        y = solver.y.tolist()
-        g_new = [ev(y) for _, ev in events]
+        g_new = [ev(solver.y) for _, ev in events]
         active = [i for i in range(3) if g[i] <= 0 <= g_new[i] or g[i] >= 0 >= g_new[i]]
         if active:
             piece = pieces[-1] if dense else solver.dense_output()

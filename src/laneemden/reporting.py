@@ -9,6 +9,8 @@ import json
 import os
 import tempfile
 
+import numpy as np
+
 
 def _atomic_write(path, text):
     path = os.fspath(path)
@@ -29,13 +31,9 @@ def write_json(path, obj):
     _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def fmt(x):
-    return format(float(x), ".17g")
-
-
 def write_csv(path, header, columns):
-    cols = [list(c) for c in columns]
-    lines = [",".join(header)]
-    for row in zip(*cols):
-        lines.append(",".join(fmt(v) for v in row))
+    """Columns of numbers as rows, each number as format(float(x), ".17g") gives it."""
+    row = ",".join(["%.17g"] * len(columns))
+    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
+    lines = [",".join(header), *(row % values for values in zip(*cols))]
     _atomic_write(path, "\n".join(lines) + "\n")

@@ -171,11 +171,13 @@ def check_cross_terms(profile, deltas, level=1):
     quad = get_quadrature(pp.n, min(deltas), level)
 
     def cross(d):
-        def f(s, t):
+        # the bubble at +e_n seen from (s, -t) is the one at -e_n seen from
+        # (s, t), bit for bit (-t - 1 = -(t + 1)): the lower half swaps the pair
+        def halves(s, t):
             Up, Vp = bubble_uv(s, t, 1.0, d, profile, ("U", "V"))
             Um, Vm = bubble_uv(s, t, -1.0, d, profile, ("U", "V"))
-            return [Up * Um ** pp.q, Vp * Vm ** pp.p]
-        return quad.integrate(f)
+            return [Up * Um ** pp.q, Vp * Vm ** pp.p], [Um * Up ** pp.q, Vm * Vp ** pp.p]
+        return quad.integrate(halves, halves=True)
 
     u_vals, v_vals = np.array([cross(d) for d in deltas]).T
     fu = shrink_factors(deltas, u_vals)

@@ -1,0 +1,50 @@
+"""Reference copies of the bubble layer's earlier array code.
+
+The oracle tests require the package's profile kernel and cross-term
+integrals to equal these bit for bit: the arithmetic is the same, only the
+work skipped or shared changed.
+
+- `profile_eval_where`: the profile kernel that forms the power tails at
+  every radius and picks cubic or tail through `np.where`, also when every
+  radius lies inside r_top.
+- `cross_integrals_two_calls`: check_cross_terms' integral at one delta with
+  four bubble evaluations, the integrand called once on the upper half of
+  the mesh and once on the mirrored lower half.
+"""
+
+import numpy as np
+
+from laneemden._interp import tail_terms
+from laneemden.ansatz import bubble_uv
+
+
+def profile_eval_where(r, pack, parts):
+    r = np.abs(r)
+    inside = r <= pack.r_top
+    rc = np.where(inside, r, pack.r_top)
+    idx = np.searchsorted(pack.breaks, rc) - 1
+    idx = np.minimum(np.maximum(idx, 0), pack.breaks.shape[0] - 2)
+    dx = rc - pack.breaks[idx]
+    rt = np.where(inside, pack.r_top, r)
+    out = []
+    for part in parts:
+        c = getattr(pack, "c" + part.lower())
+        cubic = ((c[0][idx] * dx + c[1][idx]) * dx + c[2][idx]) * dx + c[3][idx]
+        tail = 0.0
+        for a, e in tail_terms(pack, part.endswith("V")):
+            tail = tail + (-e * a * rt ** (-e - 1.0) if part[0] == "d" else a * rt ** (-e))
+        out.append(np.where(inside, cubic, tail))
+    return tuple(out)
+
+
+def cross_integrals_two_calls(profile, quad, d):
+    pp = profile.params
+
+    def f(s, t):
+        Up, Vp = bubble_uv(s, t, 1.0, d, profile, ("U", "V"))
+        Um, Vm = bubble_uv(s, t, -1.0, d, profile, ("U", "V"))
+        return [Up * Um ** pp.q, Vp * Vm ** pp.p]
+
+    upper = np.asarray(f(quad.s, quad.t))
+    lower = np.asarray(f(quad.s, -quad.t))
+    return np.sum(quad.w * (upper + lower), axis=-1)

@@ -1,4 +1,5 @@
-"""Oracles for laneemden._dop853: scipy's tableau and brentq, bit for bit.
+"""Oracles for laneemden._dop853: scipy's tableau, error scale, brentq and its
+failure on a NaN right-hand side, bit for bit.
 
 The stepper itself is checked end to end against solve_ivp in
 test_radial.test_shoot_matches_solve_ivp.
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from laneemden import _dop853
+from laneemden.errors import StepFailure
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
@@ -70,3 +72,53 @@ def test_brentq_refuses_what_scipy_refuses():
             brentq(f, a, b, xtol=XTOL, rtol=RTOL)
         with pytest.raises(ValueError):
             _dop853.brentq(f, a, b, xtol=XTOL, rtol=RTOL)
+
+
+_component = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=st.lists(_component, min_size=4, max_size=4),
+       y_new=st.lists(_component, min_size=4, max_size=4),
+       rtol=st.sampled_from([3e-14, 1e-10, 1e-4]))
+@example(y=[1.0, np.nan, 2.0, -0.0], y_new=[np.nan, 1.0, -3.0, 0.0], rtol=3e-14)
+def test_error_scale_is_numpys(y, y_new, rtol):
+    """The float error scale is scipy's numpy one bit for bit, NaN where either
+    state is NaN in either argument position."""
+    atol = max(rtol * 1e-4, 1e-16)
+    with np.errstate(over="ignore"):
+        want = atol + np.maximum(np.abs(np.array(y)), np.abs(np.array(y_new))) * rtol
+    got = _dop853.error_scale(atol, rtol, y, y_new)
+    assert got.tobytes() == want.tobytes()
+
+
+def _oscillators(r_bad, parts):
+    """Two linear oscillators whose slopes named in parts are NaN from r_bad on."""
+    def fun(t, y):
+        f = [y[1], -y[0], y[3], -4.0 * y[2]]
+        return [float("nan") if t >= r_bad and i in parts else float(v)
+                for i, v in enumerate(f)]
+    return fun
+
+
+@pytest.mark.parametrize("r_bad, parts", [(0.3, (0, 1, 2, 3)), (0.3, (2,)), (2.5, (1,))])
+def test_nan_stage_fails_where_scipys_loop_fails(r_bad, parts):
+    """A right-hand side that turns NaN past r_bad rejects every step from there;
+    the steps up to it, the radius of the StepFailure and its message are those
+    of scipy's DOP853 loop."""
+    from scipy.integrate import DOP853
+    fun, y0 = _oscillators(r_bad, parts), (1.0, 0.0, 0.5, -0.25)
+    ref = DOP853(fun, 0.0, np.array(y0), 10.0, rtol=1e-10, atol=1e-14)
+    want = [ref.t]
+    while ref.status == "running":
+        message = ref.step()
+        want.append(ref.t)
+    assert ref.status == "failed" and 0 < ref.t < r_bad
+    got = _dop853.DOP853(fun, 0.0, y0, 10.0, rtol=1e-10, atol=1e-14)
+    ts = [got.t]
+    with pytest.raises(StepFailure) as failure:
+        while True:
+            got.step()
+            ts.append(got.t)
+    assert ts == want[:-1] and got.t == ref.t
+    assert str(failure.value) == f"integrator failed at r={ref.t:.4g}: {message}"

@@ -1,7 +1,7 @@
 """Property tests over random inputs for the exponent pairs, the radial
 right-hand side, the run configuration, the quadrature rules, the profile's
-cubic coefficients, the half-space kernel, the two-bubble fields and the
-ground state between its samples."""
+cubic coefficients and kernel, the half-space kernel, the bubbles, the
+two-bubble fields and the ground state between its samples."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -12,19 +12,21 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from laneemden._interp import pack_pchip  # noqa: E402
+from laneemden._interp import pack_pchip, profile_eval  # noqa: E402
 from laneemden.ansatz import (PW1_APPROX, PW2_APPROX, TABLE_REACH, W1, W2,  # noqa: E402
-                              AnsatzField)
+                              AnsatzField, bubble_uv)
 from laneemden.ballquad import gauss_panels  # noqa: E402
 from laneemden.cli import (_COMMAND_KEYS, _COMMON_KEYS, RunConfig,  # noqa: E402
                            build_config, make_parser)
 from laneemden.errors import ConfigError  # noqa: E402
 from laneemden.halfspace import LOOKUP_CHUNK, panel_edges  # noqa: E402
 from laneemden.params import (HYPERBOLA_TOL, ProblemParams,  # noqa: E402
-                              check_condition_P, p_threshold)
+                              check_condition_P)
 from laneemden.radial import _rhs  # noqa: E402
 from laneemden.verify import CHECK_NAMES, reads_phi  # noqa: E402
+from bubble_reference import profile_eval_where  # noqa: E402
 from phi_reference import eval_many_loop  # noqa: E402
+from strategies import admissible  # noqa: E402
 
 coords = st.one_of(st.just(0.0), st.floats(0.0, 1e4))
 
@@ -185,6 +187,47 @@ def test_fields_odd_in_t(prof_sym, corr1_sym, corr2_sym, rho, theta, delta):
         assert np.array_equal(fld.eval_st(s, -t), -fld.eval_st(s, t))
 
 
+_ball_point = st.tuples(st.floats(0.0, 1.0), st.one_of(st.floats(-1.0, 1.0),
+                                                       st.sampled_from([0.0, -0.0, 1.0, -1.0])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(_ball_point, min_size=1, max_size=32), delta=st.floats(1e-3, 0.2),
+       parts=st.sampled_from([("U", "V"), ("U",), ("V",)]))
+def test_bubble_mirror_bitwise(prof_sym, prof_case2, points, delta, parts):
+    """The bubble at +e_n seen from (s, -t) is the bubble at -e_n seen from
+    (s, t), bit for bit: -t - 1 = -(t + 1) exactly, so check_cross_terms' lower
+    half reuses its upper half's bubbles."""
+    s, t = np.array(points).T
+    for prof in (prof_sym, prof_case2):
+        for center in (1.0, -1.0):
+            mirrored = bubble_uv(s, -t, center, delta, prof, parts)
+            want = bubble_uv(s, t, -center, delta, prof, parts)
+            assert [a.tobytes() for a in mirrored] == [b.tobytes() for b in want]
+
+
+_radius = st.one_of(st.floats(0.0, 1e4), st.sampled_from([0.0, -0.0, 1e4, 5e-324]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inner=st.lists(_radius, min_size=1, max_size=32),
+       outer=st.lists(st.one_of(st.floats(1e4, 1e300, exclude_min=True),
+                                st.sampled_from([np.inf, np.nan])), max_size=8),
+       parts=st.sampled_from([("U", "dU", "V", "dV"), ("U", "V"), ("dU",), ("V",)]))
+@example(inner=[0.0, 1e4], outer=[], parts=("U", "dU", "V", "dV"))
+@example(inner=[0.0, 1e4], outer=[np.nextafter(1e4, np.inf)], parts=("U", "dU", "V", "dV"))
+def test_profile_eval_matches_where_kernel_bitwise(prof_sym, prof_case2, inner, outer, parts):
+    """profile_eval, which forms the tails only when a radius lies beyond r_top,
+    equals the kernel that always forms them and picks through np.where: on
+    radii all inside (r = 0 and r = r_top included) and mixed with radii beyond."""
+    for prof in (prof_sym, prof_case2):
+        pk = prof.interp_pack
+        assert pk.r_top == 1e4
+        for r in (np.array(inner), np.array(inner + outer)):
+            want, got = profile_eval_where(r, pk, parts), profile_eval(r, pk, parts)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
 @settings(max_examples=100, deadline=None)
 @given(log_r=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=64))
 def test_ground_state_positive_and_decreasing(prof_sym, prof_case1, prof_case2, log_r):
@@ -194,16 +237,6 @@ def test_ground_state_positive_and_decreasing(prof_sym, prof_case1, prof_case2, 
         U, dU, V, dV = prof.eval_many(r)
         assert np.all(U > 0.0) and np.all(V > 0.0)
         assert np.all(dU <= 0.0) and np.all(dV <= 0.0)
-
-
-@st.composite
-def admissible(draw):
-    """(n, p) with p in either coupling range: p_n < p < (n+2)/(n-2), p != n/(n-2)."""
-    n = draw(st.integers(4, 8))
-    p = draw(st.floats(p_threshold(n), (n + 2.0) / (n - 2.0),
-                       exclude_min=True, exclude_max=True)
-             .filter(lambda p: p != n / (n - 2.0)))
-    return n, p
 
 
 @settings(max_examples=200, deadline=None)
@@ -228,7 +261,8 @@ _state = st.one_of(st.floats(-2e3, 2e3), st.floats(990.0, 1010.0), st.floats(-10
 @example(np_=(4, 3.0), r=1.0, y=(1.0, 0.0, -0.0, 0.0))
 def test_rhs_matches_numpy_formula_bitwise(np_, r, y):
     """radial's float right-hand side is the numpy-scalar formula bit for bit,
-    which keeps DOP853's step sequence, and the shots, unchanged."""
+    which keeps DOP853's step sequence, and the shots, unchanged.  It is called
+    with the float r and float tuple the stepper passes."""
     n, p = np_
     pp = ProblemParams(n=n, p=p)
     U, dU, V, dV = (np.float64(v) for v in y)
@@ -237,7 +271,7 @@ def test_rhs_matches_numpy_formula_bitwise(np_, r, y):
         fU = np.sign(U) * np.abs(U) ** pp.q
         c = (n - 1.0) / np.float64(r)
         want = (dU, -c * dU - fV, dV, -c * dV - fU)
-    got = _rhs(n, pp.p, pp.q)(np.float64(r), np.array(y))
+    got = _rhs(n, pp.p, pp.q)(r, y)  # as the stepper calls it: a float and 4 floats
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from laneemden import ProblemParams
+from bubble_reference import cross_integrals_two_calls
+from laneemden import ProblemParams, verify
 from laneemden.ballquad import get_quadrature
 from laneemden.verify import (aubin_talenti, check_bubble_mass, check_cross_terms,
                               check_f_taylor, check_kernel, check_scaling_table,
@@ -130,6 +131,33 @@ def test_cross_terms_case2(prof_case2):
     # smaller samples before the shrink factor clears the threshold
     rep = check_cross_terms(prof_case2, (0.02, 0.01, 0.005))
     assert rep.passed
+
+
+def test_cross_terms_match_two_call_reference(prof_case2, monkeypatch):
+    """Each delta's two cross integrals are those of the integrand called on both
+    halves of the mesh with four bubble evaluations, by float.hex, from one
+    integrate call and two bubble evaluations."""
+    deltas = (0.02, 0.01, 0.005)
+    quad = get_quadrature(4, min(deltas))
+    want = [[float(v).hex() for v in cross_integrals_two_calls(prof_case2, quad, d)]
+            for d in deltas]
+    calls = {"integrate": 0, "bubble_uv": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(type(quad), "integrate")
+    counted(verify, "bubble_uv")
+    rep = check_cross_terms(prof_case2, deltas)
+    got = [[float(u).hex(), float(v).hex()]
+           for u, v in zip(rep.samples["u_cross"], rep.samples["v_cross"])]
+    assert got == want
+    assert calls == {"integrate": 3, "bubble_uv": 6}
 
 
 def test_report_record_serializable(prof_sym, consts_sym):
