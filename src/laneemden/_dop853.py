@@ -4,7 +4,8 @@ Each step repeats scipy's operations in their order, so it is the same bits.
 Each stage's weighted sum of the earlier stages stays one numpy gemv; the
 state around it (y + dot*h, y_new and the error scale) is formed on Python
 floats, the same IEEE operations numpy applies element by element, and the
-right-hand side takes and returns 4 floats.  The two error norms stay numpy
+right-hand side takes and returns 4 floats.  Stage rows and the scale go
+into their arrays through flat memoryviews.  The two error norms stay numpy
 (dot, division and x.dot(x)): BLAS's ddot does not sum as a Python loop does.
 The scalar step control runs on Python floats.  The tableau is Hairer's, as in
 scipy's dop853_coefficients.py (BSD-3-Clause; (c) 2001-2002 Enthought, Inc.,
@@ -77,13 +78,13 @@ def _norm(x):
 
 
 def error_scale(atol, rtol, y, y_new):
-    """atol + np.maximum(|y|, |y_new|) * rtol from float sequences, as an array.
+    """atol + np.maximum(|y|, |y_new|) * rtol for one component's floats y, y_new.
 
     NaN where either is NaN, as np.maximum gives it: Python's max(a, b) would
     drop a NaN b, and a NaN stage must still reject its step.
     """
-    return np.array([atol + (a if a > b or a != a else b) * rtol
-                     for a, b in zip(map(abs, y), map(abs, y_new))])
+    a, b = abs(y), abs(y_new)
+    return atol + (a if a > b or a != a else b) * rtol
 
 
 def at(piece, t):
@@ -119,6 +120,9 @@ class DOP853:
         self.y = tuple(y0)
         self.K = np.empty((16, 4))
         self.KT = [self.K[:s].T for s in range(17)]  # sliced as scipy slices them
+        self.scale = np.empty(4)
+        # flat float views that the step writes its stages and scale through
+        self._Kf, self._sf = memoryview(self.K).cast("B").cast("d"), memoryview(self.scale)
         self.f = fun(t0, self.y)
         # select_initial_step for the order-7 error estimate
         y0, f0 = np.array(self.y), np.array(self.f, dtype=float)
@@ -133,7 +137,8 @@ class DOP853:
 
     def step(self):
         """Take one step; StepFailure where it would fall below 10 float spacings of t."""
-        t, y, fun, K, KT = self.t, self.y, self.fun, self.K, self.KT
+        t, y, fun, KT, Kf, sf = self.t, self.y, self.fun, self.KT, self._Kf, self._sf
+        atol, rtol, scale = self.atol, self.rtol, self.scale
         y0, y1, y2, y3 = y
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(self.h_abs, min_step), False
@@ -144,18 +149,24 @@ class DOP853:
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
             h_abs = abs(h)
-            K[0] = self.f
+            Kf[0], Kf[1], Kf[2], Kf[3] = self.f
             for s in range(1, N_STAGES):
                 c, a = STAGES[s]
-                d0, d1, d2, d3 = np.dot(KT[s], a).tolist()
-                K[s] = fun(t + c * h, (y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h))
-            d0, d1, d2, d3 = np.dot(KT[N_STAGES], B).tolist()
-            y_new = (y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3)
-            K[N_STAGES] = f_new = fun(t + h, y_new)
+                d0, d1, d2, d3 = KT[s].dot(a).tolist()
+                o = 4 * s
+                Kf[o], Kf[o + 1], Kf[o + 2], Kf[o + 3] = fun(
+                    t + c * h, (y0 + d0 * h, y1 + d1 * h, y2 + d2 * h, y3 + d3 * h))
+            d0, d1, d2, d3 = KT[N_STAGES].dot(B).tolist()
+            y_new = n0, n1, n2, n3 = y0 + h * d0, y1 + h * d1, y2 + h * d2, y3 + h * d3
+            o = 4 * N_STAGES
+            Kf[o], Kf[o + 1], Kf[o + 2], Kf[o + 3] = f_new = fun(t + h, y_new)
             self.nfev += N_STAGES
-            scale = error_scale(self.atol, self.rtol, y, y_new)
-            e5 = _norm(np.dot(KT[N_STAGES + 1], E5) / scale) ** 2
-            e3 = _norm(np.dot(KT[N_STAGES + 1], E3) / scale) ** 2
+            sf[0] = error_scale(atol, rtol, y0, n0)
+            sf[1] = error_scale(atol, rtol, y1, n1)
+            sf[2] = error_scale(atol, rtol, y2, n2)
+            sf[3] = error_scale(atol, rtol, y3, n3)
+            e5 = _norm(KT[N_STAGES + 1].dot(E5) / scale) ** 2
+            e3 = _norm(KT[N_STAGES + 1].dot(E3) / scale) ** 2
             error_norm = (0.0 if e5 == 0 and e3 == 0
                           else h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * 4))
             if error_norm < 1:
@@ -173,7 +184,7 @@ class DOP853:
         K, h, t_old, y_old = self.K, self.h, self.t_old, self.y_old
         for s in range(N_STAGES + 1, 16):
             c, a = STAGES[s]
-            d = np.dot(self.KT[s], a).tolist()
+            d = self.KT[s].dot(a).tolist()
             K[s] = self.fun(t_old + c * h, tuple(v + dv * h for v, dv in zip(y_old, d)))
         self.nfev += 3
         y_old = np.array(y_old)

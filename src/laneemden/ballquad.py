@@ -14,6 +14,11 @@ geometrically toward rho = 1 and toward the poles theta in {0, pi}, where
 bubble-scale features concentrate.  Only the upper half theta < pi/2 is
 stored; the lower half reuses the same weights with t -> -t, so odd
 integrands cancel exactly pointwise.
+
+Integrands are evaluated on blocks of BLOCK_NODES nodes, so their numpy
+temporaries stay a fixed, cache-sized length however fine the mesh.  Each
+block's weighted values go into one array over all nodes, which is summed
+once, so the integral does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 N_GAUSS = 4  # Gauss points per mesh cell along each axis
+BLOCK_NODES = 2 ** 15  # mesh nodes per integrand call in BallQuadrature.integrate
 
 
 def sphere_measure(k):
@@ -108,15 +114,13 @@ class BallQuadrature:
         rn, rw = gauss_panels(rho_e, N_GAUSS)
         tn, tw = gauss_panels(th_e, N_GAUSS)
         # axes (rho cell, theta cell, rho node, theta node); integrate's
-        # np.sum depends on this order
-        shape = (rn.shape[0], tn.shape[0], N_GAUSS, N_GAUSS)
-        rho = np.broadcast_to(rn[:, None, :, None], shape).ravel()
-        th = np.broadcast_to(tn[None, :, None, :], shape).ravel()
-        ww = (rw[:, None, :, None] * tw[None, :, None, :]).ravel()
-        sin_th = np.sin(th)
-        self.s = rho * sin_th
-        self.t = rho * np.cos(th)
-        self.w = ww * rho ** (self.n - 1) * sin_th ** (self.n - 2) * sphere_measure(self.n - 1)
+        # np.sum depends on this order.  sin, cos and the powers are taken
+        # on the 1-D axes and broadcast, in the order of the per-node product.
+        rho, sin_th = rn[:, None, :, None], np.sin(tn)[None, :, None, :]
+        self.s = (rho * sin_th).ravel()
+        self.t = (rho * np.cos(tn)[None, :, None, :]).ravel()
+        self.w = (rw[:, None, :, None] * tw[None, :, None, :] * rho ** (self.n - 1)
+                  * sin_th ** (self.n - 2) * sphere_measure(self.n - 1)).ravel()
 
     @property
     def n_points(self):
@@ -125,15 +129,32 @@ class BallQuadrature:
     def integrate(self, f, halves=False):
         """Integral over the ball of f(s, t); f maps equal-shape arrays.
 
-        f may return a stack of integrands with the node axis last; then
-        each row is integrated, and summed exactly as it would be alone.
-        With halves, one call f(s, t) returns the pair (f(s, t), f(s, -t)),
-        the integrand on the stored upper half and on the mirrored lower
-        half, for an f that gets both from the same evaluations.
+        f must be pointwise in the nodes: its value at a node depends on
+        that node's (s, t) alone, not on the other nodes of the call.  It is
+        called on consecutive blocks of BLOCK_NODES nodes (the last one
+        shorter), and every integrand of the package is pointwise in this
+        sense.  f may return a stack of integrands with the node axis last;
+        then each row is integrated, and summed exactly as it would be
+        alone.  With halves, one call f(s, t) returns the pair
+        (f(s, t), f(s, -t)), the integrand on the stored upper half and on
+        the mirrored lower half, for an f that gets both from the same
+        evaluations.
+
+        Each block's w * (upper + lower) is written into one (rows, nodes)
+        array, summed once with np.sum over the node axis: the same data
+        and the same pairwise sum as one call on all nodes, so the result
+        does not depend on BLOCK_NODES.
         """
         pair = f if halves else lambda s, t: (f(s, t), f(s, -t))
-        upper, lower = map(np.asarray, pair(self.s, self.t))
-        total = np.sum(self.w * (upper + lower), axis=-1)
+        size, out = self.s.size, None
+        for i in range(0, size, BLOCK_NODES):
+            j = i + BLOCK_NODES
+            upper, lower = map(np.asarray, pair(self.s[i:j], self.t[i:j]))
+            both = upper + lower
+            if out is None:
+                out = np.empty(both.shape[:-1] + (size,))
+            np.multiply(self.w[i:j], both, out=out[..., i:j])
+        total = np.sum(out, axis=-1)
         return float(total) if total.ndim == 0 else total
 
 

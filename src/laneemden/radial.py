@@ -155,6 +155,16 @@ def _rhs(n, p, q):
     return rhs
 
 
+# solve_ivp's terminal events, in its order, which settles a tie between roots
+EVENTS = (U_HITS_ZERO, V_HITS_ZERO, DIVERGING)
+
+
+def _events(y):
+    """The three event functions at a state y, in EVENTS order, as floats."""
+    U, V = y[0], y[2]
+    return U, V, U + V - DIVERGENCE_GUARD
+
+
 def shoot(params: ProblemParams, v0: float, r_max: float, tol: float = 1e-10,
           dense: bool = False) -> ShotResult:
     """Integrate from the Taylor start and classify the trajectory.
@@ -185,24 +195,25 @@ def shoot(params: ProblemParams, v0: float, r_max: float, tol: float = 1e-10,
         raise StepFailure(f"right-hand side not finite at the start r={r0:.4g}")
     solver = DOP853(rhs, r0, y0, float(r_max), rtol=tol, atol=max(tol * 1e-4, 1e-16))
 
-    # in solve_ivp's order, which settles a tie between roots
-    events = ((U_HITS_ZERO, lambda y: y[0]), (V_HITS_ZERO, lambda y: y[2]),
-              (DIVERGING, lambda y: y[0] + y[2] - DIVERGENCE_GUARD))
-    g = [ev(y0) for _, ev in events]
+    def crosses(a, b):  # an event function that reaches or crosses zero in a step
+        return a <= 0 <= b or a >= 0 >= b
+
+    g = _events(y0)
     ts, pieces, cls = [solver.t], [], None
     while cls is None:
         solver.step()
         t = solver.t
         if dense:
             pieces.append(solver.dense_output())
-        g_new = [ev(solver.y) for _, ev in events]
-        active = [i for i in range(3) if g[i] <= 0 <= g_new[i] or g[i] >= 0 >= g_new[i]]
-        if active:
+        g_new = _events(solver.y)
+        if (crosses(g[0], g_new[0]) or crosses(g[1], g_new[1])
+                or crosses(g[2], g_new[2])):
             piece = pieces[-1] if dense else solver.dense_output()
             # the earliest root ends the shot
-            t, first = min((brentq(lambda r: events[i][1](at(piece, r).tolist()), solver.t_old,
-                                   t, xtol=4 * eps, rtol=4 * eps), i) for i in active)
-            cls = events[first][0]
+            t, first = min((brentq(lambda r: _events(at(piece, r).tolist())[i], solver.t_old,
+                                   t, xtol=4 * eps, rtol=4 * eps), i)
+                           for i in range(3) if crosses(g[i], g_new[i]))
+            cls = EVENTS[first]
         elif t == solver.t_bound:
             cls = DECAYING
         g = g_new

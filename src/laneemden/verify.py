@@ -299,13 +299,15 @@ def check_nonlinear_expansion(profile, corr2, constants: EnergyConstants,
         fld = AnsatzField(profile, PW2_APPROX, dd, tab)
         p_eps = p + alpha * e
 
+        # |field| is even in t bit for bit: the upper half's stack serves both
         def f(s, t):
             v = np.abs(fld.eval_st(s, t))
             w = v ** (p + 1.0)
             lg = np.log(np.maximum(v, 1e-300))
-            return [w, v ** (p_eps + 1.0), w * lg, w * lg ** 2]
+            rows = np.array([w, v ** (p_eps + 1.0), w * lg, w * lg ** 2])
+            return rows, rows
 
-        I0, Ia, I1, I2 = quad.integrate(f).tolist()
+        I0, Ia, I1, I2 = quad.integrate(f, halves=True).tolist()
         Ma.append(Ia / (p_eps + 1.0))
         M0.append(I0 / (p + 1.0))
         # quadratic exponent-derivative term of the functional, explicitly
@@ -547,12 +549,14 @@ def check_norm_orders(profile, corr1, eps_list, d=0.2, level=1, beta=1.0):
         expo_f = (q + 1.0) / q
         expo_df = (q + 1.0) / (q - 1.0)
 
+        # |field| is even in t bit for bit: the upper half's stack serves both
         def f(s, t):
             av = np.abs(fld.eval_st(s, t))
-            return [np.abs(av ** q_eps - av ** q) ** expo_f,
-                    np.abs(q_eps * av ** (q_eps - 1.0) - q * av ** (q - 1.0)) ** expo_df]
+            df = q_eps * av ** (q_eps - 1.0) - q * av ** (q - 1.0)
+            rows = np.array([np.abs(av ** q_eps - av ** q) ** expo_f, np.abs(df) ** expo_df])
+            return rows, rows
 
-        int_f, int_df = quad.integrate(f).tolist()
+        int_f, int_df = quad.integrate(f, halves=True).tolist()
         norms_f.append(int_f ** (1.0 / expo_f))
         norms_df.append(int_df ** (1.0 / expo_df))
     eps = np.asarray(eps_list, dtype=float)

@@ -10,6 +10,8 @@ work skipped or shared changed.
 - `cross_integrals_two_calls`: check_cross_terms' integral at one delta with
   four bubble evaluations, the integrand called once on the upper half of
   the mesh and once on the mirrored lower half.
+- `integrate_one_shot`: BallQuadrature.integrate with the integrand called
+  once on every node of the mesh, not on blocks of nodes.
 """
 
 import numpy as np
@@ -48,3 +50,10 @@ def cross_integrals_two_calls(profile, quad, d):
     upper = np.asarray(f(quad.s, quad.t))
     lower = np.asarray(f(quad.s, -quad.t))
     return np.sum(quad.w * (upper + lower), axis=-1)
+
+
+def integrate_one_shot(quad, f, halves=False):
+    pair = f if halves else lambda s, t: (f(s, t), f(s, -t))
+    upper, lower = map(np.asarray, pair(quad.s, quad.t))
+    total = np.sum(quad.w * (upper + lower), axis=-1)
+    return float(total) if total.ndim == 0 else total

@@ -1,11 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bubble_reference import integrate_one_shot
+from laneemden import ballquad
+from laneemden.ansatz import bubble_uv
 from laneemden.ballquad import (BallQuadrature, gauss_legendre, get_quadrature, graded_edges,
                                 sphere_measure)
+from laneemden.verify import _bubble_power
 
 
 def ball_volume(n):
@@ -173,3 +178,65 @@ def test_mesh_cache_identity():
     a = get_quadrature(4, 0.01, 1)
     b = get_quadrature(4, 0.01, 1)
     assert a is b
+
+
+def _integrands(profile, delta):
+    """A lone bubble power, a 3-row stack, and the cross terms' halves pair."""
+    q = profile.params.q
+
+    def stack(s, t):
+        U, V = bubble_uv(s, t, 1.0, delta, profile, ("U", "V"))
+        return [U ** (q + 1.0), V * np.cos(3.0 * s) * np.cosh(t), np.log(U)]
+
+    def halves(s, t):
+        Up, Vp = bubble_uv(s, t, 1.0, delta, profile, ("U", "V"))
+        Um, Vm = bubble_uv(s, t, -1.0, delta, profile, ("U", "V"))
+        return [Up * Um ** q, Vp * Vm ** q], [Um * Up ** q, Vm * Vp ** q]
+    return ((_bubble_power(profile, delta, q + 1.0, False), False), (stack, False),
+            (halves, True))
+
+
+def _same_bits(got, want):
+    return type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_blocks_match_one_shot_integrals(n, level, prof_sym):
+    """Integrands called on blocks of nodes give the integrals of one call on
+    every node, bit for bit: lone integrands, stacks and halves pairs."""
+    quad = get_quadrature(n, 0.01, level)
+    for f, halves in _integrands(prof_sym, 0.01):
+        assert _same_bits(quad.integrate(f, halves=halves),
+                          integrate_one_shot(quad, f, halves=halves))
+
+
+@pytest.mark.parametrize("block", ["below", "equal", "uneven"])
+def test_block_size_does_not_change_integrals(block, prof_sym, monkeypatch):
+    """A mesh of fewer nodes than the block, of exactly one block, and of blocks
+    whose last one is short (80,736 = 19 * 4,099 + 2,855) integrate bit for bit
+    as one call on every node does."""
+    quad = get_quadrature(4, 0.01, 2)
+    size = quad.s.size
+    monkeypatch.setattr(ballquad, "BLOCK_NODES",
+                        {"below": size + 1, "equal": size, "uneven": 4099}[block])
+    assert size % 4099 != 0
+    for f, halves in _integrands(prof_sym, 0.01):
+        assert _same_bits(quad.integrate(f, halves=halves),
+                          integrate_one_shot(quad, f, halves=halves))
+
+
+def test_block_integral_memory_is_bounded(prof_sym):
+    """A bubble integral on the level-4 mesh (1,071,616 nodes) allocates less than
+    twice its one row of weighted values: the integrand's temporaries are
+    block-sized, not mesh-sized."""
+    quad = get_quadrature(4, 0.01, 4)
+    f = _bubble_power(prof_sym, 0.01, prof_sym.params.q + 1.0, False)
+    quad.integrate(f)  # warm any lazily built state outside the trace
+    tracemalloc.start()
+    try:
+        quad.integrate(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * quad.s.size * 8, peak

@@ -12,7 +12,7 @@ from laneemden import _dop853
 from laneemden.errors import StepFailure
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 XTOL = RTOL = 4 * float(np.finfo(float).eps)  # as radial.shoot calls brentq
 
@@ -31,30 +31,68 @@ def test_tableau_is_scipys():
 coef = st.floats(-10.0, 10.0, allow_subnormal=False)
 
 
+def _between(lo, hi, **exclude):
+    return st.floats(lo, hi, allow_subnormal=False, **exclude)
+
+
+def cubic(form, coefs):
+    """k (x - r1)(x - r2)(x - r3) for form "roots", Horner's ((c0 x + c1) x + c2) x + c3."""
+    if form == "roots":
+        k, r1, r2, r3 = coefs
+        return lambda x: k * (x - r1) * (x - r2) * (x - r3)
+    c0, c1, c2, c3 = coefs
+    return lambda x: ((c0 * x + c1) * x + c2) * x + c3
+
+
+@st.composite
+def cubic_brackets(draw):
+    """(form, coefs, a, b): a cubic and a bracket a < b at whose ends it is zero or
+    of opposite signs, by construction.  The sign of a float difference, product
+    or sum is the sign of the exact one, or it is zero.
+
+    Product form: [a, b] holds one root of the sorted three strictly inside and
+    the others at most at its ends.  Horner form: c3 lies between -g(a) and -g(b)
+    for g = ((c0 x + c1) x + c2) x, so g + c3 changes sign on [a, b].  end puts
+    a root at a or at b.
+    """
+    form = draw(st.sampled_from(["roots", "horner"]))
+    end = draw(st.sampled_from([None, "a", "b"]))
+    if form == "roots":
+        k = draw(coef)
+        roots = sorted(r + 0.0 for r in draw(st.lists(coef, min_size=3, max_size=3)))  # no -0.0
+        i = draw(st.integers(0, 2))
+        root = roots[i]
+        a = root if end == "a" else draw(_between(roots[i - 1] if i else -10.0, root))
+        b = root if end == "b" else draw(_between(root, roots[i + 1] if i < 2 else 10.0))
+        if a == b:  # f(a) = 0 either way, so any other end will do
+            if end == "b":
+                a = draw(_between(-11.0, b, exclude_max=True))
+            else:
+                b = draw(_between(a, 11.0, exclude_min=True))
+        return form, (k, *roots), a, b
+    c0, c1, c2 = draw(st.lists(coef, min_size=3, max_size=3))
+    a = draw(_between(-10.0, 10.0, exclude_max=True))
+    b = draw(_between(a, 10.0, exclude_min=True))
+    ga, gb = (((c0 * x + c1) * x + c2) * x for x in (a, b))
+    lo, hi = sorted((-ga, -gb))
+    c3 = {"a": -ga, "b": -gb}.get(end)
+    if c3 is None:
+        c3 = min(max(lo + draw(_between(0.0, 1.0)) * (hi - lo), lo), hi)
+    return form, (c0, c1, c2, c3), a, b
+
+
 @settings(max_examples=300, deadline=None)
-@given(roots=st.lists(coef, min_size=3, max_size=3), k=coef, c=st.lists(coef, min_size=4,
-       max_size=4), a=coef, b=coef, form=st.sampled_from(["roots", "horner"]),
-       end=st.sampled_from([None, "a", "b"]))
-@example(roots=[0.5, 2.0, -3.0], k=1.0, c=[0.0] * 4, a=0.5, b=1.0, form="roots", end=None)
-@example(roots=[0.5, 2.0, -3.0], k=1.0, c=[0.0] * 4, a=0.0, b=2.0, form="roots", end=None)
-def test_brentq_is_scipys(roots, k, c, a, b, form, end):
+@given(case=cubic_brackets())
+@example(case=("roots", (1.0, -3.0, 0.5, 2.0), 0.5, 1.0))
+@example(case=("roots", (1.0, -3.0, 0.5, 2.0), 0.0, 2.0))
+def test_brentq_is_scipys(case):
     """The port returns scipy.optimize.brentq's root to the last bit, on cubics
     in product and in Horner form, with roots inside and at an end of [a, b]."""
     from scipy.optimize import brentq
-    r1, r2, r3 = roots
-    if form == "roots":
-        def f(x):
-            return k * (x - r1) * (x - r2) * (x - r3)
-    else:
-        def f(x):
-            return ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
-    if end == "a":
-        a = r1
-    elif end == "b":
-        b = r1
-    assume(a < b)
+    form, coefs, a, b = case
+    f = cubic(form, coefs)
     fa, fb = f(a), f(b)
-    assume(fa == 0 or fb == 0 or (fa < 0) != (fb < 0))
+    assert a < b and (fa == 0 or fb == 0 or (fa < 0) != (fb < 0))
     try:
         want = brentq(f, a, b, xtol=XTOL, rtol=RTOL)
     except RuntimeError:  # no convergence in 100 iterations, as on a triple root
@@ -83,12 +121,12 @@ _component = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, np.inf, 
        rtol=st.sampled_from([3e-14, 1e-10, 1e-4]))
 @example(y=[1.0, np.nan, 2.0, -0.0], y_new=[np.nan, 1.0, -3.0, 0.0], rtol=3e-14)
 def test_error_scale_is_numpys(y, y_new, rtol):
-    """The float error scale is scipy's numpy one bit for bit, NaN where either
-    state is NaN in either argument position."""
+    """The float error scale, component by component, is scipy's numpy one bit
+    for bit, NaN where either state is NaN in either argument position."""
     atol = max(rtol * 1e-4, 1e-16)
     with np.errstate(over="ignore"):
         want = atol + np.maximum(np.abs(np.array(y)), np.abs(np.array(y_new))) * rtol
-    got = _dop853.error_scale(atol, rtol, y, y_new)
+    got = np.array([_dop853.error_scale(atol, rtol, a, b) for a, b in zip(y, y_new)])
     assert got.tobytes() == want.tobytes()
 
 
