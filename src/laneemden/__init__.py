@@ -4,6 +4,16 @@ expansions."""
 
 __version__ = "0.1.0"
 
+import os
+
+# numpy's bundled OpenBLAS starts a thread pool sized to the cores when it
+# loads, and its workers spin on the CPU between calls.  The package's largest
+# BLAS call is the `ker @ wg` gemv of HalfSpaceCorrection.block, with at
+# most 32 rows, too small to gain from a second thread; so the pool is one
+# thread unless the caller has set OPENBLAS_NUM_THREADS.  This must run
+# before the first import below loads numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .params import ProblemParams, check_condition_P, critical_exponent, scaling_exponents
 from .radial import RadialProfile, TailFit, find_ground_state, fit_tail, shoot
 from .halfspace import PHI1, PHI2, HalfSpaceCorrection

@@ -4,8 +4,16 @@ Monotone cubic (PCHIP) coefficients are computed once per profile by
 pack_pchip, in numpy, and evaluated by profile_eval, the one profile
 kernel; beyond the last breakpoint the stored power-law tail takes over,
 rescaled so the value is continuous there.
+
+The kernel finds each radius's interval with interval_index.  A profile's
+breaks are 0 followed by a log-uniform grid, so the index is guessed from
+log r in O(1) and confirmed by comparing r with the two breaks around it;
+only radii the comparisons do not confirm (r = 0, r within rounding of a
+break, a grid that is not log-uniform) go through np.searchsorted.  The
+indices are searchsorted's at every radius, so the values are too.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -80,6 +88,36 @@ def tail_terms(pack, v):
     return [(a, e) for a, e in terms if a != 0.0]
 
 
+def _search(breaks, r):
+    """np.searchsorted(breaks, r) - 1, clipped to [0, breaks.size - 2]."""
+    return np.minimum(np.maximum(np.searchsorted(breaks, r) - 1, 0), breaks.shape[0] - 2)
+
+
+def interval_index(breaks, r):
+    """The cubic's interval of each radius r: _search(breaks, r), in O(1) per radius.
+
+    The guess ceil((log r - log b1) (nb - 2) / (log b[-1] - log b1)), with
+    r clamped up to b1 = breaks[1] so the log is finite, is the index on a
+    grid [0] + geomspace(b1, b[-1], nb - 1), the grid find_ground_state
+    samples and load_profile reads back.  It is kept where
+    breaks[i] < r <= breaks[i + 1] confirms it; the rest (r = 0, r within
+    rounding of a break, any radius on another grid) are searched.  So the
+    index is _search's for every r and every grid.
+    """
+    r = np.asarray(r)
+    nb, b1 = breaks.shape[0], breaks[1]
+    if not b1 > 0.0:
+        return _search(breaks, r)
+    lo = math.log(b1)
+    guess = np.ceil((np.log(np.maximum(r, b1)) - lo) * ((nb - 2) / (math.log(breaks[-1]) - lo)))
+    # fmin: a NaN radius guesses nb - 2; asarray: a 0-d r gives a 0-d index
+    idx = np.asarray(np.fmin(guess, nb - 2), dtype=np.intp)
+    miss = ~((breaks[idx] < r) & (r <= breaks[1:][idx]))
+    if miss.any():
+        idx[miss] = _search(breaks, r[miss])
+    return idx
+
+
 def profile_eval(r, pack, parts):
     """The named components of (U, dU, V, dV) at radii r >= 0, as a tuple.
 
@@ -92,8 +130,7 @@ def profile_eval(r, pack, parts):
     inside = r <= pack.r_top
     beyond = not np.all(inside)  # a NaN radius counts as beyond
     rc = np.where(inside, r, pack.r_top) if beyond else r
-    idx = np.searchsorted(pack.breaks, rc) - 1
-    idx = np.minimum(np.maximum(idx, 0), pack.breaks.shape[0] - 2)
+    idx = interval_index(pack.breaks, rc)
     dx = rc - pack.breaks[idx]
     rt = np.where(inside, pack.r_top, r) if beyond else None
     out = []

@@ -205,15 +205,21 @@ def check_phi_pairing(profile, corr1: HalfSpaceCorrection, corr2: HalfSpaceCorre
     tab1, tab2 = (c.table(TABLE_REACH / min(deltas)) for c in (corr1, corr2))
 
     def pairings(d):
-        # rows: matched phi1, matched phi2, crossed (mirrored) phi1, crossed phi2
-        def f(s, t):
-            U, V = bubble_uv(s, t, 1.0, d, profile, ("U", "V"))
-            Uq, Vp = U ** pp.q, V ** pp.p
+        # rows: matched phi1, matched phi2, crossed (mirrored) phi1, crossed phi2.
+        # At (s, -t), near and far are the upper half's far and near, and the
+        # bubble at +e_n is the one at -e_n seen from (s, t), bit for bit:
+        # the lower half swaps the lookups and takes the other bubble
+        def halves(s, t):
+            Up, Vp = bubble_uv(s, t, 1.0, d, profile, ("U", "V"))
+            Um, Vm = bubble_uv(s, t, -1.0, d, profile, ("U", "V"))
             sd, near, far = s / d, (1.0 - t) / d, (1.0 + t) / d
-            return [tab1.eval_many(sd, near) * Uq, tab2.eval_many(sd, near) * Vp,
-                    tab1.eval_many(sd, far) * Uq, tab2.eval_many(sd, far) * Vp]
+            n1, n2 = tab1.eval_many(sd, near), tab2.eval_many(sd, near)
+            f1, f2 = tab1.eval_many(sd, far), tab2.eval_many(sd, far)
+            Upq, Vpp, Umq, Vmp = Up ** pp.q, Vp ** pp.p, Um ** pp.q, Vm ** pp.p
+            return ([n1 * Upq, n2 * Vpp, f1 * Upq, f2 * Vpp],
+                    [f1 * Umq, f2 * Vmp, n1 * Umq, n2 * Vmp])
         scale = np.array([d ** (1.0 - pp.su), d ** (1.0 - pp.sv)] * 2)
-        return -scale * quad.integrate(f)
+        return -scale * quad.integrate(halves, halves=True)
 
     m1, m2, x1, x2 = np.array([pairings(d) for d in deltas]).T
 
@@ -252,14 +258,18 @@ def check_gradient_expansion(profile, corr1, constants: EnergyConstants,
     def energies(d):
         fld = AnsatzField(profile, PW1_APPROX, d, tab)
 
-        # rows: PW1 = bare + correction, and the bare pair W1, against the source
+        # rows: PW1 = bare + correction, and the bare pair W1, against the
+        # source.  bare, correction and source each change sign exactly under
+        # t -> -t, so the rows are even in t bit for bit: the upper half's
+        # stack serves both
         def f(s, t):
             (Up,) = bubble_uv(s, t, 1.0, d, profile, ("U",))
             (Um,) = bubble_uv(s, t, -1.0, d, profile, ("U",))
             bare = Up - Um
             src = Up ** pp.q - Um ** pp.q
-            return [(bare + fld.correction_st(s, t)) * src, bare * src]
-        return quad.integrate(f)
+            rows = np.array([(bare + fld.correction_st(s, t)) * src, bare * src])
+            return rows, rows
+        return quad.integrate(f, halves=True)
 
     vals, comps = np.array([energies(d) for d in deltas]).T
     ys = vals - constants.A1

@@ -12,12 +12,17 @@ work skipped or shared changed.
   the mesh and once on the mirrored lower half.
 - `integrate_one_shot`: BallQuadrature.integrate with the integrand called
   once on every node of the mesh, not on blocks of nodes.
+- `gradient_integrals_two_calls`: check_gradient_expansion's two integrals
+  at one delta, the integrand called on the upper half of the mesh and
+  again on the mirrored lower half.
+- `pairing_integrals_two_calls`: check_phi_pairing's four scaled pairings
+  at one delta, with all four phi lookups made again on the lower half.
 """
 
 import numpy as np
 
 from laneemden._interp import tail_terms
-from laneemden.ansatz import bubble_uv
+from laneemden.ansatz import PW1_APPROX, AnsatzField, bubble_uv
 
 
 def profile_eval_where(r, pack, parts):
@@ -39,6 +44,12 @@ def profile_eval_where(r, pack, parts):
     return tuple(out)
 
 
+def _two_calls(quad, f):
+    upper = np.asarray(f(quad.s, quad.t))
+    lower = np.asarray(f(quad.s, -quad.t))
+    return np.sum(quad.w * (upper + lower), axis=-1)
+
+
 def cross_integrals_two_calls(profile, quad, d):
     pp = profile.params
 
@@ -47,9 +58,35 @@ def cross_integrals_two_calls(profile, quad, d):
         Um, Vm = bubble_uv(s, t, -1.0, d, profile, ("U", "V"))
         return [Up * Um ** pp.q, Vp * Vm ** pp.p]
 
-    upper = np.asarray(f(quad.s, quad.t))
-    lower = np.asarray(f(quad.s, -quad.t))
-    return np.sum(quad.w * (upper + lower), axis=-1)
+    return _two_calls(quad, f)
+
+
+def gradient_integrals_two_calls(profile, tab, quad, d):
+    pp = profile.params
+    fld = AnsatzField(profile, PW1_APPROX, d, tab)
+
+    def f(s, t):
+        (Up,) = bubble_uv(s, t, 1.0, d, profile, ("U",))
+        (Um,) = bubble_uv(s, t, -1.0, d, profile, ("U",))
+        bare = Up - Um
+        src = Up ** pp.q - Um ** pp.q
+        return [(bare + fld.correction_st(s, t)) * src, bare * src]
+
+    return _two_calls(quad, f)
+
+
+def pairing_integrals_two_calls(profile, tab1, tab2, quad, d):
+    pp = profile.params
+
+    def f(s, t):
+        U, V = bubble_uv(s, t, 1.0, d, profile, ("U", "V"))
+        Uq, Vp = U ** pp.q, V ** pp.p
+        sd, near, far = s / d, (1.0 - t) / d, (1.0 + t) / d
+        return [tab1.eval_many(sd, near) * Uq, tab2.eval_many(sd, near) * Vp,
+                tab1.eval_many(sd, far) * Uq, tab2.eval_many(sd, far) * Vp]
+
+    scale = np.array([d ** (1.0 - pp.su), d ** (1.0 - pp.sv)] * 2)
+    return -scale * _two_calls(quad, f)
 
 
 def integrate_one_shot(quad, f, halves=False):

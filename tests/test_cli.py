@@ -606,13 +606,40 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+def _child_env(**extra):
+    """os.environ with src/ on PYTHONPATH, without OPENBLAS_NUM_THREADS, plus extra."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(env, **extra)
+
+
 def test_commands_on_a_saved_profile_import_no_scipy(tmp_path, prof_sym):
     """constants, reduced-energy, two mesh checks, a phi table and a shot run on numpy alone."""
     prof_sym.to_csv(tmp_path / "profile.csv", tmp_path / "profile.json")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     run = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-2:] == ["[]", "[]"]
+
+
+THREADS = """
+import os
+import laneemden.cli
+print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_import_runs_one_thread_unless_the_caller_sets_blas_threads():
+    """Importing the CLI leaves the process one thread, with OPENBLAS_NUM_THREADS=1;
+    a value the caller sets is kept."""
+    def child(**extra):
+        run = subprocess.run([sys.executable, "-c", THREADS], env=_child_env(**extra),
+                             capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stderr
+        return run.stdout.split()
+
+    assert child() == ["1", "1"]
+    assert child(OPENBLAS_NUM_THREADS="2")[1] == "2"

@@ -1,7 +1,7 @@
 """Property tests over random inputs for the exponent pairs, the radial
 right-hand side, the run configuration, the quadrature rules, the profile's
-cubic coefficients and kernel, the half-space kernel, the bubbles, the
-two-bubble fields and the ground state between its samples."""
+cubic coefficients, interval search and kernel, the half-space kernel, the
+bubbles, the two-bubble fields and the ground state between its samples."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -12,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from laneemden._interp import pack_pchip, profile_eval  # noqa: E402
+from laneemden._interp import interval_index, pack_pchip, profile_eval  # noqa: E402
 from laneemden.ansatz import (PW1_APPROX, PW2_APPROX, TABLE_REACH, W1, W2,  # noqa: E402
                               AnsatzField, bubble_uv)
 from laneemden.ballquad import gauss_panels  # noqa: E402
@@ -226,6 +226,48 @@ def test_profile_eval_matches_where_kernel_bitwise(prof_sym, prof_case2, inner, 
         for r in (np.array(inner), np.array(inner + outer)):
             want, got = profile_eval_where(r, pk, parts), profile_eval(r, pk, parts)
             assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+def _grid(breaks, layout):
+    """The profile's breaks, or a grid that is not log-uniform: linear on
+    [0, r_top], with one break moved, or shifted so that breaks[1] < 0."""
+    if layout == "linear":
+        return np.linspace(0.0, breaks[-1], breaks.size)
+    if layout == "one_break_moved":
+        out = breaks.copy()
+        mid = out.size // 2
+        out[mid] = 0.5 * (out[mid - 1] + out[mid])
+        return out
+    if layout == "shifted":
+        return breaks - breaks[2]
+    return breaks
+
+
+@settings(max_examples=200, deadline=None)
+@given(picks=st.lists(st.tuples(st.integers(0, 2 ** 20), st.sampled_from([-1, 0, 1])),
+                      max_size=16),
+       logs=st.lists(st.floats(0.0, 1.0), max_size=16),
+       specials=st.lists(st.sampled_from([0.0, -0.0, 5e-324, "r_top", np.inf, np.nan]),
+                         max_size=6),
+       layout=st.sampled_from(["profile", "linear", "one_break_moved", "shifted"]))
+@example(picks=[(0, 0), (1, 0), (1, -1), (1, 1), (5601, 0), (5601, -1), (5600, 1)],
+         logs=[0.0, 1.0], specials=[0.0, 5e-324, "r_top"], layout="profile")
+def test_interval_index_matches_searchsorted(prof_sym, prof_case2, picks, logs, specials,
+                                             layout):
+    """The O(1) interval search equals np.searchsorted(breaks, r) - 1 clipped to
+    [0, nb - 2] at every radius: on the breaks and their neighbours, at 0,
+    the smallest subnormal and r_top, log-uniform over [1e-300, r_top], and
+    on grids where the log guess misses and the search takes over."""
+    for prof in (prof_sym, prof_case2):
+        breaks = _grid(prof.interp_pack.breaks, layout)
+        nb, r_top = breaks.size, prof.interp_pack.r_top
+        near = [np.nextafter(breaks[i % nb], (-np.inf, breaks[i % nb], np.inf)[d + 1])
+                for i, d in picks]
+        lo, hi = np.log(1e-300), np.log(r_top)
+        r = np.array(near + [np.exp(lo + u * (hi - lo)) for u in logs]
+                     + [r_top if v == "r_top" else v for v in specials], dtype=float)
+        want = np.minimum(np.maximum(np.searchsorted(breaks, r) - 1, 0), nb - 2)
+        assert np.array_equal(interval_index(breaks, r), want)
 
 
 @settings(max_examples=100, deadline=None)

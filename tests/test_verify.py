@@ -3,14 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from bubble_reference import cross_integrals_two_calls
+from bubble_reference import (cross_integrals_two_calls, gradient_integrals_two_calls,
+                              pairing_integrals_two_calls)
 from laneemden import ProblemParams, verify
 from laneemden.ballquad import get_quadrature
 from laneemden.verify import (aubin_talenti, check_bubble_mass, check_cross_terms,
-                              check_f_taylor, check_kernel, check_scaling_table,
+                              check_f_taylor, check_gradient_expansion, check_kernel,
+                              check_phi_pairing, check_scaling_table,
                               f_taylor_remainders, richardson_pair,
                               scaling_row_exponent, shrink_factors, slope_limit)
-from laneemden.ansatz import bubble_uv
+from laneemden.ansatz import TABLE_REACH, bubble_uv
+from laneemden.halfspace import PhiTable
 
 
 def test_slope_limit_exact_polynomial():
@@ -158,6 +161,62 @@ def test_cross_terms_match_two_call_reference(prof_case2, monkeypatch):
            for u, v in zip(rep.samples["u_cross"], rep.samples["v_cross"])]
     assert got == want
     assert calls == {"integrate": 3, "bubble_uv": 6}
+
+
+def _count_points(monkeypatch):
+    """Points passed to verify.bubble_uv and to PhiTable.eval_many, counted."""
+    points = {"bubble": 0, "lookup": 0}
+
+    def counted(owner, name, key):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            points[key] += (out[0] if key == "bubble" else out).size
+            return out
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(verify, "bubble_uv", "bubble")
+    counted(PhiTable, "eval_many", "lookup")
+    return points
+
+
+def test_gradient_energy_matches_two_call_reference(prof_sym, corr1_sym, consts_sym,
+                                                    monkeypatch):
+    """Each delta's two integrals are those of the integrand called on both halves
+    of the mesh, by float.hex, from bubbles and lookups on the upper half alone."""
+    deltas = (0.04, 0.02, 0.01)
+    quad = get_quadrature(4, min(deltas))
+    tab = corr1_sym.table(TABLE_REACH / min(deltas))
+    want = [[float(v).hex() for v in gradient_integrals_two_calls(prof_sym, tab, quad, d)]
+            for d in deltas]
+    points = _count_points(monkeypatch)
+    rep = check_gradient_expansion(prof_sym, corr1_sym, consts_sym, deltas)
+    got = [[float(v).hex(), float(c).hex()]
+           for v, c in zip(rep.samples["value"], rep.samples["bare_part"])]
+    assert got == want
+    # per delta: two bubbles and two lookups on each upper-half node
+    assert points == {"bubble": 6 * quad.s.size, "lookup": 6 * quad.s.size}
+
+
+def test_phi_pairing_matches_two_call_reference(prof_sym, corr1_sym, corr2_sym, consts_sym,
+                                                monkeypatch):
+    """Each delta's four pairings are those of the integrand that looks all four
+    up again on the lower half, by float.hex, from one set of lookups."""
+    deltas = (0.04, 0.02, 0.01)
+    quad = get_quadrature(4, min(deltas))
+    tab1, tab2 = (c.table(TABLE_REACH / min(deltas)) for c in (corr1_sym, corr2_sym))
+    want = [[float(v).hex() for v in pairing_integrals_two_calls(prof_sym, tab1, tab2,
+                                                                 quad, d)]
+            for d in deltas]
+    points = _count_points(monkeypatch)
+    rep = check_phi_pairing(prof_sym, corr1_sym, corr2_sym, consts_sym, deltas)
+    rows = ("matched_1", "matched_2", "crossed_1", "crossed_2")
+    got = [[float(v).hex() for v in vals]
+           for vals in zip(*(rep.samples[row] for row in rows))]
+    assert got == want
+    # per delta: the bubbles at +e_n and -e_n and four lookups on each upper-half node
+    assert points == {"bubble": 6 * quad.s.size, "lookup": 12 * quad.s.size}
 
 
 def test_report_record_serializable(prof_sym, consts_sym):
