@@ -1,9 +1,9 @@
 """Piecewise-cubic profile evaluation kernels.
 
-Monotone cubic (PCHIP) coefficients are computed once per profile by
-pack_pchip, in numpy, and evaluated by profile_eval, the one profile
-kernel; beyond the last breakpoint the stored power-law tail takes over,
-rescaled so the value is continuous there.
+Cubic Hermite coefficients are computed once per profile by pack_hermite,
+from the samples and their derivatives, and evaluated by profile_eval, the
+one profile kernel; beyond the last breakpoint the stored power-law tail
+takes over, rescaled so the value is continuous there.
 
 The kernel finds each radius's interval with interval_index.  A profile's
 breaks are 0 followed by a log-uniform grid, so the index is guessed from
@@ -41,41 +41,20 @@ class InterpPack(NamedTuple):
     ev: float
 
 
-def _end_slope(h0, h1, m0, m1):
-    """One-sided three-point slope at an end, kept shape-preserving (Moler's pchiptx)."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def pack_pchip(x, y):
+def pack_hermite(x, y, dy):
     """Return (breaks, c) with c of shape (4, len(x)-1), cubic-first order.
 
-    The monotone cubic (PCHIP) through (x, y), x strictly increasing with at
-    least 3 points, computed with the operations of scipy's
-    PchipInterpolator so the coefficients are the same bits.  Inner slopes
-    are the weighted harmonic mean of the two secants, or 0 where those
-    differ in sign or one vanishes; end slopes come from _end_slope.
+    The cubic Hermite interpolant through values y and slopes dy at x,
+    x strictly increasing with at least 3 points, in the power basis of
+    each interval.
     """
-    x, y = np.array(x, dtype=float), np.asarray(y, dtype=float)
+    x, y, dy = np.array(x, dtype=float), np.asarray(y, dtype=float), np.asarray(dy, dtype=float)
     h = np.diff(x)
-    if x.size < 3 or not (np.all(h > 0) and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DomainError("PCHIP needs >= 3 strictly increasing finite x and finite y")
+    if x.size < 3 or not (np.all(h > 0) and np.all(np.isfinite((x, y, dy)))):
+        raise DomainError("Hermite cubic needs >= 3 strictly increasing finite x, finite y and dy")
     m = np.diff(y) / h
-    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    # inf and NaN only where flat; a secant near the underflow limit can
-    # overflow the mean, whose reciprocal is then the limit slope 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    d = np.concatenate(([_end_slope(h[0], h[1], m[0], m[1])], inner,
-                        [_end_slope(h[-1], h[-2], m[-1], m[-2])]))
-    # Hermite data (y, d) to the power basis on each interval
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    return x, np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+    t = (dy[:-1] + dy[1:] - 2.0 * m) / h
+    return x, np.stack((t / h, (m - dy[:-1]) / h - t, dy[:-1], y[:-1]))
 
 
 def tail_terms(pack, v):

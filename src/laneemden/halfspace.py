@@ -24,6 +24,7 @@ import numpy as np
 from ._interp import profile_eval, tail_terms
 from .ballquad import gauss_panels
 from .errors import DomainError, QuadratureNonConvergent
+from .params import CASE_SUB
 from .radial import RadialProfile, fit_two_power
 
 PHI1 = "PHI1"
@@ -40,7 +41,7 @@ def panel_edges(sig, tau, rho_big, r_top):
     40 geometric edges from 1e-3 up, then pairs sig*(1 +- 2^-k) while the
     half-width sig*2^-k exceeds a quarter of the distance scale
     max(tau, 1e-9*max(sig, 1)); that stops by k = 31.  The profile's r_top,
-    where g has a derivative kink (PCHIP hands over to the power tail), is
+    where g's formula changes (the cubics hand over to the power tail), is
     an edge too, so there are at most 1 + 40 + 1 + 62 + 1 + 1 = 106 edges.
     Edges within a relative 1e-14 of their predecessor are dropped, and so
     is a first edge below 1e-150: the squares of the nodes on a narrower
@@ -114,8 +115,8 @@ class PhiTable:
     index, and the edge cells keep the clamped stencil, no longer cubic-accurate:
     on the p = 3, m = 257, extent-220 table it is off by up to ~2.5e-4 relative
     in the first tau cell (tau -> 0, the ball's pole) and ~1.5e-3 in the last
-    cell of either axis, against ~2e-7 in the cells between.  The field which
-    names the correction the table samples, PHI1 or PHI2.
+    cell of either axis, against ~2e-7 in the cells between.  which names
+    the correction the table samples, PHI1 or PHI2.
     """
 
     extent: float
@@ -307,7 +308,7 @@ class HalfSpaceCorrection:
         taus = np.geomspace(30.0, 600.0, 12)
         vals = self.eval_points(np.zeros_like(taus), taus)
         n, p = self.profile.params.n, self.profile.params.p
-        if self.which == PHI1 and self.profile.params.case_tag == "SUB":
+        if self.which == PHI1 and self.profile.params.case_tag == CASE_SUB:
             k_th = p * (n - 2.0) - 3.0
             k2 = n - 3.0
         else:

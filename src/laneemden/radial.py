@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._interp import InterpPack, pack_pchip, profile_eval
+from ._interp import InterpPack, pack_hermite, profile_eval
 from .errors import (BracketingFailure, DomainError, MonotonicityViolation,
                      PoorFit, StepFailure, WindowTooNarrow)
 from .params import CASE_BORDER, CASE_SUB, ProblemParams, check_condition_P
@@ -80,11 +80,17 @@ class RadialProfile:
         return replace(self, tail=tail, _pack=self._build_pack(tail))
 
     def _build_pack(self, tail):
-        breaks, cu = pack_pchip(self.grid, self.U)
-        _, cdu = pack_pchip(self.grid, self.dU)
-        _, cv = pack_pchip(self.grid, self.V)
-        _, cdv = pack_pchip(self.grid, self.dV)
-        n = self.params.n
+        r, n, U, V = self.grid, self.params.n, self.U, self.V
+        # the system gives U'' = -|V|^(p-1) V - (n-1) U'/r, and V'' likewise;
+        # at r = 0, U'/r -> U'', so there U'' = -|V|^(p-1) V / n
+        drag = np.divide(n - 1.0, r, out=np.zeros_like(r), where=r > 0.0)
+        src = np.where(r > 0.0, -1.0, -1.0 / n)
+        d2U = src * np.copysign(np.abs(V) ** self.params.p, V) - drag * self.dU
+        d2V = src * np.copysign(np.abs(U) ** self.params.q, U) - drag * self.dV
+        breaks, cu = pack_hermite(r, U, self.dU)
+        _, cdu = pack_hermite(r, self.dU, d2U)
+        _, cv = pack_hermite(r, V, self.dV)
+        _, cdv = pack_hermite(r, self.dV, d2V)
         eu = tail.exp_U
         e2 = n - 2.0
         # rescale so U, V are continuous across r_max

@@ -552,6 +552,14 @@ def _other_v0(d):
     (d / "profile.csv").write_text("\n".join([header, ",".join([r, u, du, "0.5", dv]), rest]))
 
 
+def _nan_slope(d):
+    # a slope is Hermite data for U as well as its own cubic's sample
+    lines = (d / "profile.csv").read_text().splitlines(keepends=True)
+    r, u, du, v, dv = lines[100].split(",")
+    lines[100] = ",".join([r, u, "nan", v, dv])
+    (d / "profile.csv").write_text("".join(lines))
+
+
 def _null_tail(d):
     side = json.loads((d / "profile.json").read_text())
     side["tail"] = None
@@ -570,6 +578,7 @@ MISSES = {
     "json_unparseable": ([], [], lambda d: (d / "profile.json").write_text('{"v0": 1.0,')),
     "tail_null": ([], [], _null_tail),
     "csv_of_another_v0": ([], [], _other_v0),
+    "csv_nan_slope": ([], [], _nan_slope),
 }
 
 

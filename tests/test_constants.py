@@ -16,10 +16,11 @@ D1_EXACT = -80 * np.pi ** 2 / 9  # int U^4 log U for the explicit bubble
 
 
 def test_symmetric_closed_forms(consts_sym):
-    assert consts_sym.A1 == pytest.approx(A1_EXACT, rel=1e-6)
-    assert consts_sym.B1 == pytest.approx(B1_EXACT, rel=1e-6)
+    # A1, B1, D1 measured 1.5e-12 to 5.3e-12 off; C1's 1.9e-9 is the fitted tail exponent's
+    assert consts_sym.A1 == pytest.approx(A1_EXACT, rel=1.2e-11)
+    assert consts_sym.B1 == pytest.approx(B1_EXACT, rel=1.2e-11)
     assert consts_sym.C1 == pytest.approx(C1_EXACT, rel=1e-6)
-    assert consts_sym.D1 == pytest.approx(D1_EXACT, rel=1e-6)
+    assert consts_sym.D1 == pytest.approx(D1_EXACT, rel=1.2e-11)
 
 
 def test_symmetric_pairs_identical(consts_sym):

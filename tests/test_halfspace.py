@@ -47,6 +47,9 @@ def test_axis_against_independent_oracle(corr1_sym):
     for tau in (0.5, 1.0, 4.0, 20.0):
         got = float(corr1_sym.eval_points([0.0], [tau], order=1)[0])
         assert got == pytest.approx(oracle(tau), rel=2e-6)
+    # at tau = 0 the integral is (2/pi) int g = sqrt(2); measured 4.6e-10 off
+    got = float(corr1_sym.eval_points([0.0], [0.0], order=1)[0])
+    assert got == pytest.approx(np.sqrt(2.0), rel=1e-9)
 
 
 def test_angular_kernel_closed_form():

@@ -1,6 +1,6 @@
 """Property tests over random inputs for the exponent pairs, the radial
 right-hand side, the run configuration, the quadrature rules, the profile's
-cubic coefficients, interval search and kernel, the half-space kernel, the
+interval search and kernel, the half-space kernel, the
 bubbles, the two-bubble fields and the ground state between its samples."""
 
 from dataclasses import replace
@@ -12,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from laneemden._interp import interval_index, pack_pchip, profile_eval  # noqa: E402
+from laneemden._interp import interval_index, profile_eval  # noqa: E402
 from laneemden.ansatz import (PW1_APPROX, PW2_APPROX, TABLE_REACH, W1, W2,  # noqa: E402
                               AnsatzField, bubble_uv)
 from laneemden.ballquad import gauss_panels  # noqa: E402
@@ -46,32 +46,6 @@ def test_gauss_panels_exact_on_monomials(lo, width, cuts, k):
     # bounds int |x|^m over [lo, hi], the size of the terms summed
     scale = (abs(hi) ** (m + 1) + abs(lo) ** (m + 1)) / (m + 1)
     assert np.all(np.abs(got - exact) <= 1e-12 * scale)
-
-
-@st.composite
-def pchip_data(draw):
-    """Increasing x (>= 3 points) and y with sign changes, zero slopes and flat runs."""
-    size = draw(st.integers(3, 24))
-    gaps = draw(st.lists(st.floats(1e-3, 1e3), min_size=size - 1, max_size=size - 1))
-    x = draw(st.floats(-1e3, 1e3)) + np.concatenate([[0.0], np.cumsum(gaps)])
-    value = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]), st.floats(-1e3, 1e3))
-    y = draw(st.lists(value, min_size=size, max_size=size))
-    return x, np.array(y)
-
-
-@settings(max_examples=300, deadline=None)
-@given(xy=pchip_data())
-@example(xy=(np.arange(4.0), np.array([0.0, 1.0, 6.0, 6.0])))  # end slope against m0: 0
-@example(xy=(np.arange(4.0), np.array([0.0, 1.0, -9.0, -9.0])))  # end slope capped at 3 m0
-@example(xy=(np.arange(5.0), np.array([1.0, 1.0, 1.0, -2.0, 3.0])))  # flat run, sign change
-def test_pack_pchip_matches_scipy_bitwise(xy):
-    from scipy.interpolate import PchipInterpolator
-    x, y = xy
-    assert np.all(np.diff(x) > 0)
-    breaks, c = pack_pchip(x, y)
-    with np.errstate(over="ignore"):  # scipy warns where pack_pchip's mean overflows
-        ip = PchipInterpolator(x, y)
-    assert np.array_equal(breaks, ip.x) and np.array_equal(c, ip.c)
 
 
 def panel_edges_loop(sig, tau, rho_big, r_top):
