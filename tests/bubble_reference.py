@@ -11,7 +11,8 @@ work skipped or shared changed.
   four bubble evaluations, the integrand called once on the upper half of
   the mesh and once on the mirrored lower half.
 - `integrate_one_shot`: BallQuadrature.integrate with the integrand called
-  once on every node of the mesh, not on blocks of nodes.
+  once on every node of the mesh and one np.sum over all nodes, not on the
+  leaves of a summation tree.
 - `gradient_integrals_two_calls`: check_gradient_expansion's two integrals
   at one delta, the integrand called on the upper half of the mesh and
   again on the mirrored lower half.
@@ -45,9 +46,10 @@ def profile_eval_where(r, pack, parts):
 
 
 def _two_calls(quad, f):
-    upper = np.asarray(f(quad.s, quad.t))
-    lower = np.asarray(f(quad.s, -quad.t))
-    return np.sum(quad.w * (upper + lower), axis=-1)
+    s, t, w = quad.nodes()
+    upper = np.asarray(f(s, t))
+    lower = np.asarray(f(s, -t))
+    return np.sum(w * (upper + lower), axis=-1)
 
 
 def cross_integrals_two_calls(profile, quad, d):
@@ -91,6 +93,7 @@ def pairing_integrals_two_calls(profile, tab1, tab2, quad, d):
 
 def integrate_one_shot(quad, f, halves=False):
     pair = f if halves else lambda s, t: (f(s, t), f(s, -t))
-    upper, lower = map(np.asarray, pair(quad.s, quad.t))
-    total = np.sum(quad.w * (upper + lower), axis=-1)
+    s, t, w = quad.nodes()
+    upper, lower = map(np.asarray, pair(s, t))
+    total = np.sum(w * (upper + lower), axis=-1)
     return float(total) if total.ndim == 0 else total

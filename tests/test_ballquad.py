@@ -1,4 +1,8 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -79,7 +83,8 @@ def test_sphere_measure_closed_form():
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_mesh_matches_cell_loop(n):
-    """The broadcast mesh equals the one built cell by cell, bit for bit."""
+    """The nodes formed from the mesh's axes equal the mesh built cell by cell,
+    bit for bit."""
     q = BallQuadrature(n=n, delta_min=0.05, level=2)
     h_min, h_max = 0.05 / 8.0, 0.02
     xg, wg = gauss_legendre(4)
@@ -94,9 +99,11 @@ def test_mesh_matches_cell_loop(n):
             TH.append(TT.ravel())
             W.append(np.outer(0.5 * (b - a) * wg, 0.5 * (d - c) * wg).ravel())
     rho, th, ww = np.concatenate(R), np.concatenate(TH), np.concatenate(W)
-    assert np.array_equal(q.s, rho * np.sin(th))
-    assert np.array_equal(q.t, rho * np.cos(th))
-    assert np.array_equal(q.w, ww * rho ** (n - 1) * np.sin(th) ** (n - 2)
+    s, t, w = q.nodes()
+    assert q.n_points == 2 * rho.size
+    assert np.array_equal(s, rho * np.sin(th))
+    assert np.array_equal(t, rho * np.cos(th))
+    assert np.array_equal(w, ww * rho ** (n - 1) * np.sin(th) ** (n - 2)
                           * sphere_measure(n - 1))
 
 
@@ -213,30 +220,98 @@ def test_blocks_match_one_shot_integrals(n, level, prof_sym):
 
 @pytest.mark.parametrize("block", ["below", "equal", "uneven"])
 def test_block_size_does_not_change_integrals(block, prof_sym, monkeypatch):
-    """A mesh of fewer nodes than the block, of exactly one block, and of blocks
-    whose last one is short (80,736 = 19 * 4,099 + 2,855) integrate bit for bit
-    as one call on every node does."""
+    """A mesh of fewer nodes than the leaf cap, of exactly one leaf, and one whose
+    summation tree splits five times into 32 leaves of 2,520 or 2,528 nodes under
+    a cap of 4,099 (80,736 nodes) integrate bit for bit as one call on every
+    node does."""
     quad = get_quadrature(4, 0.01, 2)
-    size = quad.s.size
+    size = quad.n_points // 2
     monkeypatch.setattr(ballquad, "BLOCK_NODES",
                         {"below": size + 1, "equal": size, "uneven": 4099}[block])
-    assert size % 4099 != 0
+    assert size == 80736
     for f, halves in _integrands(prof_sym, 0.01):
         assert _same_bits(quad.integrate(f, halves=halves),
                           integrate_one_shot(quad, f, halves=halves))
 
 
+MESH_SIZES = [24816, 80736, 285120, 1071616, 4151808]  # levels 1-5, n = 4, delta_min 0.01
+
+
+def test_mesh_sizes():
+    assert [get_quadrature(4, 0.01, level).n_points // 2 for level in (1, 2, 3, 4, 5)] \
+        == MESH_SIZES
+
+
+@pytest.mark.parametrize("cap", [128, ballquad.BLOCK_NODES])
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 127, 128, 129, 4099, ballquad.BLOCK_NODES - 1,
+                                  ballquad.BLOCK_NODES + 1, 2 * ballquad.BLOCK_NODES + 8]
+                         + MESH_SIZES)
+def test_leaf_tree_is_numpys_pairwise_sum(size, cap, monkeypatch):
+    """integrate's tree of leaf sums is np.sum's own summation order, bit for bit,
+    on a stack of rows and on one row, with leaves as small as numpy's unrolled
+    128-value blocks and as large as BLOCK_NODES.  Values span 16 decades with
+    both signs, among them +0.0 and -0.0, and one row holds signed zeros only.
+    A numpy that sums in another order fails here, not in every integral."""
+    monkeypatch.setattr(ballquad, "BLOCK_NODES", cap)
+    rng = np.random.default_rng(size)
+    x = np.empty((2, size))
+    x[0] = rng.standard_normal(size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+    x[0, rng.integers(0, size, size // 16 + 1)] = 0.0
+    x[0, rng.integers(0, size, size // 16 + 1)] = -0.0
+    x[1] = np.where(rng.random(size) < 0.5, -0.0, 0.0)
+    for rows in (x, x[0], x[1]):
+        tree = ballquad._pairwise_sum(lambda i, j: np.sum(rows[..., i:j], axis=-1), 0, size)
+        assert np.asarray(tree).tobytes() == np.sum(rows, axis=-1).tobytes()
+
+
 def test_block_integral_memory_is_bounded(prof_sym):
-    """A bubble integral on the level-4 mesh (1,071,616 nodes) allocates less than
-    twice its one row of weighted values: the integrand's temporaries are
-    block-sized, not mesh-sized."""
-    quad = get_quadrature(4, 0.01, 4)
+    """A bubble integral allocates less than 32 node arrays of BLOCK_NODES values
+    (8 MiB) on the level-4 mesh (1,071,616 nodes) and on the level-5 mesh
+    (4,151,808 nodes) alike: the integrand's temporaries are leaf-sized, and no
+    array grows with the mesh."""
     f = _bubble_power(prof_sym, 0.01, prof_sym.params.q + 1.0, False)
-    quad.integrate(f)  # warm any lazily built state outside the trace
-    tracemalloc.start()
-    try:
-        quad.integrate(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * quad.s.size * 8, peak
+    get_quadrature(4, 0.01, 1).integrate(f)  # warm any lazily built state outside the trace
+    for level in (4, 5):
+        quad = get_quadrature(4, 0.01, level)
+        tracemalloc.start()
+        try:
+            quad.integrate(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * ballquad.BLOCK_NODES * 8, (level, peak)
+
+
+HEAP_FAULTS = """
+import resource
+import numpy as np
+from laneemden.ballquad import BallQuadrature
+quad = BallQuadrature(4, 0.01, 4)
+f = lambda s, t: [np.exp(-s) * np.cos(t) ** 3, np.sqrt(s * s + t * t)]
+quad.integrate(f)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+quad.integrate(f)
+quad.integrate(f)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc")
+def test_leaves_reuse_the_heap_unless_the_caller_sets_malloc():
+    """Two level-4 integrals (64 leaves each) in a fresh process take few page
+    faults: the heap keeps its top between leaves.  A MALLOC_* value that the
+    caller sets is kept, and with MALLOC_TOP_PAD_=0 every leaf faults its
+    temporaries in again."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def faults(**extra):
+        run = subprocess.run([sys.executable, "-c", HEAP_FAULTS], env=dict(env, **extra),
+                             capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stderr
+        return int(run.stdout)
+
+    kept, given_back = faults(), faults(MALLOC_TOP_PAD_="0")
+    assert kept < 2000 and given_back > 10 * kept, (kept, given_back)

@@ -1,5 +1,6 @@
 """Property tests over random inputs for the exponent pairs, the radial
-right-hand side, the run configuration, the quadrature rules, the profile's
+right-hand side, the run configuration, the quadrature rules, the ball
+mesh's node ranges, the profile's
 interval search and kernel, the half-space kernel, the
 bubbles, the two-bubble fields and the ground state between its samples."""
 
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from laneemden._interp import interval_index, profile_eval  # noqa: E402
 from laneemden.ansatz import (PW1_APPROX, PW2_APPROX, TABLE_REACH, W1, W2,  # noqa: E402
                               AnsatzField, bubble_uv)
-from laneemden.ballquad import gauss_panels  # noqa: E402
+from laneemden.ballquad import gauss_panels, get_quadrature, graded_edges  # noqa: E402
 from laneemden.cli import (_COMMAND_KEYS, _COMMON_KEYS, RunConfig,  # noqa: E402
                            build_config, make_parser)
 from laneemden.errors import ConfigError  # noqa: E402
@@ -46,6 +47,47 @@ def test_gauss_panels_exact_on_monomials(lo, width, cuts, k):
     # bounds int |x|^m over [lo, hi], the size of the terms summed
     scale = (abs(hi) ** (m + 1) + abs(lo) ** (m + 1)) / (m + 1)
     assert np.all(np.abs(got - exact) <= 1e-12 * scale)
+
+
+_MESH_DELTA = 0.05
+_whole_meshes = {}
+
+
+def _whole_mesh(n, level):
+    """A mesh, its nodes formed at once, and its nodes per rho cell (4 x 4 Gauss
+    nodes in each theta cell)."""
+    if (n, level) not in _whole_meshes:
+        quad = get_quadrature(n, _MESH_DELTA, level)
+        split = 2 ** (level - 1)
+        th_e = graded_edges(np.pi / 2.0, _MESH_DELTA / 4.0 / split, 0.04 / split, 1.3)
+        _whole_meshes[n, level] = quad, quad.nodes(), 16 * (th_e.size - 1)
+    return _whole_meshes[n, level]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from([4, 5]), level=st.integers(1, 3),
+       kind=st.sampled_from(["one", "across", "whole", "any"]), data=st.data())
+def test_node_ranges_match_whole_mesh_bitwise(n, level, kind, data):
+    """nodes(i, j) is the slice i:j of the whole mesh's (s, t, w), bit for bit:
+    one node, ranges across the boundaries between rho cells, the whole mesh and
+    any range."""
+    quad, whole, cell = _whole_mesh(n, level)
+    size = quad.n_points // 2
+    assert size % cell == 0 and size // cell > 2
+    if kind == "one":
+        i = data.draw(st.integers(0, size - 1))
+        j = i + 1
+    elif kind == "across":
+        edge = cell * data.draw(st.integers(1, size // cell - 1))
+        i = edge - data.draw(st.integers(1, min(2 * cell, edge)))
+        j = edge + data.draw(st.integers(1, min(2 * cell, size - edge)))
+    elif kind == "whole":
+        i, j = 0, size
+    else:
+        i = data.draw(st.integers(0, size - 1))
+        j = data.draw(st.integers(i + 1, size))
+    got = quad.nodes(i, j)
+    assert [a.tobytes() for a in got] == [b[i:j].tobytes() for b in whole]
 
 
 def panel_edges_loop(sig, tau, rho_big, r_top):

@@ -196,7 +196,7 @@ def test_gradient_energy_matches_two_call_reference(prof_sym, corr1_sym, consts_
            for v, c in zip(rep.samples["value"], rep.samples["bare_part"])]
     assert got == want
     # per delta: two bubbles and two lookups on each upper-half node
-    assert points == {"bubble": 6 * quad.s.size, "lookup": 6 * quad.s.size}
+    assert points == {"bubble": 3 * quad.n_points, "lookup": 3 * quad.n_points}
 
 
 def test_phi_pairing_matches_two_call_reference(prof_sym, corr1_sym, corr2_sym, consts_sym,
@@ -216,7 +216,7 @@ def test_phi_pairing_matches_two_call_reference(prof_sym, corr1_sym, corr2_sym, 
            for vals in zip(*(rep.samples[row] for row in rows))]
     assert got == want
     # per delta: the bubbles at +e_n and -e_n and four lookups on each upper-half node
-    assert points == {"bubble": 6 * quad.s.size, "lookup": 12 * quad.s.size}
+    assert points == {"bubble": 3 * quad.n_points, "lookup": 6 * quad.n_points}
 
 
 def test_report_record_serializable(prof_sym, consts_sym):
