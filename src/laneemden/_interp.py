@@ -24,7 +24,10 @@ from .errors import DomainError
 class InterpPack(NamedTuple):
     """Cubic coefficients of (U, dU, V, dV) and the power-law tails beyond r_top.
 
-    tail_terms states the tail model in these fields.
+    tail_terms states the tail model in these fields.  The exponents are the
+    theory's, from (n, p): eu is params.exp_u_decay and e2 = n - 2 serves
+    both U's second term and V's tail; the fitted exponents of a TailFit are
+    diagnostics only and do not enter the pack.
     """
 
     breaks: np.ndarray
@@ -38,7 +41,6 @@ class InterpPack(NamedTuple):
     eu: float
     e2: float
     bv: float
-    ev: float
 
 
 def pack_hermite(x, y, dy):
@@ -60,10 +62,10 @@ def pack_hermite(x, y, dy):
 def tail_terms(pack, v):
     """(amp, expo) of each nonzero power term of U (v false) or V beyond r_top.
 
-    U = au*r^-eu + cu2*r^-e2 and V = bv*r^-ev; the cu2 term is absent when
+    U = au*r^-eu + cu2*r^-e2 and V = bv*r^-e2; the cu2 term is absent when
     the tail is a single power (cu2 = 0).
     """
-    terms = ((pack.bv, pack.ev),) if v else ((pack.au, pack.eu), (pack.cu2, pack.e2))
+    terms = ((pack.bv, pack.e2),) if v else ((pack.au, pack.eu), (pack.cu2, pack.e2))
     return [(a, e) for a, e in terms if a != 0.0]
 
 

@@ -118,13 +118,12 @@ def compute_constants(profile: RadialProfile, b_mode="LIMIT", b_delta=0.01) -> E
         raise DomainError(f"b_mode must be LIMIT or DELTA, not {b_mode!r}")
     n, p, q = profile.params.n, profile.params.p, profile.params.q
     pk = profile.interp_pack
-    if (q + 1.0) * pk.eu <= n:
-        raise TailDivergent("(q+1)*exp_U <= n: first-component mass diverges")
-    mC = n - 1.0 - (pk.eu + 1.0) - pk.ev
+    # with the theory's exponents (q+1)*eu > n+1 for every ProblemParams, so U's
+    # tails converge; the C tails, and V's B tail, need eu > 1, which fails only
+    # at n = 4, p <= 1.5, below the admissible ranges
+    mC = n - 2.0 - pk.eu - pk.e2  # r^(n-1) U' V, or r^(n-1) V' U, beyond r_top
     if mC >= -1.0:
         raise TailDivergent("first-derivative/second-component tail not integrable")
-    if (q + 1.0) * pk.eu <= n + 1:
-        raise TailDivergent("(q+1)*exp_U <= n+1: boundary-strip mass diverges")
 
     def f(r):
         U, dU, V, dV = profile_eval(r, pk, ("U", "dU", "V", "dV"))
@@ -146,24 +145,24 @@ def compute_constants(profile: RadialProfile, b_mode="LIMIT", b_delta=0.01) -> E
         return pk.bv ** (p + 1.0) * _power_tail(r_top, m)
 
     mU = n - 1.0 - (q + 1.0) * pk.eu
-    mV = n - 1.0 - (p + 1.0) * pk.ev
+    mV = n - 1.0 - (p + 1.0) * pk.e2
+    mC2 = n - 2.0 - 2.0 * pk.e2  # the C tails' term through U's r^-e2 term
     sn, sm = sphere_measure(n), sphere_measure(n - 1)
     # per stack row: (measure, closed-form tail, tail-error weight)
-    # C tails: dU ~ -eu*au r^-(eu+1) - e2*cu2 r^-(e2+1); V ~ bv r^-ev; and the swap
+    # C tails: dU ~ -eu*au r^-(eu+1) - e2*cu2 r^-(e2+1); V ~ bv r^-e2; and the swap
     table = {
         "A1": (sn, tail_U(mU), 1e-3),
         "A2": (sn, tail_V(mV), 1e-3),
         "D1": (sn, pk.au ** (q + 1.0) * (np.log(pk.au) * _power_tail(r_top, mU)
                                          - pk.eu * _power_log_tail(r_top, mU)), 1e-3),
         "D2": (sn, pk.bv ** (p + 1.0) * (np.log(pk.bv) * _power_tail(r_top, mV)
-                                         - pk.ev * _power_log_tail(r_top, mV)), 1e-3),
+                                         - pk.e2 * _power_log_tail(r_top, mV)), 1e-3),
         "B1": (0.5 * sm, tail_U(float(n) - (q + 1.0) * pk.eu), 0.0),
-        "B2": (0.5 * sm, tail_V(float(n) - (p + 1.0) * pk.ev), 0.0),
-        "C1": (sm, pk.bv * (pk.eu * pk.au * _power_tail(r_top, mC) + pk.e2 * pk.cu2
-                            * _power_tail(r_top, n - 1.0 - (pk.e2 + 1.0) - pk.ev)), 1e-2),
-        "C2": (sm, pk.ev * pk.bv * (pk.au * _power_tail(r_top, n - 1.0 - (pk.ev + 1.0) - pk.eu)
-                                    + pk.cu2
-                                    * _power_tail(r_top, n - 1.0 - (pk.ev + 1.0) - pk.e2)), 1e-2),
+        "B2": (0.5 * sm, tail_V(float(n) - (p + 1.0) * pk.e2), 0.0),
+        "C1": (sm, pk.bv * (pk.eu * pk.au * _power_tail(r_top, mC)
+                            + pk.e2 * pk.cu2 * _power_tail(r_top, mC2)), 1e-2),
+        "C2": (sm, pk.e2 * pk.bv * (pk.au * _power_tail(r_top, mC)
+                                    + pk.cu2 * _power_tail(r_top, mC2)), 1e-2),
     }
     lo, hi = _radial_quad(f, r_top, 12), _radial_quad(f, r_top, 20)
     parts = {key: (meas * (v + tail), meas * (e + abs(tail) * w))

@@ -43,10 +43,12 @@ MAX_TAIL_FIT_RESIDUAL = 0.05  # relative; fit_tail raises PoorFit above it
 class TailFit:
     """Power-law tail of a decaying profile.
 
-    a, b are the coefficients of the leading terms of U and V; for the
-    p < n/(n-2) coupling a comes from a two-term fit a*r^-exp_U + c2*r^-(n-2)
-    (the harmonic subleading mode is then far from negligible on any
-    affordable window).
+    a, b are the coefficients of the leading terms of U and V at the
+    theory's exponents; for the p < n/(n-2) coupling a comes from a
+    two-term fit a*r^-exp_u_decay + c2*r^-(n-2) (the harmonic subleading
+    mode is then far from negligible on any affordable window).  exp_U and
+    exp_V are fitted exponents, kept as diagnostics: the profile's tail
+    takes its exponents from (n, p), not from them.
     """
 
     a: float
@@ -80,6 +82,13 @@ class RadialProfile:
         return replace(self, tail=tail, _pack=self._build_pack(tail))
 
     def _build_pack(self, tail):
+        """Hermite cubics of the samples, and power tails beyond r_max.
+
+        The tails' exponents come from (n, p): U ~ a r^-exp_u_decay +
+        c2 r^-(n-2) and V ~ b r^-(n-2); the exponents the tail fit
+        measured are not used.  The tails are rescaled to meet U and V
+        at r_max.
+        """
         r, n, U, V = self.grid, self.params.n, self.U, self.V
         # the system gives U'' = -|V|^(p-1) V - (n-1) U'/r, and V'' likewise;
         # at r = 0, U'/r -> U'', so there U'' = -|V|^(p-1) V / n
@@ -91,17 +100,16 @@ class RadialProfile:
         _, cdu = pack_hermite(r, self.dU, d2U)
         _, cv = pack_hermite(r, V, self.dV)
         _, cdv = pack_hermite(r, self.dV, d2V)
-        eu = tail.exp_U
+        eu = self.params.exp_u_decay
         e2 = n - 2.0
         # rescale so U, V are continuous across r_max
         u_end, v_end = self.U[-1], self.V[-1]
         raw_u = tail.a * self.r_max ** (-eu) + tail.c2 * self.r_max ** (-e2)
         au = tail.a * (u_end / raw_u)
         cu2 = tail.c2 * (u_end / raw_u)
-        bv = v_end * self.r_max ** tail.exp_V
+        bv = v_end * self.r_max ** e2
         return InterpPack(breaks, cu, cdu, cv, cdv, float(self.r_max),
-                          float(au), float(cu2), float(eu), float(e2),
-                          float(bv), float(tail.exp_V))
+                          float(au), float(cu2), float(eu), float(e2), float(bv))
 
     def eval_many(self, r):
         """(U, dU, V, dV) arrays at radii r (tail extrapolation beyond r_max)."""
@@ -351,18 +359,28 @@ def fit_two_power(x, y, k2, bounds, xatol):
     """Exponent k in bounds of the fit y ~ c1 x^-k + c2 x^-k2.
 
     For each k, (c1, c2) solve the least squares of the relative misfit
-    model/y - 1; k minimises its sum of squares (bounded Brent, tolerance
-    xatol).
+    model/y - 1; k minimises its sum of squares, found by golden-section
+    search until the bracket is at most xatol wide.
     """
-    from scipy.optimize import minimize_scalar  # only the fits need scipy
-
     def resid(k):
         A = np.vstack([x ** -k, x ** -k2]).T
         coef, *_ = np.linalg.lstsq(A / y[:, None], np.ones_like(y), rcond=None)
         return float(np.sum((A @ coef / y - 1.0) ** 2))
 
-    res = minimize_scalar(resid, bounds=bounds, method="bounded", options={"xatol": xatol})
-    return float(res.x)
+    a, b = bounds
+    g = (math.sqrt(5.0) - 1.0) / 2.0  # each step keeps this share of the bracket
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = resid(c), resid(d)
+    for _ in range(math.ceil(math.log(xatol / (b - a)) / math.log(g))):
+        if fc <= fd:  # the minimum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = resid(c)
+        else:  # in [c, b]
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = resid(d)
+    return c if fc <= fd else d
 
 
 def fit_tail(profile: RadialProfile, window) -> TailFit:

@@ -1,7 +1,9 @@
 import argparse
+import ast
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -596,6 +598,17 @@ def test_saved_profile_miss_solves_once(tmp_path, solves, case):
 
 NO_SCIPY = """
 import sys
+
+
+class NoScipy:
+    \"\"\"A meta-path finder that refuses scipy and its submodules.\"\"\"
+
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+
+
+sys.meta_path.insert(0, NoScipy())
 import numpy as np
 from laneemden import ProblemParams
 from laneemden.cli import main
@@ -608,9 +621,10 @@ for argv in (["constants"], ["reduced-energy"],
     assert main(argv + ["--out", out]) == 0, argv
 prof = load_profile(out + "/profile.csv", out + "/profile.json")
 HalfSpaceCorrection(prof, PHI1).table(220.0, m=9)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-# a dense shot and its solution load no scipy either
+# a dense shot and its solution
 shoot(ProblemParams(n=4, p=3.0), 1.0, r_max=5.0, dense=True).sol.sol(np.geomspace(1e-3, 5.0, 9))
+# p < n/(n-2): the tail fit's exponent search
+assert main(["ground-state", "--n", "4", "--p", "1.9", "--out", out + "/case2"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
@@ -624,13 +638,41 @@ def _child_env(**extra):
 
 
 def test_commands_on_a_saved_profile_import_no_scipy(tmp_path, prof_sym):
-    """constants, reduced-energy, two mesh checks, a phi table and a shot run on numpy alone."""
+    """constants, reduced-energy, two mesh checks, a phi table, a shot and a
+    ground state with a fitted tail (p = 1.9) run with scipy's import blocked."""
     prof_sym.to_csv(tmp_path / "profile.csv", tmp_path / "profile.json")
     env = _child_env()
     run = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-2:] == ["[]", "[]"]
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "case2" / "profile.json").is_file()
+
+
+def test_runtime_dependencies_are_numpy_only():
+    """No module under src/laneemden imports scipy, and pyproject.toml's run-time
+    dependencies name numpy alone (scipy is in the test extra, as an oracle)."""
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    pkg = os.path.join(root, "src", "laneemden")
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            assert all(m.split(".")[0] != "scipy" for m in mods), (name, node.lineno)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+        project = tomllib.load(f)["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", d).group(0) for d in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
 
 
 THREADS = """

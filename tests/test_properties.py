@@ -19,7 +19,7 @@ from laneemden.ansatz import (PW1_APPROX, PW2_APPROX, TABLE_REACH, W1, W2,  # no
 from laneemden.ballquad import gauss_panels, get_quadrature, graded_edges  # noqa: E402
 from laneemden.cli import (_COMMAND_KEYS, _COMMON_KEYS, RunConfig,  # noqa: E402
                            build_config, make_parser)
-from laneemden.errors import ConfigError  # noqa: E402
+from laneemden.errors import ConfigError, DomainError  # noqa: E402
 from laneemden.halfspace import LOOKUP_CHUNK, panel_edges  # noqa: E402
 from laneemden.params import (HYPERBOLA_TOL, ProblemParams,  # noqa: E402
                               check_condition_P)
@@ -305,6 +305,22 @@ def test_hyperbola_and_ordering(np_):
     assert check_condition_P(pp)[0] in ("case_i", "case_ii")
     assert abs(1.0 / (pp.p + 1.0) + 1.0 / (pp.q + 1.0) - (n - 2.0) / n) <= HYPERBOLA_TOL
     assert pp.p <= pp.q
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(4, 12), data=st.data())
+def test_u_tails_converge_for_every_params(n, data):
+    """(q+1) * exp_u_decay > n + 1 for every ProblemParams, so the mass and
+    boundary-strip tails of U converge and compute_constants needs no guard for
+    them: n - 2 > (n+1)/(q+1) above p = n/(n-2), and the product is n (p+1) below."""
+    top = (n + 2.0) / (n - 2.0)
+    p = data.draw(st.one_of(st.floats(1.0, top, exclude_min=True),
+                            st.sampled_from([np.nextafter(1.0, 2.0), n / (n - 2.0), top])))
+    try:
+        pp = ProblemParams(n=n, p=p)
+    except DomainError:
+        hypothesis.assume(False)
+    assert (pp.q + 1.0) * pp.exp_u_decay > n + 1.0
 
 
 # the radial state in the stepper's stages: signed zeros, subnormals, values

@@ -1,6 +1,7 @@
 import warnings
 
 import numpy as np
+import hypothesis
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -242,12 +243,14 @@ def test_evaluate_closed_form_point(prof_sym):
 
 
 def test_tail_extrapolation_continuity(prof_sym):
-    r_max = prof_sym.r_max
+    """U, dU, V, dV are continuous across r_max, and the far tail follows the
+    pack's power law; relative comparisons only, since U(r_max) is ~8e-8."""
+    r_max, pk = prof_sym.r_max, prof_sym.interp_pack
     below, above = np.array(prof_sym.eval_many([r_max * (1 - 1e-9), r_max * (1 + 1e-9)])).T
-    assert above == pytest.approx(below, rel=1e-6)
+    assert above == pytest.approx(below, rel=1e-6, abs=0.0)
     # far tail follows the anchored power law by construction
     (U_top, U), *_ = prof_sym.eval_many([r_max, 2 * r_max])
-    assert U == pytest.approx(U_top * 2.0 ** -prof_sym.tail.exp_U, rel=1e-12)
+    assert U == pytest.approx(U_top * 2.0 ** -pk.eu, rel=1e-12, abs=0.0)
 
 
 def test_profile_eval_parts(prof_sym, prof_case2):
@@ -270,8 +273,8 @@ def test_profile_eval_parts(prof_sym, prof_case2):
         want = {"U": pk.au * ro ** -pk.eu + pk.cu2 * ro ** -pk.e2,
                 "dU": -pk.eu * pk.au * ro ** (-pk.eu - 1.0)
                       - pk.e2 * pk.cu2 * ro ** (-pk.e2 - 1.0),
-                "V": pk.bv * ro ** -pk.ev,
-                "dV": -pk.ev * pk.bv * ro ** (-pk.ev - 1.0)}
+                "V": pk.bv * ro ** -pk.e2,
+                "dV": -pk.e2 * pk.bv * ro ** (-pk.e2 - 1.0)}
         for name in names:
             np.testing.assert_allclose(full[name][beyond], want[name], rtol=1e-15,
                                        atol=0.0, err_msg=name)
@@ -350,6 +353,47 @@ def test_decay_exponents_case2(prof_case2):
     t = prof_case2.tail
     assert t.exp_U == pytest.approx(1.8, rel=0.02)
     assert t.exp_V == pytest.approx(2.0, rel=0.01)
+
+
+def test_pack_takes_the_theorys_exponents(prof_sym, prof_case1, prof_case2):
+    """The tails' exponents come from (n, p), not from the fitted exp_U, exp_V."""
+    assert "ev" not in radial.InterpPack._fields
+    for prof in (prof_sym, prof_case1, prof_case2):
+        pk, n = prof.interp_pack, prof.params.n
+        assert pk.eu == prof.params.exp_u_decay
+        assert pk.e2 == n - 2.0
+        assert prof.tail.exp_U != pk.eu  # the fit is a diagnostic, a little off
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.floats(0.5, 3.0), gap=st.floats(0.2, 1.5), c1=st.floats(0.1, 10.0),
+       c2=st.floats(-10.0, 10.0), lo=st.floats(1.0, 1e3))
+def test_fit_two_power_recovers_exact_data(k, gap, c1, c2, lo):
+    """On y = c1 x^-k + c2 x^-k2 over a decade, with y > 0, the fit returns k to 1e-8."""
+    x = np.geomspace(lo, 10.0 * lo, 160)
+    y = c1 * x ** -k + c2 * x ** -(k + gap)
+    hypothesis.assume(np.all(y > 0.01 * c1 * x ** -k))
+    got = radial.fit_two_power(x, y, k + gap, (0.5 * k, k + gap - 1e-3), xatol=1e-10)
+    assert abs(got - k) <= 1e-8
+
+
+def test_fit_two_power_matches_scipys_bounded_minimiser(prof_case2):
+    """The p = 1.9 tail fit's exponent is scipy's bounded minimiser's on the same data."""
+    from scipy.optimize import minimize_scalar
+
+    prof, t = prof_case2, prof_case2.tail
+    rf = np.geomspace(*t.fit_window, 160)  # the data fit_tail fits
+    Uf, k2 = np.interp(rf, prof.grid, prof.U), prof.params.n - 2.0
+
+    def resid(k):
+        A = np.vstack([rf ** -k, rf ** -k2]).T
+        coef, *_ = np.linalg.lstsq(A / Uf[:, None], np.ones_like(Uf), rcond=None)
+        return float(np.sum((A @ coef / Uf - 1.0) ** 2))
+
+    e_th = prof.params.exp_u_decay
+    ref = minimize_scalar(resid, bounds=(max(1.01, 0.75 * e_th), min(k2 - 1e-3, 1.25 * e_th)),
+                          method="bounded", options={"xatol": 1e-10})
+    assert abs(t.exp_U - ref.x) <= 1e-8
 
 
 def test_decay_relation_case2(prof_case2):
