@@ -14,14 +14,14 @@ geometrically toward rho = 1 and toward the poles theta in {0, pi}, where
 bubble-scale features concentrate.  The mesh covers the upper half
 theta < pi/2; the lower half reuses the same weights with t -> -t, so odd
 integrands cancel exactly pointwise.  No node array is stored: the mesh
-keeps its 1-D axes in rho and theta and forms the nodes of a range on
-demand.
+keeps its 1-D axes in rho and theta and forms the nodes of any run of rho
+cells on demand.
 
-Integrands are evaluated on ranges of at most BLOCK_NODES nodes, so their
-numpy temporaries stay a fixed, cache-sized length however fine the mesh.
-The ranges are the leaves of numpy's own pairwise summation tree, so the
-integral is that of one np.sum over all nodes and does not depend on the
-range size.
+Integrands are evaluated on runs of whole rho cells of at most BLOCK_NODES
+nodes (one cell if a cell is longer), so their numpy temporaries stay a
+fixed, cache-sized length however fine the mesh.  Each cell is summed on
+its own and the cell sums once more, so the integral does not depend on
+the run length.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 N_GAUSS = 4  # Gauss points per mesh cell along each axis
-BLOCK_NODES = 2 ** 15  # most mesh nodes per integrand call (a leaf of integrate)
+BLOCK_NODES = 2 ** 14  # most mesh nodes per integrand call, unless one rho cell has more
 HEAP_TOP_PAD = 16 << 20  # bytes glibc's malloc keeps at the top of its heap (M_TOP_PAD)
 
 
@@ -102,14 +102,15 @@ def graded_edges(length, h_min, h_max, ratio):
 def _keep_heap_top():
     """Let glibc's malloc keep HEAP_TOP_PAD free bytes at its heap top.
 
-    integrate frees every temporary of a leaf before the next leaf makes
-    the same ones again, ~300 kB each.  By default glibc hands the freed top
-    of its heap back to the kernel each time and faults the pages in again
-    for the next leaf: three integrals of a 2-row stack on the level-4 mesh
-    took 0.65 s and 191,000 page faults instead of 0.25 s and 370 (2-vCPU
-    x86-64 VM, glibc 2.36).  So the pad is set once, when the first mesh
-    is built, unless the caller has set malloc's own MALLOC_* variables or
-    glibc.malloc tunables; elsewhere than glibc this does nothing.
+    integrate frees every temporary of a run of cells before the next run
+    makes the same ones again, up to 128 kB each.  By default glibc hands
+    the freed top of its heap back to the kernel each time and faults the
+    pages in again for the next run: with runs of 2**15 nodes, three
+    integrals of a 2-row stack on the level-4 mesh took 0.65 s and 191,000
+    page faults instead of 0.25 s and 370 (2-vCPU x86-64 VM, glibc 2.36).
+    So the pad is set once, when the first mesh is built, unless the caller
+    has set malloc's own MALLOC_* variables or glibc.malloc tunables;
+    elsewhere than glibc this does nothing.
     """
     if (any(k.startswith("MALLOC_") for k in os.environ)
             or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
@@ -129,7 +130,7 @@ class BallQuadrature:
     """Tensor Gauss mesh on the upper half of the (rho, theta) rectangle.
 
     Only the mesh's 1-D axes are kept, each repeated over a cell's 4 x 4
-    nodes; nodes(i, j) forms any range of nodes.
+    nodes; nodes(a, b) forms the nodes of any run of rho cells.
     """
 
     n: int
@@ -147,11 +148,11 @@ class BallQuadrature:
         rn, rw = gauss_panels(rho_e, N_GAUSS)
         tn, tw = gauss_panels(th_e, N_GAUSS)
         # nodes are flattened in the order (rho cell, theta cell, rho node,
-        # theta node); integrate's summation tree depends on it.  sin, cos
-        # and the powers are taken on the 1-D axes as the per-node product
-        # takes them.  Each factor is then kept repeated over the other
-        # axis's nodes of a cell, so that nodes() multiplies runs of 16
-        # contiguous values instead of broadcasting runs of 4.
+        # theta node), so each rho cell is one contiguous run.  sin, cos and
+        # the powers are taken on the 1-D axes as the per-node product takes
+        # them.  Each factor is then kept repeated over the other axis's nodes
+        # of a cell, so that nodes() multiplies runs of 16 contiguous values
+        # instead of broadcasting runs of 4.
         rho, sin_th = rn[:, None, :, None], np.sin(tn)[None, :, None, :]
         self._rho, self._rw, self._rho_pow = (
             np.repeat(x, N_GAUSS, axis=3)
@@ -166,17 +167,11 @@ class BallQuadrature:
     def n_points(self):
         return 2 * self._rho.shape[0] * self._sin.size
 
-    def nodes(self, i=0, j=None):
-        """(s, t, w) of the upper-half nodes i, ..., j - 1 (default: all).
+    def nodes(self, a=0, b=None):
+        """(s, t, w) of the upper-half nodes of rho cells a, ..., b - 1 (default: all).
 
-        Formed from the axes of the rho cells that the range touches, then
-        cut to the range, with the same per-node products as the whole mesh.
+        Flat, in the whole mesh's node order, with the same per-node products.
         """
-        if j is None:
-            j = self.n_points // 2
-        cell = self._sin.size  # nodes per rho cell
-        a, b = i // cell, -(-j // cell)
-        lo, hi = i - a * cell, j - a * cell
         rho = self._rho[a:b]
         s = rho * self._sin
         t = rho * self._cos
@@ -184,55 +179,39 @@ class BallQuadrature:
         w *= self._rho_pow[a:b]
         w *= self._sin_pow
         w *= self._measure
-        return s.ravel()[lo:hi], t.ravel()[lo:hi], w.ravel()[lo:hi]
+        return s.ravel(), t.ravel(), w.ravel()
 
     def integrate(self, f, halves=False):
         """Integral over the ball of f(s, t); f maps equal-shape arrays.
 
         f must be pointwise in the nodes: its value at a node depends on
         that node's (s, t) alone, not on the other nodes of the call.  It is
-        called on consecutive ranges of at most BLOCK_NODES nodes, and every
-        integrand of the package is pointwise in this sense.  f may return a
-        stack of integrands with the node axis last; then each row is
-        integrated, and summed exactly as it would be alone.  With halves,
-        one call f(s, t) returns the pair (f(s, t), f(s, -t)), the integrand
-        on the mesh's upper half and on the mirrored lower half, for an f
-        that gets both from the same evaluations.
+        called on runs of whole rho cells, as many as fit in BLOCK_NODES
+        nodes (at least one), and every integrand of the package is pointwise
+        in this sense.  f may return a stack of integrands with the node axis
+        last; then each row is integrated, and summed exactly as it would be
+        alone.  With halves, one call f(s, t) returns the pair (f(s, t),
+        f(s, -t)), the integrand on the mesh's upper half and on the mirrored
+        lower half, for an f that gets both from the same evaluations.
 
-        The sum over nodes is numpy's pairwise sum of w * (upper + lower),
-        split the way np.sum splits it (_pairwise_sum) down to leaves of at
-        most BLOCK_NODES nodes.  Each leaf is summed by np.sum itself, and
-        the leaf sums are added back up the same tree: the result is that of
-        one np.sum over all nodes, whatever BLOCK_NODES, and no array is as
-        long as the mesh.
+        np.sum adds up w * (upper + lower) over each rho cell, then once more
+        over the cell sums.  Each np.sum sees one cell's values or all cell
+        sums, so the integral does not depend on BLOCK_NODES, and no array is
+        as long as the mesh.
         """
         pair = f if halves else lambda s, t: (f(s, t), f(s, -t))
+        cells, cell = self._rho.shape[0], self._sin.size
+        run = max(1, BLOCK_NODES // cell)
 
-        def leaf(i, j):
-            s, t, w = self.nodes(i, j)
+        def cell_sums(a):  # a function, so a run's arrays are freed before the next run
+            s, t, w = self.nodes(a, a + run)
             upper, lower = map(np.asarray, pair(s, t))
-            return np.sum(w * (upper + lower), axis=-1)
+            v = w * (upper + lower)
+            return np.sum(v.reshape(v.shape[:-1] + (-1, cell)), axis=-1)
 
-        total = _pairwise_sum(leaf, 0, self.n_points // 2)
+        sums = [cell_sums(a) for a in range(0, cells, run)]
+        total = np.sum(np.concatenate(sums, axis=-1), axis=-1)
         return float(total) if total.ndim == 0 else total
-
-
-def _pairwise_sum(leaf, i, j):
-    """np.sum's pairwise tree over the values i..j-1, with leaf(i, j) at its leaves.
-
-    numpy sums n > 128 values (its PW_BLOCKSIZE) as the sum of the first n2
-    and of the other n - n2, with n2 = n // 2 rounded down to a multiple of
-    8; shorter runs it adds in a fixed unrolled order, left to leaf here.
-    leaf(i, j) returns np.sum over values i..j-1, which runs the same tree
-    below it.  np.sum adds its tree to 0.0, so no leaf sum is -0.0, and the
-    leaf sums added up the tree equal 0.0 plus the whole tree, bit for bit.
-    """
-    n = j - i
-    if n <= max(BLOCK_NODES, 128):
-        return leaf(i, j)
-    n2 = n // 2
-    n2 -= n2 % 8
-    return _pairwise_sum(leaf, i, i + n2) + _pairwise_sum(leaf, i + n2, j)
 
 
 _MESH_CACHE = {}

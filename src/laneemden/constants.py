@@ -157,8 +157,8 @@ def compute_constants(profile: RadialProfile, b_mode="LIMIT", b_delta=0.01) -> E
                                          - pk.eu * _power_log_tail(r_top, mU)), 1e-3),
         "D2": (sn, pk.bv ** (p + 1.0) * (np.log(pk.bv) * _power_tail(r_top, mV)
                                          - pk.e2 * _power_log_tail(r_top, mV)), 1e-3),
-        "B1": (0.5 * sm, tail_U(float(n) - (q + 1.0) * pk.eu), 0.0),
-        "B2": (0.5 * sm, tail_V(float(n) - (p + 1.0) * pk.e2), 0.0),
+        "B1": (0.5 * sm, tail_U(float(n) - (q + 1.0) * pk.eu), 1e-3),
+        "B2": (0.5 * sm, tail_V(float(n) - (p + 1.0) * pk.e2), 1e-3),
         "C1": (sm, pk.bv * (pk.eu * pk.au * _power_tail(r_top, mC)
                             + pk.e2 * pk.cu2 * _power_tail(r_top, mC2)), 1e-2),
         "C2": (sm, pk.e2 * pk.bv * (pk.au * _power_tail(r_top, mC)

@@ -2,7 +2,9 @@
 
 The oracle tests require the package's profile kernel and cross-term
 integrals to equal these bit for bit: the arithmetic is the same, only the
-work skipped or shared changed.
+work skipped or shared changed.  Every integral here calls its integrand
+once on every node of the mesh and sums as BallQuadrature.integrate does
+(`sum_by_cells`): np.sum over each rho cell, then np.sum over the cell sums.
 
 - `profile_eval_where`: the profile kernel that forms the power tails at
   every radius and picks cubic or tail through `np.where`, also when every
@@ -11,8 +13,7 @@ work skipped or shared changed.
   four bubble evaluations, the integrand called once on the upper half of
   the mesh and once on the mirrored lower half.
 - `integrate_one_shot`: BallQuadrature.integrate with the integrand called
-  once on every node of the mesh and one np.sum over all nodes, not on the
-  leaves of a summation tree.
+  once on every node of the mesh, not on runs of rho cells.
 - `gradient_integrals_two_calls`: check_gradient_expansion's two integrals
   at one delta, the integrand called on the upper half of the mesh and
   again on the mirrored lower half.
@@ -45,11 +46,17 @@ def profile_eval_where(r, pack, parts):
     return tuple(out)
 
 
+def sum_by_cells(quad, w, upper, lower):
+    """The sum of w * (upper + lower) over the whole mesh's nodes, np.sum over
+    each rho cell and then over the cell sums."""
+    v = w * (upper + lower)
+    cell = quad.nodes(0, 1)[0].size
+    return np.sum(np.sum(v.reshape(v.shape[:-1] + (-1, cell)), axis=-1), axis=-1)
+
+
 def _two_calls(quad, f):
     s, t, w = quad.nodes()
-    upper = np.asarray(f(s, t))
-    lower = np.asarray(f(s, -t))
-    return np.sum(w * (upper + lower), axis=-1)
+    return sum_by_cells(quad, w, np.asarray(f(s, t)), np.asarray(f(s, -t)))
 
 
 def cross_integrals_two_calls(profile, quad, d):
@@ -94,6 +101,5 @@ def pairing_integrals_two_calls(profile, tab1, tab2, quad, d):
 def integrate_one_shot(quad, f, halves=False):
     pair = f if halves else lambda s, t: (f(s, t), f(s, -t))
     s, t, w = quad.nodes()
-    upper, lower = map(np.asarray, pair(s, t))
-    total = np.sum(w * (upper + lower), axis=-1)
+    total = sum_by_cells(quad, w, *map(np.asarray, pair(s, t)))
     return float(total) if total.ndim == 0 else total

@@ -220,54 +220,58 @@ def test_blocks_match_one_shot_integrals(n, level, prof_sym):
 
 @pytest.mark.parametrize("block", ["below", "equal", "uneven"])
 def test_block_size_does_not_change_integrals(block, prof_sym, monkeypatch):
-    """A mesh of fewer nodes than the leaf cap, of exactly one leaf, and one whose
-    summation tree splits five times into 32 leaves of 2,520 or 2,528 nodes under
-    a cap of 4,099 (80,736 nodes) integrate bit for bit as one call on every
-    node does."""
+    """A cap below one rho cell (runs of one cell), of the whole mesh (one run),
+    and one that makes runs of 5 cells and a short last run of 3 (58 cells of
+    1,392 nodes) integrate bit for bit as one call on every node does."""
     quad = get_quadrature(4, 0.01, 2)
-    size = quad.n_points // 2
+    size, cell = quad.n_points // 2, CELL_SIZES[1]
     monkeypatch.setattr(ballquad, "BLOCK_NODES",
-                        {"below": size + 1, "equal": size, "uneven": 4099}[block])
-    assert size == 80736
+                        {"below": cell - 1, "equal": size, "uneven": 5 * cell + 7}[block])
+    assert size == MESH_SIZES[1] == 58 * cell
     for f, halves in _integrands(prof_sym, 0.01):
         assert _same_bits(quad.integrate(f, halves=halves),
                           integrate_one_shot(quad, f, halves=halves))
 
 
 MESH_SIZES = [24816, 80736, 285120, 1071616, 4151808]  # levels 1-5, n = 4, delta_min 0.01
+CELL_SIZES = [752, 1392, 2640, 5152, 10176]  # nodes per rho cell of the same meshes
 
 
 def test_mesh_sizes():
-    assert [get_quadrature(4, 0.01, level).n_points // 2 for level in (1, 2, 3, 4, 5)] \
-        == MESH_SIZES
+    """Each mesh is a whole number of rho cells, and nodes(a, b) forms exactly
+    the (b - a) cells' nodes: one cell, three, and the last cell."""
+    for level, size, cell in zip((1, 2, 3, 4, 5), MESH_SIZES, CELL_SIZES):
+        quad = get_quadrature(4, 0.01, level)
+        assert quad.n_points // 2 == size and size % cell == 0
+        cells = size // cell
+        for a, b in ((0, 1), (5, 8), (cells - 1, cells)):
+            assert [x.size for x in quad.nodes(a, b)] == [(b - a) * cell] * 3
 
 
-@pytest.mark.parametrize("cap", [128, ballquad.BLOCK_NODES])
-@pytest.mark.parametrize("size", [1, 7, 8, 9, 127, 128, 129, 4099, ballquad.BLOCK_NODES - 1,
-                                  ballquad.BLOCK_NODES + 1, 2 * ballquad.BLOCK_NODES + 8]
-                         + MESH_SIZES)
-def test_leaf_tree_is_numpys_pairwise_sum(size, cap, monkeypatch):
-    """integrate's tree of leaf sums is np.sum's own summation order, bit for bit,
-    on a stack of rows and on one row, with leaves as small as numpy's unrolled
-    128-value blocks and as large as BLOCK_NODES.  Values span 16 decades with
-    both signs, among them +0.0 and -0.0, and one row holds signed zeros only.
-    A numpy that sums in another order fails here, not in every integral."""
-    monkeypatch.setattr(ballquad, "BLOCK_NODES", cap)
-    rng = np.random.default_rng(size)
-    x = np.empty((2, size))
-    x[0] = rng.standard_normal(size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
-    x[0, rng.integers(0, size, size // 16 + 1)] = 0.0
-    x[0, rng.integers(0, size, size // 16 + 1)] = -0.0
-    x[1] = np.where(rng.random(size) < 0.5, -0.0, 0.0)
-    for rows in (x, x[0], x[1]):
-        tree = ballquad._pairwise_sum(lambda i, j: np.sum(rows[..., i:j], axis=-1), 0, size)
-        assert np.asarray(tree).tobytes() == np.sum(rows, axis=-1).tobytes()
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_integrals_within_two_eps_of_fsum(n, level, prof_sym):
+    """Each row of a 5-row stack of positive integrands integrates to within
+    2 eps relative of math.fsum over its node values w * (upper + lower)."""
+    quad = get_quadrature(n, 0.01, level)
+    q = prof_sym.params.q
+
+    def stack(s, t):
+        U, V = bubble_uv(s, t, 1.0, 0.01, prof_sym, ("U", "V"))
+        return [U ** (q + 1.0), V * np.exp(-s) * np.cosh(t), np.sqrt(U * V),
+                np.exp(3.0 * t) / (1.0 + s * s), (1.0 + t) ** 4]
+
+    s, t, w = quad.nodes()
+    exact = [math.fsum(row) for row in w * (np.asarray(stack(s, t)) + stack(s, -t))]
+    got = quad.integrate(stack)
+    assert np.all(np.abs(got - exact) <= 2 * np.finfo(float).eps * np.abs(exact)), \
+        (got - exact) / exact
 
 
 def test_block_integral_memory_is_bounded(prof_sym):
     """A bubble integral allocates less than 32 node arrays of BLOCK_NODES values
-    (8 MiB) on the level-4 mesh (1,071,616 nodes) and on the level-5 mesh
-    (4,151,808 nodes) alike: the integrand's temporaries are leaf-sized, and no
+    (4 MiB) on the level-4 mesh (1,071,616 nodes) and on the level-5 mesh
+    (4,151,808 nodes) alike: the integrand's temporaries are run-sized, and no
     array grows with the mesh."""
     f = _bubble_power(prof_sym, 0.01, prof_sym.params.q + 1.0, False)
     get_quadrature(4, 0.01, 1).integrate(f)  # warm any lazily built state outside the trace
@@ -298,9 +302,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc")
 def test_leaves_reuse_the_heap_unless_the_caller_sets_malloc():
-    """Two level-4 integrals (64 leaves each) in a fresh process take few page
-    faults: the heap keeps its top between leaves.  A MALLOC_* value that the
-    caller sets is kept, and with MALLOC_TOP_PAD_=0 every leaf faults its
+    """Two level-4 integrals (70 runs of rho cells each) in a fresh process take
+    few page faults: the heap keeps its top between runs.  A MALLOC_* value that
+    the caller sets is kept, and with MALLOC_TOP_PAD_=0 every run faults its
     temporaries in again."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {k: v for k, v in os.environ.items()

@@ -128,6 +128,13 @@ def test_tail_robustness(prof_sym, consts_sym):
         assert abs(a - b) <= budget
 
 
+def test_b_error_covers_the_tail_exponent(consts_case2):
+    """At p = 1.9 the V tail of B2 decays only like r^-1.8: B2 moved by 4.4e-5 when
+    the pack's V exponent went from the fitted 2.0000474 to the theory's 2, and
+    err_B2 carries a share of the tail that covers that move."""
+    assert consts_case2.err["B2"] >= 4.4e-5
+
+
 def test_delta_mode_reported(prof_sym):
     c = compute_constants(prof_sym, b_mode="DELTA", b_delta=0.01)
     assert c.mode == "DELTA"

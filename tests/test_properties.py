@@ -66,28 +66,28 @@ def _whole_mesh(n, level):
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.sampled_from([4, 5]), level=st.integers(1, 3),
-       kind=st.sampled_from(["one", "across", "whole", "any"]), data=st.data())
+       kind=st.sampled_from(["one", "last", "whole", "any"]), data=st.data())
 def test_node_ranges_match_whole_mesh_bitwise(n, level, kind, data):
-    """nodes(i, j) is the slice i:j of the whole mesh's (s, t, w), bit for bit:
-    one node, ranges across the boundaries between rho cells, the whole mesh and
-    any range."""
+    """nodes(a, b) is the whole mesh's (s, t, w) over rho cells a..b-1, bit for
+    bit, and exactly (b - a) cells long: one cell, a run to the last cell, the
+    whole mesh and any run."""
     quad, whole, cell = _whole_mesh(n, level)
     size = quad.n_points // 2
     assert size % cell == 0 and size // cell > 2
+    cells = size // cell
     if kind == "one":
-        i = data.draw(st.integers(0, size - 1))
-        j = i + 1
-    elif kind == "across":
-        edge = cell * data.draw(st.integers(1, size // cell - 1))
-        i = edge - data.draw(st.integers(1, min(2 * cell, edge)))
-        j = edge + data.draw(st.integers(1, min(2 * cell, size - edge)))
+        a = data.draw(st.integers(0, cells - 1))
+        b = a + 1
+    elif kind == "last":
+        a, b = data.draw(st.integers(0, cells - 1)), cells
     elif kind == "whole":
-        i, j = 0, size
+        a, b = 0, cells
     else:
-        i = data.draw(st.integers(0, size - 1))
-        j = data.draw(st.integers(i + 1, size))
-    got = quad.nodes(i, j)
-    assert [a.tobytes() for a in got] == [b[i:j].tobytes() for b in whole]
+        a = data.draw(st.integers(0, cells - 1))
+        b = data.draw(st.integers(a + 1, cells))
+    got = quad.nodes(a, b)
+    assert [x.size for x in got] == [(b - a) * cell] * 3
+    assert [x.tobytes() for x in got] == [y[a * cell:b * cell].tobytes() for y in whole]
 
 
 def panel_edges_loop(sig, tau, rho_big, r_top):

@@ -139,28 +139,25 @@ def test_cross_terms_case2(prof_case2):
 def test_cross_terms_match_two_call_reference(prof_case2, monkeypatch):
     """Each delta's two cross integrals are those of the integrand called on both
     halves of the mesh with four bubble evaluations, by float.hex, from one
-    integrate call and two bubble evaluations."""
+    integrate call and two bubble evaluations on each upper-half node."""
     deltas = (0.02, 0.01, 0.005)
     quad = get_quadrature(4, min(deltas))
     want = [[float(v).hex() for v in cross_integrals_two_calls(prof_case2, quad, d)]
             for d in deltas]
-    calls = {"integrate": 0, "bubble_uv": 0}
+    calls = {"integrate": 0}
+    real = type(quad).integrate
 
-    def counted(owner, name):
-        real = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counted(type(quad), "integrate")
-    counted(verify, "bubble_uv")
+    def counted(*args, **kwargs):
+        calls["integrate"] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(type(quad), "integrate", counted)
+    points = _count_points(monkeypatch)
     rep = check_cross_terms(prof_case2, deltas)
     got = [[float(u).hex(), float(v).hex()]
            for u, v in zip(rep.samples["u_cross"], rep.samples["v_cross"])]
     assert got == want
-    assert calls == {"integrate": 3, "bubble_uv": 6}
+    assert calls == {"integrate": 3}
+    assert points == {"bubble": 3 * quad.n_points, "lookup": 0}
 
 
 def _count_points(monkeypatch):
