@@ -108,11 +108,12 @@ def symmetry_and_compatibility_check(field: AnsatzField, quad, t_exponent=None):
     """Integrals of the field and of its signed power over the ball.
 
     Both vanish analytically for the odd-symmetric fields; the check
-    validates that the quadrature preserves the symmetry.
+    validates that the quadrature preserves the symmetry.  The power is q
+    for W1/PW1 and p for W2/PW2 unless t_exponent is given.
     """
     if t_exponent is None:
         pp = field.profile.params
-        t_exponent = pp.q_eps if field.kind in (W1, PW1_APPROX) else pp.p_eps
+        t_exponent = pp.q if field.kind in (W1, PW1_APPROX) else pp.p
 
     def integrands(s, t):
         v = field.eval_st(s, t)

@@ -44,9 +44,7 @@ class RunConfig:
     mesh_level: int = 1
     out: str = "out"
     checks: tuple = V.CHECK_NAMES
-    b_mode: str = "LIMIT"
-    b_delta: float = 0.01
-    seed_free: bool = False
+    b_delta: float = 0.0
 
     def validate(self, command="verify"):
         """Reject bad settings up front; the phi checks' n = 4 limit binds verify only."""
@@ -67,10 +65,11 @@ class RunConfig:
             raise ConfigError("eps samples must lie in (0, 0.1]")
         if self.d <= 0:
             raise ConfigError("d must be positive")
-        if self.b_mode not in ("LIMIT", "DELTA"):
-            raise ConfigError("b_mode must be LIMIT or DELTA")
-        if not 0 < self.b_delta <= 0.1:
-            raise ConfigError("b_delta must lie in (0, 0.1]")
+        # the paper's perturbed exponents p + alpha eps, q + beta eps have slopes > 0
+        if self.alpha <= 0 or self.beta <= 0:
+            raise ConfigError("alpha and beta must be positive")
+        if not 0 <= self.b_delta <= 0.1:
+            raise ConfigError("b_delta must be 0 (the delta -> 0 limit) or lie in (0, 0.1]")
         unknown = [c for c in self.checks if c not in V.CHECK_NAMES]
         if unknown:
             raise ConfigError(f"unknown checks: {unknown}")
@@ -89,9 +88,6 @@ class RunConfig:
         if command == "verify" and self.n != 4 and phi_checks:
             raise ConfigError(f"checks {phi_checks} need the half-space corrections, "
                               "implemented for n = 4 only")
-        # it isolates the eps part by differencing the alpha > 0 and alpha = 0 runs
-        if command == "verify" and "nonlinear_energy" in self.checks and self.alpha <= 0:
-            raise ConfigError("the nonlinear_energy check needs alpha > 0")
         return self
 
     def as_dict(self):
@@ -111,10 +107,6 @@ def _coerce(key, raw):
     if not isinstance(raw, str):  # argparse reads --out=-- as []
         raise ConfigError(f"{key} takes a text value, not {raw!r}")
     default, s = _DEFAULTS[key], raw.strip()
-    if isinstance(default, bool):
-        if s.lower() not in ("1", "true", "yes", "0", "false", "no"):
-            raise ConfigError(f"{key} takes 1, true, yes, 0, false or no, not {s!r}")
-        return s.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(s)
     if isinstance(default, float):
@@ -122,7 +114,7 @@ def _coerce(key, raw):
     if isinstance(default, tuple):
         items = [t.strip() for t in s.split(",") if t.strip()]
         return tuple(items) if key == "checks" else tuple(parse_exponent(t) for t in items)
-    return s.upper() if key == "b_mode" else s
+    return s
 
 
 def load_config(path) -> dict:
@@ -194,7 +186,7 @@ def cmd_ground_state(cfg):
 
 def cmd_constants(cfg):
     params, prof = _ground_state(cfg)
-    consts = compute_constants(prof, b_mode=cfg.b_mode, b_delta=cfg.b_delta)
+    consts = compute_constants(prof, b_delta=cfg.b_delta)
     rec = consts.as_dict()
     rec.update(_meta(cfg))
     write_json(Path(cfg.out) / "constants.json", rec)
@@ -203,8 +195,8 @@ def cmd_constants(cfg):
     print(f"B1 = {consts.B1:.8g}  B2 = {consts.B2:.8g}")
     print(f"C1 = {consts.C1:.8g}  C2 = {consts.C2:.8g}")
     print(f"D1 = {consts.D1:.8g}  D2 = {consts.D2:.8g}")
-    if cfg.b_mode == "DELTA":
-        print(f"B mode DELTA at delta = {cfg.b_delta}")
+    if cfg.b_delta:
+        print(f"B1, B2 at delta = {cfg.b_delta}")
     return 0
 
 
@@ -309,13 +301,13 @@ def cmd_report(cfg):
     return 0 if overall else 1
 
 
-_COMMON_KEYS = ("out", "seed_free", "n", "p", "alpha", "beta", "r_max", "ode_tol")
+_COMMON_KEYS = ("out", "n", "p", "alpha", "beta", "r_max", "ode_tol")
 # every RunConfig field is a common key or some command's key
-_COMMAND_KEYS = {"ground-state": (), "constants": ("b_mode", "b_delta"),
+_COMMAND_KEYS = {"ground-state": (), "constants": ("b_delta",),
                  "reduced-energy": ("eps",),
                  "verify": ("checks", "deltas", "eps", "d", "mesh_level"), "report": ()}
 _HELP = {"out": "output directory",
-         "seed_free": "assert that the run draws no random numbers",
+         "b_delta": "boundary-strip delta of B1, B2; 0 (default) is the delta -> 0 limit",
          "p": "exponent p (decimal or rational like 11/3)",
          "checks": "comma-separated subset of: " + ",".join(V.CHECK_NAMES)}
 
@@ -323,10 +315,7 @@ _HELP = {"out": "output directory",
 def _add_flags(parser, keys):
     """One --key-name flag per RunConfig field; values stay text for _coerce."""
     for key in keys:
-        # default None, not False, so that seed_free = true in a file survives
-        kw = {"action": "store_const", "const": "true"} if key == "seed_free" else {}
-        parser.add_argument("--" + key.replace("_", "-"), default=None, help=_HELP.get(key),
-                            **kw)
+        parser.add_argument("--" + key.replace("_", "-"), default=None, help=_HELP.get(key))
 
 
 def make_parser():
@@ -352,24 +341,17 @@ def main(argv=None):
     except (ValueError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    rng_state = np.random.get_state()[1].copy() if cfg.seed_free else None
     try:
         handler = {"ground-state": cmd_ground_state, "constants": cmd_constants,
                    "reduced-energy": cmd_reduced_energy, "verify": cmd_verify,
                    "report": cmd_report}[args.command]
-        rc = handler(cfg)
+        return handler(cfg)
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericalFailure as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    if cfg.seed_free:
-        if not np.array_equal(rng_state, np.random.get_state()[1]):
-            print("seed-free assertion failed: global RNG state changed",
-                  file=sys.stderr)
-            return 3
-    return rc
 
 
 if __name__ == "__main__":

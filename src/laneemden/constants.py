@@ -8,9 +8,10 @@ also has a direct 2D form used as a consistency oracle):
     C1 = -int_{R^{n-1}} |x'| U'(|x'|) V(|x'|) dx' > 0       (C2 swaps roles),
     D1 = int_{R^n} U^(q+1) log U,      D2 = int_{R^n} V^(p+1) log V.
 
-B1, B2 are reported at their delta -> 0 limit; the delta-dependent
-boundary-strip integral (mode DELTA) converges to it first-order and
-serves as the validation oracle.
+B1, B2 are reported at their delta -> 0 limit by default; the
+delta-dependent boundary-strip integral (compute_constants with
+b_delta > 0) converges to it first-order and serves as the validation
+oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class EnergyConstants:
     D1: float
     D2: float
     err: dict
-    mode: str = "LIMIT"
     delta_used: float = 0.0
 
     def as_dict(self):
@@ -80,7 +80,7 @@ def _power_log_tail(r_max, m):
 
 
 def compute_B_delta(profile: RadialProfile, delta: float):
-    """Boundary-strip integrals at finite delta (the validation oracle of LIMIT).
+    """Boundary-strip integrals at finite delta (the validation oracle of the limit).
 
     B1(delta) integrates delta^(-n-1) U^(q+1)(|x - e_n|/delta) over the thin
     lens between the sphere and the tangent plane, radius sqrt(15)/8.
@@ -106,16 +106,17 @@ def compute_B_delta(profile: RadialProfile, delta: float):
     return {"B1": strip(U ** (q + 1.0)), "B2": strip(V ** (p + 1.0))}
 
 
-def compute_constants(profile: RadialProfile, b_mode="LIMIT", b_delta=0.01) -> EnergyConstants:
+def compute_constants(profile: RadialProfile, b_delta=0.0) -> EnergyConstants:
     """Assemble all eight constants with error estimates.
 
     One stack of eight radial integrands is integrated at k = 12 and 20,
     with one profile evaluation per rule; the k = 20 value plus its
     closed-form tail, times the constant's measure, is the constant, and
-    the rule difference plus a share of the tail is its error.
+    the rule difference plus a share of the tail is its error.  A b_delta
+    of 0 gives B1, B2 at their delta -> 0 limit; a b_delta in (0, 0.1]
+    gives the boundary-strip values there, each with its distance from the
+    limit as its error.
     """
-    if b_mode not in ("LIMIT", "DELTA"):
-        raise DomainError(f"b_mode must be LIMIT or DELTA, not {b_mode!r}")
     n, p, q = profile.params.n, profile.params.p, profile.params.q
     pk = profile.interp_pack
     # with the theory's exponents (q+1)*eu > n+1 for every ProblemParams, so U's
@@ -168,10 +169,10 @@ def compute_constants(profile: RadialProfile, b_mode="LIMIT", b_delta=0.01) -> E
     parts = {key: (meas * (v + tail), meas * (e + abs(tail) * w))
              for (key, (meas, tail, w)), v, e in zip(table.items(), hi, abs(hi - lo))}
     delta_used = 0.0
-    if b_mode == "DELTA":
+    if b_delta:  # compute_B_delta refuses a negative or NaN delta
         bd = compute_B_delta(profile, b_delta)
         parts.update({k: (bd[k], abs(bd[k] - parts[k][0])) for k in ("B1", "B2")})
         delta_used = b_delta
     return EnergyConstants(**{k: v for k, (v, _) in parts.items()},
                            err={k: e for k, (_, e) in parts.items()},
-                           mode=b_mode, delta_used=delta_used)
+                           delta_used=delta_used)

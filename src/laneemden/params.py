@@ -63,7 +63,6 @@ class ProblemParams:
     p: float
     alpha: float = 0.0
     beta: float = 0.0
-    epsilon: float = 0.0
     q: float = field(init=False)
     case_tag: str = field(init=False)
 
@@ -72,8 +71,8 @@ class ProblemParams:
             raise DomainError(f"n={self.n}: only n >= 4 is supported")
         if not 1.0 < self.p <= (self.n + 2.0) / (self.n - 2.0):
             raise DomainError(f"p={self.p} outside (1, (n+2)/(n-2)]")
-        if not all(0 <= x < np.inf for x in (self.alpha, self.beta, self.epsilon)):
-            raise DomainError("alpha, beta, epsilon must be finite and nonnegative")
+        if not all(0 <= x < np.inf for x in (self.alpha, self.beta)):
+            raise DomainError("alpha, beta must be finite and nonnegative")
         q = critical_exponent(self.n, self.p)
         object.__setattr__(self, "q", q)
         border = self.n / (self.n - 2.0)
@@ -89,14 +88,6 @@ class ProblemParams:
             raise DomainError(f"hyperbola residual {resid:.3e} exceeds {HYPERBOLA_TOL}")
         if self.q < self.p - 1e-12:
             raise DomainError(f"require p <= q, got p={self.p} > q={self.q}")
-
-    @property
-    def p_eps(self):
-        return self.p + self.alpha * self.epsilon
-
-    @property
-    def q_eps(self):
-        return self.q + self.beta * self.epsilon
 
     @property
     def su(self):

@@ -93,11 +93,6 @@ def _verdict(ok):
     return "PASS" if ok else "FAIL"
 
 
-def applied_slope(slope):
-    """The exponent slope alpha or beta as the checks apply it: a zero slope reads as 1."""
-    return slope if slope > 0 else 1.0
-
-
 def aubin_talenti(n):
     """Closed-form bubble at the symmetric point, with three derivatives."""
     c = 1.0 / (n * (n - 2.0))
@@ -513,6 +508,8 @@ def f_taylor_remainders(q, beta, eps, t):
 
 def check_f_taylor(params, t_samples=None):
     """Remainder/envelope ratios of the perturbed-power expansions; all must be <= 1."""
+    if params.alpha <= 0 or params.beta <= 0:
+        raise DomainError("the perturbed-power check needs alpha > 0 and beta > 0")
     tol = 1.0
     eps_values = (0.1, 0.01)
     if t_samples is None:
@@ -520,8 +517,7 @@ def check_f_taylor(params, t_samples=None):
     t = np.asarray(t_samples, dtype=float)
     worst = 0.0
     for eps in eps_values:
-        for expo, slope in ((params.q, applied_slope(params.beta)),
-                            (params.p, applied_slope(params.alpha))):
+        for expo, slope in ((params.q, params.beta), (params.p, params.alpha)):
             xi, xb, eta, eb = f_taylor_remainders(expo, slope, eps, t)
             good = xb > 1e-290
             if np.any(good):
@@ -545,8 +541,9 @@ def check_norm_orders(profile, corr1, eps_list, d=0.2, level=1, beta=1.0):
     like a power of 1/delta), so the order is fitted after deflating the
     predicted log factor; the raw log-log order is reported alongside.
     """
+    if beta <= 0:
+        raise DomainError("the perturbed-norm check needs beta > 0")
     min_order = 0.9
-    beta = applied_slope(beta)
     pp = profile.params
     q = pp.q
     deltas = [d * e for e in eps_list]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from laneemden.cli import RunConfig, _meta, build_config, load_config, main, make_parser
-from laneemden.constants import compute_constants
+from laneemden.constants import compute_B_delta, compute_constants
 from laneemden.errors import ConfigError, NumericalFailure
 from laneemden import verify as V
 from laneemden.verify import CHECK_NAMES, CHECK_READS, ExpansionReport, reads_phi
@@ -27,19 +27,17 @@ def test_config_file_parsing(tmp_path):
         "n = 4\n"
         "p = 11/3\n"
         "deltas = 0.04, 0.02\n"
-        "checks = bubble_mass, exponent_taylor\n"
-        "b_mode = delta\n"
-        "seed_free = true\n")
+        "checks = bubble_mass, exponent_taylor\n")
     got = load_config(cfg_file)
     assert got["n"] == 4
     assert got["p"] == pytest.approx(11.0 / 3.0)
     assert got["deltas"] == (0.04, 0.02)
     assert got["checks"] == ("bubble_mass", "exponent_taylor")
-    assert got["b_mode"] == "DELTA"
-    assert got["seed_free"] is True
 
 
-def test_config_unknown_key(tmp_path):
+def test_config_unknown_key(monkeypatch, tmp_path):
+    import laneemden.cli as cli
+    import laneemden.radial as radial
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("nope = 1\n")
     with pytest.raises(ConfigError):
@@ -48,6 +46,17 @@ def test_config_unknown_key(tmp_path):
         cfg_file.write_text(f"{key} = 1\n")
         with pytest.raises(ConfigError):
             load_config(cfg_file)
+    # b_delta alone selects B, and no module draws random numbers
+    monkeypatch.setattr(cli, "find_ground_state", _no_solve)
+    monkeypatch.setattr(radial, "find_ground_state", _no_solve)
+    out = tmp_path / "out"
+    for line in ("b_mode = DELTA", "b_mode = LIMIT", "seed_free = true", "seed_free = no"):
+        cfg_file.write_text(line + "\n")
+        with pytest.raises(ConfigError):
+            load_config(cfg_file)
+        for command in COMMANDS:
+            assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_config_malformed_line(tmp_path):
@@ -98,16 +107,19 @@ def test_validate_rejects_bad_samples():
     # every range test is false for NaN; an infinite r_max starts a solve with no end
     for bad in ({"deltas": (nan, 0.02)}, {"eps": (0.02, nan)}, {"d": nan}, {"alpha": nan},
                 {"beta": inf}, {"p": nan}, {"ode_tol": nan}, {"r_max": inf}, {"r_max": 0.0},
-                {"r_max": -1.0}, {"b_delta": nan}, {"b_delta": 0.5}, {"b_delta": 0.0}):
+                {"r_max": -1.0}, {"b_delta": nan}, {"b_delta": 0.5}, {"b_delta": -0.01}):
         for command in COMMANDS:
             with pytest.raises(ConfigError):
                 RunConfig(**bad).validate(command)
-    # nonlinear_energy differences the alpha > 0 and alpha = 0 runs
-    for checks in (CHECK_NAMES, ("nonlinear_energy",)):
-        with pytest.raises(ConfigError):
-            RunConfig(alpha=0.0, checks=checks).validate("verify")
-        RunConfig(alpha=0.0, checks=checks).validate("reduced-energy")
-    RunConfig(alpha=0.0, checks=("bubble_mass",)).validate("verify")
+    # b_delta 0 is the delta -> 0 limit of B
+    for command in COMMANDS:
+        RunConfig(b_delta=0.0).validate(command)
+    # the perturbed exponents p + alpha eps, q + beta eps need slopes > 0, whatever runs
+    for slopes in ({"alpha": 0.0}, {"beta": 0.0}, {"alpha": -1.0}, {"beta": -1.0}):
+        for checks in (CHECK_NAMES, ("nonlinear_energy",), ("bubble_mass",)):
+            for command in COMMANDS:
+                with pytest.raises(ConfigError, match="alpha and beta"):
+                    RunConfig(checks=checks, **slopes).validate(command)
     for command in COMMANDS:
         for empty in ("checks", "deltas", "eps"):
             with pytest.raises(ConfigError):
@@ -160,7 +172,9 @@ def test_each_flag_is_a_config_field():
     assert seen == fields | {"config"}
 
 
-def test_exit_code_usage_error(capsys):
+def test_exit_code_usage_error(monkeypatch, tmp_path, capsys):
+    import laneemden.cli as cli
+    import laneemden.radial as radial
     assert main(["ground-state", "--p", "2.0", "--out", "/tmp/x"]) == 2
     assert main(["ground-state", "--p", "1.5", "--out", "/tmp/x"]) == 2
     # flags with no effect on a run do not exist, so argparse rejects them
@@ -170,6 +184,16 @@ def test_exit_code_usage_error(capsys):
     # the mesh is only used by verify's checks
     assert main(["ground-state", "--mesh-level", "3"]) == 2
     assert "accelerated" not in _meta(RunConfig())
+    # b_delta alone selects B, no module draws random numbers, and the perturbed
+    # exponents take slopes > 0: refused on every command before any solve
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "find_ground_state", _no_solve)
+    monkeypatch.setattr(radial, "find_ground_state", _no_solve)
+    for command in COMMANDS:
+        for bad in (["--b-mode", "DELTA"], ["--b-mode", "LIMIT"], ["--seed-free"],
+                    ["--alpha", "0"], ["--beta", "-1"], ["--alpha", "0", "--beta", "0"]):
+            assert main([command, "--out", str(out)] + bad) == 2, (command, bad)
+    assert not out.exists()
 
 
 def test_exit_code_check_failure(monkeypatch, tmp_path):
@@ -391,21 +415,15 @@ def test_degenerate_lists_rejected_before_any_solve(monkeypatch, tmp_path):
                  ["ground-state", "--r-max=-1"],
                  ["verify", "--alpha", "0", "--checks", "nonlinear_energy"],
                  ["verify", "--alpha", "0"],
-                 ["constants", "--b-mode", "DELTA", "--b-delta", "0.5"],
-                 ["constants", "--b-delta", "0"]):
-        assert main(argv + ["--out", str(tmp_path)]) == 2, argv
-
-
-def test_bool_takes_only_a_yes_or_no_word(monkeypatch, tmp_path):
-    import laneemden.cli as cli
-    monkeypatch.setattr(cli, "find_ground_state", _no_solve)
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("seed_free = ture\n")
-    assert main(["constants", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
-    cfg_file.write_text("seed_free = No\n")
-    assert load_config(cfg_file)["seed_free"] is False
-    args = make_parser().parse_args(["constants", "--config", str(cfg_file), "--seed-free"])
-    assert build_config(args).seed_free is True
+                 ["verify", "--beta", "0", "--checks", "perturbed_norms"],
+                 ["verify", "--alpha", "0", "--beta", "0", "--checks", "exponent_taylor"],
+                 # G is defined for slopes > 0 only; refused before the solve, not after
+                 ["reduced-energy", "--alpha", "0", "--beta", "0"],
+                 ["reduced-energy", "--beta=-1"],
+                 ["constants", "--b-delta", "0.5"],
+                 ["constants", "--b-delta=-0.01"]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2, argv
+    assert not (tmp_path / "out").exists()
 
 
 def test_params_check_runs_for_n5(tmp_path):
@@ -524,6 +542,48 @@ def test_saved_profile_takes_the_commands_slopes(monkeypatch, tmp_path, solves):
     assert main(["reduced-energy", "--out", "out"] + slopes) == 0
     assert solves[-1].alpha == 2.0 and solves[-1].beta == 0.5
     assert _outputs(a / "out") == _outputs(b / "out")
+
+
+def test_b_delta_alone_selects_the_strip_value(monkeypatch, tmp_path, solves, prof_sym):
+    """constants --b-delta 0.05 writes B1, B2 of the boundary strip at 0.05, and
+    --b-delta 0 writes what the default, the delta -> 0 limit, writes."""
+    monkeypatch.chdir(tmp_path)
+
+    def constants(*flags):
+        assert main(["constants", "--out", "out", *flags]) == 0
+        rec = json.loads((tmp_path / "out" / "constants.json").read_text())
+        return rec, {k: v for k, v in rec.items() if k not in (
+            "B1", "B2", "err_B1", "err_B2", "delta_used", "config")}
+
+    (limit, rest), (zero, _), (strip, strip_rest) = (
+        constants(), constants("--b-delta", "0"), constants("--b-delta", "0.05"))
+    assert zero == limit and limit["delta_used"] == 0.0
+    assert strip["delta_used"] == 0.05 and strip["config"]["b_delta"] == 0.05
+    want = compute_B_delta(prof_sym, 0.05)
+    assert (strip["B1"], strip["B2"]) == (want["B1"], want["B2"])
+    assert strip["B1"] != limit["B1"] and strip["B2"] != limit["B2"]
+    assert strip_rest == rest
+
+
+def test_profile_with_an_epsilon_param_loads(tmp_path, prof_sym):
+    """A sidecar whose params carry "epsilon": 0.0, as ground-state wrote before
+    ProblemParams lost that field, loads to the same profile."""
+    import laneemden.cli as cli
+    from laneemden.radial import load_profile
+    prof_sym.to_csv(tmp_path / "profile.csv", tmp_path / "profile.json")
+    side = json.loads((tmp_path / "profile.json").read_text())
+    assert "epsilon" not in side["params"]
+    side["params"]["epsilon"] = 0.0
+    (tmp_path / "profile.json").write_text(json.dumps(side))
+    cfg = RunConfig(out=str(tmp_path))
+    for prof in (load_profile(tmp_path / "profile.csv", tmp_path / "profile.json"),
+                 cli._saved_profile(cfg, prof_sym.params)):
+        assert prof.params == prof_sym.params
+        assert (prof.v0, prof.r_max, prof.ode_tol, prof.tail) == (
+            prof_sym.v0, prof_sym.r_max, prof_sym.ode_tol, prof_sym.tail)
+        for name, got, want in zip(prof.interp_pack._fields, prof.interp_pack,
+                                   prof_sym.interp_pack):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
 
 def _cut_mid_row(d):
@@ -649,26 +709,50 @@ def test_commands_on_a_saved_profile_import_no_scipy(tmp_path, prof_sym):
     assert (tmp_path / "case2" / "profile.json").is_file()
 
 
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _package_nodes():
+    """(module file name, node) for every AST node of every module under src/laneemden."""
+    pkg = os.path.join(ROOT, "src", "laneemden")
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read(), name)
+            yield from ((name, node) for node in ast.walk(tree))
+
+
+def _imported(node):
+    """The absolute module names an import names: numpy for import numpy, and
+    numpy and numpy.random for from numpy import random."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+    return []
+
+
+def test_no_module_draws_random_numbers():
+    """No module under src/laneemden imports random, refers to numpy.random or
+    names default_rng, so no run draws random numbers; criterion 15 checks that
+    repeated runs write the same bytes."""
+    for name, node in _package_nodes():
+        where = (name, getattr(node, "lineno", None))
+        assert not any(m.split(".")[0] == "random" or m.startswith("numpy.random")
+                       or m.endswith("default_rng") for m in _imported(node)), where
+        assert not (isinstance(node, ast.Attribute) and node.attr == "random"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")), where
+        assert not (isinstance(node, ast.Attribute) and node.attr == "default_rng"), where
+        assert not (isinstance(node, ast.Name) and node.id == "default_rng"), where
+
+
 def test_runtime_dependencies_are_numpy_only():
     """No module under src/laneemden imports scipy, and pyproject.toml's run-time
     dependencies name numpy alone (scipy is in the test extra, as an oracle)."""
     tomllib = pytest.importorskip("tomllib")
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
-    pkg = os.path.join(root, "src", "laneemden")
-    for name in sorted(os.listdir(pkg)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(pkg, name), encoding="utf-8") as f:
-            tree = ast.parse(f.read(), name)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                mods = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                mods = [node.module or ""]
-            else:
-                continue
-            assert all(m.split(".")[0] != "scipy" for m in mods), (name, node.lineno)
-    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+    for name, node in _package_nodes():
+        assert all(m.split(".")[0] != "scipy" for m in _imported(node)), (name, node.lineno)
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
         project = tomllib.load(f)["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", d).group(0) for d in project["dependencies"]]
     assert names == ["numpy"]

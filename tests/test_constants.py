@@ -136,8 +136,7 @@ def test_b_error_covers_the_tail_exponent(consts_case2):
 
 
 def test_delta_mode_reported(prof_sym):
-    c = compute_constants(prof_sym, b_mode="DELTA", b_delta=0.01)
-    assert c.mode == "DELTA"
+    c = compute_constants(prof_sym, b_delta=0.01)
     assert c.delta_used == 0.01
     lim = compute_constants(prof_sym).B1
     assert abs(c.B1 - lim) / lim <= 0.05
@@ -146,23 +145,39 @@ def test_delta_mode_reported(prof_sym):
 def test_b_delta_outside_range_is_a_domain_error(prof_sym):
     """An out-of-range delta is an argument error (exit 2), not a numerical failure."""
     for call in (lambda: compute_B_delta(prof_sym, 0.5), lambda: compute_B_delta(prof_sym, 0.0),
-                 lambda: compute_constants(prof_sym, b_mode="DELTA", b_delta=0.5)):
+                 lambda: compute_constants(prof_sym, b_delta=0.5)):
         with pytest.raises(DomainError, match="outside") as err:
             call()
         assert not isinstance(err.value, NumericalFailure)
 
 
-@pytest.mark.parametrize("mode", ["LIMTI", "limit", ""])
-def test_unknown_b_mode_rejected(prof_sym, mode):
-    with pytest.raises(DomainError, match="b_mode"):
-        compute_constants(prof_sym, b_mode=mode)
+@pytest.mark.parametrize("b_delta", [-0.01, float("nan"), float("inf")])
+def test_b_delta_off_its_range_rejected(prof_sym, b_delta):
+    """b_delta alone selects B: 0 is the limit, (0, 0.1] the strip; any other value is refused."""
+    with pytest.raises(DomainError, match="outside"):
+        compute_constants(prof_sym, b_delta=b_delta)
+
+
+@pytest.mark.parametrize("delta", [0.005, 0.01, 0.1])
+def test_b_delta_gives_the_strip_value_bit_for_bit(prof_sym, consts_sym, delta):
+    """B1, B2 are compute_B_delta's, each err is its distance from the limit, and
+    every other constant is the limit run's, all bit for bit."""
+    c, strip = compute_constants(prof_sym, b_delta=delta), compute_B_delta(prof_sym, delta)
+    got, lim = c.as_dict(), consts_sym.as_dict()
+    for k in ("B1", "B2"):
+        assert got[k].hex() == strip[k].hex()
+        assert got[f"err_{k}"].hex() == abs(strip[k] - lim[k]).hex()
+    assert c.delta_used == delta and consts_sym.delta_used == 0.0
+    assert {k: v.hex() for k, v in got.items() if "B" not in k and k != "delta_used"} == {
+        k: v.hex() for k, v in lim.items() if "B" not in k and k != "delta_used"}
 
 
 def test_as_dict_keys(consts_sym):
     d = consts_sym.as_dict()
     for k in ("A1", "A2", "B1", "B2", "C1", "C2", "D1", "D2",
-              "err_A1", "err_D2", "mode", "delta_used"):
+              "err_A1", "err_D2", "delta_used"):
         assert k in d
+    assert "mode" not in d  # delta_used names the B in use
 
 
 def test_tail_divergence_guard(tmp_path, prof_sym, monkeypatch):

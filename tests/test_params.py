@@ -90,7 +90,7 @@ def test_rejects_bad_inputs():
         ProblemParams(n=4, p=0.9)
     with pytest.raises(DomainError):
         ProblemParams(n=4, p=3.2)
-    for slope in ("alpha", "beta", "epsilon"):
+    for slope in ("alpha", "beta"):
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(DomainError):
                 ProblemParams(n=4, p=3.0, **{slope: bad})
@@ -104,8 +104,3 @@ def test_parse_exponent():
     with pytest.raises(ValueError):
         parse_exponent("1/0")
 
-
-def test_perturbed_exponents():
-    pp = ProblemParams(n=4, p=3.0, alpha=2.0, beta=0.5, epsilon=0.01)
-    assert pp.p_eps == pytest.approx(3.02)
-    assert pp.q_eps == pytest.approx(3.005)

@@ -376,12 +376,11 @@ def run_configs(draw):
     # the phi checks are implemented for n = 4 only
     names = [c for c in CHECK_NAMES if n == 4 or not reads_phi(c)]
     checks = tuple(draw(st.lists(st.sampled_from(names), unique=True, min_size=1)))
-    alpha = _number_text(0.0, 5.0)
-    if "nonlinear_energy" in checks:  # which needs alpha > 0
-        alpha = alpha.filter(lambda t: Fraction(t) > 0)
+    # the slopes of the perturbed exponents, in (0, 5]
+    slope = _number_text(0.0, 5.0).filter(lambda t: Fraction(t) > 0)
     # a rational exponent, admissible for n = 4
     texts = {"p": draw(st.one_of(st.just("11/3"), p_decimal) if n == 4 else p_decimal),
-             "alpha": draw(alpha), "beta": draw(_number_text(0.0, 5.0)),
+             "alpha": draw(slope), "beta": draw(slope),
              "d": draw(_number_text(1e-3, 10.0))}
     cfg = RunConfig(
         n=n, **{k: float(Fraction(t)) for k, t in texts.items()},
@@ -389,8 +388,7 @@ def run_configs(draw):
         ode_tol=draw(st.floats(100 * np.finfo(float).eps, 1e-6)),
         r_max=draw(st.floats(1e2, 1e6)), mesh_level=draw(st.integers(1, 4)),
         out=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,12}", fullmatch=True)),
-        checks=checks, b_mode=draw(st.sampled_from(["LIMIT", "DELTA"])),
-        b_delta=draw(st.floats(1e-3, 0.1)), seed_free=draw(st.booleans()))
+        checks=checks, b_delta=draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.1))))
     return cfg.validate("verify"), texts
 
 
@@ -411,9 +409,7 @@ def test_config_file_round_trip(tmp_path_factory, drawn):
     for command, extra in _COMMAND_KEYS.items():
         keys = _COMMON_KEYS + extra
         # --key=value, because a drawn out may start with "-"
-        argv = [command] + [f"--{k.replace('_', '-')}={_config_value(rows[k])}"
-                            for k in keys if k != "seed_free"]
-        argv += ["--seed-free"] if cfg.seed_free else []
+        argv = [command] + [f"--{k.replace('_', '-')}={_config_value(rows[k])}" for k in keys]
         want = replace(RunConfig(), **{k: getattr(cfg, k) for k in keys})
         args = make_parser().parse_args(argv)
         if cfg.out == "--":  # argparse reads --out=-- as an empty list

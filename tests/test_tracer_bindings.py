@@ -69,7 +69,8 @@ from laneemden import cli
 from laneemden.params import ProblemParams
 rec = tracer.install()
 # the params-only checks read no profile, so none is solved
-cli._ground_state = lambda cfg: (ProblemParams(n=cfg.n, p=cfg.p), None)
+cli._ground_state = lambda cfg: (ProblemParams(n=cfg.n, p=cfg.p, alpha=cfg.alpha,
+                                                beta=cfg.beta), None)
 cli.run_suite(cli.RunConfig(checks=("exponent_taylor", "scaling_table")))
 spans = collections.Counter(span[0] for span in rec.spans)
 print(spans["verify.scaling_table"], spans["verify.exponent_taylor"],

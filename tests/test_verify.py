@@ -7,9 +7,10 @@ from bubble_reference import (cross_integrals_two_calls, gradient_integrals_two_
                               pairing_integrals_two_calls)
 from laneemden import ProblemParams, verify
 from laneemden.ballquad import get_quadrature
+from laneemden.errors import DomainError
 from laneemden.verify import (aubin_talenti, check_bubble_mass, check_cross_terms,
                               check_f_taylor, check_gradient_expansion, check_kernel,
-                              check_phi_pairing, check_scaling_table,
+                              check_norm_orders, check_phi_pairing, check_scaling_table,
                               f_taylor_remainders, richardson_pair,
                               scaling_row_exponent, shrink_factors, slope_limit)
 from laneemden.ansatz import TABLE_REACH, bubble_uv
@@ -75,6 +76,21 @@ def test_f_taylor_check(consts_sym):
     pp = ProblemParams(n=4, p=3.0, alpha=1.0, beta=1.0)
     rep = check_f_taylor(pp)
     assert rep.passed and rep.deviation <= 1.0
+
+
+def test_slope_checks_refuse_a_slope_that_is_not_positive(prof_sym):
+    """The perturbed exponents p + alpha eps, q + beta eps take slopes > 0; a zero
+    slope is refused, not read as another one, and before any table is built."""
+    for alpha, beta in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
+        with pytest.raises(DomainError, match="alpha > 0 and beta > 0"):
+            check_f_taylor(ProblemParams(n=4, p=3.0, alpha=alpha, beta=beta))
+
+    class NoTable:
+        def table(self, *args, **kwargs):
+            raise AssertionError("phi table built before the slope was refused")
+
+    with pytest.raises(DomainError, match="beta > 0"):
+        check_norm_orders(prof_sym, NoTable(), (0.04, 0.02), beta=0.0)
 
 
 def test_scaling_row_exponents():
