@@ -8,9 +8,9 @@ import os
 
 # numpy's bundled OpenBLAS starts a thread pool sized to the cores when it
 # loads, and its workers spin on the CPU between calls.  The package's largest
-# BLAS call is the `ker @ wg` gemv of HalfSpaceCorrection.block, with at
-# most 32 rows, too small to gain from a second thread; so the pool is one
-# thread unless the caller has set OPENBLAS_NUM_THREADS.  This must run
+# BLAS calls are the `ker @ wg` gemvs of HalfSpaceCorrection.rule, one per kind
+# and block, with at most 32 rows, too small to gain from a second thread; so
+# the pool is one thread unless the caller has set OPENBLAS_NUM_THREADS.  This must run
 # before the first import below loads numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -17,6 +17,7 @@ power-law tail.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,11 @@ PHI2 = "PHI2"
 K_BASE = 12  # Gauss nodes per panel of the order-0 rule; order 1 takes 20
 TAU_BLOCK = 32  # most grid taus per shared node set when a table is built
 LOOKUP_CHUNK = 4096  # points per gather in PhiTable.eval_many
+POINT_CHUNK = 64  # points per rule call in eval_points
 HALVINGS = np.ldexp(1.0, -np.arange(1, 32))  # 2^-k, k = 1..31, for the refinement at sig
+PARTS = {PHI1: "dU", PHI2: "dV"}  # the profile derivative each kind's g takes
+# each profile's tables of both kinds, keyed (which, extent, m); a profile hashes by identity
+_TABLES = weakref.WeakKeyDictionary()
 
 
 def panel_edges(sig, tau, rho_big, r_top):
@@ -60,6 +65,29 @@ def panel_edges(sig, tau, rho_big, r_top):
         parts.append(refine[(refine > 0.0) & (refine < rho_big)])
     e = np.sort(np.concatenate(parts))
     return e[np.concatenate(([True], e[1:] > e[:-1] * (1.0 + 1e-14) + 1e-150))]
+
+
+def edge_union(a, b):
+    """np.union1d(a, b) bit for bit, without its import of numpy.ma on a first call."""
+    e = np.sort(np.concatenate((a, b)))
+    return e[np.concatenate(([True], e[1:] != e[:-1]))]
+
+
+def g_data(rho, pack, kinds):
+    """g(rho) = -(rho/2) U'(rho) for PHI1, -(rho/2) V'(rho) for PHI2: one array per kind."""
+    return [-(rho / 2.0) * d for d in profile_eval(rho, pack, [PARTS[w] for w in kinds])]
+
+
+def g_tail(pack, which):
+    """g's (amp, expo) beyond r_top: a term a*rho^-e of the profile gives g (e*a/2)*rho^-e."""
+    a, expo = np.array(tail_terms(pack, which == PHI2)).T
+    return expo * a / 2.0, expo
+
+
+def with_far_tails(pack, calls, kinds):
+    """Join the (rows, rho_bigs) results of rule calls and add each kind's far tail once."""
+    quad, bigs = (np.concatenate(part, axis=-1) for part in zip(*calls))
+    return [q + far_tail(bigs, *g_tail(pack, which)) for q, which in zip(quad, kinds)]
 
 
 def angular_kernel(sig, tau, rho):
@@ -96,13 +124,17 @@ def far_tail(bigs, tail_amp, tail_expo):
     return np.sum(terms, axis=-1) * (2.0 / np.pi)
 
 
-def catmull_weights(t):
-    w = np.empty((4,) + t.shape)
-    w[0] = ((-0.5 * t + 1.0) * t - 0.5) * t
-    w[1] = (1.5 * t - 2.5) * t * t + 1.0
-    w[2] = ((-1.5 * t + 2.0) * t + 0.5) * t
-    w[3] = (0.5 * t - 0.5) * t * t
-    return w
+def catmull_weights(t, w):
+    """Catmull-Rom weights at fractions t, written into w of shape (4,) + t.shape:
+    ((-t/2 + 1) t - 1/2) t, (3t/2 - 5/2) t t + 1, ((-3t/2 + 2) t + 1/2) t, (t/2 - 1/2) t t."""
+    shape = (4,) + (1,) * t.ndim
+    np.multiply(t, np.reshape([-0.5, 1.5, -1.5, 0.5], shape), out=w)
+    w += np.reshape([1.0, -2.5, 2.0, -0.5], shape)
+    w *= t
+    w[0] -= 0.5
+    w[2] += 0.5
+    w *= t
+    w[1] += 1.0
 
 
 @dataclass(eq=False)
@@ -116,7 +148,8 @@ class PhiTable:
     on the p = 3, m = 257, extent-220 table it is off by up to ~2.5e-4 relative
     in the first tau cell (tau -> 0, the ball's pole) and ~1.5e-3 in the last
     cell of either axis, against ~2e-7 in the cells between.  which names
-    the correction the table samples, PHI1 or PHI2.
+    the correction the table samples, PHI1 or PHI2; the two tables of a profile,
+    extent and m are built in one pass.
     """
 
     extent: float
@@ -133,28 +166,43 @@ class PhiTable:
         """Separable cubic-convolution interpolation at (sigma, tau) points, both >= 0.
 
         Points beyond the extent take the last cell's stencil; each LOOKUP_CHUNK
-        of points reads its stencils with one gather.
+        of points reads its stencils with one gather, into arrays made once per call.
         """
         sig, tau = np.broadcast_arrays(np.asarray(sig, dtype=np.float64),
                                        np.asarray(tau, dtype=np.float64))
         if not (np.all(sig >= 0) and np.all(tau >= 0)):  # NaN fails too
             raise DomainError("lookup points must satisfy sigma >= 0 and tau >= 0")
         s, t = sig.ravel(), tau.ravel()
-        row = self.m + 3
+        row, n = self.m + 3, min(s.size, LOOKUP_CHUNK)
         top = self.m - 1.0 - 1e-9
         taps = (np.arange(4)[:, None] * row + np.arange(4)).reshape(16, 1)
         out = np.zeros(s.size)
+        fbuf, ibuf = np.empty(44 * n), np.empty(18 * n, dtype=np.int64)
         for lo in range(0, s.size, LOOKUP_CHUNK):
-            x = np.minimum(np.maximum(np.log1p(s[lo:lo + LOOKUP_CHUNK]) / self.du, 0.0), top)
-            y = np.minimum(np.maximum(np.log1p(t[lo:lo + LOOKUP_CHUNK]) / self.du, 0.0), top)
-            ix = np.floor(x).astype(np.int64)
-            iy = np.floor(y).astype(np.int64)
-            # w[4a + b] = wx[a] * wy[b]; the sum runs a-major, b-minor from 0.0
-            w = (catmull_weights(x - ix)[:, None] * catmull_weights(y - iy)).reshape(16, -1)
-            w *= self.padded[ix * row + iy + taps]
-            acc = out[lo:lo + LOOKUP_CHUNK]
-            for prod in w:
-                acc += prod
+            c = min(LOOKUP_CHUNK, s.size - lo)
+            # rows of c points: grid coordinates, fractions and cells of (sigma, tau),
+            # 4 weights per axis, then the stencil's 16 products, values and indices
+            x, frac, w, prod, vals = np.split(fbuf[:44 * c].reshape(44, c), [2, 4, 12, 28])
+            cell, idx = np.split(ibuf[:18 * c].reshape(18, c), [2])
+            np.log1p(s[lo:lo + c], out=x[0])
+            np.log1p(t[lo:lo + c], out=x[1])
+            x /= self.du
+            np.minimum(np.maximum(x, 0.0, out=x), top, out=x)
+            np.floor(x, out=frac)
+            cell[...] = frac
+            np.subtract(x, frac, out=frac)
+            w = w.reshape(4, 2, c)
+            catmull_weights(frac, w)
+            # prod[4a + b] = wx[a] * wy[b]; the sum runs a-major, b-minor from 0.0
+            np.multiply(w[:, None, 0], w[None, :, 1], out=prod.reshape(4, 4, c))
+            cell[0] *= row
+            cell[0] += cell[1]
+            np.add(cell[0], taps, out=idx)
+            np.take(self.padded, idx, out=vals, mode="clip")
+            prod *= vals
+            acc = out[lo:lo + c]
+            for p in prod:
+                acc += p
         return out.reshape(sig.shape)[()]
 
 
@@ -164,50 +212,54 @@ class HalfSpaceCorrection:
 
     profile: RadialProfile
     which: str
-    _tables: dict = field(default_factory=dict, repr=False)
+    _tables: dict = field(init=False, repr=False)  # the profile's, shared by both kinds
     tail: tuple = field(init=False, repr=False)  # g's (amp, expo) beyond r_top
 
     def __post_init__(self):
-        if self.which not in (PHI1, PHI2):
+        if self.which not in PARTS:
             raise DomainError(f"unknown correction kind {self.which!r}")
         if self.profile.params.n != 4:
             raise DomainError("half-space corrections are implemented for n = 4")
-        # a term a*rho^-e of the profile beyond r_top gives g the term (e*a/2)*rho^-e
-        a, expo = np.array(tail_terms(self.profile.interp_pack, self.which == PHI2)).T
-        self.tail = (expo * a / 2.0, expo)
+        self._tables = _TABLES.setdefault(self.profile, {})
+        self.tail = g_tail(self.profile.interp_pack, self.which)
 
     def boundary_data(self, rho):
         """g(rho) = -(rho/2) U'(rho) for PHI1, -(rho/2) V'(rho) for PHI2; g >= 0."""
         rho = np.atleast_1d(np.asarray(rho, dtype=np.float64))
-        part = "dV" if self.which == PHI2 else "dU"
-        (d,) = profile_eval(rho, self.profile.interp_pack, (part,))
-        return -(rho / 2.0) * d
+        return g_data(rho, self.profile.interp_pack, (self.which,))[0]
 
-    def block(self, sig, taus, k):
-        """n = 4 phi at (sig, tau) for every tau of the array taus, on one shared node set.
+    def rule(self, blocks, k, kinds):
+        """The one quadrature of phi: at the points of each (sig, taus) of blocks, phi
+        less its far tail for each kind of kinds (a row each), and each point's rho_big.
 
-        k is the number of Gauss nodes per panel.  Each point integrates its
-        data up to rho_big = max(60 (sig + tau + 1), 2 r_top) and adds the
-        closed-form tail beyond it.  The edges are panel_edges(sig, min tau,
-        largest rho_big) plus the rho_big of every point, and each point
-        weights only the nodes below its own rho_big; for one tau this is
-        panel_edges(sig, tau, rho_big) itself.
+        k is the number of Gauss nodes per panel.  Each point integrates its data
+        up to rho_big = max(60 (sig + tau + 1), 2 r_top); far_tail is the rest.  A
+        block's edges are panel_edges(sig, min tau, largest rho_big) plus the
+        rho_big of every point, and each point weights only the nodes below its
+        own rho_big; for one tau this is panel_edges(sig, tau, rho_big) itself.
+        g is evaluated once on the nodes of all blocks, the kernel once per block.
         """
-        r_top = self.profile.interp_pack.r_top
-        bigs = np.maximum(60.0 * (sig + taus + 1.0), 2.0 * r_top)
-        edges = np.union1d(panel_edges(sig, taus.min(), bigs.max(), r_top), bigs)
-        rho, w = gauss_panels(edges, k)
-        rho, w = rho.ravel(), w.ravel()
-        wg = w * self.boundary_data(rho) * rho * rho
-        ker = angular_kernel(sig, taus[:, None], rho)
-        ker[rho >= bigs[:, None]] = 0.0
-        return ker @ wg / np.pi + far_tail(bigs, *self.tail)
+        pack = self.profile.interp_pack
+        nodes = []
+        for sig, taus in blocks:
+            bigs = np.maximum(60.0 * (sig + taus + 1.0), 2.0 * pack.r_top)
+            edges = edge_union(panel_edges(sig, taus.min(), bigs.max(), pack.r_top), bigs)
+            nodes.append([a.ravel() for a in gauss_panels(edges, k)] + [bigs])
+        gs = g_data(np.concatenate([rho for rho, _, _ in nodes]), pack, kinds)
+        out, lo = [], 0
+        for (sig, taus), (rho, w, bigs) in zip(blocks, nodes):
+            ker = angular_kernel(sig, taus[:, None], rho)
+            ker[rho >= bigs[:, None]] = 0.0
+            out.append([ker @ (w * g[lo:lo + rho.size] * rho * rho) / np.pi for g in gs])
+            lo += rho.size
+        return np.concatenate(out, axis=1), np.concatenate([bigs for _, _, bigs in nodes])
 
     def eval_points(self, sig, tau, order=0):
         """Direct quadrature at (|x'|, x_n) points; order 0/1 takes 12/20 nodes per panel.
 
         Each point is its own block of one tau, with its own rho_big and
-        panels: the per-point reference the tables are tested against.
+        panels: the per-point reference the tables are tested against.  The
+        points go through rule() POINT_CHUNK at a time.
         """
         sig = np.atleast_1d(np.asarray(sig, dtype=np.float64))
         tau = np.atleast_1d(np.asarray(tau, dtype=np.float64))
@@ -217,8 +269,13 @@ class HalfSpaceCorrection:
             raise DomainError("evaluation points must satisfy |x'| >= 0 and x_n >= 0")
         if order not in (0, 1):
             raise DomainError(f"order must be 0 or 1, not {order!r}")
+        if not sig.size:
+            return np.zeros(0)
         k = K_BASE if order == 0 else 20
-        return np.array([self.block(s, t, k)[0] for s, t in zip(sig, tau[:, None])])
+        points = list(zip(sig, tau[:, None]))
+        calls = [self.rule(points[lo:lo + POINT_CHUNK], k, (self.which,))
+                 for lo in range(0, sig.size, POINT_CHUNK)]
+        return with_far_tails(self.profile.interp_pack, calls, (self.which,))[0]
 
     def phi_eval(self, x):
         """Accurate evaluation at one point of the closed half-space.
@@ -241,22 +298,23 @@ class HalfSpaceCorrection:
     def table(self, extent, m=257):
         """Build (and cache) the interpolation table covering [0, extent]^2.
 
-        Each sigma row is split into ceil(m / TAU_BLOCK) blocks of consecutive
-        grid taus, equal in size to within one tau, and built with one block
-        call with the order-0 rule per block.  The extent must be finite and
-        positive and m at least 4, the width of the interpolation stencil.
+        A miss builds the tables of both kinds: one rule call per sigma row with
+        ceil(m / TAU_BLOCK) blocks of consecutive grid taus, equal in size to within
+        one tau, and the order-0 rule; then far_tail over the whole grid.  The extent
+        must be finite and positive and m at least 4, the width of the stencil.
         """
         if not (np.isfinite(extent) and extent > 0) or m < 4:
             raise DomainError(f"a table needs a finite extent > 0 and m >= 4, not "
                               f"extent={extent!r}, m={m!r}")
-        key = (float(extent), int(m))
+        key = (self.which, float(extent), int(m))
         if key not in self._tables:
             gu = np.linspace(0.0, np.log1p(extent), m)
             grid = np.expm1(gu)
             blocks = np.array_split(grid, -(-m // TAU_BLOCK))
-            vals = np.concatenate([self.block(s, taus, K_BASE) for s in grid for taus in blocks])
-            self._tables[key] = PhiTable(extent=float(extent), m=m,
-                                         du=float(gu[1] - gu[0]), tab=vals, which=self.which)
+            rows = [self.rule([(s, taus) for taus in blocks], K_BASE, PARTS) for s in grid]
+            for which, tab in zip(PARTS, with_far_tails(self.profile.interp_pack, rows, PARTS)):
+                self._tables[(which,) + key[1:]] = PhiTable(
+                    extent=float(extent), m=m, du=float(gu[1] - gu[0]), tab=tab, which=which)
         return self._tables[key]
 
     def verify_harmonic(self, h=0.05):

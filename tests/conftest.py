@@ -53,6 +53,11 @@ def corr1_case2(prof_case2):
     return HalfSpaceCorrection(prof_case2, PHI1)
 
 
+@pytest.fixture(scope="session")
+def corr2_case2(prof_case2):
+    return HalfSpaceCorrection(prof_case2, PHI2)
+
+
 def closed_form_bubble(n=4):
     """Independent oracle: the explicit symmetric-point ground state."""
     c = 1.0 / (n * (n - 2.0))

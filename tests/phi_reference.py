@@ -5,17 +5,27 @@ these bit for bit: the arithmetic is the same, only its layout changed.
 
 - `eval_many_loop`: the lookup as 16 passes over every point, each stencil
   index clamped into the table, the products summed a-major, b-minor
-  from 0.0.
+  from 0.0, with `catmull_weights_expr`, the weights as one expression each.
 - `angular_kernel_where` and `block_where`: the kernel with the series
   evaluated at every element and the log form written over it through
-  `out=`/`where=`, and a block that zeroes the nodes beyond each point's
-  rho_big through an `np.where` copy.
+  `out=`/`where=`, and a block of one kind that takes its own g, its edges
+  from `np.union1d`, and zeroes the nodes beyond each point's rho_big
+  through an `np.where` copy.
 """
 
 import numpy as np
 
 from laneemden.ballquad import gauss_panels
-from laneemden.halfspace import K_BASE, TAU_BLOCK, catmull_weights, far_tail, panel_edges
+from laneemden.halfspace import K_BASE, TAU_BLOCK, far_tail, panel_edges
+
+
+def catmull_weights_expr(t):
+    w = np.empty((4,) + t.shape)
+    w[0] = ((-0.5 * t + 1.0) * t - 0.5) * t
+    w[1] = (1.5 * t - 2.5) * t * t + 1.0
+    w[2] = ((-1.5 * t + 2.0) * t + 0.5) * t
+    w[3] = (0.5 * t - 0.5) * t * t
+    return w
 
 
 def eval_many_loop(table, sig, tau):
@@ -26,8 +36,8 @@ def eval_many_loop(table, sig, tau):
     y = np.minimum(np.maximum(vv / table.du, 0.0), m - 1.0 - 1e-9)
     ix = np.floor(x).astype(np.int64)
     iy = np.floor(y).astype(np.int64)
-    wx = catmull_weights(x - ix)
-    wy = catmull_weights(y - iy)
+    wx = catmull_weights_expr(x - ix)
+    wy = catmull_weights_expr(y - iy)
     out = np.zeros_like(uu)
     for a in range(4):
         ia = np.minimum(np.maximum(ix + (a - 1), 0), m - 1)

@@ -1,14 +1,19 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import closed_form_bubble
 from laneemden.ansatz import TABLE_REACH
 from laneemden.ballquad import sphere_measure
 from laneemden.errors import DomainError
-from laneemden.halfspace import PHI1, TAU_BLOCK, HalfSpaceCorrection, angular_kernel
+from laneemden import halfspace
+from laneemden.halfspace import (PHI1, PHI2, TAU_BLOCK, HalfSpaceCorrection, angular_kernel,
+                                  edge_union)
 from phi_reference import angular_kernel_where, table_where
 
 
@@ -181,14 +186,15 @@ def test_table_nodes_match_direct(request, which, extent):
 def test_table_rows_split_into_equal_blocks(prof_sym, monkeypatch, m):
     """Each sigma row is built in ceil(m / TAU_BLOCK) blocks of near-equal size."""
     sizes = []
-    block = HalfSpaceCorrection.block
+    rule = HalfSpaceCorrection.rule
 
-    def recording(self, sig, taus, k):
-        sizes.append(taus.size)
-        return block(self, sig, taus, k)
+    def recording(self, blocks, k, kinds):
+        sizes.extend(taus.size for _, taus in blocks)
+        return rule(self, blocks, k, kinds)
 
-    monkeypatch.setattr(HalfSpaceCorrection, "block", recording)
-    HalfSpaceCorrection(prof_sym, PHI1).table(5.0, m=m)
+    monkeypatch.setattr(HalfSpaceCorrection, "rule", recording)
+    # a copy of the profile has a table cache of its own, empty
+    HalfSpaceCorrection(dataclasses.replace(prof_sym), PHI1).table(5.0, m=m)
     assert len(sizes) == m * -(-m // TAU_BLOCK) and sum(sizes) == m * m
     assert max(sizes) <= TAU_BLOCK and max(sizes) - min(sizes) <= 1
 
@@ -198,9 +204,10 @@ def test_table_rows_split_into_equal_blocks(prof_sym, monkeypatch, m):
 def test_table_rejects_degenerate_grid(prof_sym, extent, m):
     """A table spans a positive finite extent with at least the 4 points of its stencil."""
     corr = HalfSpaceCorrection(prof_sym, PHI1)
+    before = dict(corr._tables)
     with pytest.raises(DomainError, match="extent"):
         corr.table(extent, m=m)
-    assert not corr._tables
+    assert corr._tables == before
 
 
 def test_phi_eval_point_interface(corr1_sym):
@@ -237,9 +244,15 @@ def test_rejects_unknown_kind(prof_sym):
 
 @pytest.mark.parametrize("which, extent, m", [
     ("corr1_sym", 220.0, 41), ("corr1_sym", 1100.0, 41), ("corr2_sym", 220.0, 41),
-    ("corr2_sym", 1100.0, 41), ("corr1_sym", TABLE_REACH / 0.01, 257)])
+    ("corr2_sym", 1100.0, 41), ("corr1_case2", 220.0, 41), ("corr1_case2", 1100.0, 41),
+    ("corr2_case2", 220.0, 41), ("corr2_case2", 1100.0, 41),
+    ("corr1_sym", TABLE_REACH / 0.01, 257), ("corr2_sym", TABLE_REACH / 0.01, 257)])
 def test_table_equals_reference_block_bitwise(request, which, extent, m):
-    """Every node equals the np.where/out= kernel and block of the reference copy."""
+    """Every node equals the np.where/out= kernel and block of the reference copy.
+
+    At p = 3, U = V up to rounding, so the p = 1.9 tables are the ones that tell
+    the two kinds apart.
+    """
     corr = request.getfixturevalue(which)
     tab = corr.table(extent, m=m).tab
     ref = table_where(corr, extent, m)
@@ -266,3 +279,39 @@ def test_lookup_memory_peak(corr1_sym):
     finally:
         tracemalloc.stop()
     assert peak <= 10e6
+
+
+def test_both_kinds_share_one_kernel_pass(prof_sym, monkeypatch):
+    """Building PHI1, then PHI2, evaluates the angular kernel once per node, for both.
+
+    At extent 220, m = 41 that is 1,528,008 values; one pass per kind made 3,056,016.
+    """
+    sizes = []
+    kernel = halfspace.angular_kernel
+
+    def counting(sig, tau, rho):
+        ker = kernel(sig, tau, rho)
+        sizes.append(ker.size)
+        return ker
+
+    monkeypatch.setattr(halfspace, "angular_kernel", counting)
+    prof = dataclasses.replace(prof_sym)  # a cache of its own, empty
+    tab1 = HalfSpaceCorrection(prof, PHI1).table(220.0, m=41)
+    assert sum(sizes) == 1_528_008
+    tab2 = HalfSpaceCorrection(prof, PHI2).table(220.0, m=41)
+    assert sum(sizes) == 1_528_008
+    assert (tab1.which, tab2.which) == (PHI1, PHI2)
+
+
+_edges = st.lists(st.sampled_from([0.0, 1e-3, 0.5, 1.0, 2.0, 60.0])
+                  | st.floats(0.0, 1e6, allow_subnormal=True), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_edges, b=_edges)
+def test_edge_union_equals_union1d_bitwise(a, b):
+    """On sorted, non-empty edge sets with repeats and shared values, as panel_edges
+    and the rho_bigs of a block make them, the union equals np.union1d bit for bit."""
+    a, b = np.sort(np.array(a, dtype=float)), np.sort(np.array(b, dtype=float))
+    got, want = edge_union(a, b), np.union1d(a, b)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
