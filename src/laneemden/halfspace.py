@@ -213,7 +213,6 @@ class HalfSpaceCorrection:
     profile: RadialProfile
     which: str
     _tables: dict = field(init=False, repr=False)  # the profile's, shared by both kinds
-    tail: tuple = field(init=False, repr=False)  # g's (amp, expo) beyond r_top
 
     def __post_init__(self):
         if self.which not in PARTS:
@@ -221,7 +220,6 @@ class HalfSpaceCorrection:
         if self.profile.params.n != 4:
             raise DomainError("half-space corrections are implemented for n = 4")
         self._tables = _TABLES.setdefault(self.profile, {})
-        self.tail = g_tail(self.profile.interp_pack, self.which)
 
     def boundary_data(self, rho):
         """g(rho) = -(rho/2) U'(rho) for PHI1, -(rho/2) V'(rho) for PHI2; g >= 0."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,9 +30,7 @@ from .params import CASE_BORDER, CASE_SUB, ProblemParams, check_condition_P
 U_HITS_ZERO = "U_HITS_ZERO"
 V_HITS_ZERO = "V_HITS_ZERO"
 DECAYING = "DECAYING"
-DIVERGING = "DIVERGING"
 
-DIVERGENCE_GUARD = 1.0e3
 R_START = 1e-4  # Taylor start; truncation of the series is O(R_START^4)
 GRID_PTS_PER_DECADE = 800
 DEFAULT_SOLVE_FACTOR = 20.0
@@ -64,7 +62,11 @@ class TailFit:
 
 @dataclass(frozen=True, eq=False)
 class RadialProfile:
-    """Sampled ground state with interpolation and tail extrapolation."""
+    """Sampled ground state; interp_pack holds its Hermite cubics and power tails.
+
+    Beyond r_max, U ~ a r^-exp_u_decay + c2 r^-(n-2) and V ~ b r^-(n-2), with
+    exponents from (n, p), not fitted ones, and rescaled to meet U and V at r_max.
+    """
 
     params: ProblemParams
     grid: np.ndarray
@@ -75,21 +77,11 @@ class RadialProfile:
     v0: float
     r_max: float
     ode_tol: float
-    tail: TailFit | None = None
-    _pack: InterpPack | None = None
+    tail: TailFit
+    interp_pack: InterpPack = field(init=False, repr=False)
 
-    def with_tail(self, tail):
-        return replace(self, tail=tail, _pack=self._build_pack(tail))
-
-    def _build_pack(self, tail):
-        """Hermite cubics of the samples, and power tails beyond r_max.
-
-        The tails' exponents come from (n, p): U ~ a r^-exp_u_decay +
-        c2 r^-(n-2) and V ~ b r^-(n-2); the exponents the tail fit
-        measured are not used.  The tails are rescaled to meet U and V
-        at r_max.
-        """
-        r, n, U, V = self.grid, self.params.n, self.U, self.V
+    def __post_init__(self):
+        r, n, U, V, tail = self.grid, self.params.n, self.U, self.V, self.tail
         # the system gives U'' = -|V|^(p-1) V - (n-1) U'/r, and V'' likewise;
         # at r = 0, U'/r -> U'', so there U'' = -|V|^(p-1) V / n
         drag = np.divide(n - 1.0, r, out=np.zeros_like(r), where=r > 0.0)
@@ -103,24 +95,18 @@ class RadialProfile:
         eu = self.params.exp_u_decay
         e2 = n - 2.0
         # rescale so U, V are continuous across r_max
-        u_end, v_end = self.U[-1], self.V[-1]
         raw_u = tail.a * self.r_max ** (-eu) + tail.c2 * self.r_max ** (-e2)
-        au = tail.a * (u_end / raw_u)
-        cu2 = tail.c2 * (u_end / raw_u)
-        bv = v_end * self.r_max ** e2
-        return InterpPack(breaks, cu, cdu, cv, cdv, float(self.r_max),
-                          float(au), float(cu2), float(eu), float(e2), float(bv))
+        au = tail.a * (U[-1] / raw_u)
+        cu2 = tail.c2 * (U[-1] / raw_u)
+        bv = V[-1] * self.r_max ** e2
+        object.__setattr__(self, "interp_pack", InterpPack(
+            breaks, cu, cdu, cv, cdv, float(self.r_max),
+            float(au), float(cu2), float(eu), float(e2), float(bv)))
 
     def eval_many(self, r):
         """(U, dU, V, dV) arrays at radii r (tail extrapolation beyond r_max)."""
-        if self._pack is None:
-            raise RuntimeError("profile has no tail fit attached")
         r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-        return profile_eval(r, self._pack, ("U", "dU", "V", "dV"))
-
-    @property
-    def interp_pack(self):
-        return self._pack
+        return profile_eval(r, self.interp_pack, ("U", "dU", "V", "dV"))
 
     def to_csv(self, csv_path, json_path=None):
         """Write the sampled profile, and a JSON sidecar if a path is given."""
@@ -133,8 +119,7 @@ class RadialProfile:
 
     def sidecar(self):
         return {"v0": self.v0, "r_max": self.r_max, "ode_tol": self.ode_tol,
-                "params": asdict(self.params),
-                "tail": None if self.tail is None else asdict(self.tail)}
+                "params": asdict(self.params), "tail": asdict(self.tail)}
 
 
 @dataclass(frozen=True)
@@ -170,25 +155,26 @@ def _rhs(n, p, q):
 
 
 # solve_ivp's terminal events, in its order, which settles a tie between roots
-EVENTS = (U_HITS_ZERO, V_HITS_ZERO, DIVERGING)
+EVENTS = (U_HITS_ZERO, V_HITS_ZERO)
 
 
 def _events(y):
-    """The three event functions at a state y, in EVENTS order, as floats."""
-    U, V = y[0], y[2]
-    return U, V, U + V - DIVERGENCE_GUARD
+    """The event functions at a state y, in EVENTS order, as floats: U and V."""
+    return y[0], y[2]
 
 
 def shoot(params: ProblemParams, v0: float, r_max: float, tol: float = 1e-10,
           dense: bool = False) -> ShotResult:
     """Integrate from the Taylor start and classify the trajectory.
 
-    Classification is the first event hit: a component crossing zero, the
-    divergence guard U+V > 1e3, or r_max reached (DECAYING).  The loop
-    steps as solve_ivp(method="DOP853") does with three terminal events,
-    bit for bit (_dop853 repeats scipy's stepper), each root found by brentq
-    on the step's dense output with xtol = rtol = 4 eps.  tol is the
-    relative tolerance, which DOP853 honours only in [100 eps, 1e-4].
+    Classification is the first event hit: a component crossing zero, or
+    r_max reached (DECAYING).  No shot diverges first: while V > 0,
+    r^(n-1) U' = -int_0^r s^(n-1) V^p ds < 0, and V' < 0 while U > 0, so
+    U + V <= 1 + v0.  The loop steps as solve_ivp(method="DOP853") does with
+    these two terminal events, bit for bit (_dop853 repeats scipy's stepper),
+    each root found by brentq on the step's dense output with xtol = rtol =
+    4 eps.  tol is the relative tolerance, which DOP853 honours only in
+    [100 eps, 1e-4].
     """
     from ._dop853 import DOP853, at, brentq, solution  # only the solve needs it
 
@@ -220,13 +206,12 @@ def shoot(params: ProblemParams, v0: float, r_max: float, tol: float = 1e-10,
         if dense:
             pieces.append(solver.dense_output())
         g_new = _events(solver.y)
-        if (crosses(g[0], g_new[0]) or crosses(g[1], g_new[1])
-                or crosses(g[2], g_new[2])):
+        if any(map(crosses, g, g_new)):
             piece = pieces[-1] if dense else solver.dense_output()
             # the earliest root ends the shot
             t, first = min((brentq(lambda r: _events(at(piece, r).tolist())[i], solver.t_old,
                                    t, xtol=4 * eps, rtol=4 * eps), i)
-                           for i in range(3) if crosses(g[i], g_new[i]))
+                           for i in range(len(EVENTS)) if crosses(g[i], g_new[i]))
             cls = EVENTS[first]
         elif t == solver.t_bound:
             cls = DECAYING
@@ -241,17 +226,24 @@ def shoot(params: ProblemParams, v0: float, r_max: float, tol: float = 1e-10,
     return ShotResult(cls, v0, float(ts[-1]), sol)
 
 
-def _bisect_edge(classify, lo, hi, pred_lo):
-    """Shrink [lo, hi] with pred holding at lo and failing at hi, in at most 90 halvings."""
+def _bisect(classify, lo, hi, low, stop=None):
+    """Halve [lo, hi] at most 90 times, until its midpoint rounds to an end.
+
+    A midpoint classified low replaces lo, another hi; the first one
+    classified stop ends the search.  Returns (lo, hi, that midpoint or None).
+    """
     for _ in range(90):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if pred_lo(classify(mid)):
+        cls = classify(mid)
+        if cls == stop:
+            return lo, hi, mid
+        if cls == low:
             lo = mid
         else:
             hi = mid
-    return lo, hi
+    return lo, hi, None
 
 
 def find_ground_state(params: ProblemParams, ode_tol: float = 3e-14,
@@ -259,9 +251,10 @@ def find_ground_state(params: ProblemParams, ode_tol: float = 3e-14,
     """Locate v0*, sample the profile on a graded grid, and fit the tail.
 
     The shooting value is taken as the centre of the decaying window at
-    radius DEFAULT_SOLVE_FACTOR * r_max.  The tail is fitted over
-    [r_max/100, r_max] when p < n/(n-2) (slow first-component decay) and
-    over [r_max/10, r_max] otherwise.
+    radius DEFAULT_SOLVE_FACTOR * r_max: a 25-point sweep of v0 in [1e-3, 1e3]
+    brackets it, one bisection finds a decaying v0, two more the window's
+    edges.  The tail is fitted over [r_max/100, r_max] when p < n/(n-2)
+    (slow first-component decay) and over [r_max/10, r_max] otherwise.
     """
     if params.case_tag == CASE_BORDER:
         raise DomainError("p = n/(n-2) is not supported")
@@ -278,39 +271,18 @@ def find_ground_state(params: ProblemParams, ode_tol: float = 3e-14,
 
     sweep = np.logspace(-3, 3, 25)
     cls = [classify(v) for v in sweep]
-    lo = hi = None
-    for i in range(len(sweep) - 1):
-        if cls[i] == V_HITS_ZERO and cls[i + 1] != V_HITS_ZERO:
-            lo = sweep[i]
-            hi = sweep[i + 1]
-            for j in range(i + 1, len(sweep)):
-                if cls[j] == U_HITS_ZERO:
-                    hi = sweep[j]
-                    break
-            break
-    if lo is None:
+    i = next((i for i, (c, d) in enumerate(zip(cls, cls[1:])) if c == V_HITS_ZERO != d), None)
+    if i is None:
         raise BracketingFailure("no V->U classification change for v0 in [1e-3, 1e3]")
+    hi = next((v for v, c in zip(sweep[i + 1:], cls[i + 1:]) if c == U_HITS_ZERO), sweep[i + 1])
 
     # shrink until a decaying midpoint appears, then centre the window
-    mid_decay = None
-    a, b = lo, hi
-    for _ in range(90):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        c = classify(m)
-        if c == DECAYING:
-            mid_decay = m
-            break
-        if c == V_HITS_ZERO:
-            a = m
-        else:
-            b = m
+    a, b, mid_decay = _bisect(classify, sweep[i], hi, V_HITS_ZERO, DECAYING)
     if mid_decay is None:
         v0 = 0.5 * (a + b)
     else:
-        l0, l1 = _bisect_edge(classify, a, mid_decay, lambda c: c == V_HITS_ZERO)
-        r0_, r1 = _bisect_edge(classify, mid_decay, b, lambda c: c == DECAYING)
+        l0, l1, _ = _bisect(classify, a, mid_decay, V_HITS_ZERO)
+        r0_, r1, _ = _bisect(classify, mid_decay, b, DECAYING)
         v0 = 0.5 * (0.5 * (l0 + l1) + 0.5 * (r0_ + r1))
 
     shot = shoot(params, v0, r_solve, tol=ode_tol, dense=True)
@@ -321,38 +293,38 @@ def find_ground_state(params: ProblemParams, ode_tol: float = 3e-14,
     decades = np.log10(r_max / 1e-3)
     grid = np.concatenate([[0.0],
                            np.geomspace(1e-3, r_max, int(GRID_PTS_PER_DECADE * decades) + 1)])
-    Y = shot.sol.sol(grid[1:])
-    U = np.concatenate([[1.0], Y[0]])
-    dU = np.concatenate([[0.0], Y[1]])
-    V = np.concatenate([[v0], Y[2]])
-    dV = np.concatenate([[0.0], Y[3]])
+    U, dU, V, dV = np.concatenate([[[1.0], [0.0], [v0], [0.0]], shot.sol.sol(grid[1:])], axis=1)
 
     if np.any(U <= 0) or np.any(V <= 0):
         raise MonotonicityViolation("profile not positive out to r_max")
     if np.any(np.diff(U[1:]) >= 0) or np.any(np.diff(V[1:]) >= 0):
         raise MonotonicityViolation("profile not strictly decreasing")
-    n = params.n
-    flat = grid[1:] ** (n - 2.0) * V[1:]
+    flat = grid[1:] ** (params.n - 2.0) * V[1:]
     last = flat[grid[1:] > r_max / 10]
     if last.max() / last.min() > 3.0:
         raise MonotonicityViolation("r^(n-2) V not settled; increase r_max or tighten tol")
 
-    prof = RadialProfile(params=params, grid=grid, U=U, dU=dU, V=V, dV=dV,
-                         v0=float(v0), r_max=float(r_max), ode_tol=float(ode_tol))
     fit_lo = r_max / 100.0 if params.case_tag == CASE_SUB else r_max / 10.0
-    tail = fit_tail(prof, (fit_lo, r_max))
-    return prof.with_tail(tail)
+    return RadialProfile(params, grid, U, dU, V, dV, float(v0), float(r_max), float(ode_tol),
+                         fit_tail(params, grid, U, V, (fit_lo, r_max)))
 
 
-def _loglog_fit(r, y):
-    """Slope/intercept of log y vs log r with the slope's standard error."""
+def _decay_fit(r, y):
+    """Decay exponent, minus the slope of log y vs log r, and its standard error."""
     lx, ly = np.log(r), np.log(y)
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, res, *_ = np.linalg.lstsq(A, ly, rcond=None)
     dof = max(len(r) - 2, 1)
     s2 = (res[0] / dof) if res.size else 0.0
     cov = s2 * np.linalg.inv(A.T @ A)
-    return coef[0], coef[1], float(np.sqrt(max(cov[0, 0], 0.0)))
+    return -coef[0], float(np.sqrt(max(cov[0, 0], 0.0)))
+
+
+def _two_power(x, y, k, k2):
+    """(A, coef): columns x^-k, x^-k2 and the (c1, c2) least squares of A coef / y - 1."""
+    A = np.vstack([x ** -k, x ** -k2]).T
+    coef, *_ = np.linalg.lstsq(A / y[:, None], np.ones_like(y), rcond=None)
+    return A, coef
 
 
 def fit_two_power(x, y, k2, bounds, xatol):
@@ -363,8 +335,7 @@ def fit_two_power(x, y, k2, bounds, xatol):
     search until the bracket is at most xatol wide.
     """
     def resid(k):
-        A = np.vstack([x ** -k, x ** -k2]).T
-        coef, *_ = np.linalg.lstsq(A / y[:, None], np.ones_like(y), rcond=None)
+        A, coef = _two_power(x, y, k, k2)
         return float(np.sum((A @ coef / y - 1.0) ** 2))
 
     a, b = bounds
@@ -383,40 +354,37 @@ def fit_two_power(x, y, k2, bounds, xatol):
     return c if fc <= fd else d
 
 
-def fit_tail(profile: RadialProfile, window) -> TailFit:
-    """Fit decay exponents and tail coefficients over the given window."""
+def fit_tail(params: ProblemParams, grid, U, V, window) -> TailFit:
+    """Fit decay exponents and tail coefficients of samples U, V on grid over window."""
     r_lo, r_hi = float(window[0]), float(window[1])
-    r_max = profile.r_max
+    r_max = grid[-1]
     if not (r_max / 100.0 - 1e-9 <= r_lo < r_hi <= r_max * (1 + 1e-12)):
         raise DomainError(f"window {window} not inside [r_max/100, r_max]")
     if r_hi / r_lo < 10.0:
         raise WindowTooNarrow(f"window {window} spans less than one decade")
     rf = np.geomspace(r_lo, r_hi, 160)
     # fit from raw samples (no tail model yet): interpolate grid data
-    Uf = np.interp(rf, profile.grid, profile.U)
-    Vf = np.interp(rf, profile.grid, profile.V)
-    n = profile.params.n
-    e2 = n - 2.0
+    Uf = np.interp(rf, grid, U)
+    Vf = np.interp(rf, grid, V)
+    e2 = params.n - 2.0
 
-    sV, iV, errV = _loglog_fit(rf, Vf)
-    exp_V, b = -sV, float(np.mean(rf ** e2 * Vf))
+    exp_V, errV = _decay_fit(rf, Vf)
+    b = float(np.mean(rf ** e2 * Vf))
 
-    if profile.params.case_tag == CASE_SUB:
-        e_th = profile.params.exp_u_decay
+    if params.case_tag == CASE_SUB:
+        e_th = params.exp_u_decay
         exp_U = fit_two_power(rf, Uf, e2, (max(1.01, 0.75 * e_th), min(e2 - 1e-3, 1.25 * e_th)),
                               xatol=1e-10)
         # coefficient for the decay identity: two-term fit at the theoretical exponent
-        A = np.vstack([rf ** -e_th, rf ** -e2]).T
-        coef, *_ = np.linalg.lstsq(A / Uf[:, None], np.ones_like(Uf), rcond=None)
+        A, coef = _two_power(rf, Uf, e_th, e2)
         a, c2 = float(coef[0]), float(coef[1])
         model = A @ coef
         exp_U_err = abs(exp_U - e_th)
     else:
-        sU, iU, errU = _loglog_fit(rf, Uf)
-        exp_U, exp_U_err = -sU, errU
-        a = float(np.mean(rf ** profile.params.exp_u_decay * Uf))
+        exp_U, exp_U_err = _decay_fit(rf, Uf)
+        a = float(np.mean(rf ** params.exp_u_decay * Uf))
         c2 = 0.0
-        model = a * rf ** -profile.params.exp_u_decay
+        model = a * rf ** -params.exp_u_decay
     resid_u = float(np.max(np.abs(model / Uf - 1.0)))
     resid_v = float(np.max(np.abs(b * rf ** -e2 / Vf - 1.0)))
     fit_residual = max(resid_u, resid_v)
@@ -450,6 +418,18 @@ def fd_derivs_on_grid(g, y, idx):
     return c[:, 1] / h, 2.0 * c[:, 2] / h ** 2
 
 
+def stencil_window(g, lo, hi):
+    """Indices of the grid points in [lo, hi] whose stencil has two points beyond them."""
+    idx = np.where((g >= lo) & (g <= hi))[0]
+    return idx[idx <= g.size - 3]  # r_max may lie below hi
+
+
+def fd_laplacian(g, y, idx, n):
+    """The radial Laplacian y'' + (n-1)/r y' at grid indices idx, from fd_derivs_on_grid."""
+    d1, d2 = fd_derivs_on_grid(g, y, idx)
+    return d2 + (n - 1.0) / g[idx] * d1
+
+
 def ode_residual(profile: RadialProfile):
     """Max relative residual of the radial system on the grid points in [1e-2, 10].
 
@@ -459,13 +439,11 @@ def ode_residual(profile: RadialProfile):
     and a relative comparison stops being meaningful.
     """
     g = profile.grid
-    sel = np.where((g >= 1e-2) & (g <= 10.0))[0]
-    sel = sel[sel <= g.size - 3]  # the stencil needs two points beyond; r_max may be < 10
+    sel = stencil_window(g, 1e-2, 10.0)
     n, p, q = profile.params.n, profile.params.p, profile.params.q
     worst = 0.0
     for arr, src in ((profile.U, profile.V ** p), (profile.V, profile.U ** q)):
-        d1, d2 = fd_derivs_on_grid(g, arr, sel)
-        lhs = -d2 - (n - 1.0) / g[sel] * d1
+        lhs = -fd_laplacian(g, arr, sel, n)
         rhs = src[sel]
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
     return worst
@@ -502,11 +480,11 @@ def load_profile(csv_path, json_path) -> RadialProfile:
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1, comments=None, ndmin=2)
     pr = side["params"]
     params = ProblemParams(**{f.name: pr[f.name] for f in fields(ProblemParams) if f.init})
-    prof = RadialProfile(params=params, grid=data[:, 0], U=data[:, 1], dU=data[:, 2],
-                         V=data[:, 3], dV=data[:, 4], v0=float(side["v0"]),
-                         r_max=float(side["r_max"]), ode_tol=float(side["ode_tol"]))
-    if prof.grid[-1] != prof.r_max:
-        raise DomainError(f"{csv_path}: last r is not the sidecar's r_max {prof.r_max}")
-    if prof.V[0] != prof.v0:
-        raise DomainError(f"{csv_path}: first V is not the sidecar's v0 {prof.v0}")
-    return prof.with_tail(TailFit(**dict(t, fit_window=tuple(t["fit_window"]))))
+    v0, r_max = float(side["v0"]), float(side["r_max"])
+    if data[-1, 0] != r_max:
+        raise DomainError(f"{csv_path}: last r is not the sidecar's r_max {r_max}")
+    if data[0, 3] != v0:
+        raise DomainError(f"{csv_path}: first V is not the sidecar's v0 {v0}")
+    # the CSV's columns are the fields grid, U, dU, V, dV in order
+    return RadialProfile(params, *data.T, v0, r_max, float(side["ode_tol"]),
+                         TailFit(**dict(t, fit_window=tuple(t["fit_window"]))))

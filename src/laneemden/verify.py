@@ -21,7 +21,7 @@ from .ballquad import gauss_panels, get_quadrature, sphere_measure
 from .constants import EnergyConstants
 from .errors import DomainError, QuadratureNonConvergent
 from .halfspace import HalfSpaceCorrection
-from .radial import fd_derivs_on_grid
+from .radial import fd_laplacian, stencil_window
 
 MIN_SHRINK = 1.5
 
@@ -404,27 +404,21 @@ def check_kernel(profile, mode="fd"):
         res_translation = _relative_residual(lhs - rhs_t, rhs_t)
     else:
         g = profile.grid
-        idx = np.where((g >= r_window[0]) & (g <= r_window[1]))[0]
-        idx = idx[idx <= g.size - 3]  # the stencil needs two points beyond; r_max may be < 10
+        idx = stencil_window(g, *r_window)
         r = g[idx]
         U, V = profile.U, profile.V
         psi = g * profile.dU + su * U
         phi = g * profile.dV + sv * V
-        dpsi, d2psi = fd_derivs_on_grid(g, psi, idx)
-        dphi, d2phi = fd_derivs_on_grid(g, phi, idx)
         res_scaling = 0.0
-        for lap_pair, coeff, kern in (((dpsi, d2psi), p * V[idx] ** (p - 1.0), phi[idx]),
-                                      ((dphi, d2phi), q * U[idx] ** (q - 1.0), psi[idx])):
-            d1, d2_ = lap_pair
-            lap = d2_ + (n - 1.0) / r * d1
-            rhs = coeff * kern
+        for y, coeff, kern in ((psi, p * V[idx] ** (p - 1.0), phi[idx]),
+                               (phi, q * U[idx] ** (q - 1.0), psi[idx])):
+            lap, rhs = fd_laplacian(g, y, idx, n), coeff * kern
             res_scaling = max(res_scaling, _relative_residual(lap + rhs, rhs))
         # translation kernel (psi, phi) = (U', V'): radial reduction
         res_translation = 0.0
         for y, coeff, kern in ((profile.dU, p * V[idx] ** (p - 1.0), profile.dV[idx]),
                                (profile.dV, q * U[idx] ** (q - 1.0), profile.dU[idx])):
-            d1, d2_ = fd_derivs_on_grid(g, y, idx)
-            lhs = -d2_ - (n - 1.0) / r * d1 + (n - 1.0) / r ** 2 * y[idx]
+            lhs = -fd_laplacian(g, y, idx, n) + (n - 1.0) / r ** 2 * y[idx]
             rhs = coeff * kern
             res_translation = max(res_translation, _relative_residual(lhs - rhs, rhs))
     worst = max(res_scaling, res_translation)

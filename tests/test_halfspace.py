@@ -13,7 +13,7 @@ from laneemden.ballquad import sphere_measure
 from laneemden.errors import DomainError
 from laneemden import halfspace
 from laneemden.halfspace import (PHI1, PHI2, TAU_BLOCK, HalfSpaceCorrection, angular_kernel,
-                                  edge_union)
+                                  edge_union, g_tail)
 from phi_reference import angular_kernel_where, table_where
 
 
@@ -137,7 +137,7 @@ def test_monte_carlo_agreement(corr1_sym):
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
                                            * np.diff(grid))])
     mass = cdf[-1]  # int_0^cut g rho^2/(1+rho^2) drho
-    amp, expo = corr1_sym.tail
+    amp, expo = g_tail(corr1_sym.profile.interp_pack, corr1_sym.which)
     tail = sum(a * rho_cut ** (1.0 - e) / (e - 1.0) for a, e in zip(amp, expo)
                if a != 0.0) * (2.0 / np.pi)
 

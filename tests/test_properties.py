@@ -1,5 +1,5 @@
 """Property tests over random inputs for the exponent pairs, the radial
-right-hand side, the run configuration, the quadrature rules, the ball
+right-hand side and shots, the run configuration, the quadrature rules, the ball
 mesh's node ranges, the profile's
 interval search and kernel, the half-space kernel, the
 bubbles, the two-bubble fields and the ground state between its samples."""
@@ -23,7 +23,7 @@ from laneemden.errors import ConfigError, DomainError  # noqa: E402
 from laneemden.halfspace import LOOKUP_CHUNK, panel_edges  # noqa: E402
 from laneemden.params import (HYPERBOLA_TOL, ProblemParams,  # noqa: E402
                               check_condition_P)
-from laneemden.radial import _rhs  # noqa: E402
+from laneemden.radial import _rhs, shoot  # noqa: E402
 from laneemden.verify import CHECK_NAMES, reads_phi  # noqa: E402
 from bubble_reference import profile_eval_where  # noqa: E402
 from phi_reference import eval_many_loop  # noqa: E402
@@ -324,7 +324,8 @@ def test_u_tails_converge_for_every_params(n, data):
 
 
 # the radial state in the stepper's stages: signed zeros, subnormals, values
-# around the divergence guard 1e3, and magnitudes whose powers overflow
+# around 1e3, the largest v0 the ground-state sweep shoots from, and magnitudes
+# whose powers overflow
 _state = st.one_of(st.floats(-2e3, 2e3), st.floats(990.0, 1010.0), st.floats(-1010.0, -990.0),
                    st.floats(-1e-300, 1e-300), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
                    st.floats(-1e300, 1e300))
@@ -347,6 +348,20 @@ def test_rhs_matches_numpy_formula_bitwise(np_, r, y):
         want = (dU, -c * dU - fV, dV, -c * dV - fU)
     got = _rhs(n, pp.p, pp.q)(r, y)  # as the stepper calls it: a float and 4 floats
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+@settings(max_examples=50, deadline=None)
+@given(np_=admissible(), v0=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+@example(np_=(4, 1.875), v0=1e3)  # V falls by less than an ulp at the first steps
+def test_shot_decreases_until_its_end(np_, v0):
+    """Up to the end of a shot, U' < 0 and V' < 0 at every step radius, U and V
+    never increase, and U + V <= 1 + v0: the shot needs no divergence event."""
+    n, p = np_
+    shot = shoot(ProblemParams(n=n, p=p), v0, 1e3, tol=3e-14, dense=True)
+    U, dU, V, dV = shot.sol.sol(shot.sol.t)
+    assert np.all(dU < 0.0) and np.all(dV < 0.0)
+    assert np.all(np.diff(U) <= 0.0) and np.all(np.diff(V) <= 0.0)
+    assert np.all(U + V <= 1.0 + v0)
 
 
 def _config_value(v):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import hypothesis
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import closed_form_bubble
 from laneemden import ProblemParams, find_ground_state, fit_tail, radial, shoot
@@ -11,8 +11,7 @@ from laneemden._interp import pack_hermite, profile_eval
 from laneemden.cli import main
 from laneemden.errors import DomainError, StepFailure, WindowTooNarrow
 from laneemden.halfspace import PHI1, PHI2, HalfSpaceCorrection
-from laneemden.radial import (DECAYING, DIVERGENCE_GUARD, DIVERGING, R_START, U_HITS_ZERO,
-                              V_HITS_ZERO,
+from laneemden.radial import (DECAYING, R_START, U_HITS_ZERO, V_HITS_ZERO,
                               derivative_bound_constant, fd_derivs_on_grid,
                               load_profile, ode_residual)
 from strategies import admissible
@@ -24,6 +23,15 @@ def test_shoot_classification_sides():
     high = shoot(pp, 5.0, 1e3, tol=1e-10)
     assert low.classification == V_HITS_ZERO
     assert high.classification == U_HITS_ZERO
+
+
+@pytest.mark.parametrize("p, steps, nfev", [(3.0, 50, 605), (1.9, 75, 929)])
+def test_shoot_from_the_sweeps_top_hits_u_zero(p, steps, nfev):
+    """At v0 = 1e3, the sweep's top, U + V starts above 1e3 and only falls, and
+    the shot ends where U reaches zero."""
+    res = shoot(ProblemParams(n=4, p=p), 1e3, 1e3, tol=3e-14)
+    assert res.classification == U_HITS_ZERO
+    assert (res.sol.t.size, res.sol.nfev) == (steps, nfev)
 
 
 def test_shoot_deterministic():
@@ -79,26 +87,24 @@ def _old_shoot(params, v0, r_max, tol, dense):
     def ev_v(r, y):
         return y[2]
 
-    def ev_guard(r, y):
-        return y[0] + y[2] - DIVERGENCE_GUARD
-
-    for ev in (ev_u, ev_v, ev_guard):
+    for ev in (ev_u, ev_v):
         ev.terminal = True
     r0 = R_START * min(1.0, v0 ** (-p / 2.0), np.sqrt(v0) * 10.0)
     y0 = (1.0 - v0 ** p * r0 ** 2 / (2 * n), -(v0 ** p) * r0 / n,
           v0 - r0 ** 2 / (2 * n), -r0 / n)
     sol = solve_ivp(rhs, (r0, r_max), y0, method="DOP853", rtol=tol,
-                    atol=max(tol * 1e-4, 1e-16), events=(ev_u, ev_v, ev_guard),
+                    atol=max(tol * 1e-4, 1e-16), events=(ev_u, ev_v),
                     dense_output=dense)
-    hit = [i for i in range(3) if sol.t_events[i].size]
-    return (U_HITS_ZERO, V_HITS_ZERO, DIVERGING)[hit[0]] if hit else DECAYING, sol
+    hit = [i for i in range(2) if sol.t_events[i].size]
+    return (U_HITS_ZERO, V_HITS_ZERO)[hit[0]] if hit else DECAYING, sol
 
 
-# per p at n = 4, a v0 for each classification at r_max = 1e3; the decaying
-# one is the ground state's v0
-ORACLE_SHOTS = {3.0: {V_HITS_ZERO: 0.2, U_HITS_ZERO: 5.0, DIVERGING: 1e3, DECAYING: 1.0},
-                1.9: {V_HITS_ZERO: 0.2, U_HITS_ZERO: 5.0, DIVERGING: 1e3,
-                      DECAYING: float.fromhex("0x1.947acf3438a43p-1")}}
+# per p at n = 4, (v0, classification) pairs at r_max = 1e3: one of each class,
+# and the sweep's top v0 = 1e3; the decaying v0 is the ground state's
+ORACLE_SHOTS = {3.0: [(0.2, V_HITS_ZERO), (5.0, U_HITS_ZERO), (1e3, U_HITS_ZERO),
+                      (1.0, DECAYING)],
+                1.9: [(0.2, V_HITS_ZERO), (5.0, U_HITS_ZERO), (1e3, U_HITS_ZERO),
+                      (float.fromhex("0x1.947acf3438a43p-1"), DECAYING)]}
 
 
 @pytest.mark.parametrize("p", sorted(ORACLE_SHOTS))
@@ -107,7 +113,7 @@ def test_shoot_matches_solve_ivp(p, dense):
     """Each classification, r_end, step count, nfev and dense solution are
     solve_ivp's, bit for bit."""
     pp = ProblemParams(n=4, p=p)
-    for cls, v0 in ORACLE_SHOTS[p].items():
+    for v0, cls in ORACLE_SHOTS[p]:
         want_cls, want = _old_shoot(pp, v0, 1e3, 3e-14, dense)
         got = shoot(pp, v0, 1e3, tol=3e-14, dense=dense)
         assert want_cls == got.classification == cls
@@ -124,6 +130,9 @@ def test_shoot_matches_solve_ivp(p, dense):
 @settings(max_examples=25, deadline=None)
 @given(np_=admissible(), v0=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
        dense=st.booleans())
+# the draws almost never reach v0 >= 999, where U + V starts above 1e3
+@example(np_=(4, 1.875), v0=1e3, dense=True)
+@example(np_=(7, 1.7), v0=1e3, dense=False)
 def test_shoot_matches_solve_ivp_any_params(np_, v0, dense):
     """Each classification, r_end, step radius, nfev and dense solution are
     solve_ivp's, bit for bit, at any admissible (n, p) and v0 in [1e-3, 1e3]."""
@@ -151,9 +160,10 @@ def test_dense_solution_picks_pieces_as_odesolution():
     assert np.array_equal(got.sol.sol(t), want.sol(t))
 
 
-# n = 4 ground states beyond p = 3: shots, DOP853 steps, right-hand-side calls
-# and v0, as the scipy-driven stepper gave them
-SOLVE_WORK = {2.5: (94, 23464, 289655, "0x1.dd865a017c93ep-1"),
+# n = 4 ground states: shots, DOP853 steps, right-hand-side calls and v0, as
+# the scipy-driven stepper gave them
+SOLVE_WORK = {3.0: (95, 23225, 284563, "0x1.fffffffffffffp-1"),
+              2.5: (94, 23464, 289655, "0x1.dd865a017c93ep-1"),
               1.9: (97, 25965, 320102, "0x1.947acf3438a43p-1")}
 
 
@@ -420,9 +430,9 @@ def test_border_and_outside_rejected():
 
 def test_fit_tail_window_validation(prof_sym):
     with pytest.raises(WindowTooNarrow):
-        fit_tail(prof_sym, (2e3, 1e4))
+        fit_tail(prof_sym.params, prof_sym.grid, prof_sym.U, prof_sym.V, (2e3, 1e4))
     with pytest.raises(DomainError):
-        fit_tail(prof_sym, (1.0, 1e4))
+        fit_tail(prof_sym.params, prof_sym.grid, prof_sym.U, prof_sym.V, (1.0, 1e4))
 
 
 def test_profile_roundtrip(tmp_path, prof_sym, prof_case2):
