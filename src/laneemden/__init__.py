@@ -4,6 +4,7 @@ expansions."""
 
 __version__ = "0.1.0"
 
+import importlib
 import os
 
 # numpy's bundled OpenBLAS starts a thread pool sized to the cores when it
@@ -11,24 +12,28 @@ import os
 # BLAS calls are the `ker @ wg` gemvs of HalfSpaceCorrection.rule, one per kind
 # and block, with at most 32 rows, too small to gain from a second thread; so
 # the pool is one thread unless the caller has set OPENBLAS_NUM_THREADS.  This must run
-# before the first import below loads numpy.
+# before any module of the package loads numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .params import ProblemParams, check_condition_P, critical_exponent, scaling_exponents
-from .radial import RadialProfile, TailFit, find_ground_state, fit_tail, shoot
-from .halfspace import PHI1, PHI2, HalfSpaceCorrection
-from .ansatz import AnsatzField, bubble_eval, symmetry_and_compatibility_check
-from .ballquad import BallQuadrature, get_quadrature
-from .constants import EnergyConstants, compute_constants
-from .reduced import ReducedEnergy, G, J_expansion, d_star
+# The public names, by the module that defines them.  A name is read from its
+# module each time it is read here (PEP 562), so importing the package, or the
+# CLI, loads no numerics until a command needs them.
+_EXPORTS = {
+    "params": ("ProblemParams", "check_condition_P", "critical_exponent", "scaling_exponents"),
+    "radial": ("RadialProfile", "TailFit", "find_ground_state", "fit_tail", "shoot"),
+    "halfspace": ("PHI1", "PHI2", "HalfSpaceCorrection"),
+    "ansatz": ("AnsatzField", "bubble_eval", "symmetry_and_compatibility_check"),
+    "ballquad": ("BallQuadrature", "get_quadrature"),
+    "constants": ("EnergyConstants", "compute_constants"),
+    "reduced": ("ReducedEnergy", "G", "J_expansion", "d_star"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "ProblemParams", "check_condition_P", "critical_exponent", "scaling_exponents",
-    "RadialProfile", "TailFit", "find_ground_state", "fit_tail", "shoot",
-    "PHI1", "PHI2", "HalfSpaceCorrection",
-    "AnsatzField", "bubble_eval", "symmetry_and_compatibility_check",
-    "BallQuadrature", "get_quadrature",
-    "EnergyConstants", "compute_constants",
-    "ReducedEnergy", "G", "J_expansion", "d_star",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -7,27 +7,40 @@ configuration error, 3 numerical failure.
 Configuration comes from an optional key = value file plus flags; flags
 win.  Identical resolved configurations produce byte-identical outputs
 (sorted JSON keys, shortest round-trip floats, no timestamps).
+
+Importing this module loads no numpy: each command imports the modules it
+runs when it runs, and --help, --version, report and every refused input
+load none of the numerics.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, radial
-from .constants import compute_constants
+from . import __version__
 from .errors import ConfigError, DomainError, NumericalFailure
-from .halfspace import PHI1, PHI2, HalfSpaceCorrection
-from .params import ProblemParams, parse_exponent
-from .radial import find_ground_state
-from .reduced import G, ReducedEnergy, d_star, eta_window, J_expansion
+from .params import ProblemParams, check_solvable, parse_exponent
 from .reporting import write_csv, write_json
-from . import verify as V
+
+# The keys of verify.CHECKS, in their order, written out so that a command
+# that runs no check need not import verify; tests/test_cli.py pins the two.
+CHECK_NAMES = ("bubble_mass", "cross_terms", "boundary_pairing", "gradient_energy",
+               "nonlinear_energy", "linearized_kernel", "scaling_table", "exponent_taylor",
+               "perturbed_norms")
+
+
+def __getattr__(name):
+    # perfbench/make_reference.py reads cli.compute_constants: the constants
+    # module's, looked up when read (PEP 562), so importing cli loads no numerics
+    if name == "compute_constants":
+        from .constants import compute_constants
+        return compute_constants
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -43,19 +56,19 @@ class RunConfig:
     r_max: float = 1e4
     mesh_level: int = 1
     out: str = "out"
-    checks: tuple = V.CHECK_NAMES
+    checks: tuple = CHECK_NAMES
     b_delta: float = 0.0
 
     def validate(self, command="verify"):
         """Reject bad settings up front; the phi checks' n = 4 limit binds verify only."""
         # a NaN passes every range test below
         nonfinite = [k for k, v in asdict(self).items()
-                     if any(isinstance(x, float) and not np.isfinite(x)
+                     if any(isinstance(x, float) and not math.isfinite(x)
                             for x in (v if isinstance(v, tuple) else (v,)))]
         if nonfinite:
             raise ConfigError(f"non-finite values in {nonfinite}")
         # the range radial.shoot's stepper honours as given
-        if not 100 * np.finfo(float).eps <= self.ode_tol <= 1e-4:
+        if not 100 * sys.float_info.epsilon <= self.ode_tol <= 1e-4:
             raise ConfigError(f"ode_tol={self.ode_tol!r} outside [100 eps, 1e-4]")
         if self.r_max <= 0:
             raise ConfigError("r_max must be positive")
@@ -70,7 +83,7 @@ class RunConfig:
             raise ConfigError("alpha and beta must be positive")
         if not 0 <= self.b_delta <= 0.1:
             raise ConfigError("b_delta must be 0 (the delta -> 0 limit) or lie in (0, 0.1]")
-        unknown = [c for c in self.checks if c not in V.CHECK_NAMES]
+        unknown = [c for c in self.checks if c not in CHECK_NAMES]
         if unknown:
             raise ConfigError(f"unknown checks: {unknown}")
         if self.mesh_level < 1:
@@ -84,10 +97,12 @@ class RunConfig:
             xs = getattr(self, key)
             if command == "verify" and not least <= len(xs) == len(set(xs)):
                 raise ConfigError(f"verify needs at least {least} {key} and no repeated one")
-        phi_checks = [c for c in self.checks if V.reads_phi(c)]
-        if command == "verify" and self.n != 4 and phi_checks:
-            raise ConfigError(f"checks {phi_checks} need the half-space corrections, "
-                              "implemented for n = 4 only")
+        if command == "verify" and self.n != 4:
+            from . import verify
+            phi_checks = [c for c in self.checks if verify.reads_phi(c)]
+            if phi_checks:
+                raise ConfigError(f"checks {phi_checks} need the half-space corrections, "
+                                  "implemented for n = 4 only")
         return self
 
     def as_dict(self):
@@ -154,6 +169,7 @@ def _saved_profile(cfg, params):
     ``params``.  Returns None when radial.load_profile rejects the pair or
     the settings disagree.
     """
+    from . import radial
     out = Path(cfg.out)
     try:
         prof = radial.load_profile(out / "profile.csv", out / "profile.json")
@@ -166,11 +182,16 @@ def _saved_profile(cfg, params):
 
 
 def _ground_state(cfg, reuse=True):
-    """(params, profile): the profile saved in cfg.out when it matches, else a solve."""
+    """(params, profile): the profile saved in cfg.out when it matches, else a solve.
+
+    Parameters the solver refuses are refused before its modules load.
+    """
     params = ProblemParams(n=cfg.n, p=cfg.p, alpha=cfg.alpha, beta=cfg.beta)
+    check_solvable(params)
+    from . import radial
     prof = _saved_profile(cfg, params) if reuse else None
     if prof is None:
-        prof = find_ground_state(params, ode_tol=cfg.ode_tol, r_max=cfg.r_max)
+        prof = radial.find_ground_state(params, ode_tol=cfg.ode_tol, r_max=cfg.r_max)
     return params, prof
 
 
@@ -185,6 +206,7 @@ def cmd_ground_state(cfg):
 
 
 def cmd_constants(cfg):
+    from .constants import compute_constants
     params, prof = _ground_state(cfg)
     consts = compute_constants(prof, b_delta=cfg.b_delta)
     rec = consts.as_dict()
@@ -201,6 +223,9 @@ def cmd_constants(cfg):
 
 
 def cmd_reduced_energy(cfg):
+    import numpy as np
+    from .constants import compute_constants
+    from .reduced import G, ReducedEnergy, d_star, eta_window, J_expansion
     params, prof = _ground_state(cfg)
     consts = compute_constants(prof)
     re = ReducedEnergy(constants=consts, n=params.n, p=params.p, q=params.q,
@@ -236,6 +261,9 @@ def run_suite(cfg) -> list:
     half-space corrections corr1 (phi1) and corr2 (phi2) are built once
     each, and only when a selected check reads them.
     """
+    from . import verify as V
+    from .constants import compute_constants
+    from .halfspace import PHI1, PHI2, HalfSpaceCorrection
     params, prof = _ground_state(cfg)
     inputs = {"params": params, "profile": prof, "deltas": cfg.deltas, "eps": cfg.eps,
               "d": cfg.d, "alpha": cfg.alpha, "beta": cfg.beta, "level": cfg.mesh_level}
@@ -251,6 +279,7 @@ def run_suite(cfg) -> list:
 
 
 def cmd_verify(cfg):
+    import numpy as np
     reports = run_suite(cfg)
     out = Path(cfg.out)
     for old in (*out.glob("check_[0-9][0-9]_*.json"), *out.glob("check_[0-9][0-9]_*.csv")):
@@ -280,36 +309,43 @@ def cmd_verify(cfg):
 
 
 def cmd_report(cfg):
-    """Aggregate the check records of the last verify run into report.json."""
+    """Aggregate the check records of the last verify run into report.json.
+
+    report.json carries that run's config (None when there is no summary):
+    report takes no flag of a run, so its own config would describe nothing.
+    """
     out = Path(cfg.out)
     summary = out / "summary.json"
     try:
-        records = json.loads(summary.read_text(encoding="utf-8"))["checks"]
+        run = json.loads(summary.read_text(encoding="utf-8"))
+        records, config = run["checks"], run.get("config")
     except FileNotFoundError:
-        records = []
+        records, config = [], None
     except (ValueError, LookupError, TypeError) as e:  # cut, not UTF-8, or not an object
         raise DomainError(f"{summary}: not a verify summary ({e!r})") from e
     if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
         raise DomainError(f"{summary}: checks is not a list of records")
     overall = all(r.get("verdict") == "PASS" for r in records) if records else False
     agg = {"overall": "PASS" if overall else "FAIL", "n_checks": len(records),
-           "checks": records}
-    agg.update(_meta(cfg))
+           "checks": records, "config": config, "version": __version__}
     write_json(out / "report.json", agg)
     print(f"aggregated {len(records)} records -> {out / 'report.json'}: "
           f"{agg['overall']}")
     return 0 if overall else 1
 
 
-_COMMON_KEYS = ("out", "n", "p", "alpha", "beta", "r_max", "ode_tol")
+_COMMON_KEYS = ("out",)
+# the keys of the ground state, which every command but report solves or reuses
+_SOLVE_KEYS = ("n", "p", "alpha", "beta", "r_max", "ode_tol")
 # every RunConfig field is a common key or some command's key
-_COMMAND_KEYS = {"ground-state": (), "constants": ("b_delta",),
-                 "reduced-energy": ("eps",),
-                 "verify": ("checks", "deltas", "eps", "d", "mesh_level"), "report": ()}
+_COMMAND_KEYS = {"ground-state": _SOLVE_KEYS, "constants": _SOLVE_KEYS + ("b_delta",),
+                 "reduced-energy": _SOLVE_KEYS + ("eps",),
+                 "verify": _SOLVE_KEYS + ("checks", "deltas", "eps", "d", "mesh_level"),
+                 "report": ()}
 _HELP = {"out": "output directory",
          "b_delta": "boundary-strip delta of B1, B2; 0 (default) is the delta -> 0 limit",
          "p": "exponent p (decimal or rational like 11/3)",
-         "checks": "comma-separated subset of: " + ",".join(V.CHECK_NAMES)}
+         "checks": "comma-separated subset of: " + ",".join(CHECK_NAMES)}
 
 
 def _add_flags(parser, keys):

@@ -6,10 +6,10 @@ q is derived from (n, p), never accepted independently.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -49,7 +49,7 @@ def critical_exponent(n: int, p: float) -> float:
 
 def p_threshold(n: int) -> float:
     """Lower admissible bound for p in the subcritical coupling range."""
-    return (2 * n + 1 + np.sqrt((2 * n + 1) ** 2 - 24 * (n - 2))) / (4 * (n - 2))
+    return (2 * n + 1 + math.sqrt((2 * n + 1) ** 2 - 24 * (n - 2))) / (4 * (n - 2))
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,12 @@ class ProblemParams:
             raise DomainError(f"n={self.n}: only n >= 4 is supported")
         if not 1.0 < self.p <= (self.n + 2.0) / (self.n - 2.0):
             raise DomainError(f"p={self.p} outside (1, (n+2)/(n-2)]")
-        if not all(0 <= x < np.inf for x in (self.alpha, self.beta)):
+        if not all(0 <= x < math.inf for x in (self.alpha, self.beta)):
             raise DomainError("alpha, beta must be finite and nonnegative")
         q = critical_exponent(self.n, self.p)
         object.__setattr__(self, "q", q)
         border = self.n / (self.n - 2.0)
-        if abs(self.p - border) <= 4 * np.finfo(float).eps * border:
+        if abs(self.p - border) <= 4 * sys.float_info.epsilon * border:
             tag = CASE_BORDER
         elif self.p > border:
             tag = CASE_SUPER
@@ -125,6 +125,18 @@ def check_condition_P(params: ProblemParams):
     if pn < p < border:
         return "case_ii", pn
     return "outside", pn
+
+
+def check_solvable(params: ProblemParams):
+    """Refuse, with DomainError, the (n, p) that find_ground_state has no shot
+    for: p = n/(n-2), and p outside both coupling ranges other than (n+2)/(n-2)."""
+    if params.case_tag == CASE_BORDER:
+        raise DomainError("p = n/(n-2) is not supported")
+    label, _ = check_condition_P(params)
+    top = (params.n + 2.0) / (params.n - 2.0)
+    at_top = abs(params.p - top) < 1e-12
+    if label == "outside" and not at_top:
+        raise DomainError(f"p={params.p} outside the admissible coupling ranges")
 
 
 def scaling_exponents(params: ProblemParams):

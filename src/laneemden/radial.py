@@ -25,7 +25,7 @@ import numpy as np
 from ._interp import InterpPack, pack_hermite, profile_eval
 from .errors import (BracketingFailure, DomainError, MonotonicityViolation,
                      PoorFit, StepFailure, WindowTooNarrow)
-from .params import CASE_BORDER, CASE_SUB, ProblemParams, check_condition_P
+from .params import CASE_SUB, ProblemParams, check_solvable
 
 U_HITS_ZERO = "U_HITS_ZERO"
 V_HITS_ZERO = "V_HITS_ZERO"
@@ -256,14 +256,7 @@ def find_ground_state(params: ProblemParams, ode_tol: float = 3e-14,
     edges.  The tail is fitted over [r_max/100, r_max] when p < n/(n-2)
     (slow first-component decay) and over [r_max/10, r_max] otherwise.
     """
-    if params.case_tag == CASE_BORDER:
-        raise DomainError("p = n/(n-2) is not supported")
-    label, _ = check_condition_P(params)
-    top = (params.n + 2.0) / (params.n - 2.0)
-    at_top = abs(params.p - top) < 1e-12
-    if label == "outside" and not at_top:
-        raise DomainError(f"p={params.p} outside the admissible coupling ranges")
-
+    check_solvable(params)
     r_solve = DEFAULT_SOLVE_FACTOR * r_max
 
     def classify(v0):

@@ -9,8 +9,6 @@ import json
 import os
 import tempfile
 
-import numpy as np
-
 
 def _atomic_write(path, text):
     path = os.fspath(path)
@@ -33,6 +31,7 @@ def write_json(path, obj):
 
 def write_csv(path, header, columns):
     """Columns of numbers as rows, each number as format(float(x), ".17g") gives it."""
+    import numpy as np  # here, not at import: a command that writes no CSV never loads it
     row = ",".join(["%.17g"] * len(columns))
     cols = [np.asarray(c, dtype=float).tolist() for c in columns]
     lines = [",".join(header), *(row % values for values in zip(*cols))]

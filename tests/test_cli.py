@@ -11,6 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
+import laneemden.constants as constants_mod
+from laneemden import halfspace, radial
 from laneemden.cli import RunConfig, _meta, build_config, load_config, main, make_parser
 from laneemden.constants import compute_B_delta, compute_constants
 from laneemden.errors import ConfigError, NumericalFailure
@@ -36,8 +38,6 @@ def test_config_file_parsing(tmp_path):
 
 
 def test_config_unknown_key(monkeypatch, tmp_path):
-    import laneemden.cli as cli
-    import laneemden.radial as radial
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("nope = 1\n")
     with pytest.raises(ConfigError):
@@ -47,7 +47,6 @@ def test_config_unknown_key(monkeypatch, tmp_path):
         with pytest.raises(ConfigError):
             load_config(cfg_file)
     # b_delta alone selects B, and no module draws random numbers
-    monkeypatch.setattr(cli, "find_ground_state", _no_solve)
     monkeypatch.setattr(radial, "find_ground_state", _no_solve)
     out = tmp_path / "out"
     for line in ("b_mode = DELTA", "b_mode = LIMIT", "seed_free = true", "seed_free = no"):
@@ -79,7 +78,6 @@ def test_flags_override_config(tmp_path):
 def test_validate_ode_tol_bounds(monkeypatch, tmp_path):
     """ode_tol runs only in [100 eps, 1e-4], where DOP853 takes it as given;
     outside, every command exits 2 before any solve."""
-    import laneemden.cli as cli
     lo = 100 * np.finfo(float).eps
     for tol in (lo, 1e-4):
         for command in COMMANDS:
@@ -88,7 +86,7 @@ def test_validate_ode_tol_bounds(monkeypatch, tmp_path):
         for command in COMMANDS:
             with pytest.raises(ConfigError, match="ode_tol"):
                 RunConfig(ode_tol=tol).validate(command)
-    monkeypatch.setattr(cli, "find_ground_state", _no_solve)
+    monkeypatch.setattr(radial, "find_ground_state", _no_solve)
     for tol in ("1e-16", "1e-3"):
         assert main(["ground-state", "--ode-tol", tol, "--out", str(tmp_path)]) == 2
     assert not list(tmp_path.iterdir())
@@ -173,8 +171,6 @@ def test_each_flag_is_a_config_field():
 
 
 def test_exit_code_usage_error(monkeypatch, tmp_path, capsys):
-    import laneemden.cli as cli
-    import laneemden.radial as radial
     assert main(["ground-state", "--p", "2.0", "--out", "/tmp/x"]) == 2
     assert main(["ground-state", "--p", "1.5", "--out", "/tmp/x"]) == 2
     # flags with no effect on a run do not exist, so argparse rejects them
@@ -187,7 +183,6 @@ def test_exit_code_usage_error(monkeypatch, tmp_path, capsys):
     # b_delta alone selects B, no module draws random numbers, and the perturbed
     # exponents take slopes > 0: refused on every command before any solve
     out = tmp_path / "out"
-    monkeypatch.setattr(cli, "find_ground_state", _no_solve)
     monkeypatch.setattr(radial, "find_ground_state", _no_solve)
     for command in COMMANDS:
         for bad in (["--b-mode", "DELTA"], ["--b-mode", "LIMIT"], ["--seed-free"],
@@ -294,6 +289,34 @@ DAMAGED_SUMMARIES = {"cut_mid_list": '{"checks": [{"name": "a", "verdict": "PASS
                      "not_utf8": b'{"checks": ["\xff"]}'}
 
 
+def test_report_takes_only_out_and_echoes_the_runs_config(monkeypatch, tmp_path):
+    """report has no flag of a run: one exits 2 and writes nothing.  report.json
+    carries the config of the verify run it aggregates, or None without one."""
+    import laneemden.cli as cli
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    assert json.loads((tmp_path / "report.json").read_text())["config"] is None
+    (tmp_path / "report.json").unlink()
+    ok = ExpansionReport(name="cross_terms", samples={}, fit={}, target=0.0,
+                         deviation=0.0, tol=1.0, verdict="PASS")
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: [ok])
+    assert main(["verify", "--out", str(tmp_path), "--p", "2.5", "--alpha", "1.5",
+                 "--mesh-level", "3", "--checks", "cross_terms"]) == 0
+    for flag in (["--n", "5"], ["--p", "2.5"], ["--alpha", "2"], ["--beta", "2"],
+                 ["--r-max", "7"], ["--ode-tol", "1e-10"], ["--mesh-level", "2"],
+                 ["--checks", "cross_terms"], ["--b-delta", "0.05"]):
+        assert main(["report", "--out", str(tmp_path)] + flag) == 2, flag
+    assert not (tmp_path / "report.json").exists()
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"out = {tmp_path}\np = 3\nalpha = 2\n")
+    for argv in (["--out", str(tmp_path)], ["--config", str(cfg_file)]):
+        assert main(["report"] + argv) == 0
+        agg = json.loads((tmp_path / "report.json").read_text())
+        assert agg["config"] == summary["config"]
+        assert (agg["config"]["p"], agg["config"]["alpha"], agg["config"]["mesh_level"],
+                agg["config"]["checks"]) == (2.5, 1.5, 3, ["cross_terms"])
+
+
 @pytest.mark.parametrize("case", sorted(DAMAGED_SUMMARIES))
 def test_report_refuses_a_damaged_summary(tmp_path, capsys, case):
     """A damaged summary.json is a usage error (exit 2, one line), not a traceback."""
@@ -323,6 +346,15 @@ def test_all_check_names_wired():
     assert set(cfg.checks) == set(CHECK_NAMES)
 
 
+def test_cli_check_names_are_verify_checks_in_order():
+    """The check names the CLI states without importing verify, as RunConfig's
+    default and in --help, are the keys of verify.CHECKS in order."""
+    (sub,) = [a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (checks,) = [a for a in sub.choices["verify"]._actions if a.dest == "checks"]
+    assert RunConfig().checks == tuple(V.CHECKS)
+    assert checks.help == "comma-separated subset of: " + ",".join(V.CHECKS)
+
+
 def test_check_reads_name_run_inputs():
     """Every check reads only inputs that run_suite provides; four read a correction."""
     assert set(CHECK_READS) == set(CHECK_NAMES)
@@ -335,7 +367,6 @@ def test_check_reads_name_run_inputs():
 
 def test_run_suite_builds_only_what_the_checks_read(monkeypatch, tmp_path, solves):
     """The constants and each correction are built once, and only for a check that reads them."""
-    import laneemden.cli as cli
     built = []
 
     def record(name):
@@ -349,8 +380,8 @@ def test_run_suite_builds_only_what_the_checks_read(monkeypatch, tmp_path, solve
         assert main(["verify", "--out", str(tmp_path), "--checks", checks, *extra]) in (0, 1)
         return list(built)
 
-    monkeypatch.setattr(cli, "compute_constants", record("constants"))
-    monkeypatch.setattr(cli, "HalfSpaceCorrection", lambda prof, which: record(which)())
+    monkeypatch.setattr(constants_mod, "compute_constants", record("constants"))
+    monkeypatch.setattr(halfspace, "HalfSpaceCorrection", lambda prof, which: record(which)())
     # the phi and mass checks are stubbed; each receives what its entry passes on
     for fname in ("check_bubble_mass", "check_phi_pairing", "check_gradient_expansion",
                   "check_nonlinear_expansion", "check_norm_orders"):
@@ -369,12 +400,11 @@ def test_run_suite_builds_only_what_the_checks_read(monkeypatch, tmp_path, solve
 
 
 def test_phi_checks_rejected_for_n5_before_any_solve(monkeypatch, tmp_path):
-    import laneemden.cli as cli
 
     def no_solve(*args, **kwargs):
         raise AssertionError("ground state solved before the config was rejected")
 
-    monkeypatch.setattr(cli, "find_ground_state", no_solve)
+    monkeypatch.setattr(radial, "find_ground_state", no_solve)
     assert main(["verify", "--n", "5", "--p", "2", "--out", str(tmp_path)]) == 2
     assert main(["verify", "--n", "5", "--p", "2", "--out", str(tmp_path),
                  "--checks", "exponent_taylor,perturbed_norms"]) == 2
@@ -384,12 +414,11 @@ def test_phi_checks_rejected_for_n5_before_any_solve(monkeypatch, tmp_path):
 
 
 def test_degenerate_lists_rejected_before_any_solve(monkeypatch, tmp_path):
-    import laneemden.cli as cli
 
     def no_solve(*args, **kwargs):
         raise AssertionError("ground state solved before the config was rejected")
 
-    monkeypatch.setattr(cli, "find_ground_state", no_solve)
+    monkeypatch.setattr(radial, "find_ground_state", no_solve)
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("checks =\n")
     for argv in (["verify", "--checks", ""],
@@ -466,14 +495,13 @@ def test_verify_prints_min_type_targets(monkeypatch, tmp_path, capsys):
 
 @pytest.fixture
 def solves(monkeypatch, prof_sym):
-    import laneemden.cli as cli
     calls = []
 
     def fake_solve(params, ode_tol, r_max):
         calls.append(params)
         return dataclasses.replace(prof_sym, params=params)
 
-    monkeypatch.setattr(cli, "find_ground_state", fake_solve)
+    monkeypatch.setattr(radial, "find_ground_state", fake_solve)
     return calls
 
 
@@ -495,7 +523,6 @@ def _outputs(d):
 
 
 def test_saved_profile_reused(monkeypatch, tmp_path, solves):
-    import laneemden.cli as cli
     # relative --out, so config.out in the outputs is the same in both dirs
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir()
@@ -506,7 +533,7 @@ def test_saved_profile_reused(monkeypatch, tmp_path, solves):
     assert main(["ground-state", "--out", "out"]) == 0
     assert len(solves) == 2
     with monkeypatch.context() as m:
-        m.setattr(cli, "find_ground_state", _no_solve)
+        m.setattr(radial, "find_ground_state", _no_solve)
         assert main(["constants", "--out", "out"]) == 0
         assert main(["reduced-energy", "--out", "out"]) == 0
     monkeypatch.chdir(b)
@@ -520,7 +547,6 @@ def test_saved_profile_reused(monkeypatch, tmp_path, solves):
 
 
 def test_saved_profile_takes_the_commands_slopes(monkeypatch, tmp_path, solves):
-    import laneemden.cli as cli
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir()
     b.mkdir()
@@ -534,8 +560,8 @@ def test_saved_profile_takes_the_commands_slopes(monkeypatch, tmp_path, solves):
         return compute_constants(prof, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(cli, "find_ground_state", _no_solve)
-        m.setattr(cli, "compute_constants", constants_of)
+        m.setattr(radial, "find_ground_state", _no_solve)
+        m.setattr(constants_mod, "compute_constants", constants_of)
         assert main(["reduced-energy", "--out", "out"] + slopes) == 0
     assert (used[0].alpha, used[0].beta) == (2.0, 0.5)
     monkeypatch.chdir(b)
@@ -709,6 +735,61 @@ def test_commands_on_a_saved_profile_import_no_scipy(tmp_path, prof_sym):
     assert (tmp_path / "case2" / "profile.json").is_file()
 
 
+NO_NUMPY = """
+import sys
+
+
+class NoNumpy:
+    \"\"\"A meta-path finder that refuses numpy and its submodules.\"\"\"
+
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError(f"numpy is blocked: {name}")
+
+
+sys.meta_path.insert(0, NoNumpy())
+from laneemden.cli import main
+
+out = sys.argv[1]
+assert main(["--version"]) == 0
+assert main(["--help"]) == 0
+assert main(["report", "--out", out]) == 0
+# a slope, a dimension and two exponents the solver has no ground state for
+for bad in (["--alpha", "0"], ["--n", "3"], ["--p", "1.5"], ["--p", "2"]):
+    assert main(["ground-state", "--out", out + "/refused"] + bad) == 2, bad
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+
+CONSTANTS_LOADS = """
+import sys
+from laneemden.cli import main
+
+assert main(["constants", "--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if m in (
+    "laneemden.verify", "laneemden.halfspace", "laneemden.ansatz")))
+"""
+
+
+def test_cli_loads_only_the_numerics_its_command_runs(tmp_path, prof_sym):
+    """With numpy's import blocked, the CLI imports, prints its version and help,
+    reports on a saved summary and refuses bad inputs (exit 2); constants on a
+    saved profile loads neither verify nor the half-space corrections nor the ansatz."""
+    summary = {"overall": "PASS", "checks": [{"name": "exponent_taylor", "verdict": "PASS"}],
+               "config": RunConfig(alpha=1.5, mesh_level=3).as_dict(), "version": "0.1.0"}
+    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    run = subprocess.run([sys.executable, "-c", NO_NUMPY, str(tmp_path)], env=_child_env(),
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "report.json").read_text())["config"] == summary["config"]
+    assert not (tmp_path / "refused").exists()
+    prof_sym.to_csv(tmp_path / "profile.csv", tmp_path / "profile.json")
+    run = subprocess.run([sys.executable, "-c", CONSTANTS_LOADS, str(tmp_path)],
+                         env=_child_env(), capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
@@ -762,14 +843,15 @@ def test_runtime_dependencies_are_numpy_only():
 THREADS = """
 import os
 import laneemden.cli
+import laneemden.radial  # a command's numerics, which load numpy
 print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
 """
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_cli_import_runs_one_thread_unless_the_caller_sets_blas_threads():
-    """Importing the CLI leaves the process one thread, with OPENBLAS_NUM_THREADS=1;
-    a value the caller sets is kept."""
+    """Importing the CLI and the numerics of a command leaves the process one
+    thread, with OPENBLAS_NUM_THREADS=1; a value the caller sets is kept."""
     def child(**extra):
         run = subprocess.run([sys.executable, "-c", THREADS], env=_child_env(**extra),
                              capture_output=True, text=True, timeout=600)

@@ -3,7 +3,7 @@ import pytest
 
 from laneemden.errors import DomainError
 from laneemden.params import (CASE_BORDER, CASE_SUB, CASE_SUPER, ProblemParams,
-                              check_condition_P, critical_exponent,
+                              check_condition_P, check_solvable, critical_exponent,
                               p_threshold, parse_exponent, scaling_exponents)
 
 
@@ -74,6 +74,18 @@ def test_case_tags():
     assert ProblemParams(n=4, p=2.5).case_tag == CASE_SUPER
     assert ProblemParams(n=4, p=1.9).case_tag == CASE_SUB
     assert ProblemParams(n=4, p=2.0).case_tag == CASE_BORDER
+
+
+def test_check_solvable_admits_both_ranges_and_the_top():
+    """The solver's refusal, which the CLI makes before its numerics load: the
+    border p = n/(n-2) and p below p_n; case ii, case i and the top p = (n+2)/(n-2) pass."""
+    for n in (4, 5, 6):
+        border, top = n / (n - 2.0), (n + 2.0) / (n - 2.0)
+        for p in (0.5 * (p_threshold(n) + border), 0.5 * (border + top), top):
+            check_solvable(ProblemParams(n=n, p=p))
+        for p in (border, 0.5 * (1.0 + p_threshold(n))):
+            with pytest.raises(DomainError):
+                check_solvable(ProblemParams(n=n, p=p))
 
 
 def test_q_always_derived():
