@@ -22,6 +22,7 @@ import numpy as np
 from ._interp import profile_eval
 from .errors import DomainError, QuadratureAsymmetry
 from .halfspace import PHI1, PHI2, PhiTable
+from .params import DELTA_CAP
 from .radial import RadialProfile
 
 W1 = "W1"
@@ -29,7 +30,6 @@ W2 = "W2"
 PW1_APPROX = "PW1_APPROX"
 PW2_APPROX = "PW2_APPROX"
 
-DELTA_CAP = 0.2  # keeps the bubble halves of the ball separated
 # the checks build phi tables out to TABLE_REACH / (smallest delta); a field
 # needs 2/delta, the bound of (1 +- x_n)/delta in the ball
 TABLE_REACH = 2.2
@@ -104,16 +104,15 @@ class AnsatzField:
                                   - tab.eval_many(s / d, (1.0 + t) / d))
 
 
-def symmetry_and_compatibility_check(field: AnsatzField, quad, t_exponent=None):
+def symmetry_and_compatibility_check(field: AnsatzField, quad):
     """Integrals of the field and of its signed power over the ball.
 
     Both vanish analytically for the odd-symmetric fields; the check
     validates that the quadrature preserves the symmetry.  The power is q
-    for W1/PW1 and p for W2/PW2 unless t_exponent is given.
+    for W1/PW1 and p for W2/PW2.
     """
-    if t_exponent is None:
-        pp = field.profile.params
-        t_exponent = pp.q if field.kind in (W1, PW1_APPROX) else pp.p
+    pp = field.profile.params
+    t_exponent = pp.q if field.kind in (W1, PW1_APPROX) else pp.p
 
     def integrands(s, t):
         v = field.eval_st(s, t)

@@ -27,7 +27,6 @@ the run length.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,7 +34,6 @@ import numpy as np
 
 N_GAUSS = 4  # Gauss points per mesh cell along each axis
 BLOCK_NODES = 2 ** 14  # most mesh nodes per integrand call, unless one rho cell has more
-HEAP_TOP_PAD = 16 << 20  # bytes glibc's malloc keeps at the top of its heap (M_TOP_PAD)
 
 
 def sphere_measure(k):
@@ -98,33 +96,6 @@ def graded_edges(length, h_min, h_max, ratio):
     return e
 
 
-@lru_cache(maxsize=None)
-def _keep_heap_top():
-    """Let glibc's malloc keep HEAP_TOP_PAD free bytes at its heap top.
-
-    integrate frees every temporary of a run of cells before the next run
-    makes the same ones again, up to 128 kB each.  By default glibc hands
-    the freed top of its heap back to the kernel each time and faults the
-    pages in again for the next run: with runs of 2**15 nodes, three
-    integrals of a 2-row stack on the level-4 mesh took 0.65 s and 191,000
-    page faults instead of 0.25 s and 370 (2-vCPU x86-64 VM, glibc 2.36).
-    So the pad is set once, when the first mesh is built, unless the caller
-    has set malloc's own MALLOC_* variables or glibc.malloc tunables;
-    elsewhere than glibc this does nothing.
-    """
-    if (any(k.startswith("MALLOC_") for k in os.environ)
-            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
-        return
-    import ctypes  # here, not at import: a process without a mesh never loads it
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-2, HEAP_TOP_PAD)  # -2: M_TOP_PAD
-
-
 @dataclass(eq=False)
 class BallQuadrature:
     """Tensor Gauss mesh on the upper half of the (rho, theta) rectangle.
@@ -138,7 +109,6 @@ class BallQuadrature:
     level: int = 1
 
     def __post_init__(self):
-        _keep_heap_top()
         split = 2 ** (self.level - 1)
         h_min = self.delta_min / 4.0 / split
         h_max = 0.04 / split

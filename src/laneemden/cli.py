@@ -24,14 +24,23 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, DomainError, NumericalFailure
-from .params import ProblemParams, check_solvable, parse_exponent
+from .params import DELTA_CAP, ProblemParams, check_solvable, parse_exponent
 from .reporting import write_csv, write_json
 
-# The keys of verify.CHECKS, in their order, written out so that a command
-# that runs no check need not import verify; tests/test_cli.py pins the two.
-CHECK_NAMES = ("bubble_mass", "cross_terms", "boundary_pairing", "gradient_energy",
-               "nonlinear_energy", "linearized_kernel", "scaling_table", "exponent_taylor",
-               "perturbed_norms")
+# The run inputs of each check, in the order of verify.CHECKS: the parameter
+# names of its entry there, which run_suite passes by name.  Stated here so
+# that validate and --help need not import verify; tests/test_cli.py pins the two.
+CHECK_READS = {
+    "bubble_mass": ("profile", "constants", "deltas", "level"),
+    "cross_terms": ("profile", "deltas", "level"),
+    "boundary_pairing": ("profile", "corr1", "corr2", "constants", "deltas", "level"),
+    "gradient_energy": ("profile", "corr1", "constants", "deltas", "level"),
+    "nonlinear_energy": ("profile", "corr2", "constants", "eps", "d", "alpha", "level"),
+    "linearized_kernel": ("profile",),
+    "scaling_table": ("params",),
+    "exponent_taylor": ("params",),
+    "perturbed_norms": ("profile", "corr1", "eps", "d", "level", "beta"),
+}
 
 
 def __getattr__(name):
@@ -56,11 +65,12 @@ class RunConfig:
     r_max: float = 1e4
     mesh_level: int = 1
     out: str = "out"
-    checks: tuple = CHECK_NAMES
+    checks: tuple = tuple(CHECK_READS)
     b_delta: float = 0.0
 
     def validate(self, command="verify"):
-        """Reject bad settings up front; the phi checks' n = 4 limit binds verify only."""
+        """Reject bad settings up front; verify's sample lists and the inputs its
+        checks read (CHECK_READS) are checked for verify only."""
         # a NaN passes every range test below
         nonfinite = [k for k, v in asdict(self).items()
                      if any(isinstance(x, float) and not math.isfinite(x)
@@ -72,8 +82,8 @@ class RunConfig:
             raise ConfigError(f"ode_tol={self.ode_tol!r} outside [100 eps, 1e-4]")
         if self.r_max <= 0:
             raise ConfigError("r_max must be positive")
-        if any(d <= 0 or d > 0.2 for d in self.deltas):
-            raise ConfigError("delta samples must lie in (0, 0.2]")
+        if any(d <= 0 or d > DELTA_CAP for d in self.deltas):
+            raise ConfigError(f"delta samples must lie in (0, {DELTA_CAP}]")
         if any(e <= 0 or e > 0.1 for e in self.eps):
             raise ConfigError("eps samples must lie in (0, 0.1]")
         if self.d <= 0:
@@ -83,7 +93,7 @@ class RunConfig:
             raise ConfigError("alpha and beta must be positive")
         if not 0 <= self.b_delta <= 0.1:
             raise ConfigError("b_delta must be 0 (the delta -> 0 limit) or lie in (0, 0.1]")
-        unknown = [c for c in self.checks if c not in CHECK_NAMES]
+        unknown = [c for c in self.checks if c not in CHECK_READS]
         if unknown:
             raise ConfigError(f"unknown checks: {unknown}")
         if self.mesh_level < 1:
@@ -91,18 +101,24 @@ class RunConfig:
         empty = [k for k in ("checks", "deltas", "eps") if not getattr(self, k)]
         if empty:
             raise ConfigError(f"empty lists: {empty}")
+        if command != "verify":
+            return self
         # verify runs each check once, and its fits divide by the differences of its
         # samples, which a repeat makes 0
         for key, least in (("checks", 1), ("deltas", 2), ("eps", 2)):
             xs = getattr(self, key)
-            if command == "verify" and not least <= len(xs) == len(set(xs)):
+            if not least <= len(xs) == len(set(xs)):
                 raise ConfigError(f"verify needs at least {least} {key} and no repeated one")
-        if command == "verify" and self.n != 4:
-            from . import verify
-            phi_checks = [c for c in self.checks if verify.reads_phi(c)]
-            if phi_checks:
-                raise ConfigError(f"checks {phi_checks} need the half-space corrections, "
-                                  "implemented for n = 4 only")
+        phi_checks = [c for c in self.checks if {"corr1", "corr2"} & set(CHECK_READS[c])]
+        if phi_checks and self.n != 4:
+            raise ConfigError(f"checks {phi_checks} need the half-space corrections, "
+                              "implemented for n = 4 only")
+        # a check that reads d samples the bubble scales delta = d * eps
+        d_checks = [c for c in self.checks if "d" in CHECK_READS[c]]
+        top = max(self.d * e for e in self.eps)
+        if d_checks and top > DELTA_CAP:
+            raise ConfigError(f"checks {d_checks} sample delta = d * eps up to {top!r}, "
+                              f"outside (0, {DELTA_CAP}]")
         return self
 
     def as_dict(self):
@@ -133,7 +149,8 @@ def _coerce(key, raw):
 
 
 def load_config(path) -> dict:
-    out = {}
+    """The key = value pairs of a config file; a key set twice is refused."""
+    out, line_of = {}, {}
     for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         s = line.split("#", 1)[0].strip()
         if not s:
@@ -141,7 +158,9 @@ def load_config(path) -> dict:
         if "=" not in s:
             raise ConfigError(f"{path}:{ln}: expected 'key = value'")
         k, v = (t.strip() for t in s.split("=", 1))
-        out[k] = _coerce(k, v)
+        if k in line_of:
+            raise ConfigError(f"{path}:{ln}: {k} is set again (first at line {line_of[k]})")
+        out[k], line_of[k] = _coerce(k, v), ln
     return out
 
 
@@ -256,7 +275,7 @@ def cmd_reduced_energy(cfg):
 def run_suite(cfg) -> list:
     """Run cfg.checks in order and return their ExpansionReports.
 
-    Each check reads the inputs that verify.CHECK_READS names.  The ground
+    Each check reads the inputs that CHECK_READS names.  The ground
     state is always taken (from _ground_state); the energy constants and the
     half-space corrections corr1 (phi1) and corr2 (phi2) are built once
     each, and only when a selected check reads them.
@@ -270,11 +289,11 @@ def run_suite(cfg) -> list:
     builders = {"constants": lambda: compute_constants(prof),
                 "corr1": lambda: HalfSpaceCorrection(prof, PHI1),
                 "corr2": lambda: HalfSpaceCorrection(prof, PHI2)}
-    read = {key for name in cfg.checks for key in V.CHECK_READS[name]}
+    read = {key for name in cfg.checks for key in CHECK_READS[name]}
     inputs.update({key: build() for key, build in builders.items() if key in read})
     reports = []
     for name in cfg.checks:
-        reports += V.CHECKS[name](**{key: inputs[key] for key in V.CHECK_READS[name]})
+        reports += V.CHECKS[name](**{key: inputs[key] for key in CHECK_READS[name]})
     return reports
 
 
@@ -345,7 +364,7 @@ _COMMAND_KEYS = {"ground-state": _SOLVE_KEYS, "constants": _SOLVE_KEYS + ("b_del
 _HELP = {"out": "output directory",
          "b_delta": "boundary-strip delta of B1, B2; 0 (default) is the delta -> 0 limit",
          "p": "exponent p (decimal or rational like 11/3)",
-         "checks": "comma-separated subset of: " + ",".join(CHECK_NAMES)}
+         "checks": "comma-separated subset of: " + ",".join(CHECK_READS)}
 
 
 def _add_flags(parser, keys):

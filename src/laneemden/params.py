@@ -14,6 +14,7 @@ from fractions import Fraction
 from .errors import DomainError
 
 HYPERBOLA_TOL = 1e-12
+DELTA_CAP = 0.2  # largest bubble scale delta: keeps the bubble halves of the ball separated
 
 CASE_SUPER = "SUPER"
 CASE_SUB = "SUB"

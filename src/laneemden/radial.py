@@ -108,14 +108,13 @@ class RadialProfile:
         r = np.atleast_1d(np.asarray(r, dtype=np.float64))
         return profile_eval(r, self.interp_pack, ("U", "dU", "V", "dV"))
 
-    def to_csv(self, csv_path, json_path=None):
-        """Write the sampled profile, and a JSON sidecar if a path is given."""
+    def to_csv(self, csv_path, json_path):
+        """Write the sampled profile to csv_path and its JSON sidecar to json_path."""
         # imported per call: perfbench's tracer replaces reporting's writers
         from .reporting import write_csv, write_json
         write_csv(csv_path, ["r", "U", "dU", "V", "dV"],
                   [self.grid, self.U, self.dU, self.V, self.dV])
-        if json_path is not None:
-            write_json(json_path, self.sidecar())
+        write_json(json_path, self.sidecar())
 
     def sidecar(self):
         return {"v0": self.v0, "r_max": self.r_max, "ode_tol": self.ode_tol,

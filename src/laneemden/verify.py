@@ -11,7 +11,6 @@ halving of x.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -577,9 +576,10 @@ def check_norm_orders(profile, corr1, eps_list, d=0.2, level=1, beta=1.0):
         verdict=_verdict(ok), details={"d": d, "beta": beta})
 
 
-# Each check's run inputs are the parameter names of its entry, which turns
-# them into the check's reports.  An entry looks its check_* function up on
-# this module when it runs, so a wrapper put there later is the one called.
+# Each entry turns a check's run inputs, its parameter names, into the check's
+# reports; cli.CHECK_READS states those names, in this order, for the CLI.  An
+# entry looks its check_* function up on this module when it runs, so a
+# wrapper put there later is the one called.
 CHECKS = {
     "bubble_mass": lambda profile, constants, deltas, level: [
         check_bubble_mass(profile, constants, deltas, level=level)],
@@ -600,10 +600,3 @@ CHECKS = {
     "perturbed_norms": lambda profile, corr1, eps, d, level, beta: [
         check_norm_orders(profile, corr1, eps, d=d, level=level, beta=beta)],
 }
-CHECK_NAMES = tuple(CHECKS)
-CHECK_READS = {name: tuple(inspect.signature(run).parameters) for name, run in CHECKS.items()}
-
-
-def reads_phi(name):
-    """Whether a check reads a half-space correction (implemented for n = 4 only)."""
-    return not {"corr1", "corr2"}.isdisjoint(CHECK_READS[name])

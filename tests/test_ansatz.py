@@ -103,7 +103,7 @@ def test_shifted_pair_fails_compatibility(prof_sym):
 
     quad = get_quadrature(4, 0.025)
     with pytest.raises(QuadratureAsymmetry):
-        symmetry_and_compatibility_check(Shifted(), quad, t_exponent=3.0)
+        symmetry_and_compatibility_check(Shifted(), quad)
 
 
 def test_projection_gap_bound_shape(prof_sym, corr1_sym, prof_case2, corr1_case2):

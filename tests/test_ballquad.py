@@ -1,8 +1,4 @@
 import math
-import os
-import platform
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -284,38 +280,3 @@ def test_block_integral_memory_is_bounded(prof_sym):
         finally:
             tracemalloc.stop()
         assert peak < 32 * ballquad.BLOCK_NODES * 8, (level, peak)
-
-
-HEAP_FAULTS = """
-import resource
-import numpy as np
-from laneemden.ballquad import BallQuadrature
-quad = BallQuadrature(4, 0.01, 4)
-f = lambda s, t: [np.exp(-s) * np.cos(t) ** 3, np.sqrt(s * s + t * t)]
-quad.integrate(f)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-quad.integrate(f)
-quad.integrate(f)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc")
-def test_leaves_reuse_the_heap_unless_the_caller_sets_malloc():
-    """Two level-4 integrals (70 runs of rho cells each) in a fresh process take
-    few page faults: the heap keeps its top between runs.  A MALLOC_* value that
-    the caller sets is kept, and with MALLOC_TOP_PAD_=0 every run faults its
-    temporaries in again."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-
-    def faults(**extra):
-        run = subprocess.run([sys.executable, "-c", HEAP_FAULTS], env=dict(env, **extra),
-                             capture_output=True, text=True, timeout=600)
-        assert run.returncode == 0, run.stderr
-        return int(run.stdout)
-
-    kept, given_back = faults(), faults(MALLOC_TOP_PAD_="0")
-    assert kept < 2000 and given_back > 10 * kept, (kept, given_back)

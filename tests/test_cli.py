@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -13,11 +14,12 @@ import pytest
 
 import laneemden.constants as constants_mod
 from laneemden import halfspace, radial
-from laneemden.cli import RunConfig, _meta, build_config, load_config, main, make_parser
+from laneemden.cli import (CHECK_READS, RunConfig, _meta, build_config, load_config, main,
+                           make_parser)
 from laneemden.constants import compute_B_delta, compute_constants
 from laneemden.errors import ConfigError, NumericalFailure
 from laneemden import verify as V
-from laneemden.verify import CHECK_NAMES, CHECK_READS, ExpansionReport, reads_phi
+from laneemden.verify import ExpansionReport
 
 COMMANDS = ("ground-state", "constants", "reduced-energy", "verify", "report")
 
@@ -55,6 +57,20 @@ def test_config_unknown_key(monkeypatch, tmp_path):
             load_config(cfg_file)
         for command in COMMANDS:
             assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_config_repeated_key(monkeypatch, tmp_path):
+    """A key set twice in one file is refused, naming the key and both lines,
+    rather than the later value silently winning."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("p = 3\n# p = 2\nalpha = 1\n\np = 2.5\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:5: p is set again \(first at line 1\)"):
+        load_config(cfg_file)
+    monkeypatch.setattr(radial, "find_ground_state", _no_solve)
+    out = tmp_path / "out"
+    for command in COMMANDS:
+        assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -114,7 +130,7 @@ def test_validate_rejects_bad_samples():
         RunConfig(b_delta=0.0).validate(command)
     # the perturbed exponents p + alpha eps, q + beta eps need slopes > 0, whatever runs
     for slopes in ({"alpha": 0.0}, {"beta": 0.0}, {"alpha": -1.0}, {"beta": -1.0}):
-        for checks in (CHECK_NAMES, ("nonlinear_energy",), ("bubble_mass",)):
+        for checks in (tuple(CHECK_READS), ("nonlinear_energy",), ("bubble_mass",)):
             for command in COMMANDS:
                 with pytest.raises(ConfigError, match="alpha and beta"):
                     RunConfig(checks=checks, **slopes).validate(command)
@@ -343,26 +359,31 @@ def test_outputs_embed_config_and_version(monkeypatch, tmp_path):
 
 def test_all_check_names_wired():
     cfg = RunConfig()
-    assert set(cfg.checks) == set(CHECK_NAMES)
+    assert set(cfg.checks) == set(CHECK_READS)
 
 
 def test_cli_check_names_are_verify_checks_in_order():
-    """The check names the CLI states without importing verify, as RunConfig's
-    default and in --help, are the keys of verify.CHECKS in order."""
+    """The check names the CLI states without importing verify, as CHECK_READS's
+    keys, RunConfig's default and in --help, are the keys of verify.CHECKS in
+    order, and each check's reads are the parameter names of its entry."""
     (sub,) = [a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     (checks,) = [a for a in sub.choices["verify"]._actions if a.dest == "checks"]
-    assert RunConfig().checks == tuple(V.CHECKS)
+    assert tuple(CHECK_READS) == RunConfig().checks == tuple(V.CHECKS)
     assert checks.help == "comma-separated subset of: " + ",".join(V.CHECKS)
+    assert CHECK_READS == {name: tuple(inspect.signature(run).parameters)
+                           for name, run in V.CHECKS.items()}
 
 
 def test_check_reads_name_run_inputs():
-    """Every check reads only inputs that run_suite provides; four read a correction."""
-    assert set(CHECK_READS) == set(CHECK_NAMES)
+    """Every check reads only inputs that run_suite provides; four read a
+    correction, and two read d."""
     assert set().union(*CHECK_READS.values()) == {
         "params", "profile", "constants", "corr1", "corr2", "deltas", "eps", "d", "alpha",
         "beta", "level"}
-    assert {c for c in CHECK_NAMES if reads_phi(c)} == {
+    assert {c for c, reads in CHECK_READS.items() if {"corr1", "corr2"} & set(reads)} == {
         "boundary_pairing", "gradient_energy", "nonlinear_energy", "perturbed_norms"}
+    assert {c for c, reads in CHECK_READS.items() if "d" in reads} == {
+        "nonlinear_energy", "perturbed_norms"}
 
 
 def test_run_suite_builds_only_what_the_checks_read(monkeypatch, tmp_path, solves):
@@ -411,6 +432,28 @@ def test_phi_checks_rejected_for_n5_before_any_solve(monkeypatch, tmp_path):
     with pytest.raises(ConfigError):
         RunConfig(n=5, p=2.0).validate()
     RunConfig(n=5, p=2.0).validate("ground-state")
+
+
+def test_delta_cap_rejected_before_any_solve(monkeypatch, tmp_path):
+    """A check that reads d samples delta = d * eps; a product above DELTA_CAP
+    exits 2 before the ground state, the constants or a table is built."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("ground state solved before the config was rejected")
+
+    monkeypatch.setattr(radial, "find_ground_state", no_solve)
+    for argv in (["--d", "10", "--checks", "nonlinear_energy"],
+                 ["--d", "3", "--eps", "0.1,0.05", "--checks", "perturbed_norms"],
+                 ["--d", "2.01", "--eps", "0.1,0.05"]):
+        assert main(["verify", "--out", str(tmp_path / "out")] + argv) == 2, argv
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match=r"delta = d \* eps up to 0\.4, outside \(0, 0\.2\]"):
+        RunConfig(d=10.0, checks=("nonlinear_energy",)).validate()
+    # d * eps = 0.2 exactly is the cap itself; d is not read by the other checks
+    RunConfig(d=2.0, eps=(0.1, 0.05)).validate()
+    RunConfig(d=10.0, checks=("bubble_mass", "cross_terms")).validate()
+    for command in ("ground-state", "constants", "reduced-energy"):
+        RunConfig(d=10.0).validate(command)
 
 
 def test_degenerate_lists_rejected_before_any_solve(monkeypatch, tmp_path):
@@ -757,6 +800,11 @@ assert main(["report", "--out", out]) == 0
 # a slope, a dimension and two exponents the solver has no ground state for
 for bad in (["--alpha", "0"], ["--n", "3"], ["--p", "1.5"], ["--p", "2"]):
     assert main(["ground-state", "--out", out + "/refused"] + bad) == 2, bad
+# a phi check at n = 5, a bubble scale d * eps above the cap, a key set twice
+for bad in (["--n", "5", "--p", "2", "--checks", "boundary_pairing"],
+            ["--d", "10", "--checks", "nonlinear_energy"],
+            ["--config", out + "/repeated.cfg"]):
+    assert main(["verify", "--out", out + "/refused"] + bad) == 2, bad
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 """
 
@@ -777,6 +825,7 @@ def test_cli_loads_only_the_numerics_its_command_runs(tmp_path, prof_sym):
     summary = {"overall": "PASS", "checks": [{"name": "exponent_taylor", "verdict": "PASS"}],
                "config": RunConfig(alpha=1.5, mesh_level=3).as_dict(), "version": "0.1.0"}
     (tmp_path / "summary.json").write_text(json.dumps(summary))
+    (tmp_path / "repeated.cfg").write_text("p = 3\np = 2.5\n")
     run = subprocess.run([sys.executable, "-c", NO_NUMPY, str(tmp_path)], env=_child_env(),
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr

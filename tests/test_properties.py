@@ -17,14 +17,13 @@ from laneemden._interp import interval_index, profile_eval  # noqa: E402
 from laneemden.ansatz import (PW1_APPROX, PW2_APPROX, TABLE_REACH, W1, W2,  # noqa: E402
                               AnsatzField, bubble_uv)
 from laneemden.ballquad import gauss_panels, get_quadrature, graded_edges  # noqa: E402
-from laneemden.cli import (_COMMAND_KEYS, _COMMON_KEYS, RunConfig,  # noqa: E402
-                           build_config, make_parser)
+from laneemden.cli import (_COMMAND_KEYS, _COMMON_KEYS, CHECK_READS,  # noqa: E402
+                           RunConfig, build_config, make_parser)
 from laneemden.errors import ConfigError, DomainError  # noqa: E402
 from laneemden.halfspace import LOOKUP_CHUNK, panel_edges  # noqa: E402
-from laneemden.params import (HYPERBOLA_TOL, ProblemParams,  # noqa: E402
+from laneemden.params import (DELTA_CAP, HYPERBOLA_TOL, ProblemParams,  # noqa: E402
                               check_condition_P)
 from laneemden.radial import _rhs, shoot  # noqa: E402
-from laneemden.verify import CHECK_NAMES, reads_phi  # noqa: E402
 from bubble_reference import profile_eval_where  # noqa: E402
 from phi_reference import eval_many_loop  # noqa: E402
 from strategies import admissible  # noqa: E402
@@ -389,17 +388,23 @@ def run_configs(draw):
     top = (n + 2.0) / (n - 2.0)
     p_decimal = st.floats(1.0, top, exclude_min=True).map(str)
     # the phi checks are implemented for n = 4 only
-    names = [c for c in CHECK_NAMES if n == 4 or not reads_phi(c)]
+    names = [c for c, reads in CHECK_READS.items()
+             if n == 4 or not {"corr1", "corr2"} & set(reads)]
     checks = tuple(draw(st.lists(st.sampled_from(names), unique=True, min_size=1)))
     # the slopes of the perturbed exponents, in (0, 5]
     slope = _number_text(0.0, 5.0).filter(lambda t: Fraction(t) > 0)
+    eps = draw(_samples(0.1))
+    d = _number_text(1e-3, 10.0)
+    if any("d" in CHECK_READS[c] for c in checks):
+        # a check that reads d samples delta = d * eps, which must not pass DELTA_CAP
+        d = _number_text(1e-3, min(10.0, DELTA_CAP / max(eps))).filter(
+            lambda t: max(float(Fraction(t)) * e for e in eps) <= DELTA_CAP)
     # a rational exponent, admissible for n = 4
     texts = {"p": draw(st.one_of(st.just("11/3"), p_decimal) if n == 4 else p_decimal),
-             "alpha": draw(slope), "beta": draw(slope),
-             "d": draw(_number_text(1e-3, 10.0))}
+             "alpha": draw(slope), "beta": draw(slope), "d": draw(d)}
     cfg = RunConfig(
         n=n, **{k: float(Fraction(t)) for k, t in texts.items()},
-        deltas=draw(_samples(0.2)), eps=draw(_samples(0.1)),
+        deltas=draw(_samples(0.2)), eps=eps,
         ode_tol=draw(st.floats(100 * np.finfo(float).eps, 1e-6)),
         r_max=draw(st.floats(1e2, 1e6)), mesh_level=draw(st.integers(1, 4)),
         out=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,12}", fullmatch=True)),
