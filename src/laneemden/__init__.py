@@ -19,10 +19,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # module each time it is read here (PEP 562), so importing the package, or the
 # CLI, loads no numerics until a command needs them.
 _EXPORTS = {
-    "params": ("ProblemParams", "check_condition_P", "critical_exponent", "scaling_exponents"),
+    "params": ("ProblemParams", "check_condition_P", "critical_exponent"),
     "radial": ("RadialProfile", "TailFit", "find_ground_state", "fit_tail", "shoot"),
     "halfspace": ("PHI1", "PHI2", "HalfSpaceCorrection"),
-    "ansatz": ("AnsatzField", "bubble_eval", "symmetry_and_compatibility_check"),
+    "ansatz": ("AnsatzField",),
     "ballquad": ("BallQuadrature", "get_quadrature"),
     "constants": ("EnergyConstants", "compute_constants"),
     "reduced": ("ReducedEnergy", "G", "J_expansion", "d_star"),

@@ -21,20 +21,12 @@ class MonotonicityViolation(NumericalFailure, RuntimeError):
     """A computed ground-state profile is not strictly decreasing."""
 
 
-class WindowTooNarrow(NumericalFailure, ValueError):
-    """Tail-fit window spans less than one decade."""
-
-
 class PoorFit(NumericalFailure, RuntimeError):
     """Tail fit residual exceeds its tolerance."""
 
 
 class QuadratureNonConvergent(NumericalFailure, RuntimeError):
     """Adaptive quadrature refinement stalled above tolerance."""
-
-
-class QuadratureAsymmetry(NumericalFailure, RuntimeError):
-    """An analytically-zero symmetric integral came out nonzero."""
 
 
 class TailDivergent(NumericalFailure, RuntimeError):

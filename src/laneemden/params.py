@@ -138,8 +138,3 @@ def check_solvable(params: ProblemParams):
     at_top = abs(params.p - top) < 1e-12
     if label == "outside" and not at_top:
         raise DomainError(f"p={params.p} outside the admissible coupling ranges")
-
-
-def scaling_exponents(params: ProblemParams):
-    """Bubble scaling exponents {su: n/(q+1), sv: n/(p+1)}; su + sv = n - 2."""
-    return {"su": params.su, "sv": params.sv}

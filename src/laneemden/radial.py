@@ -24,7 +24,7 @@ import numpy as np
 
 from ._interp import InterpPack, pack_hermite, profile_eval
 from .errors import (BracketingFailure, DomainError, MonotonicityViolation,
-                     PoorFit, StepFailure, WindowTooNarrow)
+                     PoorFit, StepFailure)
 from .params import CASE_SUB, ProblemParams, check_solvable
 
 U_HITS_ZERO = "U_HITS_ZERO"
@@ -296,9 +296,8 @@ def find_ground_state(params: ProblemParams, ode_tol: float = 3e-14,
     if last.max() / last.min() > 3.0:
         raise MonotonicityViolation("r^(n-2) V not settled; increase r_max or tighten tol")
 
-    fit_lo = r_max / 100.0 if params.case_tag == CASE_SUB else r_max / 10.0
     return RadialProfile(params, grid, U, dU, V, dV, float(v0), float(r_max), float(ode_tol),
-                         fit_tail(params, grid, U, V, (fit_lo, r_max)))
+                         fit_tail(params, grid, U, V))
 
 
 def _decay_fit(r, y):
@@ -346,14 +345,15 @@ def fit_two_power(x, y, k2, bounds, xatol):
     return c if fc <= fd else d
 
 
-def fit_tail(params: ProblemParams, grid, U, V, window) -> TailFit:
-    """Fit decay exponents and tail coefficients of samples U, V on grid over window."""
-    r_lo, r_hi = float(window[0]), float(window[1])
-    r_max = grid[-1]
-    if not (r_max / 100.0 - 1e-9 <= r_lo < r_hi <= r_max * (1 + 1e-12)):
-        raise DomainError(f"window {window} not inside [r_max/100, r_max]")
-    if r_hi / r_lo < 10.0:
-        raise WindowTooNarrow(f"window {window} spans less than one decade")
+def fit_tail(params: ProblemParams, grid, U, V) -> TailFit:
+    """Fit decay exponents and tail coefficients of samples U, V on grid.
+
+    The fit window is [r_max/100, r_max] in the subcritical coupling range,
+    where U's harmonic second term is far from negligible, and
+    [r_max/10, r_max] otherwise; r_max = grid[-1].
+    """
+    r_hi = float(grid[-1])
+    r_lo = r_hi / 100.0 if params.case_tag == CASE_SUB else r_hi / 10.0
     rf = np.geomspace(r_lo, r_hi, 160)
     # fit from raw samples (no tail model yet): interpolate grid data
     Uf = np.interp(rf, grid, U)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .ansatz import PW1_APPROX, PW2_APPROX, TABLE_REACH, AnsatzField, bubble_uv
+from .ansatz import TABLE_REACH, AnsatzField, bubble_uv
 from .ballquad import gauss_panels, get_quadrature, sphere_measure
 from .constants import EnergyConstants
 from .errors import DomainError, QuadratureNonConvergent
@@ -119,30 +119,27 @@ def aubin_talenti(n):
 # field helpers over the ball mesh
 
 
-def _bubble_power(profile, delta, power, component_v):
-    part = "V" if component_v else "U"
+def _bubble_power(profile, delta):
+    """The integrand U^(q+1) of the U bubble at e_n."""
+    power = profile.params.q + 1.0
 
     def f(s, t):
-        (base,) = bubble_uv(s, t, 1.0, delta, profile, (part,))
+        (base,) = bubble_uv(s, t, 1.0, delta, profile, ("U",))
         return base ** power
 
     return f
 
 
-def check_bubble_mass(profile, constants: EnergyConstants, deltas,
-                      level=1, component_v=False):
-    """Mass of one bubble inside the ball: A/2 - B*delta + o(delta)."""
+def check_bubble_mass(profile, constants: EnergyConstants, deltas, level=1):
+    """Mass of one U bubble inside the ball: A1/2 - B1*delta + o(delta)."""
     tol = 0.05
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
-    n_exp = pp.p + 1.0 if component_v else pp.q + 1.0
-    A = constants.A2 if component_v else constants.A1
-    B = constants.B2 if component_v else constants.B1
-    vals = np.array([quad.integrate(_bubble_power(profile, d, n_exp, component_v))
-                     for d in deltas])
+    A, B = constants.A1, constants.B1
+    vals = np.array([quad.integrate(_bubble_power(profile, d)) for d in deltas])
     # error estimate: the min(deltas) integral again on the next finer mesh
     fine = get_quadrature(pp.n, min(deltas), level + 1).integrate(
-        _bubble_power(profile, min(deltas), n_exp, component_v))
+        _bubble_power(profile, min(deltas)))
     quad_err = abs(fine - vals[np.argmin(deltas)])
     if quad_err > 0.2 * tol * B * min(deltas):
         raise QuadratureNonConvergent(
@@ -154,7 +151,7 @@ def check_bubble_mass(profile, constants: EnergyConstants, deltas,
     return ExpansionReport(
         name="bubble_mass", samples={"delta": list(deltas), "value": vals},
         fit=fit, target=-B, deviation=dev, tol=tol, verdict=_verdict(ok),
-        details={"component": "V" if component_v else "U",
+        details={"component": "U",
                  "below_half_mass": bool(np.all(vals < A / 2.0)),
                  "quad_err": float(quad_err)})
 
@@ -250,9 +247,9 @@ def check_gradient_expansion(profile, corr1, constants: EnergyConstants,
     tab = corr1.table(TABLE_REACH / min(deltas))
 
     def energies(d):
-        fld = AnsatzField(profile, PW1_APPROX, d, tab)
+        fld = AnsatzField(profile, d, tab)
 
-        # rows: PW1 = bare + correction, and the bare pair W1, against the
+        # rows: PW1 = bare + correction, and the bare pair Up - Um, against the
         # source.  bare, correction and source each change sign exactly under
         # t -> -t, so the rows are even in t bit for bit: the upper half's
         # stack serves both
@@ -300,7 +297,7 @@ def check_nonlinear_expansion(profile, corr2, constants: EnergyConstants,
 
     M0, Ma, second = [], [], []
     for e, dd in zip(eps_list, deltas):
-        fld = AnsatzField(profile, PW2_APPROX, dd, tab)
+        fld = AnsatzField(profile, dd, tab)
         p_eps = p + alpha * e
 
         # |field| is even in t bit for bit: the upper half's stack serves both
@@ -448,7 +445,7 @@ def scaling_row_exponent(params, row, t):
     return t * (c - a), False
 
 
-def check_scaling_table(params, t, row, tol=0.02):
+def check_scaling_table(params, t, row):
     """Log-log order of int_{B_R} w^t, R = 0.5, w an explicit power-law bubble.
 
     The integrand is an explicit elementary function, so the delta samples
@@ -457,6 +454,7 @@ def check_scaling_table(params, t, row, tol=0.02):
     """
     if t <= 0:
         raise DomainError("t must be positive")
+    tol = 0.02
     deltas = (0.02, 0.01, 0.005)
     a, c = _row_params(params, row)
     n = params.n
@@ -544,7 +542,7 @@ def check_norm_orders(profile, corr1, eps_list, d=0.2, level=1, beta=1.0):
     tab = corr1.table(TABLE_REACH / min(deltas))
     norms_f, norms_df = [], []
     for e, dd in zip(eps_list, deltas):
-        fld = AnsatzField(profile, PW1_APPROX, dd, tab)
+        fld = AnsatzField(profile, dd, tab)
         q_eps = q + beta * e
         expo_f = (q + 1.0) / q
         expo_df = (q + 1.0) / (q - 1.0)

@@ -24,7 +24,7 @@ once on every node of the mesh and sums as BallQuadrature.integrate does
 import numpy as np
 
 from laneemden._interp import tail_terms
-from laneemden.ansatz import PW1_APPROX, AnsatzField, bubble_uv
+from laneemden.ansatz import AnsatzField, bubble_uv
 
 
 def profile_eval_where(r, pack, parts):
@@ -72,7 +72,7 @@ def cross_integrals_two_calls(profile, quad, d):
 
 def gradient_integrals_two_calls(profile, tab, quad, d):
     pp = profile.params
-    fld = AnsatzField(profile, PW1_APPROX, d, tab)
+    fld = AnsatzField(profile, d, tab)
 
     def f(s, t):
         (Up,) = bubble_uv(s, t, 1.0, d, profile, ("U",))

@@ -195,7 +195,7 @@ def _integrands(profile, delta):
         Up, Vp = bubble_uv(s, t, 1.0, delta, profile, ("U", "V"))
         Um, Vm = bubble_uv(s, t, -1.0, delta, profile, ("U", "V"))
         return [Up * Um ** q, Vp * Vm ** q], [Um * Up ** q, Vm * Vp ** q]
-    return ((_bubble_power(profile, delta, q + 1.0, False), False), (stack, False),
+    return ((_bubble_power(profile, delta), False), (stack, False),
             (halves, True))
 
 
@@ -269,7 +269,7 @@ def test_block_integral_memory_is_bounded(prof_sym):
     (4 MiB) on the level-4 mesh (1,071,616 nodes) and on the level-5 mesh
     (4,151,808 nodes) alike: the integrand's temporaries are run-sized, and no
     array grows with the mesh."""
-    f = _bubble_power(prof_sym, 0.01, prof_sym.params.q + 1.0, False)
+    f = _bubble_power(prof_sym, 0.01)
     get_quadrature(4, 0.01, 1).integrate(f)  # warm any lazily built state outside the trace
     for level in (4, 5):
         quad = get_quadrature(4, 0.01, level)

@@ -4,7 +4,7 @@ import pytest
 from laneemden.errors import DomainError
 from laneemden.params import (CASE_BORDER, CASE_SUB, CASE_SUPER, ProblemParams,
                               check_condition_P, check_solvable, critical_exponent,
-                              p_threshold, parse_exponent, scaling_exponents)
+                              p_threshold, parse_exponent)
 
 
 def test_critical_exponent_examples():
@@ -28,16 +28,15 @@ def test_hyperbola_residual_invariant(n):
         pp = ProblemParams(n=n, p=float(p))
         resid = abs(1 / (pp.p + 1) + 1 / (pp.q + 1) - (n - 2) / n)
         assert resid < 1e-12
-        s = scaling_exponents(pp)
-        assert s["su"] + s["sv"] == pytest.approx(n - 2.0, abs=1e-12)
+        assert pp.su + pp.sv == pytest.approx(n - 2.0, abs=1e-12)
 
 
 def test_scaling_exponents_examples():
-    s = scaling_exponents(ProblemParams(n=4, p=3.0))
-    assert s["su"] == pytest.approx(1.0) and s["sv"] == pytest.approx(1.0)
-    s = scaling_exponents(ProblemParams(n=4, p=2.5))
-    assert s["su"] == pytest.approx(6.0 / 7.0, abs=1e-12)
-    assert s["sv"] == pytest.approx(8.0 / 7.0, abs=1e-12)
+    pp = ProblemParams(n=4, p=3.0)
+    assert pp.su == pytest.approx(1.0) and pp.sv == pytest.approx(1.0)
+    pp = ProblemParams(n=4, p=2.5)
+    assert pp.su == pytest.approx(6.0 / 7.0, abs=1e-12)
+    assert pp.sv == pytest.approx(8.0 / 7.0, abs=1e-12)
 
 
 def test_condition_P_examples():

@@ -14,8 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from laneemden._interp import interval_index, profile_eval  # noqa: E402
-from laneemden.ansatz import (PW1_APPROX, PW2_APPROX, TABLE_REACH, W1, W2,  # noqa: E402
-                              AnsatzField, bubble_uv)
+from laneemden.ansatz import TABLE_REACH, AnsatzField, bubble_uv  # noqa: E402
 from laneemden.ballquad import gauss_panels, get_quadrature, graded_edges  # noqa: E402
 from laneemden.cli import (_COMMAND_KEYS, _COMMON_KEYS, CHECK_READS,  # noqa: E402
                            RunConfig, build_config, make_parser)
@@ -192,13 +191,20 @@ def test_lookup_matches_clamped_loop_bitwise(corr1_sym, data, size, seed):
 @settings(max_examples=50, deadline=None)
 @given(rho=st.floats(0.0, 1.0), theta=st.floats(0.0, np.pi), delta=st.floats(0.01, 0.2))
 def test_fields_odd_in_t(prof_sym, corr1_sym, corr2_sym, rho, theta, delta):
-    """Every field kind is exactly odd under x_n -> -x_n over the half-disc."""
+    """The bare U and V pairs and PW1, PW2 are exactly odd under x_n -> -x_n
+    over the half-disc."""
     s = np.array([rho * np.sin(theta)])
     t = np.array([rho * np.cos(theta)])
+
+    def pair(s, t):
+        plus = bubble_uv(s, t, 1.0, delta, prof_sym, ("U", "V"))
+        minus = bubble_uv(s, t, -1.0, delta, prof_sym, ("U", "V"))
+        return np.array(plus) - np.array(minus)
+
+    assert np.array_equal(pair(s, -t), -pair(s, t))
     # the extent-220 tables cover (1 +- t)/delta for every delta >= 0.01
-    tables = {PW1_APPROX: corr1_sym.table(TABLE_EXTENT), PW2_APPROX: corr2_sym.table(TABLE_EXTENT)}
-    for kind in (W1, W2, PW1_APPROX, PW2_APPROX):
-        fld = AnsatzField(prof_sym, kind, delta, table=tables.get(kind))
+    for corr in (corr1_sym, corr2_sym):
+        fld = AnsatzField(prof_sym, delta, corr.table(TABLE_EXTENT))
         assert np.array_equal(fld.eval_st(s, -t), -fld.eval_st(s, t))
 
 

@@ -9,7 +9,7 @@ from conftest import closed_form_bubble
 from laneemden import ProblemParams, find_ground_state, fit_tail, radial, shoot
 from laneemden._interp import pack_hermite, profile_eval
 from laneemden.cli import main
-from laneemden.errors import DomainError, StepFailure, WindowTooNarrow
+from laneemden.errors import DomainError, StepFailure
 from laneemden.halfspace import PHI1, PHI2, HalfSpaceCorrection
 from laneemden.radial import (DECAYING, R_START, U_HITS_ZERO, V_HITS_ZERO,
                               derivative_bound_constant, fd_derivs_on_grid,
@@ -406,6 +406,15 @@ def test_fit_two_power_matches_scipys_bounded_minimiser(prof_case2):
     assert abs(t.exp_U - ref.x) <= 1e-8
 
 
+def test_fit_tail_chooses_its_window(prof_sym, prof_case2):
+    """fit_tail fits [r_max/10, r_max] at p = 3 and [r_max/100, r_max] in the
+    subcritical coupling range, r_max the grid's end: the profile's own fit."""
+    for prof, decades in ((prof_sym, 10.0), (prof_case2, 100.0)):
+        got = fit_tail(prof.params, prof.grid, prof.U, prof.V)
+        assert got.fit_window == (prof.r_max / decades, prof.r_max)
+        assert got == prof.tail
+
+
 def test_decay_relation_case2(prof_case2):
     # the two tail coefficients are slaved in the subcritical coupling range
     t = prof_case2.tail
@@ -426,13 +435,6 @@ def test_border_and_outside_rejected():
         find_ground_state(ProblemParams(n=4, p=2.0))
     with pytest.raises(DomainError):
         find_ground_state(ProblemParams(n=4, p=1.5))
-
-
-def test_fit_tail_window_validation(prof_sym):
-    with pytest.raises(WindowTooNarrow):
-        fit_tail(prof_sym.params, prof_sym.grid, prof_sym.U, prof_sym.V, (2e3, 1e4))
-    with pytest.raises(DomainError):
-        fit_tail(prof_sym.params, prof_sym.grid, prof_sym.U, prof_sym.V, (1.0, 1e4))
 
 
 def test_profile_roundtrip(tmp_path, prof_sym, prof_case2):

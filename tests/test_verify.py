@@ -106,11 +106,13 @@ def test_scaling_row_exponents():
 
 
 def test_scaling_table_log_regime():
+    # the log-corrected order comes within 5% (0.039 here), not the 2% the
+    # command's rows need
     pp = ProblemParams(n=4, p=3.0)
-    rep = check_scaling_table(pp, 2.0, "u1", tol=0.05)
+    rep = check_scaling_table(pp, 2.0, "u1")
     assert rep.samples["delta"] == [0.02, 0.01, 0.005]
     assert rep.details["log_regime"]
-    assert rep.passed
+    assert rep.deviation <= 0.05
 
 
 def test_scaling_table_case2_row():
@@ -140,9 +142,22 @@ def test_bubble_mass_below_half(prof_sym, consts_sym):
 
 
 def test_bubble_mass_v_component(prof_case1, consts_case1):
-    rep = check_bubble_mass(prof_case1, consts_case1, (0.04, 0.02, 0.01),
-                            component_v=True)
-    assert rep.passed
+    """The V bubble's mass in the ball is A2/2 - B2 delta + o(delta), with the
+    Richardson slope within check_bubble_mass's 5% of -B2, and below A2/2."""
+    deltas = (0.04, 0.02, 0.01)
+    pp = prof_case1.params
+    quad = get_quadrature(pp.n, min(deltas))
+
+    def mass(d):
+        def f(s, t):
+            (V,) = bubble_uv(s, t, 1.0, d, prof_case1, ("V",))
+            return V ** (pp.p + 1.0)
+        return quad.integrate(f)
+
+    A2, B2 = consts_case1.A2, consts_case1.B2
+    vals = np.array([mass(d) for d in deltas])
+    assert np.all(vals < A2 / 2.0)
+    assert abs(richardson_pair(deltas, vals - A2 / 2.0) + B2) <= 0.05 * B2
 
 
 def test_cross_terms_case2(prof_case2):
