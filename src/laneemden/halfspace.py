@@ -24,9 +24,8 @@ import numpy as np
 
 from ._interp import profile_eval, tail_terms
 from .ballquad import gauss_panels
-from .errors import DomainError, QuadratureNonConvergent
-from .params import CASE_SUB
-from .radial import RadialProfile, fit_two_power
+from .errors import DomainError
+from .radial import RadialProfile
 
 PHI1 = "PHI1"
 PHI2 = "PHI2"
@@ -221,11 +220,6 @@ class HalfSpaceCorrection:
             raise DomainError("half-space corrections are implemented for n = 4")
         self._tables = _TABLES.setdefault(self.profile, {})
 
-    def boundary_data(self, rho):
-        """g(rho) = -(rho/2) U'(rho) for PHI1, -(rho/2) V'(rho) for PHI2; g >= 0."""
-        rho = np.atleast_1d(np.asarray(rho, dtype=np.float64))
-        return g_data(rho, self.profile.interp_pack, (self.which,))[0]
-
     def rule(self, blocks, k, kinds):
         """The one quadrature of phi: at the points of each (sig, taus) of blocks, phi
         less its far tail for each kind of kinds (a row each), and each point's rho_big.
@@ -275,24 +269,6 @@ class HalfSpaceCorrection:
                  for lo in range(0, sig.size, POINT_CHUNK)]
         return with_far_tails(self.profile.interp_pack, calls, (self.which,))[0]
 
-    def phi_eval(self, x):
-        """Accurate evaluation at one point of the closed half-space.
-
-        Runs the base and a refined rule; raises QuadratureNonConvergent if
-        they disagree beyond a relative 1e-4.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.profile.params.n,):
-            raise DomainError(f"x must be a point of R^{self.profile.params.n}")
-        sig = float(np.sqrt(np.sum(x[:-1] ** 2)))
-        tau = float(x[-1])
-        a = float(self.eval_points([sig], [tau], order=0)[0])
-        b = float(self.eval_points([sig], [tau], order=1)[0])
-        if abs(b - a) > 1e-4 * max(abs(b), 1e-300):
-            raise QuadratureNonConvergent(
-                f"phi quadrature spread {abs(b - a):.2e} at (sigma={sig}, tau={tau})")
-        return b
-
     def table(self, extent, m=257):
         """Build (and cache) the interpolation table covering [0, extent]^2.
 
@@ -314,61 +290,3 @@ class HalfSpaceCorrection:
                 self._tables[(which,) + key[1:]] = PhiTable(
                     extent=float(extent), m=m, du=float(gu[1] - gu[0]), tab=tab, which=which)
         return self._tables[key]
-
-    def verify_harmonic(self, h=0.05):
-        """Max |FD Laplacian|, step h, over a 2 x 2 grid of (|x'|, x_n) in [1, 2]^2."""
-        if h > 0.5:
-            raise DomainError("the step h must be at most 0.5, so that x_n >= 2h")
-        n = self.profile.params.n
-        worst = 0.0
-        for sig in (1.0, 2.0):
-            for tau in (1.0, 2.0):
-                x = np.zeros(n)
-                x[0] = sig
-                x[-1] = tau
-                f0 = self.phi_eval(x)
-                lap = 0.0
-                for i in range(n):
-                    e = np.zeros(n)
-                    e[i] = h
-                    lap += (self.phi_eval(x + e) + self.phi_eval(x - e) - 2 * f0) / h ** 2
-                worst = max(worst, abs(lap))
-        return worst
-
-    def verify_neumann_data(self, radii):
-        """Max relative mismatch of the outward normal derivative against g.
-
-        Second-order one-sided difference with step 5e-3 in the outward
-        direction -e_n.
-        """
-        h = 5e-3
-        worst = 0.0
-        for rho in radii:
-            f0 = float(self.eval_points([rho], [0.0], order=1)[0])
-            f1 = float(self.eval_points([rho], [h], order=1)[0])
-            f2 = float(self.eval_points([rho], [2 * h], order=1)[0])
-            dn_out = -(-3 * f0 + 4 * f1 - f2) / (2 * h)
-            g = float(self.boundary_data([rho])[0])
-            worst = max(worst, abs(dn_out - g) / abs(g))
-        return worst
-
-    def decay_exponent(self):
-        """Fitted decay exponent of phi along the axis, with its target.
-
-        Fits C (1+tau)^-k + C2 (1+tau)^-k2 at 12 geometric taus in
-        [30, 600], with k free and k2 the next structural decay rate: the
-        generic harmonic rate n-3 when the leading rate sits below it (slow
-        first-component data), k+1 otherwise.  The second term removes the
-        bias a plain log-log slope would carry from the subleading mode.
-        """
-        taus = np.geomspace(30.0, 600.0, 12)
-        vals = self.eval_points(np.zeros_like(taus), taus)
-        n, p = self.profile.params.n, self.profile.params.p
-        if self.which == PHI1 and self.profile.params.case_tag == CASE_SUB:
-            k_th = p * (n - 2.0) - 3.0
-            k2 = n - 3.0
-        else:
-            k_th = n - 3.0
-            k2 = k_th + 1.0
-        k = fit_two_power(1.0 + taus, vals, k2, (max(0.2, 0.6 * k_th), k2 - 1e-3), xatol=1e-8)
-        return k, k_th

@@ -323,7 +323,8 @@ def fit_two_power(x, y, k2, bounds, xatol):
 
     For each k, (c1, c2) solve the least squares of the relative misfit
     model/y - 1; k minimises its sum of squares, found by golden-section
-    search until the bracket is at most xatol wide.
+    search until the bracket is at most xatol wide.  fit_tail takes U's
+    exponent from it; the tests fit phi's axial decay with it too.
     """
     def resid(k):
         A, coef = _two_power(x, y, k, k2)
@@ -420,31 +421,6 @@ def fd_laplacian(g, y, idx, n):
     """The radial Laplacian y'' + (n-1)/r y' at grid indices idx, from fd_derivs_on_grid."""
     d1, d2 = fd_derivs_on_grid(g, y, idx)
     return d2 + (n - 1.0) / g[idx] * d1
-
-
-def ode_residual(profile: RadialProfile):
-    """Max relative residual of the radial system on the grid points in [1e-2, 10].
-
-    Second derivatives come from 5-point local polynomial differentiation
-    of the sampled values, so the figure is FD-limited; beyond r ~ 30 the
-    source term is smaller than the Laplacian's cancelling parts by r^-2
-    and a relative comparison stops being meaningful.
-    """
-    g = profile.grid
-    sel = stencil_window(g, 1e-2, 10.0)
-    n, p, q = profile.params.n, profile.params.p, profile.params.q
-    worst = 0.0
-    for arr, src in ((profile.U, profile.V ** p), (profile.V, profile.U ** q)):
-        lhs = -fd_laplacian(g, arr, sel, n)
-        rhs = src[sel]
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
-    return worst
-
-
-def derivative_bound_constant(profile: RadialProfile):
-    """sup_r |n U/(q+1) + r U'| / U  (finite; the scaling-derivative bound)."""
-    g, U, dU = profile.grid, profile.U, profile.dU
-    return float(np.max(np.abs(profile.params.su * U + g * dU) / U))
 
 
 def load_profile(csv_path, json_path) -> RadialProfile:

@@ -66,14 +66,6 @@ def G(re: ReducedEnergy, d):
     return float(out) if out.ndim == 0 else out
 
 
-def G_prime(re: ReducedEnergy, d):
-    d = np.asarray(d, dtype=np.float64)
-    if np.any(d <= 0):
-        raise DomainError("G' is defined for d > 0")
-    out = re.log_coeff / d - re.linear_coeff
-    return float(out) if out.ndim == 0 else out
-
-
 def d_star(re: ReducedEnergy) -> float:
     """Closed-form unique maximizer of G."""
     den = re.linear_coeff

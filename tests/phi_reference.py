@@ -16,7 +16,7 @@ these bit for bit: the arithmetic is the same, only its layout changed.
 import numpy as np
 
 from laneemden.ballquad import gauss_panels
-from laneemden.halfspace import K_BASE, TAU_BLOCK, far_tail, g_tail, panel_edges
+from laneemden.halfspace import K_BASE, TAU_BLOCK, far_tail, g_data, g_tail, panel_edges
 
 
 def catmull_weights_expr(t):
@@ -64,7 +64,7 @@ def block_where(corr, sig, taus, k):
     edges = np.union1d(panel_edges(sig, taus.min(), bigs.max(), r_top), bigs)
     rho, w = gauss_panels(edges, k)
     rho, w = rho.ravel(), w.ravel()
-    wg = w * corr.boundary_data(rho) * rho * rho
+    wg = w * g_data(rho, corr.profile.interp_pack, (corr.which,))[0] * rho * rho
     ker = np.where(rho < bigs[:, None], angular_kernel_where(sig, taus[:, None], rho), 0.0)
     return ker @ wg / np.pi + far_tail(bigs, *g_tail(corr.profile.interp_pack, corr.which))
 

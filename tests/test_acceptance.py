@@ -4,6 +4,7 @@ Each test prints one `criterion NN PASS/FAIL` line (run pytest -s to see
 them all); the assertions carry the same tolerances.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,8 +14,9 @@ from conftest import closed_form_bubble
 from laneemden import ProblemParams
 from laneemden.cli import main as cli_main
 from laneemden.constants import EnergyConstants
-from laneemden.reduced import G, G_prime, ReducedEnergy, d_star
+from laneemden.reduced import G, ReducedEnergy, d_star
 import laneemden.verify as V
+from phi_checks import decay_exponent, harmonic_residual, neumann_mismatch
 
 A1_EXACT = 32 * np.pi ** 2 / 3
 B1_EXACT = 8 * np.sqrt(2) * np.pi ** 2
@@ -71,23 +73,24 @@ def test_criterion_04_decay_exponents(prof_sym, prof_case1, prof_case2):
 
 
 def test_criterion_05_kernel_identity(prof_sym, prof_case1, prof_case2):
-    worst_fd = max(V.check_kernel(p, mode="fd").deviation
-                   for p in (prof_sym, prof_case1, prof_case2))
-    ana = V.check_kernel(prof_sym, mode="analytic").deviation
-    _line(5, worst_fd <= 1e-4 and ana <= 1e-6,
-          f"FD residual {worst_fd:.2e} (<=1e-4), analytic {ana:.2e} (<=1e-6)")
+    worst_fd = max(V.check_kernel(p).deviation for p in (prof_sym, prof_case1, prof_case2))
+    # the same FD path on the exact bubble's samples checks the kernel formulas
+    u, du = closed_form_bubble(4)
+    g = prof_sym.grid
+    exact = V.check_kernel(dataclasses.replace(prof_sym, U=u(g), dU=du(g), V=u(g), dV=du(g)))
+    ok = worst_fd <= 1e-4 and exact.deviation <= 1e-6 and exact.details == {"mode": "fd"}
+    _line(5, ok, f"FD residual {worst_fd:.2e} (<=1e-4), "
+                 f"exact bubble {exact.deviation:.2e} (<=1e-6)")
 
 
 def test_criterion_06_phi_corrections(corr1_sym, corr2_sym, corr1_case2):
-    r1 = corr1_sym.verify_harmonic(h=0.1)
-    r2 = corr1_sym.verify_harmonic(h=0.05)
+    r1 = harmonic_residual(corr1_sym, h=0.1)
+    r2 = harmonic_residual(corr1_sym, h=0.05)
     second_order = 2.5 <= r1 / r2 <= 6.0
-    neumann = max(corr1_sym.verify_neumann_data([0.5, 1.0, 2.0, 5.0]),
-                  corr2_sym.verify_neumann_data([0.5, 1.0, 2.0, 5.0]),
-                  corr1_case2.verify_neumann_data([0.5, 1.0, 2.0, 5.0]))
-    k1, t1 = corr1_sym.decay_exponent()
-    k2, t2 = corr2_sym.decay_exponent()
-    k3, t3 = corr1_case2.decay_exponent()
+    neumann = max(neumann_mismatch(c, [0.5, 1.0, 2.0, 5.0])
+                  for c in (corr1_sym, corr2_sym, corr1_case2))
+    (k1, t1), (k2, t2), (k3, t3) = map(decay_exponent, (corr1_sym, corr2_sym, corr1_case2))
+    assert (t1, t2) == (1.0, 1.0) and t3 == pytest.approx(0.8)
     decay_ok = all(abs(k - t) / t <= 0.05 for k, t in ((k1, t1), (k2, t2), (k3, t3)))
     ok = second_order and r2 <= 1e-2 and neumann <= 1e-2 and decay_ok
     _line(6, ok, f"FD ratio {r1/r2:.2f}, residual {r2:.1e}, neumann {neumann:.1e}, "
@@ -143,7 +146,7 @@ def test_criterion_12_d_star(consts_sym):
                         D2=-80 * np.pi ** 2 / 9, err={})
     re = ReducedEnergy(constants=c, n=4, p=3.0, q=3.0, alpha=1.0, beta=1.0)
     ds = d_star(re)
-    stat = abs(G_prime(re, ds)) * ds / re.log_coeff
+    stat = abs(re.log_coeff / ds - re.linear_coeff) * ds / re.log_coeff  # |G'(d*)| d*/log_coeff
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = ds / 50.0, ds * 50.0
     c_, d_ = b - gr * (b - a), a + gr * (b - a)

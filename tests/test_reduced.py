@@ -3,8 +3,7 @@ import pytest
 
 from laneemden.constants import EnergyConstants
 from laneemden.errors import DomainError
-from laneemden.reduced import (G, G_prime, J_expansion, ReducedEnergy, d_star,
-                               eta_window)
+from laneemden.reduced import G, J_expansion, ReducedEnergy, d_star, eta_window
 
 A1 = 32 * np.pi ** 2 / 3
 B = 8 * np.sqrt(2) * np.pi ** 2
@@ -20,6 +19,11 @@ def unit_fixture():
 def closed_fixture(alpha=1.0, beta=1.0):
     c = EnergyConstants(A1=A1, A2=A1, B1=B, B2=B, C1=C, C2=C, D1=D, D2=D, err={})
     return ReducedEnergy(constants=c, n=4, p=3.0, q=3.0, alpha=alpha, beta=beta)
+
+
+def G_prime(re, d):
+    """G'(d), from the coefficients G is made of."""
+    return re.log_coeff / d - re.linear_coeff
 
 
 def golden_section_max(f, a, b, tol=1e-12):

@@ -8,11 +8,11 @@ from bubble_reference import (cross_integrals_two_calls, gradient_integrals_two_
 from laneemden import ProblemParams, verify
 from laneemden.ballquad import get_quadrature
 from laneemden.errors import DomainError
-from laneemden.verify import (aubin_talenti, check_bubble_mass, check_cross_terms,
-                              check_f_taylor, check_gradient_expansion, check_kernel,
-                              check_norm_orders, check_phi_pairing, check_scaling_table,
-                              f_taylor_remainders, richardson_pair,
-                              scaling_row_exponent, shrink_factors, slope_limit)
+from laneemden.verify import (check_bubble_mass, check_cross_terms, check_f_taylor,
+                              check_gradient_expansion, check_norm_orders, check_phi_pairing,
+                              check_scaling_table, f_taylor_remainders, log_regime_order,
+                              richardson_pair, scaling_row_exponent, shrink_factors,
+                              slope_limit)
 from laneemden.ansatz import TABLE_REACH, bubble_uv
 from laneemden.halfspace import PhiTable
 
@@ -34,29 +34,6 @@ def test_shrink_factors():
     ys = [c * x ** 2 for c, x in zip((1, 1, 1), xs)]
     f = shrink_factors(xs, ys)
     assert all(abs(v - 2.0) < 1e-12 for v in f)
-
-
-def test_aubin_talenti_derivatives():
-    u, du, d2u, d3u = aubin_talenti(4)
-    r = np.linspace(0.1, 5.0, 30)
-    h = 1e-5
-    assert np.allclose((u(r + h) - u(r - h)) / (2 * h), du(r), rtol=1e-7)
-    assert np.allclose((du(r + h) - du(r - h)) / (2 * h), d2u(r), rtol=1e-6)
-    assert np.allclose((d2u(r + h) - d2u(r - h)) / (2 * h), d3u(r), rtol=1e-5)
-
-
-def test_kernel_checks(prof_sym, prof_case1, prof_case2):
-    for prof in (prof_sym, prof_case1, prof_case2):
-        rep = check_kernel(prof, mode="fd")
-        assert rep.passed and rep.deviation <= 1e-4
-    rep = check_kernel(prof_sym, mode="analytic")
-    assert rep.passed and rep.deviation <= 1e-6
-
-
-def test_kernel_analytic_needs_symmetric(prof_case1):
-    from laneemden.errors import DomainError
-    with pytest.raises(DomainError):
-        check_kernel(prof_case1, mode="analytic")
 
 
 def test_f_taylor_zero_at_one():
@@ -106,13 +83,29 @@ def test_scaling_row_exponents():
 
 
 def test_scaling_table_log_regime():
-    # the log-corrected order comes within 5% (0.039 here), not the 2% the
-    # command's rows need
+    # t c = n: the order meets the rows' 2% (4.7e-4 here)
     pp = ProblemParams(n=4, p=3.0)
     rep = check_scaling_table(pp, 2.0, "u1")
     assert rep.samples["delta"] == [0.02, 0.01, 0.005]
     assert rep.details["log_regime"]
-    assert rep.deviation <= 0.05
+    assert rep.passed and rep.deviation <= 0.02
+
+
+@pytest.mark.parametrize("p", [1.4, 1.75, 2.0])
+def test_scaling_table_rows_at_n6(p):
+    """At n = 6 the command's (t = 2, v2) row has t c = 6 = n: the log regime."""
+    reps = verify.CHECKS["scaling_table"](ProblemParams(n=6, p=p))
+    assert reps[2].details["log_regime"] and all(r.passed for r in reps)
+
+
+def test_log_regime_order(monkeypatch):
+    deltas = np.array([0.02, 0.01, 0.005])
+    vals = deltas ** 1.7 * (3.0 * np.abs(np.log(deltas)) - 2.0)
+    assert log_regime_order(vals) == pytest.approx(1.7, rel=1e-12)
+    # no real root, or a double one: NaN, and the row fails rather than raising
+    assert np.isnan(log_regime_order([1.0, 1.0, 2.0])) and np.isnan(log_regime_order([1.0] * 3))
+    monkeypatch.setattr(verify, "log_regime_order", lambda vals: float("nan"))
+    assert check_scaling_table(ProblemParams(n=4, p=3.0), 2.0, "u1").verdict == "FAIL"
 
 
 def test_scaling_table_case2_row():
