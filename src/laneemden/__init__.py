@@ -20,7 +20,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # CLI, loads no numerics until a command needs them.
 _EXPORTS = {
     "params": ("ProblemParams", "check_condition_P", "critical_exponent"),
-    "radial": ("RadialProfile", "TailFit", "find_ground_state", "fit_tail", "shoot"),
+    "radial": ("RadialProfile", "find_ground_state", "shoot"),
     "halfspace": ("PHI1", "PHI2", "HalfSpaceCorrection"),
     "ansatz": ("AnsatzField",),
     "ballquad": ("BallQuadrature", "get_quadrature"),

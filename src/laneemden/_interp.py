@@ -26,8 +26,9 @@ class InterpPack(NamedTuple):
 
     tail_terms states the tail model in these fields.  The exponents are the
     theory's, from (n, p): eu is params.exp_u_decay and e2 = n - 2 serves
-    both U's second term and V's tail; the fitted exponents of a TailFit are
-    diagnostics only and do not enter the pack.
+    both U's second term and V's tail.  The amplitudes au, cu2 and bv are
+    radial.tail_amplitudes': from U and V at r_top and, below n/(n-2), au
+    forced by bv through the system; none is fitted.
     """
 
     breaks: np.ndarray

@@ -218,9 +218,9 @@ def cmd_ground_state(cfg):
     params, prof = _ground_state(cfg, reuse=False)
     out = Path(cfg.out)
     prof.to_csv(out / "profile.csv", out / "profile.json")
-    t = prof.tail
+    pk = prof.interp_pack
     print(f"v0 = {prof.v0:.12g}")
-    print(f"tail: a = {t.a:.8g}  b = {t.b:.8g}  exp_U = {t.exp_U:.6g}  exp_V = {t.exp_V:.6g}")
+    print(f"tail: a = {pk.au:.8g}  c2 = {pk.cu2:.8g}  b = {pk.bv:.8g}")
     return 0
 
 

@@ -22,7 +22,7 @@ class MonotonicityViolation(NumericalFailure, RuntimeError):
 
 
 class PoorFit(NumericalFailure, RuntimeError):
-    """Tail fit residual exceeds its tolerance."""
+    """The samples near r_max depart from the tail model by more than its tolerance."""
 
 
 class QuadratureNonConvergent(NumericalFailure, RuntimeError):

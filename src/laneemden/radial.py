@@ -10,7 +10,9 @@ zero first, above it U does.  The decaying window around v0* at finite
 integration radius has positive width, so the solver brackets both of its
 edges and integrates at the centre, several times deeper than the radius
 kept in the returned profile (contamination of the stored tail then scales
-like (r_max / r_solve)^2).
+like (r_max / r_solve)^2).  Beyond r_max the profile continues by power
+tails whose exponents come from (n, p) and whose amplitudes come from the
+samples at r_max and the system itself (tail_amplitudes); nothing is fitted.
 """
 
 from __future__ import annotations
@@ -34,38 +36,32 @@ DECAYING = "DECAYING"
 R_START = 1e-4  # Taylor start; truncation of the series is O(R_START^4)
 GRID_PTS_PER_DECADE = 800
 DEFAULT_SOLVE_FACTOR = 20.0
-MAX_TAIL_FIT_RESIDUAL = 0.05  # relative; fit_tail raises PoorFit above it
+MAX_TAIL_RESIDUAL = 0.05  # relative; check_tail raises PoorFit above it
 
 
-@dataclass(frozen=True)
-class TailFit:
-    """Power-law tail of a decaying profile.
+def tail_amplitudes(params: ProblemParams, r_max, U_end, V_end):
+    """(au, cu2, bv) of the tail beyond r_max, from the samples U, V there.
 
-    a, b are the coefficients of the leading terms of U and V at the
-    theory's exponents; for the p < n/(n-2) coupling a comes from a
-    two-term fit a*r^-exp_u_decay + c2*r^-(n-2) (the harmonic subleading
-    mode is then far from negligible on any affordable window).  exp_U and
-    exp_V are fitted exponents, kept as diagnostics: the profile's tail
-    takes its exponents from (n, p), not from them.
+    V ~ bv r^-(n-2).  Below n/(n-2), U ~ au r^-g + cu2 r^-(n-2) with
+    g = (n-2)p - 2: the system forces au, since -Lap(au r^-g) = (bv r^-(n-2))^p
+    gives au = bv^p / (g (n-2-g)), and cu2 makes U continuous at r_max.
+    Otherwise U ~ au r^-(n-2), continuous at r_max.  Nothing is fitted.
     """
-
-    a: float
-    b: float
-    exp_U: float
-    exp_V: float
-    exp_U_err: float
-    exp_V_err: float
-    c2: float
-    fit_window: tuple
-    fit_residual: float
+    e2 = params.n - 2.0
+    bv = V_end * r_max ** e2
+    if params.case_tag != CASE_SUB:
+        return U_end * r_max ** e2, 0.0, bv
+    g = params.exp_u_decay
+    au = bv ** params.p / (g * (e2 - g))
+    return au, (U_end - au * r_max ** -g) * r_max ** e2, bv
 
 
 @dataclass(frozen=True, eq=False)
 class RadialProfile:
     """Sampled ground state; interp_pack holds its Hermite cubics and power tails.
 
-    Beyond r_max, U ~ a r^-exp_u_decay + c2 r^-(n-2) and V ~ b r^-(n-2), with
-    exponents from (n, p), not fitted ones, and rescaled to meet U and V at r_max.
+    Beyond r_max, U ~ au r^-exp_u_decay + cu2 r^-(n-2) and V ~ bv r^-(n-2),
+    with exponents from (n, p) and amplitudes from tail_amplitudes.
     """
 
     params: ProblemParams
@@ -77,11 +73,10 @@ class RadialProfile:
     v0: float
     r_max: float
     ode_tol: float
-    tail: TailFit
     interp_pack: InterpPack = field(init=False, repr=False)
 
     def __post_init__(self):
-        r, n, U, V, tail = self.grid, self.params.n, self.U, self.V, self.tail
+        r, n, U, V = self.grid, self.params.n, self.U, self.V
         # the system gives U'' = -|V|^(p-1) V - (n-1) U'/r, and V'' likewise;
         # at r = 0, U'/r -> U'', so there U'' = -|V|^(p-1) V / n
         drag = np.divide(n - 1.0, r, out=np.zeros_like(r), where=r > 0.0)
@@ -92,16 +87,10 @@ class RadialProfile:
         _, cdu = pack_hermite(r, self.dU, d2U)
         _, cv = pack_hermite(r, V, self.dV)
         _, cdv = pack_hermite(r, self.dV, d2V)
-        eu = self.params.exp_u_decay
-        e2 = n - 2.0
-        # rescale so U, V are continuous across r_max
-        raw_u = tail.a * self.r_max ** (-eu) + tail.c2 * self.r_max ** (-e2)
-        au = tail.a * (U[-1] / raw_u)
-        cu2 = tail.c2 * (U[-1] / raw_u)
-        bv = V[-1] * self.r_max ** e2
+        au, cu2, bv = tail_amplitudes(self.params, self.r_max, U[-1], V[-1])
         object.__setattr__(self, "interp_pack", InterpPack(
-            breaks, cu, cdu, cv, cdv, float(self.r_max),
-            float(au), float(cu2), float(eu), float(e2), float(bv)))
+            breaks, cu, cdu, cv, cdv, float(self.r_max), float(au), float(cu2),
+            float(self.params.exp_u_decay), n - 2.0, float(bv)))
 
     def eval_many(self, r):
         """(U, dU, V, dV) arrays at radii r (tail extrapolation beyond r_max)."""
@@ -118,7 +107,7 @@ class RadialProfile:
 
     def sidecar(self):
         return {"v0": self.v0, "r_max": self.r_max, "ode_tol": self.ode_tol,
-                "params": asdict(self.params), "tail": asdict(self.tail)}
+                "params": asdict(self.params)}
 
 
 @dataclass(frozen=True)
@@ -247,13 +236,12 @@ def _bisect(classify, lo, hi, low, stop=None):
 
 def find_ground_state(params: ProblemParams, ode_tol: float = 3e-14,
                       r_max: float = 1e4) -> RadialProfile:
-    """Locate v0*, sample the profile on a graded grid, and fit the tail.
+    """Locate v0*, sample the profile on a graded grid, and check its tail.
 
     The shooting value is taken as the centre of the decaying window at
     radius DEFAULT_SOLVE_FACTOR * r_max: a 25-point sweep of v0 in [1e-3, 1e3]
     brackets it, one bisection finds a decaying v0, two more the window's
-    edges.  The tail is fitted over [r_max/100, r_max] when p < n/(n-2)
-    (slow first-component decay) and over [r_max/10, r_max] otherwise.
+    edges.  The tail model must fit the samples near r_max (check_tail).
     """
     check_solvable(params)
     r_solve = DEFAULT_SOLVE_FACTOR * r_max
@@ -296,99 +284,32 @@ def find_ground_state(params: ProblemParams, ode_tol: float = 3e-14,
     if last.max() / last.min() > 3.0:
         raise MonotonicityViolation("r^(n-2) V not settled; increase r_max or tighten tol")
 
-    return RadialProfile(params, grid, U, dU, V, dV, float(v0), float(r_max), float(ode_tol),
-                         fit_tail(params, grid, U, V))
+    prof = RadialProfile(params, grid, U, dU, V, dV, float(v0), float(r_max), float(ode_tol))
+    check_tail(prof)
+    return prof
 
 
-def _decay_fit(r, y):
-    """Decay exponent, minus the slope of log y vs log r, and its standard error."""
-    lx, ly = np.log(r), np.log(y)
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    coef, res, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    dof = max(len(r) - 2, 1)
-    s2 = (res[0] / dof) if res.size else 0.0
-    cov = s2 * np.linalg.inv(A.T @ A)
-    return -coef[0], float(np.sqrt(max(cov[0, 0], 0.0)))
+def check_tail(profile: RadialProfile) -> float:
+    """Worst relative misfit of the tail model on the samples; PoorFit above 5%.
 
-
-def _two_power(x, y, k, k2):
-    """(A, coef): columns x^-k, x^-k2 and the (c1, c2) least squares of A coef / y - 1."""
-    A = np.vstack([x ** -k, x ** -k2]).T
-    coef, *_ = np.linalg.lstsq(A / y[:, None], np.ones_like(y), rcond=None)
-    return A, coef
-
-
-def fit_two_power(x, y, k2, bounds, xatol):
-    """Exponent k in bounds of the fit y ~ c1 x^-k + c2 x^-k2.
-
-    For each k, (c1, c2) solve the least squares of the relative misfit
-    model/y - 1; k minimises its sum of squares, found by golden-section
-    search until the bracket is at most xatol wide.  fit_tail takes U's
-    exponent from it; the tests fit phi's axial decay with it too.
+    On 160 points interpolated in [r_max/100, r_max] below n/(n-2), where
+    U's harmonic second term is far from negligible, and in
+    [r_max/10, r_max] otherwise, r^(n-2) V must stay within
+    MAX_TAIL_RESIDUAL of its mean, and so must r^(n-2) U, less U's forced
+    term au r^-exp_u_decay below n/(n-2).
     """
-    def resid(k):
-        A, coef = _two_power(x, y, k, k2)
-        return float(np.sum((A @ coef / y - 1.0) ** 2))
-
-    a, b = bounds
-    g = (math.sqrt(5.0) - 1.0) / 2.0  # each step keeps this share of the bracket
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = resid(c), resid(d)
-    for _ in range(math.ceil(math.log(xatol / (b - a)) / math.log(g))):
-        if fc <= fd:  # the minimum lies in [a, d]
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = resid(c)
-        else:  # in [c, b]
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = resid(d)
-    return c if fc <= fd else d
-
-
-def fit_tail(params: ProblemParams, grid, U, V) -> TailFit:
-    """Fit decay exponents and tail coefficients of samples U, V on grid.
-
-    The fit window is [r_max/100, r_max] in the subcritical coupling range,
-    where U's harmonic second term is far from negligible, and
-    [r_max/10, r_max] otherwise; r_max = grid[-1].
-    """
-    r_hi = float(grid[-1])
-    r_lo = r_hi / 100.0 if params.case_tag == CASE_SUB else r_hi / 10.0
-    rf = np.geomspace(r_lo, r_hi, 160)
-    # fit from raw samples (no tail model yet): interpolate grid data
-    Uf = np.interp(rf, grid, U)
-    Vf = np.interp(rf, grid, V)
+    params, grid, r_hi = profile.params, profile.grid, profile.r_max
+    sub = params.case_tag == CASE_SUB
+    rf = np.geomspace(r_hi / 100.0 if sub else r_hi / 10.0, r_hi, 160)
+    Uf = np.interp(rf, grid, profile.U)
+    if sub:
+        Uf = Uf - profile.interp_pack.au * rf ** -params.exp_u_decay
     e2 = params.n - 2.0
-
-    exp_V, errV = _decay_fit(rf, Vf)
-    b = float(np.mean(rf ** e2 * Vf))
-
-    if params.case_tag == CASE_SUB:
-        e_th = params.exp_u_decay
-        exp_U = fit_two_power(rf, Uf, e2, (max(1.01, 0.75 * e_th), min(e2 - 1e-3, 1.25 * e_th)),
-                              xatol=1e-10)
-        # coefficient for the decay identity: two-term fit at the theoretical exponent
-        A, coef = _two_power(rf, Uf, e_th, e2)
-        a, c2 = float(coef[0]), float(coef[1])
-        model = A @ coef
-        exp_U_err = abs(exp_U - e_th)
-    else:
-        exp_U, exp_U_err = _decay_fit(rf, Uf)
-        a = float(np.mean(rf ** params.exp_u_decay * Uf))
-        c2 = 0.0
-        model = a * rf ** -params.exp_u_decay
-    resid_u = float(np.max(np.abs(model / Uf - 1.0)))
-    resid_v = float(np.max(np.abs(b * rf ** -e2 / Vf - 1.0)))
-    fit_residual = max(resid_u, resid_v)
-    if fit_residual > MAX_TAIL_FIT_RESIDUAL:
-        raise PoorFit(f"tail fit residual {fit_residual:.3%} exceeds "
-                      f"{MAX_TAIL_FIT_RESIDUAL:.0%}")
-    if a <= 0 or b <= 0:
-        raise PoorFit("tail coefficients must be positive")
-    return TailFit(a=a, b=b, exp_U=float(exp_U), exp_V=float(exp_V),
-                   exp_U_err=float(exp_U_err), exp_V_err=float(errV), c2=c2,
-                   fit_window=(r_lo, r_hi), fit_residual=fit_residual)
+    resid = max(float(np.max(np.abs(np.mean(rf ** e2 * y) * rf ** -e2 / y - 1.0)))
+                for y in (Uf, np.interp(rf, grid, profile.V)))
+    if resid > MAX_TAIL_RESIDUAL:
+        raise PoorFit(f"tail residual {resid:.3%} exceeds {MAX_TAIL_RESIDUAL:.0%}")
+    return resid
 
 
 def fd_derivs_on_grid(g, y, idx):
@@ -429,9 +350,9 @@ def load_profile(csv_path, json_path) -> RadialProfile:
     Raises DomainError unless the pair is intact: the CSV ends with a
     newline (a cut inside the last row loses it), holds data rows from
     V = v0 at r = 0 to the row at r = r_max (a cut between rows loses it; a
-    CSV of another solve starts from another v0), and the sidecar carries
-    the tail fit.  A missing file or an unparseable one raises what reading
-    it raises.
+    CSV of another solve starts from another v0).  The tail comes from the
+    samples at r_max, so a "tail" block that an older sidecar carries is not
+    read.  A missing file or an unparseable one raises what reading it raises.
     """
     with open(json_path, "r", encoding="utf-8") as f:
         side = json.load(f)
@@ -441,9 +362,6 @@ def load_profile(csv_path, json_path) -> RadialProfile:
         raise DomainError(f"{csv_path}: no data rows")
     if not text.endswith("\n"):
         raise DomainError(f"{csv_path}: cut inside its last row")
-    t = side["tail"]
-    if t is None:
-        raise DomainError(f"{json_path}: no tail fit")
     # parsed from the file again: a StringIO of the text would hold 4 bytes a character
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1, comments=None, ndmin=2)
     pr = side["params"]
@@ -454,5 +372,4 @@ def load_profile(csv_path, json_path) -> RadialProfile:
     if data[0, 3] != v0:
         raise DomainError(f"{csv_path}: first V is not the sidecar's v0 {v0}")
     # the CSV's columns are the fields grid, U, dU, V, dV in order
-    return RadialProfile(params, *data.T, v0, r_max, float(side["ode_tol"]),
-                         TailFit(**dict(t, fit_window=tuple(t["fit_window"]))))
+    return RadialProfile(params, *data.T, v0, r_max, float(side["ode_tol"]))

@@ -8,7 +8,7 @@ import numpy as np
 
 from laneemden.halfspace import PHI1, g_data
 from laneemden.params import CASE_SUB
-from laneemden.radial import fit_two_power
+from radial_checks import fit_two_power
 
 
 def harmonic_residual(corr, h):

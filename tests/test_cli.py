@@ -648,8 +648,8 @@ def test_profile_with_an_epsilon_param_loads(tmp_path, prof_sym):
     for prof in (load_profile(tmp_path / "profile.csv", tmp_path / "profile.json"),
                  cli._saved_profile(cfg, prof_sym.params)):
         assert prof.params == prof_sym.params
-        assert (prof.v0, prof.r_max, prof.ode_tol, prof.tail) == (
-            prof_sym.v0, prof_sym.r_max, prof_sym.ode_tol, prof_sym.tail)
+        assert (prof.v0, prof.r_max, prof.ode_tol) == (
+            prof_sym.v0, prof_sym.r_max, prof_sym.ode_tol)
         for name, got, want in zip(prof.interp_pack._fields, prof.interp_pack,
                                    prof_sym.interp_pack):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
@@ -691,12 +691,6 @@ def _nan_slope(d):
     (d / "profile.csv").write_text("".join(lines))
 
 
-def _null_tail(d):
-    side = json.loads((d / "profile.json").read_text())
-    side["tail"] = None
-    (d / "profile.json").write_text(json.dumps(side))
-
-
 MISSES = {
     "r_max": ([], ["--r-max", "5000"], None),
     "ode_tol": ([], ["--ode-tol", "1e-13"], None),
@@ -707,7 +701,6 @@ MISSES = {
     "csv_cut_between_rows": ([], [], _drop_last_row),
     "csv_header_only": ([], [], _header_only),
     "json_unparseable": ([], [], lambda d: (d / "profile.json").write_text('{"v0": 1.0,')),
-    "tail_null": ([], [], _null_tail),
     "csv_of_another_v0": ([], [], _other_v0),
     "csv_nan_slope": ([], [], _nan_slope),
 }
@@ -752,7 +745,7 @@ prof = load_profile(out + "/profile.csv", out + "/profile.json")
 HalfSpaceCorrection(prof, PHI1).table(220.0, m=9)
 # a dense shot and its solution
 shoot(ProblemParams(n=4, p=3.0), 1.0, r_max=5.0, dense=True).sol.sol(np.geomspace(1e-3, 5.0, 9))
-# p < n/(n-2): the tail fit's exponent search
+# p < n/(n-2): the solve and its tail's forced amplitude and gate
 assert main(["ground-state", "--n", "4", "--p", "1.9", "--out", out + "/case2"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
@@ -768,7 +761,7 @@ def _child_env(**extra):
 
 def test_commands_on_a_saved_profile_import_no_scipy(tmp_path, prof_sym):
     """constants, reduced-energy, two mesh checks, a phi table, a shot and a
-    ground state with a fitted tail (p = 1.9) run with scipy's import blocked."""
+    ground state below n/(n-2) (p = 1.9) run with scipy's import blocked."""
     prof_sym.to_csv(tmp_path / "profile.csv", tmp_path / "profile.json")
     env = _child_env()
     run = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env,

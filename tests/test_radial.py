@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -6,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import closed_form_bubble
-from laneemden import ProblemParams, find_ground_state, fit_tail, radial, shoot
+from laneemden import ProblemParams, find_ground_state, radial, shoot
 from laneemden._interp import pack_hermite, profile_eval
 from laneemden.cli import main
-from laneemden.errors import DomainError, StepFailure
+from laneemden.errors import DomainError, PoorFit, StepFailure
 from laneemden.halfspace import PHI1, PHI2, g_data
 from laneemden.radial import (DECAYING, R_START, U_HITS_ZERO, V_HITS_ZERO, fd_derivs_on_grid,
                               fd_laplacian, load_profile, stencil_window)
+from radial_checks import fit_two_power, pohozaev, sample_tail
 from strategies import admissible
 
 
@@ -220,8 +223,8 @@ def test_symmetric_point_oracle(prof_sym):
     U, dU, V, dV = prof_sym.eval_many(r)
     for got, want in ((U, u(r)), (dU, du(r)), (V, u(r)), (dV, du(r))):
         np.testing.assert_allclose(got, want, rtol=1.5e-10, atol=0.0)
-    assert prof_sym.tail.a == pytest.approx(8.0, rel=1e-3)
-    assert prof_sym.tail.b == pytest.approx(8.0, rel=1e-3)
+    assert prof_sym.interp_pack.au == pytest.approx(8.0, rel=1e-3)
+    assert prof_sym.interp_pack.bv == pytest.approx(8.0, rel=1e-3)
 
 
 @pytest.mark.parametrize("name", ["prof_case1", "prof_case2"])
@@ -358,26 +361,19 @@ def test_fd_derivs_rejects_stencils_off_the_grid(prof_sym):
             fd_derivs_on_grid(g, U, np.array([bad, 100]))
 
 
-def test_decay_exponents_case1(prof_case1):
-    t = prof_case1.tail
-    assert t.exp_U == pytest.approx(2.0, rel=0.01)
-    assert t.exp_V == pytest.approx(2.0, rel=0.01)
-
-
-def test_decay_exponents_case2(prof_case2):
-    t = prof_case2.tail
-    assert t.exp_U == pytest.approx(1.8, rel=0.02)
-    assert t.exp_V == pytest.approx(2.0, rel=0.01)
-
-
 def test_pack_takes_the_theorys_exponents(prof_sym, prof_case1, prof_case2):
-    """The tails' exponents come from (n, p), not from the fitted exp_U, exp_V."""
+    """The tails' exponents come from (n, p); their amplitudes meet U and V at
+    r_max, and at p = 1.9 U's leading one is V's forced b^p/(g(n-2-g)), g = 1.8."""
     assert "ev" not in radial.InterpPack._fields
     for prof in (prof_sym, prof_case1, prof_case2):
-        pk, n = prof.interp_pack, prof.params.n
+        pk, n, r = prof.interp_pack, prof.params.n, prof.r_max
         assert pk.eu == prof.params.exp_u_decay
         assert pk.e2 == n - 2.0
-        assert prof.tail.exp_U != pk.eu  # the fit is a diagnostic, a little off
+        assert pk.au * r ** -pk.eu + pk.cu2 * r ** -pk.e2 == pytest.approx(prof.U[-1], rel=1e-15)
+        assert pk.bv * r ** -pk.e2 == pytest.approx(prof.V[-1], rel=1e-15)
+        assert (pk.cu2 == 0.0) == (prof is not prof_case2)
+    pk = prof_case2.interp_pack
+    assert pk.au * 1.8 * 0.2 == pytest.approx(pk.bv ** 1.9, rel=1e-15)
 
 
 @settings(max_examples=100, deadline=None)
@@ -388,16 +384,16 @@ def test_fit_two_power_recovers_exact_data(k, gap, c1, c2, lo):
     x = np.geomspace(lo, 10.0 * lo, 160)
     y = c1 * x ** -k + c2 * x ** -(k + gap)
     hypothesis.assume(np.all(y > 0.01 * c1 * x ** -k))
-    got = radial.fit_two_power(x, y, k + gap, (0.5 * k, k + gap - 1e-3), xatol=1e-10)
+    got = fit_two_power(x, y, k + gap, (0.5 * k, k + gap - 1e-3), xatol=1e-10)
     assert abs(got - k) <= 1e-8
 
 
 def test_fit_two_power_matches_scipys_bounded_minimiser(prof_case2):
-    """The p = 1.9 tail fit's exponent is scipy's bounded minimiser's on the same data."""
+    """Criterion 4's p = 1.9 exponent is scipy's bounded minimiser's on the same data."""
     from scipy.optimize import minimize_scalar
 
-    prof, t = prof_case2, prof_case2.tail
-    rf = np.geomspace(*t.fit_window, 160)  # the data fit_tail fits
+    prof, t = prof_case2, sample_tail(prof_case2)
+    rf = np.geomspace(*t.window, 160)  # the data sample_tail fits
     Uf, k2 = np.interp(rf, prof.grid, prof.U), prof.params.n - 2.0
 
     def resid(k):
@@ -411,22 +407,58 @@ def test_fit_two_power_matches_scipys_bounded_minimiser(prof_case2):
     assert abs(t.exp_U - ref.x) <= 1e-8
 
 
-def test_fit_tail_chooses_its_window(prof_sym, prof_case2):
-    """fit_tail fits [r_max/10, r_max] at p = 3 and [r_max/100, r_max] in the
-    subcritical coupling range, r_max the grid's end: the profile's own fit."""
-    for prof, decades in ((prof_sym, 10.0), (prof_case2, 100.0)):
-        got = fit_tail(prof.params, prof.grid, prof.U, prof.V)
-        assert got.fit_window == (prof.r_max / decades, prof.r_max)
-        assert got == prof.tail
+def test_check_tail_gates_its_window(prof_sym, prof_case2):
+    """U 15% high on [r_max/100, r_max/20] fails the p = 1.9 gate, whose window
+    starts at r_max/100, and passes the p = 3 gate, whose window starts at r_max/10."""
+    for prof, fails in ((prof_case2, True), (prof_sym, False)):
+        assert radial.check_tail(prof) <= radial.MAX_TAIL_RESIDUAL
+        g = prof.grid
+        U = np.where((g >= prof.r_max / 100.0) & (g <= prof.r_max / 20.0), 1.15, 1.0) * prof.U
+        bumped = dataclasses.replace(prof, U=U)
+        assert bumped.interp_pack.au == prof.interp_pack.au
+        if fails:
+            with pytest.raises(PoorFit):
+                radial.check_tail(bumped)
+        else:
+            assert radial.check_tail(bumped) == radial.check_tail(prof)
 
 
-def test_decay_relation_case2(prof_case2):
-    # the two tail coefficients are slaved in the subcritical coupling range
-    t = prof_case2.tail
-    p = prof_case2.params.p
-    lhs = t.b ** p
-    rhs = t.a * (2 * p - 2.0) * (4.0 - 2.0 * p)
-    assert abs(lhs - rhs) / lhs < 0.02
+@pytest.fixture(scope="module")
+def prof_n5_sub():
+    return find_ground_state(ProblemParams(n=5, p=1.6))
+
+
+@pytest.mark.parametrize("name", ["prof_case2", "prof_n5_sub"])
+def test_pohozaev_vanishes_on_the_tail(request, name):
+    """Below n/(n-2) the tail carries U's forced amplitude, so H stays 0 beyond
+    r_max; an amplitude fitted to the samples leaves |H| at 3.0e-5 of the
+    terms' sizes (n = 4, p = 1.9) and 1.6e-6 (5, 1.6)."""
+    prof = request.getfixturevalue(name)
+    r = prof.r_max * np.array([1.5, 2.0, 10.0, 100.0])
+    H, size = pohozaev(prof.params, r, *prof.eval_many(r))
+    assert np.all(np.abs(H) <= 1e-12 * size), np.abs(H) / size
+
+
+def test_pohozaev_vanishes_inside(prof_sym, prof_case1, prof_case2):
+    """On the samples in (0, 100], |H| <= 1e-12 of the sum of its terms' sizes."""
+    for prof in (prof_sym, prof_case1, prof_case2):
+        k = slice(1, np.searchsorted(prof.grid, 100.0, side="right"))
+        H, size = pohozaev(prof.params, prof.grid[k], prof.U[k], prof.dU[k], prof.V[k],
+                           prof.dV[k])
+        assert np.all(np.abs(H) <= 1e-12 * size), np.max(np.abs(H) / size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=admissible(), v0=st.floats(1e-2, 1e2))
+def test_pohozaev_vanishes_along_every_shot(pair, v0):
+    """H is 0 along every radial solution, whatever v0: along a dense shot
+    at the solver's tolerance, |H| <= 1e-11 of its largest term (a sum of
+    five term sizes is at most five times the largest)."""
+    params = ProblemParams(n=pair[0], p=pair[1])
+    res = shoot(params, v0, 1e4, tol=3e-14, dense=True)
+    r = np.geomspace(res.sol.t[0], res.r_end, 400)
+    H, size = pohozaev(params, r, *res.sol.sol(r))
+    assert np.max(np.abs(H)) <= 1e-11 * np.max(size) / 5.0
 
 
 def test_derivative_bound_constant(prof_sym, prof_case2):
@@ -455,7 +487,7 @@ def test_profile_roundtrip(tmp_path, prof_sym, prof_case2):
         for got, want in zip(back.eval_many(r), prof.eval_many(r)):
             assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
         assert back.v0 == prof.v0
-        assert back.tail.a == prof.tail.a
+        assert sorted(json.loads(side.read_text())) == ["ode_tol", "params", "r_max", "v0"]
         # 17 significant digits in the CSV make the pack round-trip exactly
         for key in prof.interp_pack._fields:
             got, want = getattr(back.interp_pack, key), getattr(prof.interp_pack, key)
@@ -464,6 +496,26 @@ def test_profile_roundtrip(tmp_path, prof_sym, prof_case2):
         back.to_csv(tmp_path / "q.csv", tmp_path / "q.json")
         assert (tmp_path / "q.csv").read_bytes() == csv.read_bytes()
         assert (tmp_path / "q.json").read_bytes() == side.read_bytes()
+
+
+# the "tail" block of the p = 1.9 sidecar as ground-state wrote it while the
+# tail was fitted
+FITTED_TAIL = {"a": 36.954061369428, "b": 3.903757000053493, "exp_U": 1.7996371111020026,
+               "exp_V": 2.0000474228170666, "exp_U_err": 0.00036288889799718227,
+               "exp_V_err": 3.7240403844611106e-06, "c2": -41.33908641070135,
+               "fit_window": [100.0, 10000.0], "fit_residual": 0.00043036145704977713}
+
+
+def test_profile_with_a_fitted_tail_block_loads(tmp_path, prof_case2):
+    """A sidecar that still carries a fitted "tail" block loads; the block is not
+    read, and the pack is the fresh solve's bit for bit."""
+    prof_case2.to_csv(tmp_path / "p.csv", tmp_path / "p.json")
+    side = json.loads((tmp_path / "p.json").read_text())
+    (tmp_path / "p.json").write_text(json.dumps(dict(side, tail=FITTED_TAIL)))
+    back = load_profile(tmp_path / "p.csv", tmp_path / "p.json")
+    for name, got, want in zip(back.interp_pack._fields, back.interp_pack,
+                               prof_case2.interp_pack):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
 
 def test_load_profile_rejects_a_damaged_pair(tmp_path, prof_sym):
