@@ -1,7 +1,8 @@
 """The eight constants of the reduced-energy expansion.
 
-All are 1D radial integrals of the ground state (the boundary-strip pair
-also has a direct 2D form used as a consistency oracle):
+All are 1D radial integrals of the ground state out to r_top * TAIL_REACH,
+past r_top over the profile's own power tails (the boundary-strip pair also
+has a direct 2D form used as a consistency oracle):
 
     A1 = int_{R^n} U^(q+1),            A2 = int_{R^n} V^(p+1),
     B1 = lim (1/2) int_{R^{n-1}} |y'|^2 U^(q+1)(|y'|) dy'   (and B2 with V),
@@ -47,36 +48,35 @@ class EnergyConstants:
         return d
 
 
+PANELS = 36  # panels up to r_top, and as many past it
+TAIL_REACH = 1e24  # the last edge is r_top * TAIL_REACH: 24 decades at 1.5 panels a decade
+
+
 def _panels(r_max):
-    """0 and 36 geometric edges from 1e-4 to r_max."""
-    return np.concatenate([[0.0], np.geomspace(1e-4, r_max, 36)])
+    """0 and PANELS geometric edges from 1e-4 to r_max, then PANELS more to
+    r_max * TAIL_REACH."""
+    return np.concatenate([[0.0], np.geomspace(1e-4, r_max, PANELS),
+                           np.geomspace(r_max, r_max * TAIL_REACH, PANELS + 1)[1:]])
 
 
 def _radial_quad(f, r_max, k):
-    """Composite k-point Gauss on log-graded panels over [0, r_max].
+    """Composite k-point Gauss on log-graded panels over [0, r_max * TAIL_REACH]:
+    (the total, its part past r_max).
 
     f may return a stack of integrands with the (panel, node) axes last;
     then each row is integrated, and summed exactly as it would be alone.
     The panel half-width multiplies each panel's node sum, and the panels
     are added in sequence: weights folded into the node sum, or a pairwise
-    sum over panels, change the constants in the last bits.
+    sum over panels, change the constants in the last bits.  The part past
+    r_max is its own running sum over the panels there.
     """
     edges = _panels(r_max)
     r, _ = gauss_panels(edges, k)
     _, wg = gauss_legendre(k)
     sums = 0.5 * np.diff(edges) * np.sum(wg * np.asarray(f(r)), axis=-1)
-    return np.cumsum(sums, axis=-1)[..., -1][()]  # [()]: a lone integral as a scalar
-
-
-def _power_tail(r_max, m):
-    """int_{r_max}^inf r^m dr, m < -1."""
-    return r_max ** (m + 1.0) / (-(m + 1.0))
-
-
-def _power_log_tail(r_max, m):
-    """int_{r_max}^inf r^m log(r) dr, m < -1."""
-    s = -(m + 1.0)
-    return r_max ** (m + 1.0) * (np.log(r_max) / s + 1.0 / s ** 2)
+    # [()]: a lone integral as a scalar
+    return (np.cumsum(sums, axis=-1)[..., -1][()],
+            np.cumsum(sums[..., PANELS:], axis=-1)[..., -1][()])
 
 
 def compute_B_delta(profile: RadialProfile, delta: float):
@@ -110,21 +110,23 @@ def compute_constants(profile: RadialProfile, b_delta=0.0) -> EnergyConstants:
     """Assemble all eight constants with error estimates.
 
     One stack of eight radial integrands is integrated at k = 12 and 20,
-    with one profile evaluation per rule; the k = 20 value plus its
-    closed-form tail, times the constant's measure, is the constant, and
-    the rule difference plus a share of the tail is its error.  A b_delta
+    with one profile evaluation per rule, out to r_top * TAIL_REACH: past
+    r_top the panels integrate the profile's own power tails.  The k = 20
+    value times the constant's measure is the constant, and the rule
+    difference plus a share of the part past r_top is its error.  A b_delta
     of 0 gives B1, B2 at their delta -> 0 limit; a b_delta in (0, 0.1]
     gives the boundary-strip values there, each with its distance from the
     limit as its error.
     """
     n, p, q = profile.params.n, profile.params.p, profile.params.q
     pk = profile.interp_pack
-    # with the theory's exponents (q+1)*eu > n+1 for every ProblemParams, so U's
-    # tails converge; the C tails, and V's B tail, need eu > 1, which fails only
-    # at n = 4, p <= 1.5, below the admissible ranges
-    mC = n - 2.0 - pk.eu - pk.e2  # r^(n-1) U' V, or r^(n-1) V' U, beyond r_top
-    if mC >= -1.0:
-        raise TailDivergent("first-derivative/second-component tail not integrable")
+    # a tail r^m beyond r_top leaves TAIL_REACH^(m+1) of itself past the reach.  U's
+    # rows decay fast for every ProblemParams ((q+1)*eu > n+1); the slowest rows are
+    # C's, r^(n-1) U'V ~ r^-eu (and the swap), and B2's, r^n V^(p+1)
+    share = TAIL_REACH ** (max(-pk.eu, n - (p + 1.0) * pk.e2) + 1.0)
+    if share > 1e-16:
+        raise TailDivergent(f"first-derivative/second-component tail not integrable: "
+                            f"{share:.1e} of it lies past r_top*{TAIL_REACH:g}")
 
     def f(r):
         U, dU, V, dV = profile_eval(r, pk, ("U", "dU", "V", "dV"))
@@ -133,41 +135,13 @@ def compute_constants(profile: RadialProfile, b_delta=0.0) -> EnergyConstants:
         return [rn * uq, rn * vp, rn * uq * np.log(U), rn * vp * np.log(V),
                 rb * uq, rb * vp, -rn * dU * V, -rn * dV * U]
 
-    # closed-form tails from the anchored power laws (leading term in the
-    # two-term first component; the cross term is binomially subleading)
-    r_top = pk.r_top
-
-    def tail_U(m):  # int_{r_top}^inf r^m U^(q+1)
-        return pk.au ** (q + 1.0) * (
-            _power_tail(r_top, m)
-            + (q + 1.0) * (pk.cu2 / pk.au) * _power_tail(r_top, m - (pk.e2 - pk.eu)))
-
-    def tail_V(m):  # int_{r_top}^inf r^m V^(p+1)
-        return pk.bv ** (p + 1.0) * _power_tail(r_top, m)
-
-    mU = n - 1.0 - (q + 1.0) * pk.eu
-    mV = n - 1.0 - (p + 1.0) * pk.e2
-    mC2 = n - 2.0 - 2.0 * pk.e2  # the C tails' term through U's r^-e2 term
     sn, sm = sphere_measure(n), sphere_measure(n - 1)
-    # per stack row: (measure, closed-form tail, tail-error weight)
-    # C tails: dU ~ -eu*au r^-(eu+1) - e2*cu2 r^-(e2+1); V ~ bv r^-e2; and the swap
-    table = {
-        "A1": (sn, tail_U(mU), 1e-3),
-        "A2": (sn, tail_V(mV), 1e-3),
-        "D1": (sn, pk.au ** (q + 1.0) * (np.log(pk.au) * _power_tail(r_top, mU)
-                                         - pk.eu * _power_log_tail(r_top, mU)), 1e-3),
-        "D2": (sn, pk.bv ** (p + 1.0) * (np.log(pk.bv) * _power_tail(r_top, mV)
-                                         - pk.e2 * _power_log_tail(r_top, mV)), 1e-3),
-        "B1": (0.5 * sm, tail_U(float(n) - (q + 1.0) * pk.eu), 1e-3),
-        "B2": (0.5 * sm, tail_V(float(n) - (p + 1.0) * pk.e2), 1e-3),
-        "C1": (sm, pk.bv * (pk.eu * pk.au * _power_tail(r_top, mC)
-                            + pk.e2 * pk.cu2 * _power_tail(r_top, mC2)), 1e-2),
-        "C2": (sm, pk.e2 * pk.bv * (pk.au * _power_tail(r_top, mC)
-                                    + pk.cu2 * _power_tail(r_top, mC2)), 1e-2),
-    }
-    lo, hi = _radial_quad(f, r_top, 12), _radial_quad(f, r_top, 20)
-    parts = {key: (meas * (v + tail), meas * (e + abs(tail) * w))
-             for (key, (meas, tail, w)), v, e in zip(table.items(), hi, abs(hi - lo))}
+    # per stack row: (measure, weight of the part past r_top in the error)
+    table = {"A1": (sn, 1e-3), "A2": (sn, 1e-3), "D1": (sn, 1e-3), "D2": (sn, 1e-3),
+             "B1": (0.5 * sm, 1e-3), "B2": (0.5 * sm, 1e-3), "C1": (sm, 1e-2), "C2": (sm, 1e-2)}
+    (lo, _), (hi, tail) = _radial_quad(f, pk.r_top, 12), _radial_quad(f, pk.r_top, 20)
+    parts = {key: (meas * v, meas * (e + abs(t) * w))
+             for (key, (meas, w)), v, e, t in zip(table.items(), hi, abs(hi - lo), tail)}
     delta_used = 0.0
     if b_delta:  # compute_B_delta refuses a negative or NaN delta
         bd = compute_B_delta(profile, b_delta)

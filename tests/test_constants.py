@@ -7,10 +7,11 @@ from laneemden import ProblemParams, find_ground_state
 from laneemden.ballquad import gauss_legendre, sphere_measure
 import laneemden.constants as constants_mod
 from laneemden._interp import profile_eval
-from laneemden.constants import (XI_RADIUS, _panels, _radial_quad, compute_B_delta,
-                                 compute_constants)
+from laneemden.constants import (PANELS, TAIL_REACH, XI_RADIUS, _panels, _radial_quad,
+                                 compute_B_delta, compute_constants)
 from laneemden.errors import DomainError, NumericalFailure, TailDivergent
 from laneemden.radial import load_profile
+from constants_reference import closed_tail_constants
 
 A1_EXACT = 32 * np.pi ** 2 / 3
 B1_EXACT = 8 * np.sqrt(2) * np.pi ** 2
@@ -60,8 +61,9 @@ def test_b_delta_converges_to_limit(prof_sym, consts_sym):
 
 @pytest.mark.parametrize("k", [12, 20])
 def test_radial_quad_matches_panel_loop(prof_sym, prof_case2, k):
-    """The array rule equals the panel-by-panel loop, bit for bit, and each
-    row of a stack equals its lone integral."""
+    """The array rule equals the panel-by-panel loop out to r_top * TAIL_REACH,
+    bit for bit, and so does its part past r_top, a loop over the PANELS panels
+    there; each row of a stack equals its lone integral."""
     xg, wg = gauss_legendre(k)
     for prof in (prof_sym, prof_case2):
         p, q = prof.params.p, prof.params.q
@@ -72,16 +74,22 @@ def test_radial_quad_matches_panel_loop(prof_sym, prof_case2, k):
         def g(r):
             return r ** 3.0 * prof.eval_many(r)[2] ** (p + 1.0)
 
-        edges = _panels(prof.interp_pack.r_top)
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            r = 0.5 * (a + b) + 0.5 * (b - a) * xg
-            total += 0.5 * (b - a) * np.sum(wg * f(r))
         r_top = prof.interp_pack.r_top
-        assert _radial_quad(f, r_top, k) == total
-        rows = _radial_quad(lambda r: [f(r), g(r)], r_top, k)
-        assert rows.shape == (2,)
-        assert rows[0] == total and rows[1] == _radial_quad(g, r_top, k)
+        edges = _panels(r_top)
+        assert edges.size == 2 * PANELS + 1 and edges[PANELS] == r_top
+        assert edges[-1] == r_top * TAIL_REACH
+        total, tail = 0.0, 0.0
+        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            r = 0.5 * (a + b) + 0.5 * (b - a) * xg
+            panel = 0.5 * (b - a) * np.sum(wg * f(r))
+            total += panel
+            if i >= PANELS:
+                tail += panel
+        assert _radial_quad(f, r_top, k) == (total, tail)
+        rows, tails = _radial_quad(lambda r: [f(r), g(r)], r_top, k)
+        assert rows.shape == tails.shape == (2,)
+        assert (rows[0], tails[0]) == (total, tail)
+        assert (rows[1], tails[1]) == _radial_quad(g, r_top, k)
 
 
 def test_b_delta_matches_panel_loop(prof_sym):
@@ -109,13 +117,24 @@ def test_b_delta_matches_panel_loop(prof_sym):
     assert compute_B_delta(prof_sym, delta) == want
 
 
-def test_gradient_slope_identity(consts_sym, consts_case1, consts_case2):
-    # both single-component forms of the mixed gradient slope agree:
-    # 2 B1 - C1 = 2 B2 - C2 (an integration-by-parts identity)
-    for c in (consts_sym, consts_case1, consts_case2):
-        lhs = 2 * c.B1 - c.C1
-        rhs = 2 * c.B2 - c.C2
-        assert lhs == pytest.approx(rhs, rel=1e-3)
+def test_gradient_slope_identity(prof_sym, prof_case1, prof_case2,
+                                 consts_sym, consts_case1, consts_case2):
+    """Integrating r^n U'V' by parts against each equation, and the radial
+    Pohozaev quantity over (0, inf), gives two exact relations on the critical
+    hyperbola: 2 B1 - C1 = 2 B2 - C2, and
+    (n-3) C1 = 2 [(n+1)/(q+1) B1 + ((2n-2)/n - (n+1)/(q+1)) B2], with
+    p <-> q and B1 <-> B2 swapped for C2.  Worst relative residuals measured:
+    3.9e-11, 4.0e-7 and 6.1e-6 at p = 3, 2.5 and 1.9."""
+    for prof, c, bound in ((prof_sym, consts_sym, 1e-10), (prof_case1, consts_case1, 1e-6),
+                           (prof_case2, consts_case2, 1.5e-5)):
+        n, p, q = prof.params.n, prof.params.p, prof.params.q
+
+        def c_of_b(s, b_own, b_other):  # C from the B pair, s = own exponent + 1
+            return 2.0 * ((n + 1) / s * b_own + ((2 * n - 2) / n - (n + 1) / s) * b_other) / (n - 3)
+
+        assert abs((2 * c.B1 - c.C1) - (2 * c.B2 - c.C2)) <= bound * c.C1
+        assert abs(c.C1 - c_of_b(q + 1.0, c.B1, c.B2)) <= bound * c.C1
+        assert abs(c.C2 - c_of_b(p + 1.0, c.B2, c.B1)) <= bound * c.C2
 
 
 def test_tail_robustness(prof_sym, consts_sym):
@@ -180,16 +199,19 @@ def test_as_dict_keys(consts_sym):
     assert "mode" not in d  # delta_used names the B in use
 
 
-def test_tail_divergence_guard(tmp_path, prof_sym, monkeypatch):
+@pytest.mark.parametrize("p", [1.5, 1.8])
+def test_tail_divergence_guard(tmp_path, prof_sym, monkeypatch, p):
     """A sidecar edited to p = 1.5 at n = 4, below the admissible ranges, gives
-    exp_u_decay = 1, where the C tails diverge; the guard trips before the
-    profile is evaluated."""
+    exp_u_decay = 1, where the C tails diverge; at p = 1.8 they converge, but
+    C's r^-1.6 leaves 10^(-14.4) of itself past r_top * TAIL_REACH, more than
+    the 1e-16 the reach may drop.  The guard trips before the profile is
+    evaluated."""
     prof_sym.to_csv(tmp_path / "profile.csv", tmp_path / "profile.json")
     side = json.loads((tmp_path / "profile.json").read_text())
-    side["params"]["p"] = 1.5
+    side["params"]["p"] = p
     (tmp_path / "profile.json").write_text(json.dumps(side))
     bad = load_profile(tmp_path / "profile.csv", tmp_path / "profile.json")
-    assert bad.interp_pack.eu == 1.0
+    assert bad.interp_pack.eu == 2.0 * p - 2.0  # 1 at p = 1.5
 
     def no_eval(*args):
         raise AssertionError("profile evaluated before the tail guard")
@@ -211,3 +233,15 @@ def test_one_profile_evaluation_per_gauss_rule(prof_sym, consts_sym, monkeypatch
     assert compute_constants(prof_sym) == consts_sym
     panels = _panels(prof_sym.interp_pack.r_top).size - 1
     assert calls == [(panels * k, ("U", "dU", "V", "dV")) for k in (12, 20)]
+
+
+@pytest.mark.parametrize("case", ["sym", "case1", "case2"])
+def test_integrated_tails_match_the_closed_forms(request, case):
+    """The panels past r_top integrate the tail model the closed forms of
+    constants_reference state: every constant within 1e-14 relative of them
+    (measured <= 3.4e-16), every error within 1e-4 (measured <= 1.0e-5)."""
+    want, want_err = closed_tail_constants(request.getfixturevalue(f"prof_{case}"))
+    got = request.getfixturevalue(f"consts_{case}")
+    for k, v in want.items():
+        assert getattr(got, k) == pytest.approx(v, rel=1e-14, abs=0.0)
+        assert got.err[k] == pytest.approx(want_err[k], rel=1e-4, abs=0.0)

@@ -2,8 +2,10 @@
 right-hand side and shots, the run configuration, the quadrature rules, the ball
 mesh's node ranges, the profile's
 interval search and kernel, the half-space kernel, the
-bubbles, the two-bubble fields and the ground state between its samples."""
+bubbles, the two-bubble fields, the ground state between its samples and the
+reach of the constants' tail panels."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,10 +20,11 @@ from laneemden.ansatz import TABLE_REACH, AnsatzField, bubble_uv  # noqa: E402
 from laneemden.ballquad import gauss_panels, get_quadrature, graded_edges  # noqa: E402
 from laneemden.cli import (_COMMAND_KEYS, _COMMON_KEYS, CHECK_READS,  # noqa: E402
                            RunConfig, build_config, make_parser)
+from laneemden.constants import TAIL_REACH  # noqa: E402
 from laneemden.errors import ConfigError, DomainError  # noqa: E402
 from laneemden.halfspace import LOOKUP_CHUNK, panel_edges  # noqa: E402
 from laneemden.params import (DELTA_CAP, HYPERBOLA_TOL, ProblemParams,  # noqa: E402
-                              check_condition_P)
+                              check_condition_P, p_threshold)
 from laneemden.radial import _rhs, shoot  # noqa: E402
 from bubble_reference import profile_eval_where  # noqa: E402
 from phi_reference import eval_many_loop  # noqa: E402
@@ -326,6 +329,32 @@ def test_u_tails_converge_for_every_params(n, data):
     except DomainError:
         hypothesis.assume(False)
     assert (pp.q + 1.0) * pp.exp_u_decay > n + 1.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(np_=admissible(), r_top=st.floats(1e2, 1e12))
+@example(np_=(4, float(np.nextafter(p_threshold(4), 2.0))), r_top=1e12)
+def test_constants_reach_drops_at_most_1e16_of_each_tail(np_, r_top):
+    """Each of the eight constants' rows decays like r^m (D1, D2: r^m log r)
+    beyond r_top, with m < -1, and its panels reach r_top * TAIL_REACH, where
+    at most 1e-16 of its tail is left (worst: B2 and C at n = 4, p -> p_n,
+    3.4e-17); r^n stays finite out there for r_top up to 1e12."""
+    n, p = np_
+    pp = ProblemParams(n=n, p=p)
+    eu, e2 = pp.exp_u_decay, n - 2.0
+    mU, mV = n - 1.0 - (pp.q + 1.0) * eu, n - 1.0 - (p + 1.0) * e2  # r^(n-1) U^(q+1), V^(p+1)
+    # (m, a log r rides on r^m): r^(n-1) U'V and r^(n-1) V'U both decay like r^-eu
+    rows = {"A1": (mU, False), "A2": (mV, False), "D1": (mU, True), "D2": (mV, True),
+            "B1": (mU + 1.0, False), "B2": (mV + 1.0, False), "C1": (-eu, False),
+            "C2": (-eu, False)}
+    lr, lt = math.log(r_top), math.log(TAIL_REACH)
+    for key, (m, log) in rows.items():
+        s = -(m + 1.0)
+        assert s > 0.0, key
+        # int_R^inf r^-(s+1) (log r)^log dr, past r_top * TAIL_REACH over past r_top
+        share = math.exp(-s * lt) * ((lr + lt + 1.0 / s) / (lr + 1.0 / s) if log else 1.0)
+        assert share <= 1e-16, key
+    assert np.isfinite(np.float64(r_top * TAIL_REACH) ** n)
 
 
 # the radial state in the stepper's stages: signed zeros, subnormals, values
