@@ -26,10 +26,6 @@ from .halfspace import PHI2, PhiTable
 from .params import DELTA_CAP
 from .radial import RadialProfile
 
-# the checks build phi tables out to TABLE_REACH / (smallest delta); a field
-# needs 2/delta, the bound of (1 +- x_n)/delta in the ball
-TABLE_REACH = 2.2
-
 
 def bubble_uv(s, t, center_t, delta, profile, parts):
     """The bubble at (0, center_t): the named parts of (U, V), times delta^-su, delta^-sv."""

@@ -33,14 +33,17 @@ from .reporting import write_csv, write_json
 CHECK_READS = {
     "bubble_mass": ("profile", "constants", "deltas", "level"),
     "cross_terms": ("profile", "deltas", "level"),
-    "boundary_pairing": ("profile", "corr1", "corr2", "constants", "deltas", "level"),
-    "gradient_energy": ("profile", "corr1", "constants", "deltas", "level"),
-    "nonlinear_energy": ("profile", "corr2", "constants", "eps", "d", "alpha", "level"),
+    "boundary_pairing": ("profile", "phi1", "phi2", "constants", "deltas", "level"),
+    "gradient_energy": ("profile", "phi1", "constants", "deltas", "level"),
+    "nonlinear_energy": ("profile", "phi2", "constants", "eps", "d", "alpha", "level"),
     "linearized_kernel": ("profile",),
     "scaling_table": ("params",),
     "exponent_taylor": ("params",),
-    "perturbed_norms": ("profile", "corr1", "eps", "d", "level", "beta"),
+    "perturbed_norms": ("profile", "phi1", "eps", "d", "level", "beta"),
 }
+# the phi tables reach TABLE_REACH / (smallest delta); a field needs 2/delta, the
+# bound of (1 +- x_n)/delta in the ball
+TABLE_REACH = 2.2
 
 
 def __getattr__(name):
@@ -109,17 +112,23 @@ class RunConfig:
             xs = getattr(self, key)
             if not least <= len(xs) == len(set(xs)):
                 raise ConfigError(f"verify needs at least {least} {key} and no repeated one")
-        phi_checks = [c for c in self.checks if {"corr1", "corr2"} & set(CHECK_READS[c])]
+        phi_checks = [c for c in self.checks if {"phi1", "phi2"} & set(CHECK_READS[c])]
         if phi_checks and self.n != 4:
             raise ConfigError(f"checks {phi_checks} need the half-space corrections, "
                               "implemented for n = 4 only")
-        # a check that reads d samples the bubble scales delta = d * eps
         d_checks = [c for c in self.checks if "d" in CHECK_READS[c]]
-        top = max(self.d * e for e in self.eps)
-        if d_checks and top > DELTA_CAP:
+        top = max(self.sampled_deltas("d"), default=0.0)
+        if top > DELTA_CAP:
             raise ConfigError(f"checks {d_checks} sample delta = d * eps up to {top!r}, "
                               f"outside (0, {DELTA_CAP}]")
         return self
+
+    def sampled_deltas(self, *keys):
+        """The bubble scales delta of the selected checks that read any of the inputs
+        keys: d * eps for a check that reads d, else deltas."""
+        return [x for c in self.checks if set(keys) & set(CHECK_READS[c])
+                for x in ([self.d * e for e in self.eps] if "d" in CHECK_READS[c]
+                          else self.deltas)]
 
     def as_dict(self):
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
@@ -131,7 +140,8 @@ _DEFAULTS = asdict(RunConfig())
 def _coerce(key, raw):
     """Parse a flag or config-file value by the type of its RunConfig field.
 
-    Numbers take a decimal or a rational like 11/3; a list is comma-separated.
+    A float takes a decimal or a rational like 11/3, an integer (n, mesh_level)
+    an integer literal only; a list is comma-separated.
     """
     if key not in _DEFAULTS:
         raise ConfigError(f"unknown configuration key {key!r}")
@@ -277,8 +287,8 @@ def run_suite(cfg) -> list:
 
     Each check reads the inputs that CHECK_READS names.  The ground
     state is always taken (from _ground_state); the energy constants and the
-    half-space corrections corr1 (phi1) and corr2 (phi2) are built once
-    each, and only when a selected check reads them.
+    phi tables phi1 and phi2 are built once each, and only when a selected check
+    reads them; both reach TABLE_REACH / (the smallest delta a phi check samples).
     """
     from . import verify as V
     from .constants import compute_constants
@@ -286,11 +296,13 @@ def run_suite(cfg) -> list:
     params, prof = _ground_state(cfg)
     inputs = {"params": params, "profile": prof, "deltas": cfg.deltas, "eps": cfg.eps,
               "d": cfg.d, "alpha": cfg.alpha, "beta": cfg.beta, "level": cfg.mesh_level}
-    builders = {"constants": lambda: compute_constants(prof),
-                "corr1": lambda: HalfSpaceCorrection(prof, PHI1),
-                "corr2": lambda: HalfSpaceCorrection(prof, PHI2)}
     read = {key for name in cfg.checks for key in CHECK_READS[name]}
-    inputs.update({key: build() for key, build in builders.items() if key in read})
+    if "constants" in read:
+        inputs["constants"] = compute_constants(prof)
+    if {"phi1", "phi2"} & read:  # one reach for both kinds: one table miss builds the pair
+        reach = TABLE_REACH / min(cfg.sampled_deltas("phi1", "phi2"))
+        inputs.update({key: HalfSpaceCorrection(prof, which).table(reach)
+                       for key, which in (("phi1", PHI1), ("phi2", PHI2)) if key in read})
     reports = []
     for name in cfg.checks:
         reports += V.CHECKS[name](**{key: inputs[key] for key in CHECK_READS[name]})

@@ -83,12 +83,6 @@ def g_tail(pack, which):
     return expo * a / 2.0, expo
 
 
-def with_far_tails(pack, calls, kinds):
-    """Join the (rows, rho_bigs) results of rule calls and add each kind's far tail once."""
-    quad, bigs = (np.concatenate(part, axis=-1) for part in zip(*calls))
-    return [q + far_tail(bigs, *g_tail(pack, which)) for q, which in zip(quad, kinds)]
-
-
 def angular_kernel(sig, tau, rho):
     """n = 4 angular factor int_{-1}^{1} du / (A - B u), broadcast over its arguments.
 
@@ -221,11 +215,11 @@ class HalfSpaceCorrection:
         self._tables = _TABLES.setdefault(self.profile, {})
 
     def rule(self, blocks, k, kinds):
-        """The one quadrature of phi: at the points of each (sig, taus) of blocks, phi
-        less its far tail for each kind of kinds (a row each), and each point's rho_big.
+        """The one quadrature of phi: phi at the points of each (sig, taus) of blocks,
+        a row for each kind of kinds.
 
         k is the number of Gauss nodes per panel.  Each point integrates its data
-        up to rho_big = max(60 (sig + tau + 1), 2 r_top); far_tail is the rest.  A
+        up to rho_big = max(60 (sig + tau + 1), 2 r_top); far_tail adds the rest.  A
         block's edges are panel_edges(sig, min tau, largest rho_big) plus the
         rho_big of every point, and each point weights only the nodes below its
         own rho_big; for one tau this is panel_edges(sig, tau, rho_big) itself.
@@ -244,7 +238,9 @@ class HalfSpaceCorrection:
             ker[rho >= bigs[:, None]] = 0.0
             out.append([ker @ (w * g[lo:lo + rho.size] * rho * rho) / np.pi for g in gs])
             lo += rho.size
-        return np.concatenate(out, axis=1), np.concatenate([bigs for _, _, bigs in nodes])
+        bigs = np.concatenate([bigs for _, _, bigs in nodes])
+        return np.array([q + far_tail(bigs, *g_tail(pack, which))
+                         for q, which in zip(np.concatenate(out, axis=1), kinds)])
 
     def eval_points(self, sig, tau, order=0):
         """Direct quadrature at (|x'|, x_n) points; order 0/1 takes 12/20 nodes per panel.
@@ -265,17 +261,16 @@ class HalfSpaceCorrection:
             return np.zeros(0)
         k = K_BASE if order == 0 else 20
         points = list(zip(sig, tau[:, None]))
-        calls = [self.rule(points[lo:lo + POINT_CHUNK], k, (self.which,))
-                 for lo in range(0, sig.size, POINT_CHUNK)]
-        return with_far_tails(self.profile.interp_pack, calls, (self.which,))[0]
+        return np.concatenate([self.rule(points[lo:lo + POINT_CHUNK], k, (self.which,))[0]
+                               for lo in range(0, sig.size, POINT_CHUNK)])
 
     def table(self, extent, m=257):
         """Build (and cache) the interpolation table covering [0, extent]^2.
 
         A miss builds the tables of both kinds: one rule call per sigma row with
         ceil(m / TAU_BLOCK) blocks of consecutive grid taus, equal in size to within
-        one tau, and the order-0 rule; then far_tail over the whole grid.  The extent
-        must be finite and positive and m at least 4, the width of the stencil.
+        one tau, and the order-0 rule.  The extent must be finite and positive and
+        m at least 4, the width of the stencil.
         """
         if not (np.isfinite(extent) and extent > 0) or m < 4:
             raise DomainError(f"a table needs a finite extent > 0 and m >= 4, not "
@@ -286,7 +281,7 @@ class HalfSpaceCorrection:
             grid = np.expm1(gu)
             blocks = np.array_split(grid, -(-m // TAU_BLOCK))
             rows = [self.rule([(s, taus) for taus in blocks], K_BASE, PARTS) for s in grid]
-            for which, tab in zip(PARTS, with_far_tails(self.profile.interp_pack, rows, PARTS)):
+            for which, tab in zip(PARTS, np.concatenate(rows, axis=1)):
                 self._tables[(which,) + key[1:]] = PhiTable(
                     extent=float(extent), m=m, du=float(gu[1] - gu[0]), tab=tab, which=which)
         return self._tables[key]

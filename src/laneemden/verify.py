@@ -15,11 +15,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .ansatz import TABLE_REACH, AnsatzField, bubble_uv
+from .ansatz import AnsatzField, bubble_uv
 from .ballquad import gauss_panels, get_quadrature, sphere_measure
 from .constants import EnergyConstants
 from .errors import DomainError, QuadratureNonConvergent
-from .halfspace import HalfSpaceCorrection
 from .radial import fd_laplacian, stencil_window
 
 MIN_SHRINK = 1.5
@@ -159,18 +158,19 @@ def check_cross_terms(profile, deltas, level=1):
         deviation=worst, tol=MIN_SHRINK, verdict=_verdict(ok))
 
 
-def check_phi_pairing(profile, corr1: HalfSpaceCorrection, corr2: HalfSpaceCorrection,
-                      constants: EnergyConstants, deltas, level=1):
+def check_phi_pairing(profile, phi1, phi2, constants: EnergyConstants, deltas, level=1):
     """Boundary-layer pairings: matched ones carry -C/2, crossed ones are o(delta).
 
+    phi1 and phi2 are the PHI1 and PHI2 tables; each must reach 2/min(deltas).
     Pairings are reported in the orientation of the projection expansions
     (the corrections there absorb outgoing flux), hence the minus sign on
     the positive kernel evaluator.
     """
+    if min(phi1.extent, phi2.extent) < 2.0 / min(deltas):
+        raise DomainError(f"phi table extents {phi1.extent}, {phi2.extent} < 2/min(deltas)")
     tol = 0.05
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
-    tab1, tab2 = (c.table(TABLE_REACH / min(deltas)) for c in (corr1, corr2))
 
     def pairings(d):
         # rows: matched phi1, matched phi2, crossed (mirrored) phi1, crossed phi2.
@@ -181,8 +181,8 @@ def check_phi_pairing(profile, corr1: HalfSpaceCorrection, corr2: HalfSpaceCorre
             Up, Vp = bubble_uv(s, t, 1.0, d, profile, ("U", "V"))
             Um, Vm = bubble_uv(s, t, -1.0, d, profile, ("U", "V"))
             sd, near, far = s / d, (1.0 - t) / d, (1.0 + t) / d
-            n1, n2 = tab1.eval_many(sd, near), tab2.eval_many(sd, near)
-            f1, f2 = tab1.eval_many(sd, far), tab2.eval_many(sd, far)
+            n1, n2 = phi1.eval_many(sd, near), phi2.eval_many(sd, near)
+            f1, f2 = phi1.eval_many(sd, far), phi2.eval_many(sd, far)
             Upq, Vpp, Umq, Vmp = Up ** pp.q, Vp ** pp.p, Um ** pp.q, Vm ** pp.p
             return ([n1 * Upq, n2 * Vpp, f1 * Upq, f2 * Vpp],
                     [f1 * Umq, f2 * Vmp, n1 * Umq, n2 * Vmp])
@@ -211,9 +211,8 @@ def check_phi_pairing(profile, corr1: HalfSpaceCorrection, corr2: HalfSpaceCorre
         details={"matched_negative": bool(np.all(m1 < 0) and np.all(m2 < 0))})
 
 
-def check_gradient_expansion(profile, corr1, constants: EnergyConstants,
-                             deltas, level=1):
-    """Mixed gradient energy of the projected pair.
+def check_gradient_expansion(profile, phi1, constants: EnergyConstants, deltas, level=1):
+    """Mixed gradient energy of the projected pair, PW1 from the PHI1 table phi1.
 
     Uses the integration-by-parts form: the gradient pairing equals the
     integral of PW1 against the signed bubble sources of PW2.
@@ -221,10 +220,9 @@ def check_gradient_expansion(profile, corr1, constants: EnergyConstants,
     tol = 0.10
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
-    tab = corr1.table(TABLE_REACH / min(deltas))
 
     def energies(d):
-        fld = AnsatzField(profile, d, tab)
+        fld = AnsatzField(profile, d, phi1)
 
         # rows: PW1 = bare + correction, and the bare pair Up - Um, against the
         # source.  bare, correction and source each change sign exactly under
@@ -253,9 +251,9 @@ def check_gradient_expansion(profile, corr1, constants: EnergyConstants,
         details={"leading": constants.A1})
 
 
-def check_nonlinear_expansion(profile, corr2, constants: EnergyConstants,
+def check_nonlinear_expansion(profile, phi2, constants: EnergyConstants,
                               eps_list, d=0.2, alpha=1.0, level=1):
-    """Perturbed-exponent energy of the projected second component.
+    """Perturbed-exponent energy of PW2, the projected second component (table phi2).
 
     With delta = d*eps, the functional splits into a delta-part (checked as
     a slope), an eps-part proportional to alpha (isolated by differencing
@@ -268,13 +266,12 @@ def check_nonlinear_expansion(profile, corr2, constants: EnergyConstants,
     p = pp.p
     deltas = [d * e for e in eps_list]
     quad = get_quadrature(pp.n, min(deltas), level)
-    tab = corr2.table(TABLE_REACH / min(deltas))
     A2, B2, C2, D2 = constants.A2, constants.B2, constants.C2, constants.D2
     lead = A2 / (p + 1.0)
 
     M0, Ma, second = [], [], []
     for e, dd in zip(eps_list, deltas):
-        fld = AnsatzField(profile, dd, tab)
+        fld = AnsatzField(profile, dd, phi2)
         p_eps = p + alpha * e
 
         # |field| is even in t bit for bit: the upper half's stack serves both
@@ -499,8 +496,8 @@ def check_f_taylor(params, t_samples=None):
         verdict=_verdict(ok))
 
 
-def check_norm_orders(profile, corr1, eps_list, d=0.2, level=1, beta=1.0):
-    """Order in eps of the perturbed-minus-limit nonlinearity norms; both must be >= 0.9.
+def check_norm_orders(profile, phi1, eps_list, d=0.2, level=1, beta=1.0):
+    """Order in eps of PW1's perturbed-minus-limit nonlinearity norms; both must be >= 0.9.
 
     The norms carry an eps * |log delta| structure (bubble amplitudes grow
     like a power of 1/delta), so the order is fitted after deflating the
@@ -513,10 +510,9 @@ def check_norm_orders(profile, corr1, eps_list, d=0.2, level=1, beta=1.0):
     q = pp.q
     deltas = [d * e for e in eps_list]
     quad = get_quadrature(pp.n, min(deltas), level)
-    tab = corr1.table(TABLE_REACH / min(deltas))
     norms_f, norms_df = [], []
     for e, dd in zip(eps_list, deltas):
-        fld = AnsatzField(profile, dd, tab)
+        fld = AnsatzField(profile, dd, phi1)
         q_eps = q + beta * e
         expo_f = (q + 1.0) / q
         expo_df = (q + 1.0) / (q - 1.0)
@@ -557,18 +553,18 @@ CHECKS = {
         check_bubble_mass(profile, constants, deltas, level=level)],
     "cross_terms": lambda profile, deltas, level: [
         check_cross_terms(profile, deltas, level=level)],
-    "boundary_pairing": lambda profile, corr1, corr2, constants, deltas, level: [
-        check_phi_pairing(profile, corr1, corr2, constants, deltas, level=level)],
-    "gradient_energy": lambda profile, corr1, constants, deltas, level: [
-        check_gradient_expansion(profile, corr1, constants, deltas, level=level)],
-    "nonlinear_energy": lambda profile, corr2, constants, eps, d, alpha, level: [
-        check_nonlinear_expansion(profile, corr2, constants, eps, d=d, alpha=alpha,
+    "boundary_pairing": lambda profile, phi1, phi2, constants, deltas, level: [
+        check_phi_pairing(profile, phi1, phi2, constants, deltas, level=level)],
+    "gradient_energy": lambda profile, phi1, constants, deltas, level: [
+        check_gradient_expansion(profile, phi1, constants, deltas, level=level)],
+    "nonlinear_energy": lambda profile, phi2, constants, eps, d, alpha, level: [
+        check_nonlinear_expansion(profile, phi2, constants, eps, d=d, alpha=alpha,
                                   level=level)],
     "linearized_kernel": lambda profile: [check_kernel(profile)],
     "scaling_table": lambda params: [
         check_scaling_table(params, t, row)
         for t, row in ((params.q + 1.0, "u1"), (1.0, "u1"), (2.0, "v2"))],
     "exponent_taylor": lambda params: [check_f_taylor(params)],
-    "perturbed_norms": lambda profile, corr1, eps, d, level, beta: [
-        check_norm_orders(profile, corr1, eps, d=d, level=level, beta=beta)],
+    "perturbed_norms": lambda profile, phi1, eps, d, level, beta: [
+        check_norm_orders(profile, phi1, eps, d=d, level=level, beta=beta)],
 }

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import closed_form_bubble
 from laneemden import ProblemParams
-from laneemden.cli import main as cli_main
+from laneemden.cli import TABLE_REACH, main as cli_main
 from laneemden.constants import EnergyConstants
 from laneemden.reduced import G, ReducedEnergy, d_star
 import laneemden.verify as V
@@ -114,7 +114,8 @@ def test_criterion_08_bubble_mass(prof_sym, consts_sym):
 
 
 def test_criterion_09_pairings(prof_sym, corr1_sym, corr2_sym, consts_sym):
-    rep = V.check_phi_pairing(prof_sym, corr1_sym, corr2_sym, consts_sym, DELTAS)
+    rep = V.check_phi_pairing(prof_sym, corr1_sym.table(TABLE_REACH / min(DELTAS)),
+                              corr2_sym.table(TABLE_REACH / min(DELTAS)), consts_sym, DELTAS)
     assert rep.tol == 0.05
     cross = V.check_cross_terms(prof_sym, DELTAS)
     ok = rep.passed and cross.passed
@@ -125,15 +126,17 @@ def test_criterion_09_pairings(prof_sym, corr1_sym, corr2_sym, consts_sym):
 
 
 def test_criterion_10_gradient_energy(prof_sym, corr1_sym, consts_sym):
-    rep = V.check_gradient_expansion(prof_sym, corr1_sym, consts_sym, DELTAS)
+    rep = V.check_gradient_expansion(prof_sym, corr1_sym.table(TABLE_REACH / min(DELTAS)),
+                                     consts_sym, DELTAS)
     assert rep.tol == 0.10
     _line(10, rep.passed, f"slope {rep.fit['slope']:.4f} vs target "
                           f"{rep.target:.4f} ({rep.deviation:.2%})")
 
 
 def test_criterion_11_nonlinear_energy(prof_sym, corr2_sym, consts_sym):
-    rep = V.check_nonlinear_expansion(prof_sym, corr2_sym, consts_sym, EPS,
-                                      d=0.2, alpha=1.0)
+    # the table of the check's smallest delta, d * min(EPS)
+    rep = V.check_nonlinear_expansion(prof_sym, corr2_sym.table(TABLE_REACH / (0.2 * min(EPS))),
+                                      consts_sym, EPS, d=0.2, alpha=1.0)
     assert rep.tol == 0.10
     d = rep.deviation
     _line(11, rep.passed,

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from laneemden import ansatz
-from laneemden.ansatz import TABLE_REACH, AnsatzField, bubble_uv
+from laneemden.ansatz import AnsatzField, bubble_uv
 from laneemden.ballquad import BallQuadrature, get_quadrature
+from laneemden.cli import TABLE_REACH
 from laneemden.errors import DomainError
 from laneemden.halfspace import PHI1, PHI2, HalfSpaceCorrection, PhiTable
 

@@ -14,8 +14,8 @@ import pytest
 
 import laneemden.constants as constants_mod
 from laneemden import halfspace, radial
-from laneemden.cli import (CHECK_READS, RunConfig, _meta, build_config, load_config, main,
-                           make_parser)
+from laneemden.cli import (CHECK_READS, TABLE_REACH, RunConfig, _meta, build_config,
+                           load_config, main, make_parser, run_suite)
 from laneemden.constants import compute_B_delta, compute_constants
 from laneemden.errors import ConfigError, NumericalFailure
 from laneemden import verify as V
@@ -170,6 +170,18 @@ def test_every_numeric_flag_takes_a_rational():
     cfg = build_config(args)
     assert (cfg.alpha, cfg.beta, cfg.d, cfg.r_max) == (0.5, 0.75, 0.2, 1e4)
     assert cfg.deltas == (0.04, 0.02)
+
+
+def test_integer_keys_take_integer_literals_only(tmp_path):
+    """n and mesh_level are integers: a rational or a decimal there exits 2, as a
+    flag or a config value, and nothing is written."""
+    out = tmp_path / "out"
+    cfg_file = tmp_path / "run.cfg"
+    for key, text in (("n", "8/2"), ("mesh_level", "2.0")):
+        cfg_file.write_text(f"{key} = {text}\n")
+        for argv in (["--" + key.replace("_", "-"), text], ["--config", str(cfg_file)]):
+            assert main(["verify", "--out", str(out), *argv]) == 2, argv
+    assert not out.exists()
 
 
 def test_each_flag_is_a_config_field():
@@ -376,18 +388,29 @@ def test_cli_check_names_are_verify_checks_in_order():
 
 def test_check_reads_name_run_inputs():
     """Every check reads only inputs that run_suite provides; four read a
-    correction, and two read d."""
+    phi table, and two read d."""
     assert set().union(*CHECK_READS.values()) == {
-        "params", "profile", "constants", "corr1", "corr2", "deltas", "eps", "d", "alpha",
+        "params", "profile", "constants", "phi1", "phi2", "deltas", "eps", "d", "alpha",
         "beta", "level"}
-    assert {c for c, reads in CHECK_READS.items() if {"corr1", "corr2"} & set(reads)} == {
+    assert {c for c, reads in CHECK_READS.items() if {"phi1", "phi2"} & set(reads)} == {
         "boundary_pairing", "gradient_energy", "nonlinear_energy", "perturbed_norms"}
     assert {c for c, reads in CHECK_READS.items() if "d" in reads} == {
         "nonlinear_energy", "perturbed_norms"}
 
 
+def _stub_mass_and_phi_checks(monkeypatch):
+    """Stub the mass and phi checks; each reports the str arguments its entry passes on."""
+    for fname in ("check_bubble_mass", "check_phi_pairing", "check_gradient_expansion",
+                  "check_nonlinear_expansion", "check_norm_orders"):
+        monkeypatch.setattr(V, fname, lambda *args, **kwargs: ExpansionReport(
+            name="stub", samples={}, fit={}, target=0.0, deviation=0.0, tol=1.0,
+            verdict="PASS", details={"args": [a for a in args if isinstance(a, str)]}))
+
+
 def test_run_suite_builds_only_what_the_checks_read(monkeypatch, tmp_path, solves):
-    """The constants and each correction are built once, and only for a check that reads them."""
+    """The constants and each phi table are asked for once, and only for a check that
+    reads them; both tables reach TABLE_REACH over the smallest delta that a selected
+    phi check samples: deltas, or d * eps for a check that reads d."""
     built = []
 
     def record(name):
@@ -396,28 +419,88 @@ def test_run_suite_builds_only_what_the_checks_read(monkeypatch, tmp_path, solve
             return name
         return build
 
+    def table(corr, extent, m=257):
+        return record(f"{corr.which}@{extent!r}")()
+
     def runs(checks, extra=()):
         built.clear()
         assert main(["verify", "--out", str(tmp_path), "--checks", checks, *extra]) in (0, 1)
         return list(built)
 
     monkeypatch.setattr(constants_mod, "compute_constants", record("constants"))
-    monkeypatch.setattr(halfspace, "HalfSpaceCorrection", lambda prof, which: record(which)())
-    # the phi and mass checks are stubbed; each receives what its entry passes on
-    for fname in ("check_bubble_mass", "check_phi_pairing", "check_gradient_expansion",
-                  "check_nonlinear_expansion", "check_norm_orders"):
-        monkeypatch.setattr(V, fname, lambda *args, **kwargs: ExpansionReport(
-            name="stub", samples={}, fit={}, target=0.0, deviation=0.0, tol=1.0,
-            verdict="PASS", details={"args": [a for a in args if isinstance(a, str)]}))
+    monkeypatch.setattr(halfspace.HalfSpaceCorrection, "table", table)
+    _stub_mass_and_phi_checks(monkeypatch)
+    by_delta, by_eps = TABLE_REACH / 0.01, TABLE_REACH / (0.2 * 0.01)
     assert runs("cross_terms,linearized_kernel,scaling_table,exponent_taylor") == []
-    assert runs("perturbed_norms") == ["PHI1"]
-    assert runs("nonlinear_energy") == ["constants", "PHI2"]
+    assert runs("perturbed_norms") == [f"PHI1@{by_eps!r}"]
+    assert runs("gradient_energy", ["--deltas", "0.04,0.005"]) == [
+        "constants", f"PHI1@{TABLE_REACH / 0.005!r}"]
+    assert runs("nonlinear_energy", ["--d", "0.5"]) == [
+        "constants", f"PHI2@{TABLE_REACH / (0.5 * 0.01)!r}"]
+    assert runs("gradient_energy,boundary_pairing") == [
+        "constants", f"PHI1@{by_delta!r}", f"PHI2@{by_delta!r}"]
     assert runs("bubble_mass,gradient_energy,boundary_pairing,nonlinear_energy") == [
-        "constants", "PHI1", "PHI2"]
+        "constants", f"PHI1@{by_eps!r}", f"PHI2@{by_eps!r}"]
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert [c["details"]["args"] for c in summary["checks"]] == [
-        ["constants"], ["PHI1", "constants"], ["PHI1", "PHI2", "constants"],
-        ["PHI2", "constants"]]
+        ["constants"], [f"PHI1@{by_eps!r}", "constants"],
+        [f"PHI1@{by_eps!r}", f"PHI2@{by_eps!r}", "constants"],
+        [f"PHI2@{by_eps!r}", "constants"]]
+
+
+def test_default_verify_builds_one_table_pair(monkeypatch, tmp_path, solves):
+    """A default verify has one table miss, which builds the PHI1 and PHI2 tables
+    at the reach of its smallest phi-check delta, d * min(eps); a selection
+    without a phi check asks for no table."""
+    calls = []
+    real = halfspace.HalfSpaceCorrection.table
+
+    def table(corr, extent, m=257):
+        before = len(corr._tables)
+        tab = real(corr, extent, m)
+        calls.append((corr.which, extent, "miss" if len(corr._tables) > before else "hit"))
+        return tab
+
+    monkeypatch.setattr(halfspace.HalfSpaceCorrection, "table", table)
+    _stub_mass_and_phi_checks(monkeypatch)
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    reach = TABLE_REACH / (0.2 * 0.01)
+    assert calls == [("PHI1", reach, "miss"), ("PHI2", reach, "hit")]
+    calls.clear()
+    assert main(["verify", "--out", str(tmp_path), "--checks",
+                 "bubble_mass,cross_terms,linearized_kernel,scaling_table,exponent_taylor"]) == 0
+    assert calls == []
+
+
+def _hex_leaves(v):
+    """v with every float as its float.hex."""
+    if isinstance(v, dict):
+        return {k: _hex_leaves(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_hex_leaves(x) for x in v]
+    return v.hex() if isinstance(v, float) else v
+
+
+@pytest.mark.parametrize("checks, least", [
+    (("boundary_pairing", "gradient_energy"), 0.01),  # min(deltas)
+    (("nonlinear_energy", "perturbed_norms"), 0.2 * 0.01)])  # d * min(eps)
+def test_single_scale_selection_matches_per_check_tables(monkeypatch, tmp_path, prof_sym,
+                                                         consts_sym, checks, least):
+    """A selection whose phi checks all sample deltas, or all d * eps, reads tables at
+    the reach each check would take alone, TABLE_REACH / min(deltas) or
+    TABLE_REACH / (d min(eps)): its records equal, by float.hex, those of the checks
+    called on such tables."""
+    monkeypatch.setattr(radial, "find_ground_state", lambda params, ode_tol, r_max: prof_sym)
+    cfg = RunConfig(out=str(tmp_path), checks=checks)
+    got = [_hex_leaves(rep.to_record()) for rep in run_suite(cfg)]
+    phi1, phi2 = (halfspace.HalfSpaceCorrection(prof_sym, which).table(TABLE_REACH / least)
+                  for which in (halfspace.PHI1, halfspace.PHI2))
+    want = ([V.check_phi_pairing(prof_sym, phi1, phi2, consts_sym, cfg.deltas),
+             V.check_gradient_expansion(prof_sym, phi1, consts_sym, cfg.deltas)]
+            if "boundary_pairing" in checks else
+            [V.check_nonlinear_expansion(prof_sym, phi2, consts_sym, cfg.eps),
+             V.check_norm_orders(prof_sym, phi1, cfg.eps)])
+    assert got == [_hex_leaves(rep.to_record()) for rep in want]
 
 
 def test_phi_checks_rejected_for_n5_before_any_solve(monkeypatch, tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import closed_form_bubble
-from laneemden.ansatz import TABLE_REACH
 from laneemden.ballquad import sphere_measure
+from laneemden.cli import TABLE_REACH
 from laneemden.errors import DomainError
 from laneemden import halfspace
 from laneemden.halfspace import (PHI1, PHI2, TAU_BLOCK, HalfSpaceCorrection, angular_kernel,

@@ -50,3 +50,20 @@ def test_every_definition_is_used():
                 defined |= d
     unused = {n for n in defined - used if not (n.startswith("__") and n.endswith("__"))}
     assert not unused, sorted(unused)
+
+
+def test_phi_tables_are_run_inputs():
+    """verify imports nothing from halfspace: its checks take the phi tables that
+    cli.run_suite builds, and only cli names TABLE_REACH, the rule of their reach."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "laneemden"
+    tree = ast.parse((src / "verify.py").read_text())
+    imported = set()  # the modules and the names of each import
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {a.name for a in node.names}
+    assert not [m for m in imported if "halfspace" in m.split(".")], sorted(imported)
+    readers = [path.name for path in sorted(src.glob("*.py"))
+               if "TABLE_REACH" in _names_used(ast.parse(path.read_text()))[1]]
+    assert readers == ["cli.py"]

@@ -16,10 +16,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from laneemden._interp import interval_index, profile_eval  # noqa: E402
-from laneemden.ansatz import TABLE_REACH, AnsatzField, bubble_uv  # noqa: E402
+from laneemden.ansatz import AnsatzField, bubble_uv  # noqa: E402
 from laneemden.ballquad import gauss_panels, get_quadrature, graded_edges  # noqa: E402
 from laneemden.cli import (_COMMAND_KEYS, _COMMON_KEYS, CHECK_READS,  # noqa: E402
-                           RunConfig, build_config, make_parser)
+                           TABLE_REACH, RunConfig, build_config, make_parser)
 from laneemden.constants import TAIL_REACH  # noqa: E402
 from laneemden.errors import ConfigError, DomainError  # noqa: E402
 from laneemden.halfspace import LOOKUP_CHUNK, panel_edges  # noqa: E402
@@ -424,7 +424,7 @@ def run_configs(draw):
     p_decimal = st.floats(1.0, top, exclude_min=True).map(str)
     # the phi checks are implemented for n = 4 only
     names = [c for c, reads in CHECK_READS.items()
-             if n == 4 or not {"corr1", "corr2"} & set(reads)]
+             if n == 4 or not {"phi1", "phi2"} & set(reads)]
     checks = tuple(draw(st.lists(st.sampled_from(names), unique=True, min_size=1)))
     # the slopes of the perturbed exponents, in (0, 5]
     slope = _number_text(0.0, 5.0).filter(lambda t: Fraction(t) > 0)

@@ -13,7 +13,8 @@ from laneemden.verify import (check_bubble_mass, check_cross_terms, check_f_tayl
                               check_scaling_table, f_taylor_remainders, log_regime_order,
                               richardson_pair, scaling_row_exponent, shrink_factors,
                               slope_limit)
-from laneemden.ansatz import TABLE_REACH, bubble_uv
+from laneemden.ansatz import bubble_uv
+from laneemden.cli import TABLE_REACH
 from laneemden.halfspace import PhiTable
 
 
@@ -57,17 +58,17 @@ def test_f_taylor_check(consts_sym):
 
 def test_slope_checks_refuse_a_slope_that_is_not_positive(prof_sym):
     """The perturbed exponents p + alpha eps, q + beta eps take slopes > 0; a zero
-    slope is refused, not read as another one, and before any table is built."""
+    slope is refused, not read as another one, and before any table is read."""
     for alpha, beta in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
         with pytest.raises(DomainError, match="alpha > 0 and beta > 0"):
             check_f_taylor(ProblemParams(n=4, p=3.0, alpha=alpha, beta=beta))
 
-    class NoTable:
-        def table(self, *args, **kwargs):
-            raise AssertionError("phi table built before the slope was refused")
+    class NoLookup:
+        def eval_many(self, *args, **kwargs):
+            raise AssertionError("phi table read before the slope was refused")
 
     with pytest.raises(DomainError, match="beta > 0"):
-        check_norm_orders(prof_sym, NoTable(), (0.04, 0.02), beta=0.0)
+        check_norm_orders(prof_sym, NoLookup(), (0.04, 0.02), beta=0.0)
 
 
 def test_scaling_row_exponents():
@@ -212,7 +213,7 @@ def test_gradient_energy_matches_two_call_reference(prof_sym, corr1_sym, consts_
     want = [[float(v).hex() for v in gradient_integrals_two_calls(prof_sym, tab, quad, d)]
             for d in deltas]
     points = _count_points(monkeypatch)
-    rep = check_gradient_expansion(prof_sym, corr1_sym, consts_sym, deltas)
+    rep = check_gradient_expansion(prof_sym, tab, consts_sym, deltas)
     got = [[float(v).hex(), float(c).hex()]
            for v, c in zip(rep.samples["value"], rep.samples["bare_part"])]
     assert got == want
@@ -231,13 +232,28 @@ def test_phi_pairing_matches_two_call_reference(prof_sym, corr1_sym, corr2_sym, 
                                                                  quad, d)]
             for d in deltas]
     points = _count_points(monkeypatch)
-    rep = check_phi_pairing(prof_sym, corr1_sym, corr2_sym, consts_sym, deltas)
+    rep = check_phi_pairing(prof_sym, tab1, tab2, consts_sym, deltas)
     rows = ("matched_1", "matched_2", "crossed_1", "crossed_2")
     got = [[float(v).hex() for v in vals]
            for vals in zip(*(rep.samples[row] for row in rows))]
     assert got == want
     # per delta: the bubbles at +e_n and -e_n and four lookups on each upper-half node
     assert points == {"bubble": 3 * quad.n_points, "lookup": 6 * quad.n_points}
+
+
+def test_phi_pairing_refuses_a_short_table(prof_sym, corr1_sym, corr2_sym, consts_sym,
+                                           monkeypatch):
+    """Either table short of 2/min(deltas), the largest (1 +- x_n)/delta in the ball,
+    is refused before any lookup, rather than read past its extent, where a lookup
+    takes the last cell's stencil."""
+    deltas = (0.04, 0.02, 0.01)
+    short = corr1_sym.table(150.0, m=41), corr2_sym.table(150.0, m=41)
+    full = corr1_sym.table(220.0, m=41), corr2_sym.table(220.0, m=41)
+    points = _count_points(monkeypatch)
+    for tab1, tab2 in ((short[0], full[1]), (full[0], short[1]), short):
+        with pytest.raises(DomainError, match=r"< 2/min\(deltas\)"):
+            check_phi_pairing(prof_sym, tab1, tab2, consts_sym, deltas)
+    assert points == {"bubble": 0, "lookup": 0}
 
 
 def test_report_record_serializable(prof_sym, consts_sym):
