@@ -27,20 +27,26 @@ from .errors import ConfigError, DomainError, NumericalFailure
 from .params import DELTA_CAP, ProblemParams, check_solvable, parse_exponent
 from .reporting import write_csv, write_json
 
-# The run inputs of each check, in the order of verify.CHECKS: the parameter
-# names of its entry there, which run_suite passes by name.  Stated here so
-# that validate and --help need not import verify; tests/test_cli.py pins the two.
-CHECK_READS = {
-    "bubble_mass": ("profile", "constants", "deltas", "level"),
-    "cross_terms": ("profile", "deltas", "level"),
-    "boundary_pairing": ("profile", "phi1", "phi2", "constants", "deltas", "level"),
-    "gradient_energy": ("profile", "phi1", "constants", "deltas", "level"),
-    "nonlinear_energy": ("profile", "phi2", "constants", "eps", "d", "alpha", "level"),
-    "linearized_kernel": ("profile",),
-    "scaling_table": ("params",),
-    "exponent_taylor": ("params",),
-    "perturbed_norms": ("profile", "phi1", "eps", "d", "level", "beta"),
+# Each check, in run order: the verify function that runs it and the run inputs it
+# reads, that function's parameters without a default, which run_suite passes in
+# order.  The function is named, not bound, so that validate and --help load no
+# numerics, and run_suite looks it up on verify, so a wrapper put there later is the
+# one called.  tests/test_package.py pins the reads to the signatures.
+CHECKS = {
+    "bubble_mass": ("check_bubble_mass", ("profile", "constants", "deltas", "level")),
+    "cross_terms": ("check_cross_terms", ("profile", "deltas", "level")),
+    "boundary_pairing": ("check_phi_pairing",
+                         ("profile", "phi1", "phi2", "constants", "deltas", "level")),
+    "gradient_energy": ("check_gradient_expansion",
+                        ("profile", "phi1", "constants", "deltas", "level")),
+    "nonlinear_energy": ("check_nonlinear_expansion",
+                         ("profile", "phi2", "constants", "eps", "d", "alpha", "level")),
+    "linearized_kernel": ("check_kernel", ("profile",)),
+    "scaling_table": ("check_scaling_rows", ("params",)),
+    "exponent_taylor": ("check_f_taylor", ("params",)),
+    "perturbed_norms": ("check_norm_orders", ("profile", "phi1", "eps", "d", "level", "beta")),
 }
+CHECK_READS = {name: reads for name, (_, reads) in CHECKS.items()}
 # the phi tables reach TABLE_REACH / (smallest delta); a field needs 2/delta, the
 # bound of (1 +- x_n)/delta in the ball
 TABLE_REACH = 2.2
@@ -285,7 +291,7 @@ def cmd_reduced_energy(cfg):
 def run_suite(cfg) -> list:
     """Run cfg.checks in order and return their ExpansionReports.
 
-    Each check reads the inputs that CHECK_READS names.  The ground
+    Each check's function (CHECKS) takes the inputs it reads.  The ground
     state is always taken (from _ground_state); the energy constants and the
     phi tables phi1 and phi2 are built once each, and only when a selected check
     reads them; both reach TABLE_REACH / (the smallest delta a phi check samples).
@@ -305,12 +311,13 @@ def run_suite(cfg) -> list:
                        for key, which in (("phi1", PHI1), ("phi2", PHI2)) if key in read})
     reports = []
     for name in cfg.checks:
-        reports += V.CHECKS[name](**{key: inputs[key] for key in CHECK_READS[name]})
+        fname, reads = CHECKS[name]
+        out = getattr(V, fname)(*(inputs[key] for key in reads))
+        reports += out if isinstance(out, list) else [out]  # check_scaling_rows' is a list
     return reports
 
 
 def cmd_verify(cfg):
-    import numpy as np
     reports = run_suite(cfg)
     out = Path(cfg.out)
     for old in (*out.glob("check_[0-9][0-9]_*.json"), *out.glob("check_[0-9][0-9]_*.csv")):
@@ -320,10 +327,9 @@ def cmd_verify(cfg):
         rec = rep.to_record()
         records.append(rec)
         write_json(out / f"check_{i:02d}_{rep.name}.json", rec)
-        samples = rep.samples
-        num_cols = {k: v for k, v in samples.items()
-                    if isinstance(v, (list, np.ndarray))
-                    and len(v) and isinstance(v[0], (int, float, np.floating))}
+        # to_record has made each array of samples a list of floats
+        num_cols = {k: v for k, v in rec["samples"].items()
+                    if isinstance(v, list) and len(v) and isinstance(v[0], (int, float))}
         if num_cols and len({len(v) for v in num_cols.values()}) == 1:
             write_csv(out / f"check_{i:02d}_{rep.name}.csv",
                       list(num_cols.keys()), list(num_cols.values()))
@@ -368,11 +374,13 @@ def cmd_report(cfg):
 _COMMON_KEYS = ("out",)
 # the keys of the ground state, which every command but report solves or reuses
 _SOLVE_KEYS = ("n", "p", "alpha", "beta", "r_max", "ode_tol")
-# every RunConfig field is a common key or some command's key
-_COMMAND_KEYS = {"ground-state": _SOLVE_KEYS, "constants": _SOLVE_KEYS + ("b_delta",),
-                 "reduced-energy": _SOLVE_KEYS + ("eps",),
-                 "verify": _SOLVE_KEYS + ("checks", "deltas", "eps", "d", "mesh_level"),
-                 "report": ()}
+# each command's handler and flag keys; every RunConfig field is a common key or some
+# command's key
+COMMANDS = {"ground-state": (cmd_ground_state, _SOLVE_KEYS),
+            "constants": (cmd_constants, _SOLVE_KEYS + ("b_delta",)),
+            "reduced-energy": (cmd_reduced_energy, _SOLVE_KEYS + ("eps",)),
+            "verify": (cmd_verify, _SOLVE_KEYS + ("checks", "deltas", "eps", "d", "mesh_level")),
+            "report": (cmd_report, ())}
 _HELP = {"out": "output directory",
          "b_delta": "boundary-strip delta of B1, B2; 0 (default) is the delta -> 0 limit",
          "p": "exponent p (decimal or rational like 11/3)",
@@ -392,7 +400,7 @@ def make_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="key = value file")
     _add_flags(common, _COMMON_KEYS)
-    for command, keys in _COMMAND_KEYS.items():
+    for command, (_, keys) in COMMANDS.items():
         _add_flags(sub.add_parser(command, parents=[common]), keys)
     return ap
 
@@ -409,10 +417,7 @@ def main(argv=None):
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     try:
-        handler = {"ground-state": cmd_ground_state, "constants": cmd_constants,
-                   "reduced-energy": cmd_reduced_energy, "verify": cmd_verify,
-                   "report": cmd_report}[args.command]
-        return handler(cfg)
+        return COMMANDS[args.command][0](cfg)
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._interp import InterpPack, pack_hermite, profile_eval
+from ._interp import InterpPack, pack_hermite, profile_eval, tail_terms
 from .errors import (BracketingFailure, DomainError, MonotonicityViolation,
                      PoorFit, StepFailure)
 from .params import CASE_SUB, ProblemParams, check_solvable
@@ -295,16 +295,15 @@ def check_tail(profile: RadialProfile) -> float:
     On 160 points interpolated in [r_max/100, r_max] below n/(n-2), where
     U's harmonic second term is far from negligible, and in
     [r_max/10, r_max] otherwise, r^(n-2) V must stay within
-    MAX_TAIL_RESIDUAL of its mean, and so must r^(n-2) U, less U's forced
-    term au r^-exp_u_decay below n/(n-2).
+    MAX_TAIL_RESIDUAL of its mean, and so must r^(n-2) U, less each term of
+    U's tail model (tail_terms) of another power than r^-(n-2).
     """
     params, grid, r_hi = profile.params, profile.grid, profile.r_max
     sub = params.case_tag == CASE_SUB
     rf = np.geomspace(r_hi / 100.0 if sub else r_hi / 10.0, r_hi, 160)
-    Uf = np.interp(rf, grid, profile.U)
-    if sub:
-        Uf = Uf - profile.interp_pack.au * rf ** -params.exp_u_decay
     e2 = params.n - 2.0
+    Uf = np.interp(rf, grid, profile.U) - sum(
+        a * rf ** -e for a, e in tail_terms(profile.interp_pack, False) if e != e2)
     resid = max(float(np.max(np.abs(np.mean(rf ** e2 * y) * rf ** -e2 / y - 1.0)))
                 for y in (Uf, np.interp(rf, grid, profile.V)))
     if resid > MAX_TAIL_RESIDUAL:

@@ -106,7 +106,7 @@ def _bubble_power(profile, delta):
     return f
 
 
-def check_bubble_mass(profile, constants: EnergyConstants, deltas, level=1):
+def check_bubble_mass(profile, constants: EnergyConstants, deltas, level):
     """Mass of one U bubble inside the ball: A1/2 - B1*delta + o(delta)."""
     tol = 0.05
     pp = profile.params
@@ -132,7 +132,7 @@ def check_bubble_mass(profile, constants: EnergyConstants, deltas, level=1):
                  "quad_err": float(quad_err)})
 
 
-def check_cross_terms(profile, deltas, level=1):
+def check_cross_terms(profile, deltas, level):
     """Opposite-bubble couplings are o(delta), both component pairings."""
     pp = profile.params
     quad = get_quadrature(pp.n, min(deltas), level)
@@ -158,7 +158,7 @@ def check_cross_terms(profile, deltas, level=1):
         deviation=worst, tol=MIN_SHRINK, verdict=_verdict(ok))
 
 
-def check_phi_pairing(profile, phi1, phi2, constants: EnergyConstants, deltas, level=1):
+def check_phi_pairing(profile, phi1, phi2, constants: EnergyConstants, deltas, level):
     """Boundary-layer pairings: matched ones carry -C/2, crossed ones are o(delta).
 
     phi1 and phi2 are the PHI1 and PHI2 tables; each must reach 2/min(deltas).
@@ -211,7 +211,7 @@ def check_phi_pairing(profile, phi1, phi2, constants: EnergyConstants, deltas, l
         details={"matched_negative": bool(np.all(m1 < 0) and np.all(m2 < 0))})
 
 
-def check_gradient_expansion(profile, phi1, constants: EnergyConstants, deltas, level=1):
+def check_gradient_expansion(profile, phi1, constants: EnergyConstants, deltas, level):
     """Mixed gradient energy of the projected pair, PW1 from the PHI1 table phi1.
 
     Uses the integration-by-parts form: the gradient pairing equals the
@@ -251,8 +251,8 @@ def check_gradient_expansion(profile, phi1, constants: EnergyConstants, deltas, 
         details={"leading": constants.A1})
 
 
-def check_nonlinear_expansion(profile, phi2, constants: EnergyConstants,
-                              eps_list, d=0.2, alpha=1.0, level=1):
+def check_nonlinear_expansion(profile, phi2, constants: EnergyConstants, eps, d, alpha,
+                              level):
     """Perturbed-exponent energy of PW2, the projected second component (table phi2).
 
     With delta = d*eps, the functional splits into a delta-part (checked as
@@ -264,13 +264,13 @@ def check_nonlinear_expansion(profile, phi2, constants: EnergyConstants,
     tol = 0.10
     pp = profile.params
     p = pp.p
-    deltas = [d * e for e in eps_list]
+    deltas = [d * e for e in eps]
     quad = get_quadrature(pp.n, min(deltas), level)
     A2, B2, C2, D2 = constants.A2, constants.B2, constants.C2, constants.D2
     lead = A2 / (p + 1.0)
 
     M0, Ma, second = [], [], []
-    for e, dd in zip(eps_list, deltas):
+    for e, dd in zip(eps, deltas):
         fld = AnsatzField(profile, dd, phi2)
         p_eps = p + alpha * e
 
@@ -294,7 +294,7 @@ def check_nonlinear_expansion(profile, phi2, constants: EnergyConstants,
     M0 = np.array(M0)
     Ma = np.array(Ma)
     second = np.array(second)
-    eps = np.array(eps_list, dtype=float)
+    eps = np.array(eps, dtype=float)
     dls = np.array(deltas, dtype=float)
 
     # delta addend: slope of the alpha = 0 functional
@@ -450,6 +450,13 @@ def check_scaling_table(params, t, row):
         verdict=_verdict(ok), details={"row": row, "t": t, "log_regime": logcase})
 
 
+def check_scaling_rows(params):
+    """The scaling table's rows: check_scaling_table at t = q + 1 and t = 1 on u1,
+    and at t = 2 on v2."""
+    return [check_scaling_table(params, t, row)
+            for t, row in ((params.q + 1.0, "u1"), (1.0, "u1"), (2.0, "v2"))]
+
+
 def f_taylor_remainders(q, beta, eps, t):
     """Exact quadratic remainders of the perturbed power and its derivative,
     with the stated envelope bounds (log factors taken in absolute value)."""
@@ -496,7 +503,7 @@ def check_f_taylor(params, t_samples=None):
         verdict=_verdict(ok))
 
 
-def check_norm_orders(profile, phi1, eps_list, d=0.2, level=1, beta=1.0):
+def check_norm_orders(profile, phi1, eps, d, level, beta):
     """Order in eps of PW1's perturbed-minus-limit nonlinearity norms; both must be >= 0.9.
 
     The norms carry an eps * |log delta| structure (bubble amplitudes grow
@@ -508,10 +515,10 @@ def check_norm_orders(profile, phi1, eps_list, d=0.2, level=1, beta=1.0):
     min_order = 0.9
     pp = profile.params
     q = pp.q
-    deltas = [d * e for e in eps_list]
+    deltas = [d * e for e in eps]
     quad = get_quadrature(pp.n, min(deltas), level)
     norms_f, norms_df = [], []
-    for e, dd in zip(eps_list, deltas):
+    for e, dd in zip(eps, deltas):
         fld = AnsatzField(profile, dd, phi1)
         q_eps = q + beta * e
         expo_f = (q + 1.0) / q
@@ -527,7 +534,7 @@ def check_norm_orders(profile, phi1, eps_list, d=0.2, level=1, beta=1.0):
         int_f, int_df = quad.integrate(f, halves=True).tolist()
         norms_f.append(int_f ** (1.0 / expo_f))
         norms_df.append(int_df ** (1.0 / expo_df))
-    eps = np.asarray(eps_list, dtype=float)
+    eps = np.asarray(eps, dtype=float)
     logfac = 1.0 + np.abs(np.log(np.asarray(deltas)))
     of_raw = float(np.polyfit(np.log(eps), np.log(norms_f), 1)[0])
     odf_raw = float(np.polyfit(np.log(eps), np.log(norms_df), 1)[0])
@@ -543,28 +550,3 @@ def check_norm_orders(profile, phi1, eps_list, d=0.2, level=1, beta=1.0):
         deviation=min(of, odf), tol=min_order,
         verdict=_verdict(ok), details={"d": d, "beta": beta})
 
-
-# Each entry turns a check's run inputs, its parameter names, into the check's
-# reports; cli.CHECK_READS states those names, in this order, for the CLI.  An
-# entry looks its check_* function up on this module when it runs, so a
-# wrapper put there later is the one called.
-CHECKS = {
-    "bubble_mass": lambda profile, constants, deltas, level: [
-        check_bubble_mass(profile, constants, deltas, level=level)],
-    "cross_terms": lambda profile, deltas, level: [
-        check_cross_terms(profile, deltas, level=level)],
-    "boundary_pairing": lambda profile, phi1, phi2, constants, deltas, level: [
-        check_phi_pairing(profile, phi1, phi2, constants, deltas, level=level)],
-    "gradient_energy": lambda profile, phi1, constants, deltas, level: [
-        check_gradient_expansion(profile, phi1, constants, deltas, level=level)],
-    "nonlinear_energy": lambda profile, phi2, constants, eps, d, alpha, level: [
-        check_nonlinear_expansion(profile, phi2, constants, eps, d=d, alpha=alpha,
-                                  level=level)],
-    "linearized_kernel": lambda profile: [check_kernel(profile)],
-    "scaling_table": lambda params: [
-        check_scaling_table(params, t, row)
-        for t, row in ((params.q + 1.0, "u1"), (1.0, "u1"), (2.0, "v2"))],
-    "exponent_taylor": lambda params: [check_f_taylor(params)],
-    "perturbed_norms": lambda profile, phi1, eps, d, level, beta: [
-        check_norm_orders(profile, phi1, eps, d=d, level=level, beta=beta)],
-}

@@ -1,7 +1,6 @@
 import argparse
 import ast
 import dataclasses
-import inspect
 import json
 import os
 import re
@@ -14,7 +13,7 @@ import pytest
 
 import laneemden.constants as constants_mod
 from laneemden import halfspace, radial
-from laneemden.cli import (CHECK_READS, TABLE_REACH, RunConfig, _meta, build_config,
+from laneemden.cli import (CHECK_READS, CHECKS, TABLE_REACH, RunConfig, _meta, build_config,
                            load_config, main, make_parser, run_suite)
 from laneemden.constants import compute_B_delta, compute_constants
 from laneemden.errors import ConfigError, NumericalFailure
@@ -376,25 +375,23 @@ def test_all_check_names_wired():
 
 def test_cli_check_names_are_verify_checks_in_order():
     """The check names the CLI states without importing verify, as CHECK_READS's
-    keys, RunConfig's default and in --help, are the keys of verify.CHECKS in
-    order, and each check's reads are the parameter names of its entry."""
+    keys, RunConfig's default and in --help, are the keys of the one table CHECKS
+    in order; tests/test_package.py pins each entry to its verify function."""
     (sub,) = [a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     (checks,) = [a for a in sub.choices["verify"]._actions if a.dest == "checks"]
-    assert tuple(CHECK_READS) == RunConfig().checks == tuple(V.CHECKS)
-    assert checks.help == "comma-separated subset of: " + ",".join(V.CHECKS)
-    assert CHECK_READS == {name: tuple(inspect.signature(run).parameters)
-                           for name, run in V.CHECKS.items()}
+    assert tuple(CHECK_READS) == RunConfig().checks == tuple(CHECKS)
+    assert checks.help == "comma-separated subset of: " + ",".join(CHECKS)
 
 
 def test_check_reads_name_run_inputs():
-    """Every check reads only inputs that run_suite provides; four read a
-    phi table, and two read d."""
-    assert set().union(*CHECK_READS.values()) == {
+    """Every check of the table reads only inputs that run_suite provides; four read
+    a phi table, and two read d."""
+    assert set().union(*(reads for _, reads in CHECKS.values())) == {
         "params", "profile", "constants", "phi1", "phi2", "deltas", "eps", "d", "alpha",
         "beta", "level"}
-    assert {c for c, reads in CHECK_READS.items() if {"phi1", "phi2"} & set(reads)} == {
+    assert {c for c, (_, reads) in CHECKS.items() if {"phi1", "phi2"} & set(reads)} == {
         "boundary_pairing", "gradient_energy", "nonlinear_energy", "perturbed_norms"}
-    assert {c for c, reads in CHECK_READS.items() if "d" in reads} == {
+    assert {c for c, (_, reads) in CHECKS.items() if "d" in reads} == {
         "nonlinear_energy", "perturbed_norms"}
 
 
@@ -495,11 +492,13 @@ def test_single_scale_selection_matches_per_check_tables(monkeypatch, tmp_path, 
     got = [_hex_leaves(rep.to_record()) for rep in run_suite(cfg)]
     phi1, phi2 = (halfspace.HalfSpaceCorrection(prof_sym, which).table(TABLE_REACH / least)
                   for which in (halfspace.PHI1, halfspace.PHI2))
-    want = ([V.check_phi_pairing(prof_sym, phi1, phi2, consts_sym, cfg.deltas),
-             V.check_gradient_expansion(prof_sym, phi1, consts_sym, cfg.deltas)]
+    level = cfg.mesh_level
+    want = ([V.check_phi_pairing(prof_sym, phi1, phi2, consts_sym, cfg.deltas, level),
+             V.check_gradient_expansion(prof_sym, phi1, consts_sym, cfg.deltas, level)]
             if "boundary_pairing" in checks else
-            [V.check_nonlinear_expansion(prof_sym, phi2, consts_sym, cfg.eps),
-             V.check_norm_orders(prof_sym, phi1, cfg.eps)])
+            [V.check_nonlinear_expansion(prof_sym, phi2, consts_sym, cfg.eps, cfg.d,
+                                         cfg.alpha, level),
+             V.check_norm_orders(prof_sym, phi1, cfg.eps, cfg.d, level, cfg.beta)])
     assert got == [_hex_leaves(rep.to_record()) for rep in want]
 
 

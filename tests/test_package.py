@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -67,3 +69,23 @@ def test_phi_tables_are_run_inputs():
     readers = [path.name for path in sorted(src.glob("*.py"))
                if "TABLE_REACH" in _names_used(ast.parse(path.read_text()))[1]]
     assert readers == ["cli.py"]
+
+
+def test_check_table_states_each_read_once():
+    """Each entry of cli.CHECKS names a verify function whose parameters without a
+    default are the entry's reads, in order, which run_suite passes by position; and
+    no check function of verify gives a run input a default, so RunConfig states
+    each default once."""
+    from laneemden import cli, verify
+    for name, (fname, reads) in cli.CHECKS.items():
+        params = inspect.signature(getattr(verify, fname)).parameters.values()
+        required = [p for p in params if p.default is p.empty]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in required), name
+        assert tuple(p.name for p in required) == reads, name
+    run_inputs = set().union(*cli.CHECK_READS.values(),
+                             (f.name for f in dataclasses.fields(cli.RunConfig)))
+    defaulted = [f"{fname}({p.name})" for fname, fn in vars(verify).items()
+                 if fname.startswith("check_") and inspect.isfunction(fn)
+                 for p in inspect.signature(fn).parameters.values()
+                 if p.name in run_inputs and p.default is not p.empty]
+    assert not defaulted, defaulted

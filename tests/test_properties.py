@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from laneemden._interp import interval_index, profile_eval  # noqa: E402
 from laneemden.ansatz import AnsatzField, bubble_uv  # noqa: E402
 from laneemden.ballquad import gauss_panels, get_quadrature, graded_edges  # noqa: E402
-from laneemden.cli import (_COMMAND_KEYS, _COMMON_KEYS, CHECK_READS,  # noqa: E402
+from laneemden.cli import (_COMMON_KEYS, CHECK_READS, COMMANDS,  # noqa: E402
                            TABLE_REACH, RunConfig, build_config, make_parser)
 from laneemden.constants import TAIL_REACH  # noqa: E402
 from laneemden.errors import ConfigError, DomainError  # noqa: E402
@@ -461,7 +461,7 @@ def test_config_file_round_trip(tmp_path_factory, drawn):
     path.write_text("".join(f"{k} = {_config_value(v)}\n" for k, v in rows.items()))
     args = make_parser().parse_args(["verify", "--config", str(path)])
     assert build_config(args) == cfg
-    for command, extra in _COMMAND_KEYS.items():
+    for command, (_, extra) in COMMANDS.items():
         keys = _COMMON_KEYS + extra
         # --key=value, because a drawn out may start with "-"
         argv = [command] + [f"--{k.replace('_', '-')}={_config_value(rows[k])}" for k in keys]

@@ -5,16 +5,18 @@ but skips an owner whose binding differs.  A module that keeps the original
 under some name would call it unseen, and the per-layer counts would come out
 short without an error.  So after install() no laneemden module, and no class
 defined in one, may still bind the original of a tracer wrapper, and the
-verify check table must reach its check functions through the module.
+CLI's check table must reach verify's check functions through the module.
 """
 
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from laneemden.verify import CHECKS
+from laneemden import verify
+from laneemden.cli import CHECKS
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
@@ -54,12 +56,21 @@ def test_no_module_keeps_an_untraced_original():
     assert res.stdout == "", "untraced bindings:\n" + res.stdout
 
 
+def _names(code):
+    """The names that a code object, and the code nested in it, read."""
+    return {*code.co_names, *(n for c in code.co_consts if inspect.iscode(c) for n in _names(c))}
+
+
 def test_tracer_spans_every_check():
-    """perfbench's map of traced check functions names exactly the table's checks."""
+    """perfbench's map of traced check functions names exactly the table's checks, and
+    each traced function is the one its check's entry names or one that it calls."""
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     assert set(CHECKS) == set(tracer.CHECK_FUNCTIONS.values())
+    for fname, check in tracer.CHECK_FUNCTIONS.items():
+        entry = CHECKS[check][0]
+        assert fname in {entry, *_names(getattr(verify, entry).__code__)}, (check, fname)
 
 
 SUITE = r"""

@@ -10,9 +10,9 @@ from laneemden.ballquad import get_quadrature
 from laneemden.errors import DomainError
 from laneemden.verify import (check_bubble_mass, check_cross_terms, check_f_taylor,
                               check_gradient_expansion, check_norm_orders, check_phi_pairing,
-                              check_scaling_table, f_taylor_remainders, log_regime_order,
-                              richardson_pair, scaling_row_exponent, shrink_factors,
-                              slope_limit)
+                              check_scaling_rows, check_scaling_table, f_taylor_remainders,
+                              log_regime_order, richardson_pair, scaling_row_exponent,
+                              shrink_factors, slope_limit)
 from laneemden.ansatz import bubble_uv
 from laneemden.cli import TABLE_REACH
 from laneemden.halfspace import PhiTable
@@ -68,7 +68,7 @@ def test_slope_checks_refuse_a_slope_that_is_not_positive(prof_sym):
             raise AssertionError("phi table read before the slope was refused")
 
     with pytest.raises(DomainError, match="beta > 0"):
-        check_norm_orders(prof_sym, NoLookup(), (0.04, 0.02), beta=0.0)
+        check_norm_orders(prof_sym, NoLookup(), (0.04, 0.02), d=0.2, level=1, beta=0.0)
 
 
 def test_scaling_row_exponents():
@@ -95,7 +95,7 @@ def test_scaling_table_log_regime():
 @pytest.mark.parametrize("p", [1.4, 1.75, 2.0])
 def test_scaling_table_rows_at_n6(p):
     """At n = 6 the command's (t = 2, v2) row has t c = 6 = n: the log regime."""
-    reps = verify.CHECKS["scaling_table"](ProblemParams(n=6, p=p))
+    reps = check_scaling_rows(ProblemParams(n=6, p=p))
     assert reps[2].details["log_regime"] and all(r.passed for r in reps)
 
 
@@ -129,7 +129,7 @@ def test_bubble_mass_reflection_symmetry(prof_sym, consts_sym):
 
 
 def test_bubble_mass_below_half(prof_sym, consts_sym):
-    rep = check_bubble_mass(prof_sym, consts_sym, (0.04, 0.02, 0.01))
+    rep = check_bubble_mass(prof_sym, consts_sym, (0.04, 0.02, 0.01), level=1)
     assert rep.passed
     assert rep.details["below_half_mass"]
     assert np.all(np.asarray(rep.samples["value"]) < consts_sym.A1 / 2.0)
@@ -157,7 +157,7 @@ def test_bubble_mass_v_component(prof_case1, consts_case1):
 def test_cross_terms_case2(prof_case2):
     # the subcritical coupling decays more slowly; the ratio test needs
     # smaller samples before the shrink factor clears the threshold
-    rep = check_cross_terms(prof_case2, (0.02, 0.01, 0.005))
+    rep = check_cross_terms(prof_case2, (0.02, 0.01, 0.005), level=1)
     assert rep.passed
 
 
@@ -177,7 +177,7 @@ def test_cross_terms_match_two_call_reference(prof_case2, monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(type(quad), "integrate", counted)
     points = _count_points(monkeypatch)
-    rep = check_cross_terms(prof_case2, deltas)
+    rep = check_cross_terms(prof_case2, deltas, level=1)
     got = [[float(u).hex(), float(v).hex()]
            for u, v in zip(rep.samples["u_cross"], rep.samples["v_cross"])]
     assert got == want
@@ -213,7 +213,7 @@ def test_gradient_energy_matches_two_call_reference(prof_sym, corr1_sym, consts_
     want = [[float(v).hex() for v in gradient_integrals_two_calls(prof_sym, tab, quad, d)]
             for d in deltas]
     points = _count_points(monkeypatch)
-    rep = check_gradient_expansion(prof_sym, tab, consts_sym, deltas)
+    rep = check_gradient_expansion(prof_sym, tab, consts_sym, deltas, level=1)
     got = [[float(v).hex(), float(c).hex()]
            for v, c in zip(rep.samples["value"], rep.samples["bare_part"])]
     assert got == want
@@ -232,7 +232,7 @@ def test_phi_pairing_matches_two_call_reference(prof_sym, corr1_sym, corr2_sym, 
                                                                  quad, d)]
             for d in deltas]
     points = _count_points(monkeypatch)
-    rep = check_phi_pairing(prof_sym, tab1, tab2, consts_sym, deltas)
+    rep = check_phi_pairing(prof_sym, tab1, tab2, consts_sym, deltas, level=1)
     rows = ("matched_1", "matched_2", "crossed_1", "crossed_2")
     got = [[float(v).hex() for v in vals]
            for vals in zip(*(rep.samples[row] for row in rows))]
@@ -252,12 +252,12 @@ def test_phi_pairing_refuses_a_short_table(prof_sym, corr1_sym, corr2_sym, const
     points = _count_points(monkeypatch)
     for tab1, tab2 in ((short[0], full[1]), (full[0], short[1]), short):
         with pytest.raises(DomainError, match=r"< 2/min\(deltas\)"):
-            check_phi_pairing(prof_sym, tab1, tab2, consts_sym, deltas)
+            check_phi_pairing(prof_sym, tab1, tab2, consts_sym, deltas, level=1)
     assert points == {"bubble": 0, "lookup": 0}
 
 
 def test_report_record_serializable(prof_sym, consts_sym):
-    rep = check_bubble_mass(prof_sym, consts_sym, (0.04, 0.02))
+    rep = check_bubble_mass(prof_sym, consts_sym, (0.04, 0.02), level=1)
     text = json.dumps(rep.to_record(), sort_keys=True)
     back = json.loads(text)
     assert back["name"] == "bubble_mass"
