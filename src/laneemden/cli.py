@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -136,9 +137,6 @@ class RunConfig:
                 for x in ([self.d * e for e in self.eps] if "d" in CHECK_READS[c]
                           else self.deltas)]
 
-    def as_dict(self):
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
-
 
 _DEFAULTS = asdict(RunConfig())
 
@@ -165,10 +163,11 @@ def _coerce(key, raw):
 
 
 def load_config(path) -> dict:
-    """The key = value pairs of a config file; a key set twice is refused."""
+    """The key = value pairs of a config file; a key set twice is refused.  A # at a
+    line's start or after whitespace starts a comment; any other # is in the value."""
     out, line_of = {}, {}
     for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        s = line.split("#", 1)[0].strip()
+        s = re.split(r"(?<!\S)#", line, maxsplit=1)[0].strip()
         if not s:
             continue
         if "=" not in s:
@@ -192,7 +191,8 @@ def build_config(args) -> RunConfig:
 
 
 def _meta(cfg):
-    return {"config": cfg.as_dict(), "version": __version__}
+    # json writes each tuple field as a list
+    return {"config": asdict(cfg), "version": __version__}
 
 
 def _saved_profile(cfg, params):

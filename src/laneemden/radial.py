@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._interp import InterpPack, pack_hermite, profile_eval, tail_terms
+from ._interp import InterpPack, pack_hermite, tail_terms
 from .errors import (BracketingFailure, DomainError, MonotonicityViolation,
                      PoorFit, StepFailure)
 from .params import CASE_SUB, ProblemParams, check_solvable
@@ -92,11 +92,6 @@ class RadialProfile:
             breaks, cu, cdu, cv, cdv, float(self.r_max), float(au), float(cu2),
             float(self.params.exp_u_decay), n - 2.0, float(bv)))
 
-    def eval_many(self, r):
-        """(U, dU, V, dV) arrays at radii r (tail extrapolation beyond r_max)."""
-        r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-        return profile_eval(r, self.interp_pack, ("U", "dU", "V", "dV"))
-
     def to_csv(self, csv_path, json_path):
         """Write the sampled profile to csv_path and its JSON sidecar to json_path."""
         # imported per call: perfbench's tracer replaces reporting's writers
@@ -113,7 +108,6 @@ class RadialProfile:
 @dataclass(frozen=True)
 class ShotResult:
     classification: str
-    v0: float
     r_end: float
     # namespace of t (the start, each step's radius, r_end last), nfev (the
     # stepper's right-hand-side calls) and sol (y at an array of radii in
@@ -211,7 +205,7 @@ def shoot(params: ProblemParams, v0: float, r_max: float, tol: float = 1e-10,
             ts.append(t)
     ts = np.array(ts)
     sol = SimpleNamespace(t=ts, nfev=solver.nfev, sol=solution(ts, pieces) if dense else None)
-    return ShotResult(cls, v0, float(ts[-1]), sol)
+    return ShotResult(cls, float(ts[-1]), sol)
 
 
 def _bisect(classify, lo, hi, low, stop=None):

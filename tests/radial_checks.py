@@ -1,5 +1,6 @@
 """Properties of a ground state measured on its samples: the radial Pohozaev
-quantity, and criteria 3 and 4's tail fits.
+quantity, and criteria 3 and 4's tail fits; and profile_at, the profile's four
+components at given radii.
 
 The profile's tail is not fitted (radial.tail_amplitudes); these fits
 measure, from the samples alone, how far the solve is from the theory's
@@ -11,7 +12,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from laneemden._interp import profile_eval
 from laneemden.params import CASE_SUB
+
+
+def profile_at(prof, r):
+    """(U, dU, V, dV) arrays of the profile prof at radii r, a scalar or an array
+    (the power tails beyond r_max)."""
+    r = np.atleast_1d(np.asarray(r, dtype=np.float64))
+    return profile_eval(r, prof.interp_pack, ("U", "dU", "V", "dV"))
 
 
 def pohozaev(params, r, U, dU, V, dV):

@@ -17,7 +17,7 @@ from laneemden.constants import EnergyConstants
 from laneemden.reduced import G, ReducedEnergy, d_star
 import laneemden.verify as V
 from phi_checks import decay_exponent, harmonic_residual, neumann_mismatch
-from radial_checks import sample_tail
+from radial_checks import profile_at, sample_tail
 
 A1_EXACT = 32 * np.pi ** 2 / 3
 B1_EXACT = 8 * np.sqrt(2) * np.pi ** 2
@@ -35,8 +35,7 @@ def _line(num, ok, detail):
 def test_criterion_01_closed_form_ground_state(prof_sym):
     u, _ = closed_form_bubble(4)
     r = np.concatenate([[0.0], np.geomspace(1e-3, 10.0, 500)])
-    U = prof_sym.eval_many(r)[0]
-    V = prof_sym.eval_many(r)[2]
+    U, _, V, _ = profile_at(prof_sym, r)
     prof_err = max(np.max(np.abs(U / u(r) - 1)), np.max(np.abs(V / u(r) - 1)))
     a, b = prof_sym.interp_pack.au, prof_sym.interp_pack.bv
     ok = (abs(prof_sym.v0 - 1.0) <= 1e-6 and prof_err <= 1e-6

@@ -9,6 +9,7 @@ from laneemden.ballquad import BallQuadrature, get_quadrature
 from laneemden.cli import TABLE_REACH
 from laneemden.errors import DomainError
 from laneemden.halfspace import PHI1, PHI2, HalfSpaceCorrection, PhiTable
+from radial_checks import profile_at
 
 # extent 220 covers every delta >= 0.01; the session corrections already
 # build these tables for the acceptance checks at the default deltas
@@ -199,7 +200,7 @@ def test_bubble_uv_scales_profile_bitwise(prof_case1):
     t = np.array([0.9, 0.6, 0.0, -0.3])
     delta = 0.05
     pp = prof_case1.params
-    U, _, V, _ = prof_case1.eval_many(np.sqrt(s * s + (t - 1.0) * (t - 1.0)) / delta)
+    U, _, V, _ = profile_at(prof_case1, np.sqrt(s * s + (t - 1.0) * (t - 1.0)) / delta)
     got_u, got_v = bubble_uv(s, t, 1.0, delta, prof_case1, ("U", "V"))
     assert np.array_equal(got_u, delta ** -pp.su * U)
     assert np.array_equal(got_v, delta ** -pp.sv * V)

@@ -11,6 +11,7 @@ from laneemden.ansatz import bubble_uv
 from laneemden.ballquad import (BallQuadrature, gauss_legendre, get_quadrature, graded_edges,
                                 sphere_measure)
 from laneemden.verify import _bubble_power
+from radial_checks import profile_at
 
 
 def ball_volume(n):
@@ -126,7 +127,6 @@ def test_offcenter_bubble_against_cap_reduction(prof_sym):
     reduces to a 1D integral against the spherical-cap measure."""
     delta = 0.02
     n, qq = 4, 3.0
-    pack_eval = prof_sym.eval_many
 
     def cap_measure(c):
         # measure of {omega in S^3: omega_n <= c}
@@ -136,7 +136,7 @@ def test_offcenter_bubble_against_cap_reduction(prof_sym):
 
     def oracle():
         def integrand(rho):
-            U = pack_eval(np.array([rho]))[0][0]
+            U = profile_at(prof_sym, np.array([rho]))[0][0]
             return rho ** 3 * U ** (qq + 1.0) * cap_measure(-delta * rho / 2.0)
         val, _ = quad(lambda x: integrand(x), 0.0, 2.0 / delta, limit=400)
         return val
@@ -146,7 +146,7 @@ def test_offcenter_bubble_against_cap_reduction(prof_sym):
 
     def f(s, t):
         d = np.sqrt(s ** 2 + (t - 1.0) ** 2) / delta
-        U = pack_eval(d)[0]
+        U = profile_at(prof_sym, d)[0]
         return (delta ** -su * U) ** (qq + 1.0)
 
     got = quad2d.integrate(f)

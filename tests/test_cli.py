@@ -90,6 +90,26 @@ def test_flags_override_config(tmp_path):
     assert cfg.out == "fromfile"  # file value survives
 
 
+def test_config_comment_starts_at_line_start_or_after_whitespace(monkeypatch, tmp_path, capsys):
+    """A # at the start of a line or after whitespace starts a comment; any other # is
+    part of the value, so a file and the flags give the same out for a path with #."""
+    out = str(tmp_path / "run#3")
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"# comment\nout = {out}\np = 2.5  # note\nalpha = 1/2\t# tab\n")
+    ap = make_parser()
+    from_file = build_config(ap.parse_args(["verify", "--config", str(cfg_file)]))
+    from_flags = build_config(ap.parse_args(["verify", "--out", out, "--p", "2.5",
+                                             "--alpha", "1/2"]))
+    assert from_file == from_flags
+    assert (from_file.out, from_file.p, from_file.alpha) == (out, 2.5, 0.5)
+    # the unknown check is named whole, not cut at its #
+    monkeypatch.setattr(radial, "find_ground_state", _no_solve)
+    cfg_file.write_text(f"out = {out}\nchecks = bubble_mass#x\n")
+    assert main(["verify", "--config", str(cfg_file)]) == 2
+    assert "unknown checks: ['bubble_mass#x']" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_validate_ode_tol_bounds(monkeypatch, tmp_path):
     """ode_tol runs only in [100 eps, 1e-4], where DOP853 takes it as given;
     outside, every command exits 2 before any solve."""
@@ -897,15 +917,17 @@ def test_cli_loads_only_the_numerics_its_command_runs(tmp_path, prof_sym):
     """With numpy's import blocked, the CLI imports, prints its version and help,
     reports on a saved summary and refuses bad inputs (exit 2); constants on a
     saved profile loads neither verify nor the half-space corrections nor the ansatz."""
-    summary = {"overall": "PASS", "checks": [{"name": "exponent_taylor", "verdict": "PASS"}],
-               "config": RunConfig(alpha=1.5, mesh_level=3).as_dict(), "version": "0.1.0"}
-    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    summary = json.dumps({"overall": "PASS", "version": "0.1.0",
+                          "checks": [{"name": "exponent_taylor", "verdict": "PASS"}],
+                          "config": dataclasses.asdict(RunConfig(alpha=1.5, mesh_level=3))})
+    (tmp_path / "summary.json").write_text(summary)
     (tmp_path / "repeated.cfg").write_text("p = 3\np = 2.5\n")
     run = subprocess.run([sys.executable, "-c", NO_NUMPY, str(tmp_path)], env=_child_env(),
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
-    assert json.loads((tmp_path / "report.json").read_text())["config"] == summary["config"]
+    assert (json.loads((tmp_path / "report.json").read_text())["config"]
+            == json.loads(summary)["config"])
     assert not (tmp_path / "refused").exists()
     prof_sym.to_csv(tmp_path / "profile.csv", tmp_path / "profile.json")
     run = subprocess.run([sys.executable, "-c", CONSTANTS_LOADS, str(tmp_path)],

@@ -12,6 +12,7 @@ from laneemden.constants import (PANELS, TAIL_REACH, XI_RADIUS, _panels, _radial
 from laneemden.errors import DomainError, NumericalFailure, TailDivergent
 from laneemden.radial import load_profile
 from constants_reference import closed_tail_constants
+from radial_checks import profile_at
 
 A1_EXACT = 32 * np.pi ** 2 / 3
 B1_EXACT = 8 * np.sqrt(2) * np.pi ** 2
@@ -69,10 +70,10 @@ def test_radial_quad_matches_panel_loop(prof_sym, prof_case2, k):
         p, q = prof.params.p, prof.params.q
 
         def f(r):
-            return r ** 3.0 * prof.eval_many(r)[0] ** (q + 1.0)
+            return r ** 3.0 * profile_at(prof, r)[0] ** (q + 1.0)
 
         def g(r):
-            return r ** 3.0 * prof.eval_many(r)[2] ** (p + 1.0)
+            return r ** 3.0 * profile_at(prof, r)[2] ** (p + 1.0)
 
         r_top = prof.interp_pack.r_top
         edges = _panels(r_top)
@@ -109,7 +110,7 @@ def test_b_delta_matches_panel_loop(prof_sym):
             inner = np.zeros_like(tau)
             for k in range(xg.size):
                 u = 0.5 * ubar * (1.0 + xg[k])
-                U, _, V, _ = prof_sym.eval_many(np.sqrt(tau * tau + u * u))
+                U, _, V, _ = profile_at(prof_sym, np.sqrt(tau * tau + u * u))
                 val = V ** (p + 1.0) if component_v else U ** (q + 1.0)
                 inner += 0.5 * ubar * wg[k] * val
             total += np.sum(wt * tau ** (n - 2.0) * inner)

@@ -41,17 +41,28 @@ def _names_used(node, inside=()):
 
 def test_every_definition_is_used():
     """Each function and class of the package is named in src/ or perfbench/ outside its
-    own definition: code that only tests call does not live in the package."""
+    own definition: code that only tests call does not live in the package.  A name
+    counts for one owner only: no two classes of the package define a public method or
+    property of the same name, where a use of one would hide the other's lack of use."""
     root = pathlib.Path(__file__).resolve().parents[1]
-    defined, used = set(), set()
+    defined, used, owners = set(), set(), {}
     for tree in ("src/laneemden", "perfbench"):
         for path in sorted((root / tree).rglob("*.py")):
-            d, u = _names_used(ast.parse(path.read_text()))
+            module = ast.parse(path.read_text())
+            d, u = _names_used(module)
             used |= u
-            if tree == "src/laneemden":
-                defined |= d
+            if tree != "src/laneemden":
+                continue
+            defined |= d
+            for cls in (c for c in ast.walk(module) if isinstance(c, ast.ClassDef)):
+                for f in cls.body:
+                    if (isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not f.name.startswith("_")):
+                        owners.setdefault(f.name, []).append(f"{path.stem}.{cls.name}")
     unused = {n for n in defined - used if not (n.startswith("__") and n.endswith("__"))}
     assert not unused, sorted(unused)
+    shared = {name: classes for name, classes in owners.items() if len(classes) > 1}
+    assert not shared, shared
 
 
 def test_phi_tables_are_run_inputs():

@@ -6,7 +6,7 @@ bubbles, the two-bubble fields, the ground state between its samples and the
 reach of the constants' tail panels."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +28,7 @@ from laneemden.params import (DELTA_CAP, HYPERBOLA_TOL, ProblemParams,  # noqa: 
 from laneemden.radial import _rhs, shoot  # noqa: E402
 from bubble_reference import profile_eval_where  # noqa: E402
 from phi_reference import eval_many_loop  # noqa: E402
+from radial_checks import profile_at  # noqa: E402
 from strategies import admissible  # noqa: E402
 
 coords = st.one_of(st.just(0.0), st.floats(0.0, 1e4))
@@ -300,7 +301,7 @@ def test_ground_state_positive_and_decreasing(prof_sym, prof_case1, prof_case2, 
     """U, V > 0 and U', V' <= 0 at any radius, between the samples and in the tails."""
     for prof in (prof_sym, prof_case1, prof_case2):
         r = np.concatenate([[0.0, prof.interp_pack.r_top], 10.0 ** np.array(log_r)])
-        U, dU, V, dV = prof.eval_many(r)
+        U, dU, V, dV = profile_at(prof, r)
         assert np.all(U > 0.0) and np.all(V > 0.0)
         assert np.all(dU <= 0.0) and np.all(dV <= 0.0)
 
@@ -399,7 +400,7 @@ def test_shot_decreases_until_its_end(np_, v0):
 
 
 def _config_value(v):
-    return ", ".join(str(x) for x in v) if isinstance(v, list) else str(v)
+    return ", ".join(str(x) for x in v) if isinstance(v, tuple) else str(v)
 
 
 def _number_text(lo, hi):
@@ -456,7 +457,7 @@ def test_config_file_round_trip(tmp_path_factory, drawn):
     flag for, and the defaults of the others.
     """
     cfg, texts = drawn
-    rows = dict(cfg.as_dict(), **texts)
+    rows = dict(asdict(cfg), **texts)
     path = tmp_path_factory.mktemp("cfg") / "run.cfg"
     path.write_text("".join(f"{k} = {_config_value(v)}\n" for k, v in rows.items()))
     args = make_parser().parse_args(["verify", "--config", str(path)])

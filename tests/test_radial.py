@@ -15,7 +15,7 @@ from laneemden.errors import DomainError, PoorFit, StepFailure
 from laneemden.halfspace import PHI1, PHI2, g_data
 from laneemden.radial import (DECAYING, R_START, U_HITS_ZERO, V_HITS_ZERO, fd_derivs_on_grid,
                               fd_laplacian, load_profile, stencil_window)
-from radial_checks import fit_two_power, pohozaev, sample_tail
+from radial_checks import fit_two_power, pohozaev, profile_at, sample_tail
 from strategies import admissible
 
 
@@ -214,13 +214,13 @@ def test_symmetric_point_oracle(prof_sym):
     u, du = closed_form_bubble(4)
     assert prof_sym.v0 == pytest.approx(1.0, abs=1e-6)
     r = np.concatenate([[0.0], np.geomspace(1e-3, 10.0, 400)])
-    U, dU, V, dV = prof_sym.eval_many(r)
+    U, dU, V, dV = profile_at(prof_sym, r)
     assert np.max(np.abs(U / u(r) - 1.0)) < 1e-6
     assert np.max(np.abs(V / u(r) - 1.0)) < 1e-6
     # between the samples, where the cubics interpolate: 5.3e-11 (U, V) and
     # 7.2e-11 (U', V') measured
     r = _midpoints(prof_sym)
-    U, dU, V, dV = prof_sym.eval_many(r)
+    U, dU, V, dV = profile_at(prof_sym, r)
     for got, want in ((U, u(r)), (dU, du(r)), (V, u(r)), (dV, du(r))):
         np.testing.assert_allclose(got, want, rtol=1.5e-10, atol=0.0)
     assert prof_sym.interp_pack.au == pytest.approx(8.0, rel=1e-3)
@@ -237,12 +237,12 @@ def test_profile_follows_dense_output(request, name):
     shot = shoot(prof.params, prof.v0, radial.DEFAULT_SOLVE_FACTOR * prof.r_max,
                  tol=prof.ode_tol, dense=True)
     r = _midpoints(prof)
-    for got, want in zip(prof.eval_many(r), shot.sol.sol(r)):
+    for got, want in zip(profile_at(prof, r), shot.sol.sol(r)):
         np.testing.assert_allclose(got, want, rtol=1.5e-10, atol=0.0)
 
 
 def test_initial_conditions(prof_sym):
-    U, dU, V, dV = (c[0] for c in prof_sym.eval_many(0.0))
+    U, dU, V, dV = (c[0] for c in profile_at(prof_sym, 0.0))
     assert U == 1.0
     assert dU == 0.0
     assert V == pytest.approx(prof_sym.v0)
@@ -250,7 +250,7 @@ def test_initial_conditions(prof_sym):
 
 
 def test_evaluate_closed_form_point(prof_sym):
-    U = prof_sym.eval_many(2.0)[0][0]
+    U = profile_at(prof_sym, 2.0)[0][0]
     assert U == pytest.approx(2.0 / 3.0, rel=1e-7)
 
 
@@ -258,10 +258,10 @@ def test_tail_extrapolation_continuity(prof_sym):
     """U, dU, V, dV are continuous across r_max, and the far tail follows the
     pack's power law; relative comparisons only, since U(r_max) is ~8e-8."""
     r_max, pk = prof_sym.r_max, prof_sym.interp_pack
-    below, above = np.array(prof_sym.eval_many([r_max * (1 - 1e-9), r_max * (1 + 1e-9)])).T
+    below, above = np.array(profile_at(prof_sym, [r_max * (1 - 1e-9), r_max * (1 + 1e-9)])).T
     assert above == pytest.approx(below, rel=1e-6, abs=0.0)
     # far tail follows the anchored power law by construction
-    (U_top, U), *_ = prof_sym.eval_many([r_max, 2 * r_max])
+    (U_top, U), *_ = profile_at(prof_sym, [r_max, 2 * r_max])
     assert U == pytest.approx(U_top * 2.0 ** -pk.eu, rel=1e-12, abs=0.0)
 
 
@@ -435,7 +435,7 @@ def test_pohozaev_vanishes_on_the_tail(request, name):
     terms' sizes (n = 4, p = 1.9) and 1.6e-6 (5, 1.6)."""
     prof = request.getfixturevalue(name)
     r = prof.r_max * np.array([1.5, 2.0, 10.0, 100.0])
-    H, size = pohozaev(prof.params, r, *prof.eval_many(r))
+    H, size = pohozaev(prof.params, r, *profile_at(prof, r))
     assert np.all(np.abs(H) <= 1e-12 * size), np.abs(H) / size
 
 
@@ -484,7 +484,7 @@ def test_profile_roundtrip(tmp_path, prof_sym, prof_case2):
         prof.to_csv(csv, side)
         back = load_profile(csv, side)
         r = np.geomspace(1e-2, 2e4, 50)
-        for got, want in zip(back.eval_many(r), prof.eval_many(r)):
+        for got, want in zip(profile_at(back, r), profile_at(prof, r)):
             assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
         assert back.v0 == prof.v0
         assert sorted(json.loads(side.read_text())) == ["ode_tol", "params", "r_max", "v0"]
