@@ -19,7 +19,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # module each time it is read here (PEP 562), so importing the package, or the
 # CLI, loads no numerics until a command needs them.
 _EXPORTS = {
-    "params": ("ProblemParams", "check_condition_P", "critical_exponent"),
+    "params": ("ProblemParams", "critical_exponent"),
     "radial": ("RadialProfile", "find_ground_state", "shoot"),
     "halfspace": ("PHI1", "PHI2", "HalfSpaceCorrection"),
     "ansatz": ("AnsatzField",),

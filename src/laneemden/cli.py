@@ -25,7 +25,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, DomainError, NumericalFailure
-from .params import DELTA_CAP, ProblemParams, check_solvable, parse_exponent
+from .params import (B_DELTA_CAP, CORRECTION_N, DELTA_CAP, EPS_CAP, ProblemParams,
+                     check_solvable, parse_exponent)
 from .reporting import write_csv, write_json
 
 # Each check, in run order: the verify function that runs it and the run inputs it
@@ -41,11 +42,11 @@ CHECKS = {
     "gradient_energy": ("check_gradient_expansion",
                         ("profile", "phi1", "constants", "deltas", "level")),
     "nonlinear_energy": ("check_nonlinear_expansion",
-                         ("profile", "phi2", "constants", "eps", "d", "alpha", "level")),
+                         ("profile", "phi2", "constants", "eps", "d", "level")),
     "linearized_kernel": ("check_kernel", ("profile",)),
     "scaling_table": ("check_scaling_rows", ("params",)),
     "exponent_taylor": ("check_f_taylor", ("params",)),
-    "perturbed_norms": ("check_norm_orders", ("profile", "phi1", "eps", "d", "level", "beta")),
+    "perturbed_norms": ("check_norm_orders", ("profile", "phi1", "eps", "d", "level")),
 }
 CHECK_READS = {name: reads for name, (_, reads) in CHECKS.items()}
 # the phi tables reach TABLE_REACH / (smallest delta); a field needs 2/delta, the
@@ -94,15 +95,16 @@ class RunConfig:
             raise ConfigError("r_max must be positive")
         if any(d <= 0 or d > DELTA_CAP for d in self.deltas):
             raise ConfigError(f"delta samples must lie in (0, {DELTA_CAP}]")
-        if any(e <= 0 or e > 0.1 for e in self.eps):
-            raise ConfigError("eps samples must lie in (0, 0.1]")
+        if any(e <= 0 or e > EPS_CAP for e in self.eps):
+            raise ConfigError(f"eps samples must lie in (0, {EPS_CAP}]")
         if self.d <= 0:
             raise ConfigError("d must be positive")
         # the paper's perturbed exponents p + alpha eps, q + beta eps have slopes > 0
         if self.alpha <= 0 or self.beta <= 0:
             raise ConfigError("alpha and beta must be positive")
-        if not 0 <= self.b_delta <= 0.1:
-            raise ConfigError("b_delta must be 0 (the delta -> 0 limit) or lie in (0, 0.1]")
+        if not 0 <= self.b_delta <= B_DELTA_CAP:
+            raise ConfigError("b_delta must be 0 (the delta -> 0 limit) or lie in "
+                              f"(0, {B_DELTA_CAP}]")
         unknown = [c for c in self.checks if c not in CHECK_READS]
         if unknown:
             raise ConfigError(f"unknown checks: {unknown}")
@@ -120,9 +122,9 @@ class RunConfig:
             if not least <= len(xs) == len(set(xs)):
                 raise ConfigError(f"verify needs at least {least} {key} and no repeated one")
         phi_checks = [c for c in self.checks if {"phi1", "phi2"} & set(CHECK_READS[c])]
-        if phi_checks and self.n != 4:
+        if phi_checks and self.n != CORRECTION_N:
             raise ConfigError(f"checks {phi_checks} need the half-space corrections, "
-                              "implemented for n = 4 only")
+                              f"implemented for n = {CORRECTION_N} only")
         d_checks = [c for c in self.checks if "d" in CHECK_READS[c]]
         top = max(self.sampled_deltas("d"), default=0.0)
         if top > DELTA_CAP:
@@ -264,7 +266,7 @@ def cmd_reduced_energy(cfg):
     params, prof = _ground_state(cfg)
     consts = compute_constants(prof)
     re = ReducedEnergy(constants=consts, n=params.n, p=params.p, q=params.q,
-                       alpha=cfg.alpha, beta=cfg.beta)
+                       alpha=params.alpha, beta=params.beta)
     ds = d_star(re)
     rec = {
         "d_star": ds,
@@ -301,7 +303,7 @@ def run_suite(cfg) -> list:
     from .halfspace import PHI1, PHI2, HalfSpaceCorrection
     params, prof = _ground_state(cfg)
     inputs = {"params": params, "profile": prof, "deltas": cfg.deltas, "eps": cfg.eps,
-              "d": cfg.d, "alpha": cfg.alpha, "beta": cfg.beta, "level": cfg.mesh_level}
+              "d": cfg.d, "level": cfg.mesh_level}
     read = {key for name in cfg.checks for key in CHECK_READS[name]}
     if "constants" in read:
         inputs["constants"] = compute_constants(prof)

@@ -24,6 +24,7 @@ import numpy as np
 from ._interp import profile_eval
 from .ballquad import gauss_legendre, gauss_panels, sphere_measure
 from .errors import DomainError, TailDivergent
+from .params import B_DELTA_CAP
 from .radial import RadialProfile
 
 XI_RADIUS = np.sqrt(15.0) / 8.0  # boundary strip footprint radius
@@ -85,8 +86,8 @@ def compute_B_delta(profile: RadialProfile, delta: float):
     B1(delta) integrates delta^(-n-1) U^(q+1)(|x - e_n|/delta) over the thin
     lens between the sphere and the tangent plane, radius sqrt(15)/8.
     """
-    if not 0 < delta <= 0.1:
-        raise DomainError(f"delta={delta} outside (0, 0.1]")
+    if not 0 < delta <= B_DELTA_CAP:
+        raise DomainError(f"delta={delta} outside (0, {B_DELTA_CAP}]")
     n, p, q = profile.params.n, profile.params.p, profile.params.q
     sm = sphere_measure(n - 1)
     edges = np.concatenate([np.linspace(0.0, 1.0, 5)[:-1],

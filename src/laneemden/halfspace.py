@@ -25,6 +25,7 @@ import numpy as np
 from ._interp import profile_eval, tail_terms
 from .ballquad import gauss_panels
 from .errors import DomainError
+from .params import CORRECTION_N
 from .radial import RadialProfile
 
 PHI1 = "PHI1"
@@ -210,8 +211,8 @@ class HalfSpaceCorrection:
     def __post_init__(self):
         if self.which not in PARTS:
             raise DomainError(f"unknown correction kind {self.which!r}")
-        if self.profile.params.n != 4:
-            raise DomainError("half-space corrections are implemented for n = 4")
+        if self.profile.params.n != CORRECTION_N:
+            raise DomainError(f"half-space corrections are implemented for n = {CORRECTION_N}")
         self._tables = _TABLES.setdefault(self.profile, {})
 
     def rule(self, blocks, k, kinds):

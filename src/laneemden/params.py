@@ -15,6 +15,9 @@ from .errors import DomainError
 
 HYPERBOLA_TOL = 1e-12
 DELTA_CAP = 0.2  # largest bubble scale delta: keeps the bubble halves of the ball separated
+EPS_CAP = 0.1  # largest perturbation eps of the expansions
+B_DELTA_CAP = 0.1  # largest boundary-strip delta of B1, B2
+CORRECTION_N = 4  # the one dimension the half-space corrections are implemented for
 
 CASE_SUPER = "SUPER"
 CASE_SUB = "SUB"
@@ -58,6 +61,8 @@ class ProblemParams:
     """Dimension, hyperbola exponents and perturbation slopes.
 
     Immutable; all derived quantities are pure functions of the fields.
+    case_tag is the one classification of p: SUB below n/(n-2), SUPER above
+    it, BORDER within 4 machine epsilons (relative) of it.
     """
 
     n: int
@@ -108,33 +113,10 @@ class ProblemParams:
         return self.n - 2.0
 
 
-def check_condition_P(params: ProblemParams):
-    """Classify p against the admissible coupling ranges.
-
-    Returns
-    -------
-    (label, p_n) : (str, float)
-        label is 'case_i' for n/(n-2) < p < (n+2)/(n-2), 'case_ii' for
-        p_n < p < n/(n-2), 'outside' otherwise.
-    """
-    n, p = params.n, params.p
-    pn = p_threshold(n)
-    border = n / (n - 2.0)
-    top = (n + 2.0) / (n - 2.0)
-    if border < p < top:
-        return "case_i", pn
-    if pn < p < border:
-        return "case_ii", pn
-    return "outside", pn
-
-
 def check_solvable(params: ProblemParams):
     """Refuse, with DomainError, the (n, p) that find_ground_state has no shot
-    for: p = n/(n-2), and p outside both coupling ranges other than (n+2)/(n-2)."""
+    for: the border p = n/(n-2) (case_tag BORDER) and p <= p_threshold(n)."""
     if params.case_tag == CASE_BORDER:
         raise DomainError("p = n/(n-2) is not supported")
-    label, _ = check_condition_P(params)
-    top = (params.n + 2.0) / (params.n - 2.0)
-    at_top = abs(params.p - top) < 1e-12
-    if label == "outside" and not at_top:
+    if params.p <= p_threshold(params.n):
         raise DomainError(f"p={params.p} outside the admissible coupling ranges")

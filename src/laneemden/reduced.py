@@ -26,6 +26,7 @@ import numpy as np
 
 from .constants import EnergyConstants
 from .errors import DomainError
+from .params import EPS_CAP
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,8 @@ def J_expansion(re: ReducedEnergy, epsilon: float, d: float):
     """The three explicit addends of the energy expansion at (epsilon, d)."""
     if d <= 0:
         raise DomainError("d must be positive")
-    if not 0 < epsilon <= 0.1:
-        raise DomainError("epsilon must lie in (0, 0.1]")
+    if not 0 < epsilon <= EPS_CAP:
+        raise DomainError(f"epsilon must lie in (0, {EPS_CAP}]")
     lead = (2.0 / re.n) * re.constants.A1
     eps_log = re.log_coeff * epsilon * np.log(epsilon)
     eps_term = G(re, d) * epsilon

@@ -251,19 +251,18 @@ def check_gradient_expansion(profile, phi1, constants: EnergyConstants, deltas, 
         details={"leading": constants.A1})
 
 
-def check_nonlinear_expansion(profile, phi2, constants: EnergyConstants, eps, d, alpha,
-                              level):
+def check_nonlinear_expansion(profile, phi2, constants: EnergyConstants, eps, d, level):
     """Perturbed-exponent energy of PW2, the projected second component (table phi2).
 
     With delta = d*eps, the functional splits into a delta-part (checked as
     a slope), an eps-part proportional to alpha (isolated by differencing
     the alpha > 0 and alpha = 0 runs), and an o(eps) remainder (ratio test).
     """
-    if alpha <= 0:
+    pp = profile.params
+    if pp.alpha <= 0:
         raise DomainError("the perturbed-exponent check needs alpha > 0")
     tol = 0.10
-    pp = profile.params
-    p = pp.p
+    p, alpha = pp.p, pp.alpha
     deltas = [d * e for e in eps]
     quad = get_quadrature(pp.n, min(deltas), level)
     A2, B2, C2, D2 = constants.A2, constants.B2, constants.C2, constants.D2
@@ -503,18 +502,18 @@ def check_f_taylor(params, t_samples=None):
         verdict=_verdict(ok))
 
 
-def check_norm_orders(profile, phi1, eps, d, level, beta):
+def check_norm_orders(profile, phi1, eps, d, level):
     """Order in eps of PW1's perturbed-minus-limit nonlinearity norms; both must be >= 0.9.
 
     The norms carry an eps * |log delta| structure (bubble amplitudes grow
     like a power of 1/delta), so the order is fitted after deflating the
     predicted log factor; the raw log-log order is reported alongside.
     """
-    if beta <= 0:
+    pp = profile.params
+    if pp.beta <= 0:
         raise DomainError("the perturbed-norm check needs beta > 0")
     min_order = 0.9
-    pp = profile.params
-    q = pp.q
+    q, beta = pp.q, pp.beta
     deltas = [d * e for e in eps]
     quad = get_quadrature(pp.n, min(deltas), level)
     norms_f, norms_df = [], []

@@ -137,7 +137,7 @@ def test_criterion_10_gradient_energy(prof_sym, corr1_sym, consts_sym):
 def test_criterion_11_nonlinear_energy(prof_sym, corr2_sym, consts_sym):
     # the table of the check's smallest delta, d * min(EPS)
     rep = V.check_nonlinear_expansion(prof_sym, corr2_sym.table(TABLE_REACH / (0.2 * min(EPS))),
-                                      consts_sym, EPS, d=0.2, alpha=1.0, level=LEVEL)
+                                      consts_sym, EPS, d=0.2, level=LEVEL)
     assert rep.tol == 0.10
     d = rep.deviation
     _line(11, rep.passed,

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -125,6 +126,15 @@ def test_validate_ode_tol_bounds(monkeypatch, tmp_path):
     for tol in ("1e-16", "1e-3"):
         assert main(["ground-state", "--ode-tol", tol, "--out", str(tmp_path)]) == 2
     assert not list(tmp_path.iterdir())
+
+
+def test_solve_defaults_match_find_ground_state():
+    """The CLI solves with RunConfig's ode_tol and r_max, perfbench and its reference
+    maker with find_ground_state's defaults: the two pairs are the same.  cli states
+    its own, since importing radial would load numpy."""
+    defaults = inspect.signature(radial.find_ground_state).parameters
+    cfg = RunConfig()
+    assert (cfg.ode_tol, cfg.r_max) == (defaults["ode_tol"].default, defaults["r_max"].default)
 
 
 def test_validate_rejects_bad_samples():
@@ -407,8 +417,7 @@ def test_check_reads_name_run_inputs():
     """Every check of the table reads only inputs that run_suite provides; four read
     a phi table, and two read d."""
     assert set().union(*(reads for _, reads in CHECKS.values())) == {
-        "params", "profile", "constants", "phi1", "phi2", "deltas", "eps", "d", "alpha",
-        "beta", "level"}
+        "params", "profile", "constants", "phi1", "phi2", "deltas", "eps", "d", "level"}
     assert {c for c, (_, reads) in CHECKS.items() if {"phi1", "phi2"} & set(reads)} == {
         "boundary_pairing", "gradient_energy", "nonlinear_energy", "perturbed_norms"}
     assert {c for c, (_, reads) in CHECKS.items() if "d" in reads} == {
@@ -516,9 +525,8 @@ def test_single_scale_selection_matches_per_check_tables(monkeypatch, tmp_path, 
     want = ([V.check_phi_pairing(prof_sym, phi1, phi2, consts_sym, cfg.deltas, level),
              V.check_gradient_expansion(prof_sym, phi1, consts_sym, cfg.deltas, level)]
             if "boundary_pairing" in checks else
-            [V.check_nonlinear_expansion(prof_sym, phi2, consts_sym, cfg.eps, cfg.d,
-                                         cfg.alpha, level),
-             V.check_norm_orders(prof_sym, phi1, cfg.eps, cfg.d, level, cfg.beta)])
+            [V.check_nonlinear_expansion(prof_sym, phi2, consts_sym, cfg.eps, cfg.d, level),
+             V.check_norm_orders(prof_sym, phi1, cfg.eps, cfg.d, level)])
     assert got == [_hex_leaves(rep.to_record()) for rep in want]
 
 

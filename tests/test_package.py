@@ -100,3 +100,15 @@ def test_check_table_states_each_read_once():
                  for p in inspect.signature(fn).parameters.values()
                  if p.name in run_inputs and p.default is not p.empty]
     assert not defaulted, defaulted
+
+
+def test_checks_take_no_problem_parameter():
+    """ProblemParams alone states n, p, q and the slopes: no check function of
+    cli.CHECKS takes one of its fields as a parameter of its own; a check reads
+    them from params or profile.params."""
+    from laneemden import cli, verify
+    from laneemden.params import ProblemParams
+    fields = {f.name for f in dataclasses.fields(ProblemParams)}
+    taken = [f"{fname}({p})" for fname, _ in cli.CHECKS.values()
+             for p in inspect.signature(getattr(verify, fname)).parameters if p in fields]
+    assert not taken, taken

@@ -3,8 +3,8 @@ import pytest
 
 from laneemden.errors import DomainError
 from laneemden.params import (CASE_BORDER, CASE_SUB, CASE_SUPER, ProblemParams,
-                              check_condition_P, check_solvable, critical_exponent,
-                              p_threshold, parse_exponent)
+                              check_solvable, critical_exponent, p_threshold,
+                              parse_exponent)
 
 
 def test_critical_exponent_examples():
@@ -39,34 +39,51 @@ def test_scaling_exponents_examples():
     assert pp.sv == pytest.approx(8.0 / 7.0, abs=1e-12)
 
 
+def _partition_inputs(n):
+    """The p that the case split is tested on at n: a 300-point grid over
+    (1, (n+2)/(n-2)), and n/(n-2), p_n and (n+2)/(n-2) with their neighbours
+    1 to 4 ulps away that ProblemParams admits."""
+    top = (n + 2.0) / (n - 2.0)
+    ps = [float(p) for p in np.linspace(1.02, top - 1e-9, 300)]
+    for x in (n / (n - 2.0), p_threshold(n), top):
+        up = down = x
+        ps.append(x)
+        for _ in range(4):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            ps += [float(y) for y in (up, down) if y <= top]
+    return ps
+
+
+def _solvable(pp):
+    try:
+        check_solvable(pp)
+    except DomainError:
+        return False
+    return True
+
+
 def test_condition_P_examples():
-    label, _ = check_condition_P(ProblemParams(n=4, p=2.5))
-    assert label == "case_i"
-    label, p4 = check_condition_P(ProblemParams(n=4, p=1.9))
-    assert label == "case_ii"
-    assert p4 == pytest.approx((9 + np.sqrt(33)) / 8, abs=1e-12)
-    label, _ = check_condition_P(ProblemParams(n=4, p=1.5))
-    assert label == "outside"
+    """Condition (P) at n = 4: p_4 = (9 + sqrt 33)/8 < p <= 3, p outside the
+    border band around n/(n-2) = 2; p < 2 is SUB, p > 2 SUPER."""
+    assert p_threshold(4) == pytest.approx((9 + np.sqrt(33)) / 8, abs=1e-12)
+    for p, tag, solvable in ((2.5, CASE_SUPER, True), (1.9, CASE_SUB, True),
+                             (1.5, CASE_SUB, False), (3.0, CASE_SUPER, True)):
+        pp = ProblemParams(n=4, p=p)
+        assert (pp.case_tag, _solvable(pp)) == (tag, solvable), p
 
 
 def test_condition_P_partition():
-    n = 4
-    pn = p_threshold(n)
-    border = n / (n - 2.0)
-    top = (n + 2.0) / (n - 2.0)
-    prev = "outside"
-    for p in np.linspace(1.02, top - 1e-9, 300):
-        label, _ = check_condition_P(ProblemParams(n=n, p=float(p)))
-        if p < pn:
-            assert label == "outside"
-        elif pn < p < border:
-            assert label == "case_ii"
-        elif border < p < top:
-            assert label == "case_i"
-        # labels change monotonically: outside -> case_ii -> case_i
-        order = {"outside": 0, "case_ii": 1, "case_i": 2}
-        assert order[label] >= order[prev] or label == prev
-        prev = label
+    """case_tag is the one split of p: SUB below n/(n-2), SUPER above, BORDER within
+    4 eps of it; check_solvable refuses exactly BORDER and p <= p_n, and admits the top."""
+    for n in range(4, 9):
+        border, pn, top = n / (n - 2.0), p_threshold(n), (n + 2.0) / (n - 2.0)
+        for p in _partition_inputs(n):
+            pp = ProblemParams(n=n, p=p)
+            in_band = abs(p - border) <= 4 * np.finfo(float).eps * border
+            assert pp.case_tag == (CASE_BORDER if in_band else
+                                   CASE_SUB if p < border else CASE_SUPER), (n, p)
+            assert _solvable(pp) == (not in_band and p > pn), (n, p)
+        check_solvable(ProblemParams(n=n, p=top))
 
 
 def test_case_tags():

@@ -24,7 +24,7 @@ from laneemden.constants import TAIL_REACH  # noqa: E402
 from laneemden.errors import ConfigError, DomainError  # noqa: E402
 from laneemden.halfspace import LOOKUP_CHUNK, panel_edges  # noqa: E402
 from laneemden.params import (DELTA_CAP, HYPERBOLA_TOL, ProblemParams,  # noqa: E402
-                              check_condition_P, p_threshold)
+                              check_solvable, p_threshold)
 from laneemden.radial import _rhs, shoot  # noqa: E402
 from bubble_reference import profile_eval_where  # noqa: E402
 from phi_reference import eval_many_loop  # noqa: E402
@@ -311,7 +311,7 @@ def test_ground_state_positive_and_decreasing(prof_sym, prof_case1, prof_case2, 
 def test_hyperbola_and_ordering(np_):
     n, p = np_
     pp = ProblemParams(n=n, p=p)
-    assert check_condition_P(pp)[0] in ("case_i", "case_ii")
+    check_solvable(pp)  # raises DomainError on a p the solver refuses
     assert abs(1.0 / (pp.p + 1.0) + 1.0 / (pp.q + 1.0) - (n - 2.0) / n) <= HYPERBOLA_TOL
     assert pp.p <= pp.q
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,10 +10,11 @@ from laneemden import ProblemParams, verify
 from laneemden.ballquad import get_quadrature
 from laneemden.errors import DomainError
 from laneemden.verify import (check_bubble_mass, check_cross_terms, check_f_taylor,
-                              check_gradient_expansion, check_norm_orders, check_phi_pairing,
-                              check_scaling_rows, check_scaling_table, f_taylor_remainders,
-                              log_regime_order, richardson_pair, scaling_row_exponent,
-                              shrink_factors, slope_limit)
+                              check_gradient_expansion, check_nonlinear_expansion,
+                              check_norm_orders, check_phi_pairing, check_scaling_rows,
+                              check_scaling_table, f_taylor_remainders, log_regime_order,
+                              richardson_pair, scaling_row_exponent, shrink_factors,
+                              slope_limit)
 from laneemden.ansatz import bubble_uv
 from laneemden.cli import TABLE_REACH
 from laneemden.halfspace import PhiTable
@@ -67,8 +69,12 @@ def test_slope_checks_refuse_a_slope_that_is_not_positive(prof_sym):
         def eval_many(self, *args, **kwargs):
             raise AssertionError("phi table read before the slope was refused")
 
+    # the two checks on a profile read their slopes from its params
+    flat = dataclasses.replace(prof_sym, params=ProblemParams(n=4, p=3.0))
+    with pytest.raises(DomainError, match="alpha > 0"):
+        check_nonlinear_expansion(flat, NoLookup(), None, (0.04, 0.02), d=0.2, level=1)
     with pytest.raises(DomainError, match="beta > 0"):
-        check_norm_orders(prof_sym, NoLookup(), (0.04, 0.02), d=0.2, level=1, beta=0.0)
+        check_norm_orders(flat, NoLookup(), (0.04, 0.02), d=0.2, level=1)
 
 
 def test_scaling_row_exponents():
